@@ -53,9 +53,7 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     from .harness import run_overhead_comparison
     from .specaccel import WORKLOADS
 
-    result = run_overhead_comparison(
-        preset=args.preset, repetitions=args.reps, engine=args.engine
-    )
+    result = run_overhead_comparison(preset=args.preset, repetitions=args.reps)
     print(result.render_time_table())
     print()
     for w in WORKLOADS:
@@ -83,7 +81,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repetitions=args.reps,
             output=args.output,
             telemetry=args.telemetry,
-            engine=args.engine,
             history=history,
             flamegraph=args.flamegraph,
         )
@@ -94,7 +91,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     width = max(12, max(len(c) for c in configs) + 2)
     header = f"{'Workload':<12}" + "".join(f"{c:>{width}}" for c in configs)
     print(f"Fig 8 benchmark (preset={payload['preset']}, "
-          f"engine={payload['engine']}, reps={payload['repetitions']})")
+          f"reps={payload['repetitions']})")
     print(header)
     for w, row in payload["workloads"].items():
         print(
@@ -329,7 +326,6 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
             faults_per_schedule=args.faults,
             suite=args.suite,
             n_shards=args.shards,
-            engine=args.engine,
             output=output,
             observe=not args.no_observe,
             trace_output=args.trace,
@@ -341,7 +337,7 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     print(
         f"Serve chaos campaign (seed={payload['seed']}, "
         f"schedules={payload['schedules']}, suite={payload['suite']}, "
-        f"engine={payload['engine']}, shards={payload['n_shards']}): "
+        f"shards={payload['n_shards']}): "
         f"{payload['runs']} faulted sessions over "
         f"{payload['benchmarks']} benchmarks"
     )
@@ -412,15 +408,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             output=args.output or "BENCH_chaos.json",
             telemetry=args.telemetry,
             report=args.report,
-            engine=args.engine,
         )
     except OSError as exc:
         print(f"repro chaos: error: {exc}", file=sys.stderr)
         return 2
     print(
         f"Chaos campaign (seed={payload['seed']}, "
-        f"schedules={payload['schedules']}, suite={payload['suite']}, "
-        f"engine={payload['engine']}): "
+        f"schedules={payload['schedules']}, suite={payload['suite']}): "
         f"{payload['runs']} faulted runs over {payload['benchmarks']} benchmarks"
     )
     print(
@@ -495,7 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         config = ServerConfig(
             n_shards=args.shards,
-            engine=args.engine,
             tools=tools,
             queue_cap=args.queue_cap,
         )
@@ -550,7 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             payload = run_serve_bench(
                 suite=args.suite,
                 n_shards=args.shards,
-                engine=args.engine,
                 tools=tools,
                 queue_cap=args.queue_cap,
                 output=output,
@@ -563,7 +555,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         s = payload["summary"]
         print(
             f"Serve bench (suite={payload['suite']}, "
-            f"engine={payload['engine']}, shards={payload['n_shards']}): "
+            f"shards={payload['n_shards']}): "
             f"{payload['events']} events in {payload['frames']} frames"
         )
         print(
@@ -589,12 +581,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     payload = run_serve_suite(
         suite=args.suite,
         n_shards=args.shards,
-        engine=args.engine,
         tools=tools,
         queue_cap=args.queue_cap,
     )
     print(
-        f"Serve suite (suite={payload['suite']}, engine={payload['engine']}, "
+        f"Serve suite (suite={payload['suite']}, "
         f"shards={payload['n_shards']}): {payload['events']} events across "
         f"{payload['benchmarks']} sessions"
     )
@@ -734,7 +725,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         suite=args.suite,
         tools=tools,
         capacity=args.capacity,
-        engine=args.engine,
     )
     print(render_text(payload), end="")
     try:
@@ -841,7 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", default="ref", choices=("test", "train", "ref", "large")
     )
     p8.add_argument("--reps", type=int, default=3)
-    p8.add_argument("--engine", default="scalar", choices=("scalar", "columnar"))
     p8.set_defaults(fn=_cmd_fig8)
 
     pb = sub.add_parser(
@@ -851,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", default="train", choices=("test", "train", "ref", "large")
     )
     pb.add_argument("--reps", type=int, default=3)
-    pb.add_argument("--engine", default="scalar", choices=("scalar", "columnar"))
     pb.add_argument("--output", default="BENCH_fig8.json")
     pb.add_argument(
         "--telemetry",
@@ -916,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     py.add_argument(
         "--score",
         action="store_true",
-        help="full validation matrix: detector-clean on both engines, "
+        help="full validation matrix: detector-clean, "
         "value-equivalent, bytes <= hand-written (BENCH_synth.json shape)",
     )
     py.add_argument(
@@ -961,12 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("runtime", "serve"),
         help="what the faults attack: the simulated runtime, or the "
         "analysis server (worker kills + wire-frame faults)",
-    )
-    px.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "columnar"),
-        help="event dispatch engine (the guarantees must hold under both)",
     )
     px.add_argument(
         "--shards",
@@ -1031,12 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--shards", type=int, default=4, help="shard workers per session"
-    )
-    ps.add_argument(
-        "--engine",
-        default="columnar",
-        choices=("scalar", "columnar"),
-        help="per-shard event dispatch engine (default: columnar)",
     )
     ps.add_argument(
         "--queue-cap",
@@ -1167,12 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="per-variable flight-recorder ring capacity",
-    )
-    pr.add_argument(
-        "--engine",
-        default="scalar",
-        choices=("scalar", "columnar"),
-        help="event dispatch engine (findings must not depend on it)",
     )
     pr.add_argument("--output", default="report.jsonl")
     pr.add_argument(

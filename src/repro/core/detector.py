@@ -431,7 +431,7 @@ class Arbalest(Tool):
             )
         )
 
-    # -- columnar engine -----------------------------------------------------
+    # -- batch path ----------------------------------------------------------
 
     def on_batch(self, batch) -> None:
         """Columnar fast path: classify the batch once, vectorize the bulk.
@@ -442,7 +442,7 @@ class Arbalest(Tool):
         FastTrack pass per segment; everything else — host events, bulk
         accesses, unified mappings, overflow suspects — replays through
         :meth:`on_access` *in place*, so findings land in the same order as
-        under the scalar engine.  Forensics and rich-metadata runs replay
+        under per-access delivery.  Forensics and rich-metadata runs replay
         wholesale: both sample per-event state around each transition.
         """
         accesses = batch.accesses
@@ -522,7 +522,7 @@ class Arbalest(Tool):
                     race_only = need_vsm
                 cat[race_only] = 2
         # Replay ineligible events in place so segment findings, replayed
-        # findings, and all side effects keep the scalar engine's order.
+        # findings, and all side effects keep per-access delivery's order.
         on_access = self.on_access
         start = 0
         for s in np.flatnonzero(cat == 0).tolist():
@@ -555,7 +555,7 @@ class Arbalest(Tool):
                 telemetry.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
         # (position, phase, access, uninit) — phase 0 = VSM issue, 1 = race;
-        # sorted at the end to reproduce the scalar engine's report order.
+        # sorted at the end to reproduce per-access report order.
         found: list[tuple[int, int, object, bool]] = []
         vsm_pos = seg[c == 3]
         if len(vsm_pos):

@@ -72,6 +72,10 @@ class RepairingArbalest(Arbalest):
 
     name = "arbalest-repair"
 
+    #: Repairs rewrite device memory inside ``on_access``, before the
+    #: program reads it, so accesses cannot wait in a batch.
+    immediate_delivery = True
+
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self.repairs: list[RepairAction] = []

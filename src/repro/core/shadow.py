@@ -380,7 +380,7 @@ class ShadowBlock:
         """Columnar transition: one op *per selected granule*, gather/scatter.
 
         ``idx`` is a local granule index array with **no repeats** (the
-        columnar engine splits batches into first-occurrence passes before
+        batch path splits batches into first-occurrence passes before
         calling this) and ``ops`` the matching VsmOp codes — access ops
         only (READ_HOST/READ_TARGET/WRITE_HOST/WRITE_TARGET).  Returns
         ``(illegal, uninitialized)`` aligned with the selection, with the

@@ -23,7 +23,7 @@ def transition_matrix():
     """Figure 4 as a dense ``(op, state) -> state'`` uint8 numpy matrix.
 
     Row ``op``, column ``state`` holds the successor state code; this is the
-    table the columnar engine gathers whole event batches through (and the
+    table the batch path gathers whole event batches through (and the
     cross-check for :data:`repro.core.shadow.TRANS_LUT`).
     """
     import numpy as np

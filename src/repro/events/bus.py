@@ -70,24 +70,25 @@ class ToolErrorRecord:
 class ToolBus:
     """Fan-out of runtime events to attached tools.
 
-    ``engine`` selects the access dispatch strategy: ``"scalar"`` (the
-    default, and the differential-testing oracle) delivers each access to
-    each tool's ``on_access`` immediately; ``"columnar"`` parks accesses in
-    a pending batch and flushes them through ``on_batch`` — before any
-    non-access publish, at :data:`~repro.events.columnar.BATCH_CAP`, and on
-    attach/detach — so tools see exactly the same event order, just blocked.
+    Accesses are parked in a pending batch and flushed through the tools'
+    access handlers — before any non-access publish, at
+    :data:`~repro.events.columnar.BATCH_CAP`, on attach/detach and at
+    program end — so tools see exactly the program's event order, just
+    blocked.  A tool class that must observe each access before the program
+    reads the bytes (one that rewrites memory from ``on_access``) declares
+    :attr:`~repro.tools.base.Tool.immediate_delivery`; while one is
+    attached, every access is flushed as it is published.
+
+    :attr:`dispatch` maps each event record type to its ``publish_*``
+    method, for replaying a recorded stream.
     """
 
-    def __init__(self, engine: str = "scalar") -> None:
-        if engine not in ("scalar", "columnar"):
-            raise ValueError(
-                f"unknown engine {engine!r}: expected 'scalar' or 'columnar'"
-            )
-        self.engine = engine
-        self._columnar = engine == "columnar"
+    def __init__(self) -> None:
         self._batch_pending: list[Access] = []
+        self._immediate = False
         self._tools: list["Tool"] = []
         self._access: tuple["Tool", ...] = ()
+        self._batched: tuple["Tool", ...] = ()
         self._data_op: tuple["Tool", ...] = ()
         self._kernel: tuple["Tool", ...] = ()
         self._allocation: tuple["Tool", ...] = ()
@@ -100,6 +101,16 @@ class ToolBus:
         self.strict = False
         #: Isolated handler failures, in occurrence order.
         self.errors: list[ToolErrorRecord] = []
+        #: Event record type -> the ``publish_*`` method that delivers it.
+        self.dispatch: dict[type, Callable[[object], None]] = {
+            Access: self.publish_access,
+            DataOp: self.publish_data_op,
+            MemcpyEvent: self.publish_memcpy,
+            KernelEvent: self.publish_kernel,
+            AllocationEvent: self.publish_allocation,
+            SyncEvent: self.publish_sync,
+            FlushEvent: self.publish_flush,
+        }
 
     # -- subscription ----------------------------------------------------
 
@@ -131,6 +142,10 @@ class ToolBus:
             )
 
         self._access = overriding("on_access")
+        # Tools without a vectorized ``on_batch`` are served per access by
+        # the bus itself, so one failing access never hides the rest.
+        self._batched = tuple(t for t in overriding("on_batch") if t in self._access)
+        self._immediate = any(t.immediate_delivery for t in self._access)
         self._data_op = overriding("on_data_op")
         self._kernel = overriding("on_kernel")
         self._allocation = overriding("on_allocation")
@@ -203,44 +218,36 @@ class ToolBus:
                     self._tool_error(tool, handler, exc)
 
     def publish_access(self, access: Access) -> None:
-        if self._columnar:
-            # Pin the call stack now: the lazy provider only stays valid
-            # while the producing frame is live, and batch dispatch happens
-            # long after that frame has moved on.
-            access.stack
-            pending = self._batch_pending
-            pending.append(access)
-            if len(pending) >= BATCH_CAP:
-                self.flush_batch()
+        pending = self._batch_pending
+        pending.append(access)
+        if self._immediate:
+            self.flush_batch()
             return
-        profiler = _prof.ACTIVE
-        if profiler is not None:
-            profiler.access_event(access, self._access)
-        telemetry = _telemetry.ACTIVE
-        if telemetry is None:
-            # Telemetry disabled: one global load, then straight dispatch —
-            # no counter lookups on the per-access hot path.
-            for tool in self._access:
-                try:
-                    tool.on_access(access)
-                except Exception as exc:
-                    self._tool_error(tool, "on_access", exc)
-            return
-        # Counters, not spans: accesses are the hot path, and a span per
-        # access would bury every other event in the trace.
-        telemetry.count("bus.events.on_access")
-        telemetry.count("bus.access_fanout", len(self._access))
-        for tool in self._access:
+        # Pin the call stack now: the lazy provider only stays valid while
+        # the producing frame is live, and batch dispatch happens long after
+        # that frame has moved on.
+        access.stack
+        if len(pending) >= BATCH_CAP:
+            self.flush_batch()
+
+    def _deliver_each(self, tool: "Tool", accesses: list[Access]) -> None:
+        """Per-access delivery with per-access crash isolation."""
+        on_access = tool.on_access
+        for access in accesses:
             try:
-                tool.on_access(access)
+                on_access(access)
             except Exception as exc:
                 self._tool_error(tool, "on_access", exc)
 
     def flush_batch(self) -> None:
-        """Deliver the pending access batch through ``on_batch``.
+        """Deliver the pending accesses to every access-subscribing tool.
 
-        A no-op when nothing is pending (scalar buses never accumulate), so
-        callers can invoke it unconditionally at ordering barriers.
+        A no-op when nothing is pending, so callers can invoke it
+        unconditionally at ordering barriers.  Tools that vectorize get one
+        :class:`EventBatch` through ``on_batch``; every other tool, and
+        every tool when the batch is under
+        :data:`~repro.events.columnar.MIN_BATCH`, gets ``on_access`` once
+        per access.
         """
         pending = self._batch_pending
         if not pending:
@@ -248,8 +255,7 @@ class ToolBus:
         self._batch_pending = []
         profiler = _prof.ACTIVE
         if profiler is not None:
-            # Same ordinal clock as the scalar path: the batch advances one
-            # ordinal per access, so sample positions match across engines.
+            # One ordinal per accessed element, whatever the batch size.
             profiler.batch_events(pending, self._access)
         telemetry = _telemetry.ACTIVE
         if telemetry is not None:
@@ -259,17 +265,16 @@ class ToolBus:
         if len(pending) < MIN_BATCH:
             # Bulk-kernel traffic: a few large accesses per window.  The
             # vectorized setup cost dwarfs per-event dispatch here, so hand
-            # the run to the scalar handlers (semantically identical).
+            # the run to the per-access handlers (semantically identical).
             for tool in self._access:
-                on_access = tool.on_access
-                for access in pending:
-                    try:
-                        on_access(access)
-                    except Exception as exc:
-                        self._tool_error(tool, "on_access", exc)
+                self._deliver_each(tool, pending)
             return
         batch = EventBatch(pending)
+        batched = self._batched
         for tool in self._access:
+            if tool not in batched:
+                self._deliver_each(tool, pending)
+                continue
             try:
                 tool.on_batch(batch)
             except Exception as exc:

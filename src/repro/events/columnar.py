@@ -1,9 +1,9 @@
 """Columnar event batching: accumulate accesses, dispatch them in blocks.
 
-The scalar engine hands every :class:`~repro.events.records.Access` to every
-subscribed tool one Python call at a time; for element-wise kernels that is
-one interpreter round-trip *per element per tool*.  The columnar engine
-instead parks accesses on the bus and flushes them as an :class:`EventBatch`
+Handing every :class:`~repro.events.records.Access` to every subscribed
+tool one Python call at a time costs, for element-wise kernels, one
+interpreter round-trip *per element per tool*.  The bus instead parks
+accesses and flushes them as an :class:`EventBatch`
 — a list of the original records plus lazily-built structured numpy columns
 ``(op, address, size, device, thread, source_id)`` — through the tools'
 ``on_batch`` protocol, so the VSM table lookups and FastTrack epoch

@@ -87,7 +87,7 @@ class Access:
 
         ``(is_write << 1) | on_device`` lands exactly on READ_HOST (0),
         READ_TARGET (1), WRITE_HOST (2), WRITE_TARGET (3) — the row index
-        the columnar engine uses into the precomputed transition matrix.
+        the batch path uses into the precomputed transition matrix.
         """
         return (int(self.is_write) << 1) | (self.device_id != 0)
 

@@ -439,19 +439,16 @@ def read_trace(source: IO[str], *, strict: bool = False) -> Iterator[object]:
 
 
 def replay(events: Iterable[object], tools: Iterable[Tool]) -> ToolBus:
-    """Push recorded events through tools on a fresh bus; returns the bus."""
+    """Push recorded events through tools on a fresh bus; returns the bus.
+
+    Like the live runtime's ``finalize``, the end of the stream delivers
+    any accesses still pending after the last non-access event.
+    """
     bus = ToolBus()
     for tool in tools:
         bus.attach(tool)
-    dispatch = {
-        Access: bus.publish_access,
-        DataOp: bus.publish_data_op,
-        MemcpyEvent: bus.publish_memcpy,
-        KernelEvent: bus.publish_kernel,
-        AllocationEvent: bus.publish_allocation,
-        SyncEvent: bus.publish_sync,
-        FlushEvent: bus.publish_flush,
-    }
+    dispatch = bus.dispatch
     for event in events:
         dispatch[type(event)](event)
+    bus.flush_batch()
     return bus

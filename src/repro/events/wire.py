@@ -9,7 +9,7 @@ frame carries one protocol message:
 ========  =====  ======================================================
 kind      dir    payload
 ========  =====  ======================================================
-HELLO     c->s   session metadata (JSON: benchmark name, engine, ...)
+HELLO     c->s   session metadata (JSON: benchmark name, ...)
 EVENT     c->s   one event record (:func:`.trace_io.event_to_json` JSON)
 FIN       c->s   end of stream; ask the server to drain and report
 ACK       s->c   cumulative acknowledgement of ``seq``

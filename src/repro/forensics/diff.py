@@ -15,7 +15,7 @@
   by more than the relative ``threshold`` is a regression, and a
   candidate whose delivery verdict is false regresses at any speed.
   Observability fields gate too: artifacts measured under different SLO
-  specs refuse to compare (like an engine mismatch), and a candidate
+  specs refuse to compare, and a candidate
   whose SLO watchdog is still burning regresses regardless of timing;
 * **synth-bench** artifacts (``BENCH_synth.json``, ``synth-bench/1``
   shape): synthesized transfer bytes growing on any program, or a
@@ -142,23 +142,11 @@ def diff_bench(
 ) -> dict:
     """Compare summary geomeans (and per-workload detector slowdowns).
 
-    Artifacts must come from the same event engine: scalar and columnar
-    timings are not comparable (that is the whole point of the columnar
-    engine), so a mismatch is an error, not a regression verdict.
-    Artifacts predating the ``engine`` key are treated as scalar.
-
     ``thresholds`` overrides the flat ``threshold`` per summary key —
     this is how ``repro diff --history`` feeds in noise-calibrated gates
     bootstrapped from the bench ledger.  Every regressed geomean is
     attributed to the top per-workload cells that drove it.
     """
-    old_engine = old.get("engine", "scalar")
-    new_engine = new.get("engine", "scalar")
-    if old_engine != new_engine:
-        raise ValueError(
-            f"cannot diff bench artifacts from different engines: "
-            f"baseline is {old_engine!r}, candidate is {new_engine!r}"
-        )
     thresholds = thresholds or {}
     deltas: dict[str, dict] = {}
     regressions: list[str] = []
@@ -205,29 +193,20 @@ def diff_serve_bench(
 ) -> dict:
     """Compare two serve-bench artifacts: throughput down or p99 up.
 
-    Same engine-compatibility rule as fig-8 benches: scalar and columnar
-    throughputs measure different dispatch paths, so a cross-engine diff
-    is an error, not a verdict.  A candidate with ``delivery_ok`` false
-    is a regression regardless of timing — a server that sheds findings
-    has no throughput worth reporting.
+    A candidate with ``delivery_ok`` false is a regression regardless of
+    timing — a server that sheds findings has no throughput worth
+    reporting.
 
     Observability-era artifacts carry an ``observability`` section.  Two
     rules extend the gate:
 
     * artifacts measured under **different SLO specs** are incomparable —
       the watchdog's burn counts mean different things — so a spec
-      mismatch is an error, like an engine mismatch, not a verdict;
+      mismatch is an error, not a verdict;
     * a candidate whose watchdog is **still burning** at the end of the
       bench regresses regardless of timing: the run violated its own
       SLOs while producing the numbers being compared.
     """
-    old_engine = old.get("engine", "columnar")
-    new_engine = new.get("engine", "columnar")
-    if old_engine != new_engine:
-        raise ValueError(
-            f"cannot diff serve-bench artifacts from different engines: "
-            f"baseline is {old_engine!r}, candidate is {new_engine!r}"
-        )
     old_obs = old.get("observability") or {}
     new_obs = new.get("observability") or {}
     old_slos = old_obs.get("slos")
@@ -279,7 +258,6 @@ def diff_serve_bench(
     return {
         "type": "serve-bench",
         "threshold": threshold,
-        "engine": new_engine,
         "deltas": deltas,
         "observability": observability,
         "burning": sorted(burning),
@@ -288,12 +266,19 @@ def diff_serve_bench(
     }
 
 
+def _synth_clean(program: dict) -> bool:
+    """A program's clean verdict; legacy artifacts split it in two fields."""
+    if "clean" in program:
+        return program["clean"]
+    return program.get("clean_scalar", True) and program.get("clean_columnar", True)
+
+
 def diff_synth_bench(old: dict, new: dict) -> dict:
     """Compare two synthesis-matrix artifacts (``synth-bench/1``).
 
     Transfer bytes are deterministic (counted, not timed), so there is no
     tolerance threshold: on any shared program, synthesized bytes growing,
-    a clean-on-both-engines verdict lost, or value equivalence lost is a
+    a clean verdict lost, or value equivalence lost is a
     regression; so is a program disappearing from the corpus.  Byte
     *savings* and new programs are reported as progress, not gated.
     """
@@ -313,9 +298,12 @@ def diff_synth_bench(old: dict, new: dict) -> dict:
                 f"{name}: synthesized bytes grew "
                 f"{o['synth_bytes']} -> {n['synth_bytes']}"
             )
-        for key in ("clean_scalar", "clean_columnar", "equivalent"):
-            entry[key] = {"old": o.get(key, True), "new": n.get(key, True)}
-            if o.get(key, True) and not n.get(key, True):
+        for key, was, now in (
+            ("clean", _synth_clean(o), _synth_clean(n)),
+            ("equivalent", o.get("equivalent", True), n.get("equivalent", True)),
+        ):
+            entry[key] = {"old": was, "new": now}
+            if was and not now:
                 regressions.append(f"{name}: {key} verdict lost")
         programs[name] = entry
     deltas: dict[str, dict] = {}

@@ -9,7 +9,6 @@ from .chaos import (
 )
 from .overhead import (
     CONFIGS,
-    ENGINES,
     LARGE_CONFIGS,
     Measurement,
     OverheadResult,
@@ -68,7 +67,6 @@ __all__ = [
     "OverheadResult",
     "Measurement",
     "CONFIGS",
-    "ENGINES",
     "LARGE_CONFIGS",
     "run_hybrid_comparison",
     "run_benchmark_hybrid",

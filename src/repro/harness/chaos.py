@@ -83,10 +83,9 @@ def _signature(detector: Arbalest) -> tuple[str, ...]:
 def _run_one(
     bench: DraccBenchmark,
     injector: FaultInjector | None,
-    engine: str = "scalar",
 ) -> tuple[Arbalest, BaseException | None]:
     """One benchmark under ARBALEST, optionally faulted; never raises."""
-    rt = TargetRuntime(n_devices=2, faults=injector, engine=engine)
+    rt = TargetRuntime(n_devices=2, faults=injector)
     detector = Arbalest().attach(rt.machine)
     try:
         bench.run(rt)
@@ -102,23 +101,19 @@ def run_chaos_campaign(
     faults_per_schedule: int = 6,
     suite: str = "all",
     benchmarks: Iterable[DraccBenchmark] | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Sweep ``schedules`` sampled fault schedules over the DRACC suite.
 
     Returns the JSON-ready campaign payload (see module docstring).  Fully
     deterministic in ``seed`` and the parameters: two invocations produce
-    identical payloads, including every schedule log entry.  ``engine``
-    selects the :class:`~repro.events.bus.ToolBus` dispatch strategy for
-    every run, baseline and faulted alike — the recovery guarantees must
-    hold under both, which is why CI runs the campaign under each.
+    identical payloads, including every schedule log entry.
     """
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
 
     # Un-faulted baseline, once per benchmark.
     baseline: dict[int, tuple[tuple[str, ...], bool]] = {}
     for bench in benches:
-        detector, error = _run_one(bench, None, engine)
+        detector, error = _run_one(bench, None)
         if error is not None:  # pragma: no cover - the seed suite is healthy
             raise error
         baseline[bench.number] = (
@@ -147,7 +142,7 @@ def run_chaos_campaign(
                 n_faults=faults_per_schedule,
             )
             injector = FaultInjector(plan)
-            detector, error = _run_one(bench, injector, engine)
+            detector, error = _run_one(bench, injector)
             run_id = {"schedule": schedule, "benchmark": bench.number}
             for record in injector.log:
                 schedule_log.append({**run_id, **record.to_json()})
@@ -200,7 +195,6 @@ def run_chaos_campaign(
         "seed": seed,
         "schedules": schedules,
         "faults_per_schedule": faults_per_schedule,
-        "engine": engine,
         "suite": suite if benchmarks is None else "custom",
         "benchmarks": len(benches),
         "runs": schedules * len(benches),
@@ -241,7 +235,6 @@ def run_chaos(
     output: str = "BENCH_chaos.json",
     telemetry: bool = False,
     report: str | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Run a campaign and write the tracked ``BENCH_chaos.json`` report.
 
@@ -265,7 +258,6 @@ def run_chaos(
                 schedules=schedules,
                 faults_per_schedule=faults_per_schedule,
                 suite=suite,
-                engine=engine,
             )
         payload["telemetry"] = registry.snapshot()
     else:
@@ -274,7 +266,6 @@ def run_chaos(
             schedules=schedules,
             faults_per_schedule=faults_per_schedule,
             suite=suite,
-            engine=engine,
         )
     tmp = output + ".tmp"
     with open(tmp, "w") as sink:

@@ -44,12 +44,8 @@ from .tables import render_ratio_chart, render_table
 #: profiler-tax number, gated at a couple percent over plain arbalest).
 CONFIGS = ("native", *TOOL_ORDER, "arbalest-cert", "arbalest-rec", "arbalest-prof")
 
-#: Event engines the harness can drive (``ToolBus`` dispatch modes).
-ENGINES = ("scalar", "columnar")
-
-#: The ``large`` preset is sized for the columnar engine: the full matrix
-#: under the scalar engine does not finish in CI time, so it runs the
-#: detector configurations only (EXPERIMENTS.md documents the measured gap).
+#: The ``large`` preset runs the detector configurations only, which keeps
+#: the element-wise twins within CI time.
 LARGE_CONFIGS = ("native", "arbalest", "arbalest-cert")
 
 
@@ -70,7 +66,6 @@ class Measurement:
 @dataclass
 class OverheadResult:
     preset: str
-    engine: str = "scalar"
     measurements: list[Measurement] = field(default_factory=list)
     #: The shared continuous profiler from the ``arbalest-prof`` cells
     #: (``None`` when that configuration was not measured).
@@ -117,7 +112,7 @@ class OverheadResult:
             rows,
             title=(
                 "Fig 8: time overhead (slowdown vs native, "
-                f"preset={self.preset}, engine={self.engine})"
+                f"preset={self.preset})"
             ),
         )
 
@@ -158,13 +153,12 @@ def measure_one(
     preset: str,
     *,
     repetitions: int = 1,
-    engine: str = "scalar",
     profiler: Profiler | None = None,
 ) -> Measurement:
     """One (workload, tool) cell: fresh machine, attach, run, account."""
     best = None
     for _ in range(max(1, repetitions)):
-        rt = TargetRuntime(n_devices=1, engine=engine)
+        rt = TargetRuntime(n_devices=1)
         tool = None
         recorder = None
         run_scope = nullcontext()
@@ -238,14 +232,11 @@ def run_overhead_comparison(
     workloads: Iterable[Workload] = WORKLOADS,
     configs: Iterable[str] | None = None,
     repetitions: int = 3,
-    engine: str = "scalar",
 ) -> OverheadResult:
     """The whole Fig 8 + Fig 9 experiment."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if configs is None:
         configs = LARGE_CONFIGS if preset == "large" else CONFIGS
-    result = OverheadResult(preset=preset, engine=engine)
+    result = OverheadResult(preset=preset)
     configs = tuple(configs)
     if "arbalest-prof" in configs:
         # One profiler across all arbalest-prof cells: the governor keeps
@@ -258,7 +249,7 @@ def run_overhead_comparison(
     # Run the *measured* preset: warming a different one leaves preset-sized
     # allocations and code paths cold and skews the first column.
     for w in workloads:
-        rt = TargetRuntime(n_devices=1, engine=engine)
+        rt = TargetRuntime(n_devices=1)
         w.run(rt, preset)
         rt.finalize()
     for w in workloads:
@@ -269,7 +260,6 @@ def run_overhead_comparison(
                     config,
                     preset,
                     repetitions=repetitions,
-                    engine=engine,
                     profiler=result.profiler,
                 )
             )
@@ -288,7 +278,6 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
     configs = result.configs
     payload: dict = {
         "preset": result.preset,
-        "engine": result.engine,
         "repetitions": repetitions,
         "configs": configs,
         "checksums_consistent": result.checksums_consistent(),
@@ -344,9 +333,7 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
         )
         if result.profiler is not None:
             payload["profiler"] = result.profiler.stats()
-    payload["meta"] = run_meta(
-        engine=result.engine, preset=result.preset, reps=repetitions
-    )
+    payload["meta"] = run_meta(preset=result.preset, reps=repetitions)
     return payload
 
 
@@ -366,7 +353,6 @@ def run_bench(
     repetitions: int = 3,
     output: str = "BENCH_fig8.json",
     telemetry: bool = False,
-    engine: str = "scalar",
     history: str | None = None,
     flamegraph: str | None = None,
 ) -> dict:
@@ -392,15 +378,11 @@ def run_bench(
         # fit in memory, and the snapshot is what the tracked file embeds.
         registry = Telemetry(record_spans=False)
         with scope(registry):
-            result = run_overhead_comparison(
-                preset, repetitions=repetitions, engine=engine
-            )
+            result = run_overhead_comparison(preset, repetitions=repetitions)
         payload = bench_payload(result, repetitions=repetitions)
         payload["telemetry"] = registry.snapshot()
     else:
-        result = run_overhead_comparison(
-            preset, repetitions=repetitions, engine=engine
-        )
+        result = run_overhead_comparison(preset, repetitions=repetitions)
         payload = bench_payload(result, repetitions=repetitions)
     with open(output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
@@ -411,7 +393,7 @@ def run_bench(
         write_flamegraph(
             flamegraph,
             result.profiler.folded(),
-            title=f"repro bench {preset}/{engine} · arbalest-prof",
+            title=f"repro bench {preset} · arbalest-prof",
         )
     if history is not None:
         append_history(history, payload)

@@ -50,7 +50,6 @@ def run_report(
     tools: Iterable[str] = ("arbalest",),
     capacity: int = DEFAULT_CAPACITY,
     benchmarks: Iterable[DraccBenchmark] | None = None,
-    engine: str = "scalar",
 ) -> dict:
     """Run ``suite`` under the recorder and return the report payload.
 
@@ -68,7 +67,7 @@ def run_report(
     findings: list[dict] = []
     for bench in benches:
         recorder = FlightRecorder(capacity)
-        rt = TargetRuntime(n_devices=2, engine=engine)
+        rt = TargetRuntime(n_devices=2)
         attached = {
             name: TOOL_FACTORIES[name]().attach(rt.machine) for name in tools
         }
@@ -90,10 +89,6 @@ def run_report(
         "suite": suite if benchmarks is None else "custom",
         "tools": list(tools),
         "capacity": capacity,
-        # Findings must be engine-independent; recording the engine in the
-        # header lets CI diff a columnar report against the scalar golden
-        # and treat any drift as a regression.
-        "engine": engine,
     }
     return {
         "header": header,

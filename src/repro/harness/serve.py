@@ -38,15 +38,6 @@ from ..dracc.registry import (
     clean_benchmarks,
 )
 from ..events.bus import ToolBus
-from ..events.records import (
-    Access,
-    AllocationEvent,
-    DataOp,
-    FlushEvent,
-    KernelEvent,
-    MemcpyEvent,
-    SyncEvent,
-)
 from ..events.trace_io import TraceWriter, read_trace
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
@@ -113,15 +104,7 @@ def baseline_fingerprints(
     bus = ToolBus()
     for tool in instances.values():
         bus.attach(tool)
-    dispatch = {
-        Access: bus.publish_access,
-        DataOp: bus.publish_data_op,
-        MemcpyEvent: bus.publish_memcpy,
-        KernelEvent: bus.publish_kernel,
-        AllocationEvent: bus.publish_allocation,
-        SyncEvent: bus.publish_sync,
-        FlushEvent: bus.publish_flush,
-    }
+    dispatch = bus.dispatch
     recorder = FlightRecorder()
     with _forensics_scope(recorder):
         for event in events:
@@ -144,7 +127,6 @@ def run_serve_suite(
     *,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     benchmarks: Iterable[DraccBenchmark] | None = None,
@@ -160,7 +142,7 @@ def run_serve_suite(
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
     server = AnalysisServer(
         ServerConfig(
-            n_shards=n_shards, engine=engine, tools=tools, queue_cap=queue_cap
+            n_shards=n_shards, tools=tools, queue_cap=queue_cap
         )
     )
     sessions: list[dict] = []
@@ -210,7 +192,6 @@ def run_serve_suite(
         "suite": suite if benchmarks is None else "custom",
         "tools": list(tools),
         "capacity": 0,  # no flight recorder on the serve path
-        "engine": engine,
     }
     report = {
         "header": header,
@@ -219,7 +200,6 @@ def run_serve_suite(
     }
     return {
         "suite": suite if benchmarks is None else "custom",
-        "engine": engine,
         "n_shards": n_shards,
         "tools": list(tools),
         "benchmarks": len(benches),
@@ -258,7 +238,6 @@ def run_serve_bench(
     *,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     output: str | None = "BENCH_serve.json",
@@ -291,7 +270,7 @@ def run_serve_bench(
     )
     server = AnalysisServer(
         ServerConfig(
-            n_shards=n_shards, engine=engine, tools=tools, queue_cap=queue_cap
+            n_shards=n_shards, tools=tools, queue_cap=queue_cap
         ),
         observer,
     )
@@ -318,7 +297,6 @@ def run_serve_bench(
     payload = {
         "artifact": SERVE_BENCH_ARTIFACT,
         "suite": suite,
-        "engine": engine,
         "n_shards": n_shards,
         "tools": list(tools),
         "benchmarks": len(benches),
@@ -358,7 +336,7 @@ def run_serve_bench(
     from ..observe.history import append_history, run_meta
 
     payload["meta"] = run_meta(
-        engine=engine, suite=suite, n_shards=n_shards, tools=list(tools)
+        suite=suite, n_shards=n_shards, tools=list(tools)
     )
     if output is not None:
         tmp = output + ".tmp"
@@ -388,7 +366,6 @@ def run_serve_chaos_campaign(
     faults_per_schedule: int = 6,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     tools: Iterable[str] = ("arbalest",),
     queue_cap: int = 256,
     benchmarks: Iterable[DraccBenchmark] | None = None,
@@ -494,7 +471,6 @@ def run_serve_chaos_campaign(
                 server = AnalysisServer(
                     ServerConfig(
                         n_shards=n_shards,
-                        engine=engine,
                         tools=tools,
                         queue_cap=queue_cap,
                     ),
@@ -590,7 +566,6 @@ def run_serve_chaos_campaign(
         "schedules": schedules,
         "faults_per_schedule": faults_per_schedule,
         "suite": suite if benchmarks is None else "custom",
-        "engine": engine,
         "n_shards": n_shards,
         "target": "serve",
         "benchmarks": len(benches),
@@ -670,7 +645,6 @@ def run_serve_chaos(
     faults_per_schedule: int = 6,
     suite: str = "buggy",
     n_shards: int = 4,
-    engine: str = "columnar",
     output: str = "BENCH_serve_chaos.json",
     observe: bool = True,
     trace_output: str | None = None,
@@ -683,7 +657,6 @@ def run_serve_chaos(
         faults_per_schedule=faults_per_schedule,
         suite=suite,
         n_shards=n_shards,
-        engine=engine,
         observe=observe,
         trace_output=trace_output,
         log_output=log_output,

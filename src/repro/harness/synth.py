@@ -5,9 +5,8 @@ correct* data mapping.  This harness checks both words the honest way, per
 corpus program (40 clean DRACC twins + the SPEC twins + the affine demo):
 
 * **correct** — the synthesized twin executes on the simulated runtime
-  with ARBALEST attached and must report **zero** mapping issues, on the
-  scalar *and* the columnar event engine (the two dispatch paths share
-  semantics but not code), and every instrumented host read must observe
+  with ARBALEST attached and must report **zero** mapping issues, and
+  every instrumented host read must observe
   byte-identical values to the hand-written mapping's run;
 * **minimal** — the synthesized mapping must move **no more** bytes over
   the simulated interconnect than the hand-written one (measured from the
@@ -29,10 +28,6 @@ from ..openmp.runtime import TargetRuntime
 from ..staticlint import lint
 from ..staticlint.synth import SynthResult, synth_suite_programs, synthesize
 
-#: Both event engines; the synthesized mapping must be clean on each.
-ENGINES = ("scalar", "columnar")
-
-
 @dataclass
 class SynthProgramRow:
     """One corpus program through the validation matrix."""
@@ -41,15 +36,15 @@ class SynthProgramRow:
     lint_clean: bool
     baseline: TwinRun
     synth: TwinRun
-    #: engine -> mapping-issue finding count for the synthesized twin.
-    findings: dict[str, int]
+    #: Mapping-issue finding count for the synthesized twin.
+    findings: int
     clauses: int
     affine_clauses: int
     fallback_loops: int
 
     @property
     def clean(self) -> bool:
-        return all(n == 0 for n in self.findings.values())
+        return self.findings == 0
 
     @property
     def equivalent(self) -> bool:
@@ -83,8 +78,7 @@ class SynthMatrixResult:
         out = []
         for r in self.rows:
             if not r.clean:
-                bad = [e for e, n in r.findings.items() if n]
-                out.append(f"{r.name}: findings on {', '.join(bad)}")
+                out.append(f"{r.name}: {r.findings} mapping issue(s)")
             if not r.equivalent:
                 out.append(f"{r.name}: host reads diverged")
             if not r.bytes_ok:
@@ -102,8 +96,7 @@ class SynthMatrixResult:
                 "lint_clean": r.lint_clean,
                 "baseline_bytes": r.baseline.transfer_bytes,
                 "synth_bytes": r.synth.transfer_bytes,
-                "clean_scalar": r.findings.get("scalar", 0) == 0,
-                "clean_columnar": r.findings.get("columnar", 0) == 0,
+                "clean": r.clean,
                 "equivalent": r.equivalent,
                 "clauses": r.clauses,
                 "affine_clauses": r.affine_clauses,
@@ -143,8 +136,8 @@ class SynthMatrixResult:
             )
         s = self.to_json()["summary"]
         lines.append(
-            f"\n{s['programs']} program(s): {s['clean']} clean on both "
-            f"engines, {s['equivalent']} value-equivalent, "
+            f"\n{s['programs']} program(s): {s['clean']} clean, "
+            f"{s['equivalent']} value-equivalent, "
             f"{s['strict_savings']} strictly cheaper; "
             f"{s['baseline_bytes']}B -> {s['synth_bytes']}B total"
         )
@@ -153,9 +146,9 @@ class SynthMatrixResult:
         return "\n".join(lines)
 
 
-def _detected_run(program, engine: str) -> tuple[TwinRun, int]:
+def _detected_run(program) -> tuple[TwinRun, int]:
     """Run a twin with ARBALEST attached; (outcome, mapping issue count)."""
-    rt = TargetRuntime(n_devices=2, engine=engine)
+    rt = TargetRuntime(n_devices=2)
     tool = Arbalest().attach(rt.machine)
     run = run_twin(program, rt)
     return run, len(tool.mapping_issue_findings())
@@ -165,13 +158,7 @@ def run_synth_program(name: str, program) -> SynthProgramRow:
     """One program through synthesis + the full validation matrix."""
     result: SynthResult = synthesize(program)
     baseline = run_twin(program)
-    findings: dict[str, int] = {}
-    synth_run: TwinRun | None = None
-    for engine in ENGINES:
-        run, issues = _detected_run(result.program, engine)
-        findings[engine] = issues
-        synth_run = run  # engines agree on transfers; keep the last
-    assert synth_run is not None
+    synth_run, findings = _detected_run(result.program)
     return SynthProgramRow(
         name=name,
         lint_clean=lint(program).clean,

@@ -9,13 +9,15 @@ noise from regressions.  Every ``repro bench``, ``repro serve --bench`` and
 .. code-block:: json
 
     {"schema": "bench-history/1", "kind": "bench", "ordinal": 7,
-     "meta": {"engine": "columnar", "preset": "train", "reps": 5, ...},
+     "meta": {"preset": "train", "reps": 5, "python": "3.11.7", ...},
      "metrics": {"summary": {...}, "workloads": {"pcg": {"arbalest": 2.4}}}}
 
 ``ordinal`` is a monotonic per-ledger run counter (the sentinel's x-axis);
 ``meta`` carries the environment fingerprint (python/numpy versions,
-platform) so cross-machine entries can be told apart — the sentinel refuses
-to mix engines, and fingerprint changes are reported alongside verdicts.
+platform) so cross-machine entries can be told apart, and fingerprint
+changes are reported alongside verdicts.  Entries written before the bus
+had a single dispatch path carry a legacy ``engine`` meta key; readers
+ignore it.
 
 The ledger is append-only JSONL so concurrent CI jobs can cat their shards
 together, and :func:`seed_history` migrates the pre-ledger ``BENCH_*.json``
@@ -54,13 +56,12 @@ def env_fingerprint() -> dict:
 
 def run_meta(
     *,
-    engine: str,
     preset: str | None = None,
     reps: int | None = None,
     **extra,
 ) -> dict:
     """A self-describing ``meta`` block for a bench artifact/ledger entry."""
-    meta = {"engine": engine}
+    meta: dict = {}
     if preset is not None:
         meta["preset"] = preset
     if reps is not None:
@@ -139,7 +140,7 @@ def history_entry(payload: dict, *, meta: dict | None = None) -> dict:
     if meta is None:
         meta = payload.get("meta")
     if meta is None:
-        meta = run_meta(engine=str(payload.get("engine", "scalar")))
+        meta = run_meta()
     return {
         "schema": HISTORY_SCHEMA,
         "kind": kind,
@@ -224,7 +225,6 @@ def seed_history(path: str, artifacts: Iterable[str]) -> int:
             meta = payload.get("meta")
             if meta is None:
                 meta = {
-                    "engine": str(payload.get("engine", "scalar")),
                     "seeded": True,
                     "source": os.path.basename(artifact),
                 }

@@ -158,10 +158,9 @@ def _frame_token(frame) -> str:
 class Profiler:
     """Event-ordinal stride sampler attributing tool cost to code sites.
 
-    The hot-path entry points are :meth:`access_event` (scalar engine, one
-    call per published access) and :meth:`batch_events` (columnar engine,
-    one call per flushed batch).  Both advance the same ordinal clock, so a
-    given trace yields identical sample ordinals on either engine — a
+    The hot-path entry point is :meth:`batch_events`, one call per flushed
+    access batch.  It advances one ordinal per accessed element, so a given
+    trace yields identical sample ordinals whatever the batch sizes — a
     differential invariant the test suite checks.
 
     Context is cheap mutable state: :meth:`set_context` names the current
@@ -217,20 +216,10 @@ class Profiler:
 
     # -- hot path --------------------------------------------------------
 
-    def access_event(self, access: "Access", tools: Sequence["Tool"]) -> None:
-        """Advance ``access.count`` ordinals (scalar engine); maybe sample."""
-        count = access.count
-        self.events += count
-        self._countdown -= count
-        if self._countdown > 0:
-            return
-        self._sample(access, tools, self._reset - self._countdown)
-        self._reset = self._countdown = self.stride
-
     def batch_events(self, accesses: Sequence["Access"], tools: Sequence["Tool"]) -> None:
-        """Advance one ordinal per element of the batch (columnar engine).
+        """Advance one ordinal per element of the batch; maybe sample.
 
-        Samples land on exactly the accesses the scalar countdown would
+        Samples land on exactly the accesses a per-access countdown would
         have picked, including governor stride changes mid-batch.
         """
         total = sum(access.count for access in accesses)

@@ -19,8 +19,7 @@ deterministic: the same ledger always yields the same verdicts.
 
 Metric direction is inferred from the name (``slowdown``/``latency``/
 ``bytes`` up = bad; ``events_per_sec``/``clean`` up = good); unknown metrics
-are skipped rather than guessed.  Entries from a different engine than the
-newest entry are excluded — cross-engine timings are not one population.
+are skipped rather than guessed.
 """
 
 from __future__ import annotations
@@ -245,9 +244,8 @@ def run_sentinel(
 ) -> dict:
     """Change-point verdicts for every metric series in the ledger.
 
-    ``history`` is a ledger path or pre-loaded entries.  Only entries of
-    ``kind`` whose engine matches the *newest* such entry participate —
-    mixing engines would compare different populations.
+    ``history`` is a ledger path or pre-loaded entries; only entries of
+    ``kind`` participate.
     """
     entries = load_history(history, kind=kind) if isinstance(history, str) else [
         entry for entry in history if entry.get("kind") == kind
@@ -262,18 +260,12 @@ def run_sentinel(
         "seed": seed,
         "min_shift": min_shift,
         "entries": len(entries),
-        "skipped_entries": 0,
-        "engine": None,
         "verdicts": [],
         "regressions": [],
         "ok": True,
     }
     if not entries:
         return payload
-    engine = entries[-1].get("meta", {}).get("engine")
-    kept = [entry for entry in entries if entry.get("meta", {}).get("engine") == engine]
-    payload["engine"] = engine
-    payload["skipped_entries"] = len(entries) - len(kept)
     verdicts = [
         _verdict_for(
             key,
@@ -284,7 +276,7 @@ def run_sentinel(
             resamples=resamples,
             min_shift=min_shift,
         )
-        for key, values in sorted(extract_series(kept).items())
+        for key, values in sorted(extract_series(entries).items())
     ]
     rank = {"regression": 0, "improvement": 1, "ok": 2}
     verdicts.sort(
@@ -334,12 +326,8 @@ def noise_thresholds(
     entries = load_history(history, kind=kind) if isinstance(history, str) else [
         entry for entry in history if entry.get("kind") == kind
     ]
-    if not entries:
-        return {}
-    engine = entries[-1].get("meta", {}).get("engine")
-    kept = [entry for entry in entries if entry.get("meta", {}).get("engine") == engine]
     out: dict[str, float] = {}
-    for (workload, config, metric), values in sorted(extract_series(kept).items()):
+    for (workload, config, metric), values in sorted(extract_series(entries).items()):
         if workload != "summary" or config != "geomean" or len(values) < 4:
             continue
         deltas = [
@@ -366,13 +354,8 @@ def render_sentinel(payload: dict) -> str:
     """Human-readable sentinel report."""
     lines = [
         f"sentinel: {payload['entries']} {payload['kind']} run(s), "
-        f"engine={payload['engine']}, window={payload['window']}, "
-        f"alpha={payload['alpha']}"
+        f"window={payload['window']}, alpha={payload['alpha']}"
     ]
-    if payload["skipped_entries"]:
-        lines.append(
-            f"  (skipped {payload['skipped_entries']} entr(y/ies) from other engines)"
-        )
     shown = 0
     for v in payload["verdicts"]:
         if v["verdict"] in ("skipped-unknown-direction",):

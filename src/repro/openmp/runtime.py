@@ -93,11 +93,10 @@ class Machine:
         schedule: Schedule = Schedule.EAGER,
         seed: int = 0,
         faults: "FaultInjector | None" = None,
-        engine: str = "scalar",
     ):
         if n_devices < 1:
             raise DeviceError("a machine needs at least one accelerator")
-        self.bus = ToolBus(engine=engine)
+        self.bus = ToolBus()
         self.faults = faults
         self.bus.chaos = faults
         self.source = SourceStack()
@@ -494,7 +493,7 @@ class TargetRuntime:
         # A chaos injector may still hold a reordered OMPT callback; program
         # end delivers it (nothing can reorder past the final sync).
         self.machine.bus.flush_chaos()
-        # Columnar engine: deliver any accesses still sitting in the batch.
+        # Deliver any accesses still sitting in the bus's pending batch.
         self.machine.bus.flush_batch()
 
     # -- source annotation ----------------------------------------------------

@@ -4,8 +4,8 @@
 analysis service.  Clients stream length-prefixed, sequence-numbered event
 frames (:mod:`repro.events.wire`); the server shards detector state by
 address range across worker shards, feeds each shard's events through the
-existing columnar :class:`~repro.events.bus.ToolBus` engine in batches,
-and streams back fingerprint-keyed findings.
+same batching :class:`~repro.events.bus.ToolBus` the in-process runtime
+uses, and streams back fingerprint-keyed findings.
 
 The delivery guarantee — the whole point of the subsystem — is:
 
@@ -18,7 +18,7 @@ The mechanisms, each its own module:
 
 * :mod:`.journal` — per-shard append-only journals with ``(client, seq)``
   dedup; the source of truth a restarted worker replays from.
-* :mod:`.shard` — one shard worker: a fresh tool stack over a columnar
+* :mod:`.shard` — one shard worker: a fresh tool stack over its own
   bus, crash/restart with journal replay, idempotent re-delivery.
 * :mod:`.router` — address-range sharding that keeps every mapping pair
   (original variable, corresponding variable) on one shard.

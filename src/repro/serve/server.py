@@ -41,7 +41,6 @@ class ServerConfig:
     """Server-wide shape of every session's detector stack."""
 
     n_shards: int = 4
-    engine: str = "columnar"
     tools: tuple[str, ...] = ("arbalest",)
     #: Reorder-buffer (inbound queue) capacity per session, in frames.
     queue_cap: int = 256
@@ -97,7 +96,6 @@ class AnalysisServer:
                 client_id=client_id,
                 supervisor=Supervisor(
                     n_shards=self.config.n_shards,
-                    engine=self.config.engine,
                     tools=self.config.tools,
                     observer=self.observer,
                 ),

@@ -1,8 +1,7 @@
 """One shard worker: a full detector stack over a slice of address space.
 
 A :class:`ShardWorker` owns a fresh :class:`~repro.events.bus.ToolBus`
-(columnar by default — the batched numpy engine is the whole reason
-sharded batch feeding is fast) with its own tool instances.  It consumes
+with its own tool instances.  It consumes
 journaled event frames, applies them to the bus, and exposes its tools'
 findings.
 
@@ -22,16 +21,7 @@ from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
-from ..events.records import (
-    Access,
-    AllocationEvent,
-    DataOp,
-    DataOpKind,
-    FlushEvent,
-    KernelEvent,
-    MemcpyEvent,
-    SyncEvent,
-)
+from ..events.records import AllocationEvent, DataOp, DataOpKind
 from ..events.trace_io import event_from_json
 from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
 from ..observe import prof as _prof
@@ -110,14 +100,12 @@ class ShardWorker:
         self,
         shard_id: int,
         *,
-        engine: str = "columnar",
         tools: Iterable[str] = ("arbalest",),
         journal: ShardJournal | None = None,
         recorder: FlightRecorder | None = None,
         observer=None,
     ):
         self.shard_id = shard_id
-        self.engine = engine
         #: Optional :class:`~repro.observe.observer.ServeObserver`; when
         #: present, applies and replays are counted/spanned through it.
         self._observer = observer
@@ -158,7 +146,7 @@ class ShardWorker:
 
     def _boot(self) -> None:
         """Build a fresh bus + tool stack (initial boot and every restart)."""
-        self.bus = ToolBus(engine=self.engine)
+        self.bus = ToolBus()
         # Variable attribution must match the in-process golden path.  A
         # shared (supervisor-owned) recorder survives worker crashes —
         # journal replay's re-registrations are idempotent in effect
@@ -175,15 +163,7 @@ class ShardWorker:
             tool = DEFAULT_TOOLS[name]()
             self.bus.attach(tool)
             self.tools[name] = tool
-        self._dispatch = {
-            Access: self.bus.publish_access,
-            DataOp: self.bus.publish_data_op,
-            MemcpyEvent: self.bus.publish_memcpy,
-            KernelEvent: self.bus.publish_kernel,
-            AllocationEvent: self.bus.publish_allocation,
-            SyncEvent: self.bus.publish_sync,
-            FlushEvent: self.bus.publish_flush,
-        }
+        self._dispatch = self.bus.dispatch
         self.alive = True
 
     def crash(self) -> None:

@@ -41,7 +41,6 @@ class Supervisor:
         self,
         *,
         n_shards: int = 4,
-        engine: str = "columnar",
         tools: Iterable[str] = ("arbalest",),
         observer=None,
     ):
@@ -59,7 +58,6 @@ class Supervisor:
         self.workers = [
             ShardWorker(
                 i,
-                engine=engine,
                 tools=tools,
                 recorder=self.recorder,
                 observer=observer,

@@ -40,7 +40,7 @@ class StencilShape:
 
 #: Workload presets: 'test' for unit tests, 'ref' for the overhead figures.
 #: 'large' runs the element-wise kernel twins (one logical device thread
-#: per point, scalar loads/stores) — the columnar engine's target profile.
+#: per point, scalar loads/stores) — the batch path's target profile.
 SHAPES = {
     "test": StencilShape(8, 8, 8, 3),
     "train": StencilShape(12, 12, 12, 5),
@@ -92,7 +92,7 @@ def make_stencil_point_kernel(src_name: str, dst_name: str, shape: StencilShape)
 
     One logical device thread per interior point, seven scalar loads and
     one scalar store each — the access profile compiled stencil kernels
-    actually have, and the one the columnar engine batches.  Boundary
+    actually have, and the one the bus batches.  Boundary
     cells are identical in both buffers (Jacobi carries them unchanged),
     so updating the interior alone matches the bulk kernel's result.
     """

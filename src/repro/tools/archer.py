@@ -352,7 +352,7 @@ class RaceEngine:
             # the whole span is two plain-int ordering checks.  A full-block
             # ordered install stays O(1); a racy or escalating outcome falls
             # through on materialized arrays so the recorded races and
-            # shared vectors are identical to the scalar engine's.
+            # shared vectors are identical to per-access delivery's.
             uw, ur = u
             if (uw if is_write else ur) == my_epoch_int:
                 return []

@@ -48,6 +48,11 @@ class Tool:
     #: Short display name ("arbalest", "valgrind", ...).
     name = "tool"
 
+    #: Whether ``on_access`` must run before the program reads the accessed
+    #: bytes (a tool that rewrites memory from it).  While such a tool is
+    #: attached the bus delivers every access as it is published.
+    immediate_delivery = False
+
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
         self.findings: list[Finding] = []
@@ -131,17 +136,13 @@ class Tool:
     def on_access(self, access: "Access") -> None:  # pragma: no cover
         """A program load/store (never called unless overridden)."""
 
-    def on_batch(self, batch: "EventBatch") -> None:
-        """An ordered block of accesses (columnar engine only).
+    def on_batch(self, batch: "EventBatch") -> None:  # pragma: no cover
+        """An ordered block of accesses, for tools that vectorize.
 
-        The default implementation replays the batch through ``on_access``
-        one event at a time, so every access-subscribing tool is correct
-        under the columnar engine; tools override this to process the
-        batch's numpy columns wholesale.
+        Never called unless overridden: the bus delivers a batch to every
+        other access-subscribing tool through ``on_access``, one access at
+        a time.  Overrides process the batch's numpy columns wholesale.
         """
-        on_access = self.on_access
-        for access in batch.accesses:
-            on_access(access)
 
     def on_allocation(self, event: "AllocationEvent") -> None:  # pragma: no cover
         """A malloc/free on some device."""

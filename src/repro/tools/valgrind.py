@@ -126,20 +126,6 @@ class ValgrindTool(Tool):
         if _telemetry.ACTIVE is not None:
             # Per-machine-access accounting: Valgrind pays per element.
             _telemetry.ACTIVE.count("tool.valgrind.element_checks", access.count)
-        self._handle_access(access)
-
-    def on_batch(self, batch) -> None:
-        # Valgrind observes each machine access separately; the batch only
-        # amortizes the telemetry counter, the checks themselves replay.
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(
-                "tool.valgrind.element_checks", int(batch.columns.counts.sum())
-            )
-        handle = self._handle_access
-        for access in batch.accesses:
-            handle(access)
-
-    def _handle_access(self, access: "Access") -> None:
         if access.count == 1:
             self._check_addressable(access, access.address, access.size)
         else:

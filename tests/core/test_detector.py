@@ -7,6 +7,7 @@ import pytest
 from repro.core import Arbalest
 from repro.openmp import Schedule, TargetRuntime, alloc, from_, to, tofrom
 from repro.tools import FindingKind
+from tests.per_access import per_access
 
 
 def setup(**kw):
@@ -60,6 +61,7 @@ class TestUUM:
         rt, det = setup()
         g = rt.array("g", 8, storage="global")
         _ = g[0]
+        rt.machine.bus.flush_batch()
         assert kinds(det) == ["UUM"]
 
 
@@ -293,7 +295,10 @@ class TestAccounting:
         assert det.shadow_bytes() > before
 
     def test_interval_cache_amortizes(self):
-        rt, det = setup()
+        # Per-access delivery: the batch path resolves mappings per
+        # segment and would not exercise the per-access lookup cache.
+        rt = TargetRuntime(n_devices=1)
+        det = per_access(Arbalest)().attach(rt.machine)
         a = rt.array("a", 64)
         a.fill(0.0)
 
@@ -311,6 +316,7 @@ class TestAccounting:
         det = Arbalest(record_access_metadata=True).attach(rt.machine)
         a = rt.array("a", 8)
         a.fill(1.0)
+        rt.machine.bus.flush_batch()
         block = det.shadows.find(a.base)
         word = block.word_at(a.base)
         assert word["is_write"]

@@ -74,6 +74,7 @@ class TestDispatch:
         for t in tools:
             bus.attach(t)
         bus.publish_access(make_access())
+        bus.flush_batch()
         assert all(len(t.seen) == 1 for t in tools)
 
 
@@ -95,7 +96,8 @@ class TestCrashIsolation:
         bad, good = Exploding(), AccessOnly()
         bus.attach(bad)
         bus.attach(good)
-        bus.publish_access(make_access())  # must not raise
+        bus.publish_access(make_access())
+        bus.flush_batch()  # must not raise
         # The healthy tool still received the event.
         assert len(good.seen) == 1
         # The failure was recorded against the offender.
@@ -113,6 +115,7 @@ class TestCrashIsolation:
         bad = Exploding()
         bus.attach(bad)
         bus.publish_access(make_access())
+        bus.flush_batch()
         kinds = [f.kind for f in bad.findings]
         assert kinds == [FindingKind.TOOL_ERROR]
         assert "on_access" in bad.findings[0].message
@@ -121,8 +124,9 @@ class TestCrashIsolation:
         bus = ToolBus()
         bus.strict = True
         bus.attach(Exploding())
+        bus.publish_access(make_access())
         with pytest.raises(RuntimeError, match="boom"):
-            bus.publish_access(make_access())
+            bus.flush_batch()
         assert not bus.errors
 
 

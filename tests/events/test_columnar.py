@@ -1,4 +1,4 @@
-"""Columnar engine: batching, columns, flush ordering, pass splitting."""
+"""Batched access delivery: batching, columns, flush ordering, pass splitting."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from repro.events.columnar import (
 )
 from repro.memory import BASE_ADDRESS
 from repro.tools import Tool
+from tests.per_access import per_access
 
 
 def make_access(i=0, *, device_id=1, is_write=False, size=8, count=1):
@@ -49,33 +50,50 @@ class Recorder(Tool):
 
 
 class TestEngineSelection:
+    """One dispatch path: only the attached tool classes set its pace."""
+
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        # There is no engine axis left to select.
+        with pytest.raises(TypeError):
             ToolBus(engine="simd")
 
     def test_scalar_never_batches(self):
-        bus = ToolBus(engine="scalar")
-        t = Recorder()
+        """An immediate-delivery tool gets each access as it is published."""
+        bus = ToolBus()
+        t = per_access(Recorder)()
         bus.attach(t)
         bus.publish_access(make_access())
         assert t.calls[0][0] == "access"
         assert not bus._batch_pending
 
+    def test_immediate_tool_sets_the_pace_for_the_whole_bus(self):
+        bus = ToolBus()
+        batched, immediate = Recorder(), per_access(Recorder)()
+        bus.attach(batched)
+        bus.attach(immediate)
+        bus.publish_access(make_access())
+        assert [c[0] for c in batched.calls] == ["access"]
+        bus.detach(immediate)
+        bus.publish_access(make_access())
+        assert len(batched.calls) == 1  # parked again
+        bus.flush_batch()
+        assert len(batched.calls) == 2
+
 
 class TestBatchAccumulation:
     def test_accesses_park_until_flush(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         for i in range(4):
             bus.publish_access(make_access(i))
         assert t.calls == []  # nothing delivered yet
         bus.flush_batch()
-        assert len(t.calls) == 4  # tiny batch: scalar replay in order
+        assert len(t.calls) == 4  # tiny batch: per-access delivery in order
         assert [c[0] for c in t.calls] == ["access"] * 4
 
     def test_large_flush_dispatches_one_batch(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         n = MIN_BATCH
@@ -87,7 +105,7 @@ class TestBatchAccumulation:
         assert kind == "batch" and len(events) == n
 
     def test_batch_cap_triggers_flush(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         for i in range(BATCH_CAP):
@@ -98,7 +116,7 @@ class TestBatchAccumulation:
         assert not bus._batch_pending
 
     def test_order_preserved_within_batch(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         sent = [make_access(i) for i in range(MIN_BATCH)]
@@ -112,7 +130,7 @@ class TestFlushOrdering:
     """Every non-access publish drains the pending batch first."""
 
     def test_data_op_flushes_first(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         bus.publish_access(make_access())
@@ -129,7 +147,7 @@ class TestFlushOrdering:
         assert [c[0] for c in t.calls] == ["access", "data_op"]
 
     def test_sync_flushes_first(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         bus.publish_access(make_access())
@@ -137,7 +155,7 @@ class TestFlushOrdering:
         assert [c[0] for c in t.calls] == ["access", "sync"]
 
     def test_attach_flushes_pending(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t1 = Recorder()
         bus.attach(t1)
         bus.publish_access(make_access())
@@ -148,7 +166,7 @@ class TestFlushOrdering:
         assert t2.calls == []
 
     def test_detach_flushes_pending(self):
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         t = Recorder()
         bus.attach(t)
         bus.publish_access(make_access())
@@ -167,13 +185,39 @@ class TestCrashIsolation:
             def on_batch(self, batch):
                 raise RuntimeError("boom")
 
-        bus = ToolBus(engine="columnar")
+        bus = ToolBus()
         bus.attach(Exploding())
         for i in range(MIN_BATCH):
             bus.publish_access(make_access(i))
         bus.flush_batch()  # must not raise
         assert len(bus.errors) == 1
         assert bus.errors[0].handler == "on_batch"
+
+    @pytest.mark.parametrize("n", [MIN_BATCH - 1, 100])
+    def test_per_access_tool_sees_every_access_after_a_failure(self, n):
+        """A tool without ``on_batch`` is isolated per access: one raising
+        access never hides the rest of its batch."""
+
+        class FirstAccessExplodes(Tool):
+            name = "first-explodes"
+
+            def __init__(self):
+                super().__init__()
+                self.seen = 0
+
+            def on_access(self, access):
+                self.seen += 1
+                if self.seen == 1:
+                    raise RuntimeError("boom")
+
+        bus = ToolBus()
+        tool = FirstAccessExplodes()
+        bus.attach(tool)
+        for i in range(n):
+            bus.publish_access(make_access(i))
+        bus.flush_batch()
+        assert tool.seen == n
+        assert [e.handler for e in bus.errors] == ["on_access"]
 
 
 class TestBatchColumns:

@@ -171,13 +171,11 @@ def _serve_bench(
     events_per_sec: float,
     p99: float = 200.0,
     *,
-    engine: str = "columnar",
     delivery_ok: bool = True,
 ) -> dict:
     return {
         "artifact": "serve-bench/1",
         "suite": "buggy",
-        "engine": engine,
         "delivery_ok": delivery_ok,
         "summary": {
             "events_per_sec": events_per_sec,
@@ -216,12 +214,11 @@ class TestServeBenchDiff:
         assert "delivery_ok" in d["regressions"]
         assert d["regression"]
 
-    def test_cross_engine_diff_is_refused(self):
-        with pytest.raises(ValueError, match="different engines"):
-            diff_serve_bench(
-                _serve_bench(10000.0, engine="scalar"),
-                _serve_bench(10000.0, engine="columnar"),
-            )
+    def test_legacy_engine_field_is_ignored(self):
+        legacy = dict(_serve_bench(10000.0), engine="scalar")
+        d = diff_serve_bench(legacy, _serve_bench(10000.0))
+        assert not d["regression"]
+        assert "engine" not in d
 
     def test_threshold_is_adjustable(self):
         old, new = _serve_bench(10000.0), _serve_bench(9800.0)
@@ -338,7 +335,6 @@ def _matrix_bench(cells: dict) -> dict:
         geo *= value
     geo **= 1 / len(cells)
     return {
-        "engine": "scalar",
         "workloads": {
             w: {"arbalest": {"slowdown": v}} for w, v in cells.items()
         },

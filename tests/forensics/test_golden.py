@@ -1,8 +1,10 @@
 """The checked-in golden report stays in sync with the detector.
 
-``repro diff`` semantics, not byte equality: count drift is tolerated,
-but a finding appearing or disappearing on the buggy suite fails here
-(and in CI) until the golden file is regenerated on purpose with
+Two gates.  ``repro diff`` semantics name the drift: a finding appearing
+or disappearing on the buggy suite.  Byte equality catches everything
+else (counts, timelines, header), because the report is deterministic.
+Both fail here (and in CI) until the golden file is regenerated on
+purpose with
 
     PYTHONPATH=src python -m repro report --suite buggy \
         --output tests/forensics/golden_report.jsonl
@@ -29,6 +31,17 @@ class TestGoldenReport:
         assert d["fixed"] == [], (
             "golden findings vanished; regenerate the golden report "
             f"if intended: {[f['fingerprint'] for f in d['fixed']]}"
+        )
+
+    def test_cli_report_is_byte_identical_to_golden(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "report.jsonl"
+        assert main(["report", "--suite", "buggy", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == GOLDEN.read_bytes(), (
+            "repro report --suite buggy drifted from the golden report; "
+            "regenerate it if intended"
         )
 
     def test_golden_covers_all_three_effects(self):

@@ -92,12 +92,10 @@ class TestServeBench:
 
 
 class TestServeChaos:
-    @pytest.mark.parametrize("engine", ["scalar", "columnar"])
-    def test_campaign_certifies_under_both_engines(self, engine):
+    def test_campaign_certifies(self):
         payload = run_serve_chaos_campaign(
             schedules=1,
             faults_per_schedule=4,
-            engine=engine,
             n_shards=2,
             benchmarks=SUBSET,
         )

@@ -1,10 +1,13 @@
-"""Differential equivalence: the columnar engine against the scalar oracle.
+"""Differential equivalence: batched delivery against the per-access oracle.
 
-The scalar engine is the reference semantics; the columnar engine is a
-performance transformation that must be observationally identical.  These
-tests run real programs (DRACC benchmarks, the SPEC ACCEL twins) under both
-engines and require byte-identical finding fingerprints, identical per-site
-counts, and identical certificate/quarantine accounting.
+Per-access delivery is the reference semantics; batching is a performance
+transformation that must be observationally identical.  These tests run
+real programs (DRACC benchmarks, the SPEC ACCEL twins) twice — once with
+per-access reference subclasses of the tools (see :mod:`tests.per_access`),
+once batched — and require byte-identical finding fingerprints, identical
+per-site counts, and identical certificate/quarantine accounting.  The
+parameter ids keep their historical names: ``scalar`` is the per-access
+reference, ``columnar`` the batched run.
 """
 
 import pytest
@@ -15,6 +18,14 @@ from repro.harness.precision import TOOL_FACTORIES, TOOL_ORDER
 from repro.openmp.runtime import TargetRuntime
 from repro.specaccel.postencil import output_checksum, run_postencil
 from repro.specaccel.workloads import WORKLOADS
+from tests.per_access import per_access
+
+#: Parameter id -> whether tools get per-access (reference) delivery.
+PER_ACCESS = {"scalar": True, "columnar": False}
+
+
+def _factory(tool_cls, delivery):
+    return per_access(tool_cls) if PER_ACCESS[delivery] else tool_cls
 
 
 def _fingerprints(tool):
@@ -23,9 +34,12 @@ def _fingerprints(tool):
     )
 
 
-def _run_dracc(benchmark, engine):
-    rt = TargetRuntime(n_devices=2, engine=engine)
-    tools = {name: TOOL_FACTORIES[name]().attach(rt.machine) for name in TOOL_ORDER}
+def _run_dracc(benchmark, delivery):
+    rt = TargetRuntime(n_devices=2)
+    tools = {
+        name: _factory(TOOL_FACTORIES[name], delivery)().attach(rt.machine)
+        for name in TOOL_ORDER
+    }
     benchmark.run(rt)
     observed = {name: _fingerprints(tool) for name, tool in tools.items()}
     detector = tools["arbalest"]
@@ -42,9 +56,9 @@ def test_dracc_engines_agree(dracc_case):
     assert _run_dracc(dracc_case, "scalar") == _run_dracc(dracc_case, "columnar")
 
 
-def _run_workload(workload, preset, engine):
-    rt = TargetRuntime(n_devices=1, engine=engine)
-    tool = Arbalest().attach(rt.machine)
+def _run_workload(workload, preset, delivery):
+    rt = TargetRuntime(n_devices=1)
+    tool = _factory(Arbalest, delivery)().attach(rt.machine)
     checksum = workload.run(rt, preset)
     rt.finalize()
     return {
@@ -58,17 +72,17 @@ def _run_workload(workload, preset, engine):
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 @pytest.mark.parametrize("preset", ["test", "large"])
 def test_spec_twins_engines_agree(workload, preset):
-    """Bulk-kernel (test) and element-wise (large) twins, both engines."""
+    """Bulk-kernel (test) and element-wise (large) twins, both deliveries."""
     scalar = _run_workload(workload, preset, "scalar")
     columnar = _run_workload(workload, preset, "columnar")
     assert scalar == columnar
 
 
-@pytest.mark.parametrize("engine", ["scalar", "columnar"])
-def test_postencil_bug_detected_under_both_engines(engine):
-    """The Fig-7 stale-access bug must survive the engine swap."""
-    rt = TargetRuntime(n_devices=1, engine=engine)
-    tool = Arbalest().attach(rt.machine)
+@pytest.mark.parametrize("delivery", ["scalar", "columnar"])
+def test_postencil_bug_detected_under_both_engines(delivery):
+    """The Fig-7 stale-access bug is caught under either delivery."""
+    rt = TargetRuntime(n_devices=1)
+    tool = _factory(Arbalest, delivery)().attach(rt.machine)
     result = run_postencil(rt, "test", buggy=True)
     output_checksum(rt, result)
     rt.finalize()
@@ -76,9 +90,9 @@ def test_postencil_bug_detected_under_both_engines(engine):
 
 
 def test_postencil_buggy_findings_identical():
-    def run(engine):
-        rt = TargetRuntime(n_devices=1, engine=engine)
-        tool = Arbalest().attach(rt.machine)
+    def run(delivery):
+        rt = TargetRuntime(n_devices=1)
+        tool = _factory(Arbalest, delivery)().attach(rt.machine)
         result = run_postencil(rt, "test", buggy=True)
         output_checksum(rt, result)
         rt.finalize()
@@ -88,11 +102,11 @@ def test_postencil_buggy_findings_identical():
 
 
 def test_large_preset_buggy_postencil_equivalent():
-    """Element-wise twin with the v1.2 bug: same verdict from both engines."""
+    """Element-wise twin with the v1.2 bug: same verdict from both deliveries."""
 
-    def run(engine):
-        rt = TargetRuntime(n_devices=1, engine=engine)
-        tool = Arbalest().attach(rt.machine)
+    def run(delivery):
+        rt = TargetRuntime(n_devices=1)
+        tool = _factory(Arbalest, delivery)().attach(rt.machine)
         result = run_postencil(rt, "large", buggy=True)
         output_checksum(rt, result)
         rt.finalize()

@@ -18,7 +18,6 @@ from repro.observe.history import (
 
 def _bench_payload(geomean=1.8, pcg=2.0):
     return {
-        "engine": "columnar",
         "preset": "test",
         "repetitions": 1,
         "summary": {"arbalest_slowdown_geomean": geomean, "configs": "nope"},
@@ -28,7 +27,7 @@ def _bench_payload(geomean=1.8, pcg=2.0):
                 "native": {"slowdown": 1.0},
             }
         },
-        "meta": run_meta(engine="columnar", preset="test", reps=1),
+        "meta": run_meta(preset="test", reps=1),
     }
 
 
@@ -36,7 +35,6 @@ def _serve_payload():
     return {
         "artifact": "serve-bench/1",
         "suite": "buggy",
-        "engine": "columnar",
         "events": 1000,
         "frames": 10,
         "stream_seconds": 0.5,
@@ -63,11 +61,13 @@ class TestClassification:
         assert entry["metrics"]["workloads"]["pcg"]["arbalest"] == 2.0
 
     def test_meta_defaults_to_payload_meta_then_engine(self):
+        """Payload meta wins; without one, a fresh meta is built and a
+        legacy top-level ``engine`` field is ignored."""
         entry = history_entry(_bench_payload())
-        assert entry["meta"]["engine"] == "columnar"
         assert entry["meta"]["preset"] == "test"
+        assert "engine" not in entry["meta"]
         bare = {"workloads": {}, "summary": {}, "engine": "scalar"}
-        assert history_entry(bare)["meta"]["engine"] == "scalar"
+        assert history_entry(bare)["meta"] == run_meta()
 
     def test_env_fingerprint_names_the_toolchain(self):
         fp = env_fingerprint()

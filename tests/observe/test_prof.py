@@ -1,4 +1,4 @@
-"""The continuous profiler: determinism, engine equivalence, governor, tax."""
+"""The continuous profiler: determinism, batch-size equivalence, governor, tax."""
 
 import tracemalloc
 
@@ -12,6 +12,7 @@ from repro.observe.flame import parse_folded, render_flamegraph
 from repro.observe.prof import DEFAULT_STRIDE, Governor, Profiler, scope
 from repro.openmp import TargetRuntime
 from repro.specaccel import WORKLOADS
+from tests.per_access import per_access
 
 
 def _site(fn, line):
@@ -41,21 +42,21 @@ class TestOrdinalClock:
     def test_samples_fire_on_element_ordinals(self):
         p = Profiler(stride=10)
         for _ in range(25):
-            p.access_event(_access(), TOOLS)
+            p.batch_events([_access()], TOOLS)
         assert p.events == 25
         assert p.samples == 2  # ordinals 10 and 20
 
     def test_bulk_access_advances_by_count(self):
         p = Profiler(stride=10)
-        p.access_event(_access(count=25), TOOLS)
+        p.batch_events([_access(count=25)], TOOLS)
         assert p.events == 25
         assert p.samples == 1
         # The sample stands for all 25 elements, not just the stride.
         assert sum(p._weights.values()) == 25
 
     def test_batch_matches_scalar_countdown_exactly(self):
-        """The columnar batch walk must pick the same accesses, with the
-        same weights, as the scalar per-event countdown — including odd
+        """The batch walk must pick the same accesses, with the same
+        weights, as a per-access countdown (batches of one) — including odd
         batch boundaries and bulk counts."""
         import random
 
@@ -64,18 +65,18 @@ class TestOrdinalClock:
             _access(count=rng.choice((1, 1, 1, 3, 7, 50)), line=rng.randrange(9))
             for _ in range(400)
         ]
-        scalar = Profiler(stride=17)
+        single = Profiler(stride=17)
         for a in accesses:
-            scalar.access_event(a, TOOLS)
+            single.batch_events([a], TOOLS)
         batched = Profiler(stride=17)
         i = 0
         while i < len(accesses):
             n = rng.randrange(1, 13)
             batched.batch_events(accesses[i : i + n], TOOLS)
             i += n
-        assert batched.events == scalar.events
-        assert batched.samples == scalar.samples
-        assert batched.folded() == scalar.folded()
+        assert batched.events == single.events
+        assert batched.samples == single.samples
+        assert batched.folded() == single.folded()
 
     def test_empty_batch_is_a_no_op(self):
         p = Profiler(stride=4)
@@ -88,11 +89,12 @@ class TestOrdinalClock:
 
 
 class TestDeterminism:
-    def _run_suite(self, engine):
+    def _run_suite(self, per_access_delivery=False):
+        tool_cls = per_access(Arbalest) if per_access_delivery else Arbalest
         folded = []
         for w in WORKLOADS:
-            rt = TargetRuntime(n_devices=1, engine=engine)
-            Arbalest().attach(rt.machine)
+            rt = TargetRuntime(n_devices=1)
+            tool_cls().attach(rt.machine)
             p = Profiler(stride=512)
             p.set_context(benchmark=w.name)
             with scope(p):
@@ -103,14 +105,14 @@ class TestDeterminism:
 
     def test_folded_stacks_byte_identical_across_runs(self):
         """Fixed-stride mode: two identical runs, identical bytes."""
-        assert self._run_suite("scalar") == self._run_suite("scalar")
+        assert self._run_suite() == self._run_suite()
 
     def test_folded_stacks_byte_identical_across_engines(self):
-        """Scalar and columnar engines sample the same ordinals."""
-        assert self._run_suite("scalar") == self._run_suite("columnar")
+        """Per-access and batched delivery sample the same ordinals."""
+        assert self._run_suite(per_access_delivery=True) == self._run_suite()
 
     def test_folded_output_is_parseable_flamegraph_input(self):
-        folded = self._run_suite("columnar")
+        folded = self._run_suite()
         tree = parse_folded(folded)
         assert tree["value"] > 0
         html = render_flamegraph(folded)
@@ -123,7 +125,7 @@ class TestDisabledPath:
         assert prof_mod.ACTIVE is None
 
         def run():
-            rt = TargetRuntime(n_devices=1, engine="scalar")
+            rt = TargetRuntime(n_devices=1)
             Arbalest().attach(rt.machine)
             WORKLOADS[0].run(rt, "test")
             rt.finalize()
@@ -170,7 +172,7 @@ class TestGovernor:
         a = _access()
         for _ in range(100_000):
             now[0] += EVENT_COST
-            p.access_event(a, TOOLS)
+            p.batch_events([a], TOOLS)
             if gov.adjustments and gov.last_tax and gov.last_tax <= 0.01:
                 break
         assert gov.adjustments, "governor never adjusted the stride"
@@ -191,7 +193,7 @@ class TestGovernor:
         a = _access()
         for _ in range(64 * 40):
             now[0] += 1e-3  # lots of wall time between samples
-            p.access_event(a, TOOLS)
+            p.batch_events([a], TOOLS)
         assert p.stride < 64
         assert p.stride >= 2
 
@@ -206,7 +208,7 @@ class TestGovernor:
         p = Profiler(stride=4, governor=gov)
         a = _access()
         for _ in range(64):
-            p.access_event(a, TOOLS)
+            p.batch_events([a], TOOLS)
         assert gov.adjustments
         seen, old, new = gov.adjustments[0]
         assert new == old * 2
@@ -216,23 +218,23 @@ class TestContextAndExport:
     def test_phase_tracking_follows_kernels(self):
         p = Profiler(stride=1)
         p.kernel_event("k1")
-        p.access_event(_access(), TOOLS)
+        p.batch_events([_access()], TOOLS)
         p.kernel_event("host")
-        p.access_event(_access(), TOOLS)
+        p.batch_events([_access()], TOOLS)
         assert p.samples_by_phase() == {"host": 1, "k1": 1}
 
     def test_serve_mode_pins_the_phase(self):
         p = Profiler(stride=1, track_kernel_phase=False, phase="shard-3")
         p.kernel_event("k1")  # must NOT clobber the shard phase
-        p.access_event(_access(), TOOLS)
+        p.batch_events([_access()], TOOLS)
         assert p.samples_by_phase() == {"shard-3": 1}
 
     def test_frame_links_correlate_samples_to_wire_frames(self):
         p = Profiler(stride=1)
         p.set_frame(18, 7)
-        p.access_event(_access(), TOOLS)
+        p.batch_events([_access()], TOOLS)
         p.clear_frame()
-        p.access_event(_access(), TOOLS)
+        p.batch_events([_access()], TOOLS)
         hot = p.hot_stacks()
         assert hot[0]["frames"] == [{"client": 18, "seq": 7}]
 
@@ -243,7 +245,7 @@ class TestContextAndExport:
             stack_ref=stack,
         )
         p = Profiler(stride=1)
-        p.access_event(a, TOOLS)
+        p.batch_events([a], TOOLS)
         line = p.folded().splitlines()[0]
         frames_part = line.rsplit(" ", 1)[0]
         assert " " not in frames_part
@@ -253,7 +255,7 @@ class TestContextAndExport:
         gov = Governor()
         p = Profiler(stride=2, governor=gov)
         for _ in range(10):
-            p.access_event(_access(), TOOLS)
+            p.batch_events([_access()], TOOLS)
         stats = p.stats()
         assert stats["events"] == 10
         assert stats["samples"] == 5

@@ -36,7 +36,7 @@ def _entries(n, *, seed=7, step_at=None, step_frac=0.2, workload="pcg"):
                 "schema": "bench-history/1",
                 "kind": "bench",
                 "ordinal": i + 1,
-                "meta": {"engine": "columnar", "preset": "test"},
+                "meta": {"preset": "test"},
                 "metrics": {
                     "summary": {
                         "arbalest_slowdown_geomean": geo ** (1 / len(BASE))
@@ -120,15 +120,25 @@ class TestVerdicts:
             v["verdict"] == "insufficient-history" for v in payload["verdicts"]
         )
 
-    def test_mixed_engines_are_excluded(self):
-        entries = _entries(20, step_at=15)
-        for e in entries[:15]:
-            e["meta"]["engine"] = "scalar"  # the regressed tail is columnar
-        payload = run_sentinel(entries)
-        assert payload["engine"] == "columnar"
-        assert payload["skipped_entries"] == 15
-        # Only 5 same-engine runs remain: not enough to convict.
-        assert payload["ok"]
+    def test_legacy_engine_tags_form_one_series(self):
+        """Entries tagged with the legacy ``engine`` meta key and untagged
+        ones after them are one population: a step at the boundary is
+        convicted, not split off as a separate series."""
+        stepped, flat = _entries(20, step_at=15), _entries(20)
+        for entries in (stepped, flat):
+            for e in entries[:15]:
+                e["meta"]["engine"] = "columnar"
+        payload = run_sentinel(stepped)
+        assert payload["entries"] == 20
+        assert "engine" not in payload and "skipped_entries" not in payload
+        assert not payload["ok"]
+        assert ("pcg", "arbalest", "slowdown") in {
+            (r["workload"], r["config"], r["metric"]) for r in payload["regressions"]
+        }
+        calm = run_sentinel(flat)
+        assert calm["ok"]
+        assert all(v["verdict"] != "insufficient-history" for v in calm["verdicts"])
+        assert noise_thresholds(flat) == noise_thresholds(_entries(20))
 
     def test_window_must_allow_a_candidate_population(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,7 @@ class TestHostArray:
         rt, trace = runtime()
         a = rt.array("a", 4, "f4")
         a[1] = 1.0
+        rt.machine.bus.flush_batch()
         ev = trace.accesses()[-1]
         assert ev.is_write and ev.size == 4 and ev.count == 1
         assert ev.address == a.base + 4
@@ -66,6 +67,7 @@ class TestHostArray:
         rt, trace = runtime()
         a = rt.array("a", 8, init=[0.0] * 8)
         _ = a[1:8:3]
+        rt.machine.bus.flush_batch()
         ev = trace.accesses()[-1]
         assert not ev.is_write
         assert ev.count == 3 and ev.stride == 24 and ev.address == a.base + 8

@@ -1,7 +1,7 @@
 """The delivery guarantee, tested exhaustively on one benchmark.
 
 Fingerprint equivalence between the served path and the in-process
-baseline, under: both event engines, a worker kill at *every* delivery
+baseline (batched, and the per-access reference), under: a worker kill at *every* delivery
 attempt index (both crash phases), every frame delivered twice, and
 backpressure shedding.  Zero dropped findings, zero duplicated findings,
 every time.
@@ -9,7 +9,10 @@ every time.
 
 import pytest
 
+from repro.core.detector import Arbalest
 from repro.dracc import get
+from repro.events.bus import ToolBus
+from repro.forensics.recorder import FlightRecorder, scope as forensics_scope
 from repro.harness.serve import baseline_fingerprints, record_trace
 from repro.serve import (
     AnalysisServer,
@@ -17,6 +20,8 @@ from repro.serve import (
     ServeClient,
     ServerConfig,
 )
+from repro.serve.shard import register_forensic_ranges
+from tests.per_access import per_access
 
 #: DRACC_OMP_018: the smallest trace in the suite (~85 events), so the
 #: exhaustive kill sweep stays fast.
@@ -33,6 +38,23 @@ def baseline(trace):
     return baseline_fingerprints(trace)
 
 
+@pytest.fixture(scope="module")
+def baselines(trace, baseline):
+    """In-process fingerprints: ``scalar`` is the per-access reference,
+    ``columnar`` the batched :func:`baseline_fingerprints`."""
+    tool = per_access(Arbalest)()
+    bus = ToolBus()
+    bus.attach(tool)
+    recorder = FlightRecorder()
+    with forensics_scope(recorder):
+        for event in trace:
+            register_forensic_ranges(recorder, event)
+            bus.dispatch[type(event)](event)
+        bus.flush_batch()
+    reference = tuple(sorted(("arbalest", f.fingerprint()) for f in tool.findings))
+    return {"scalar": reference, "columnar": baseline}
+
+
 def stream(trace, *, client_id=BENCH, transport_cls=LoopbackTransport, **config):
     server = AnalysisServer(ServerConfig(**config))
     client = ServeClient(transport_cls(server), client_id=client_id)
@@ -41,16 +63,16 @@ def stream(trace, *, client_id=BENCH, transport_cls=LoopbackTransport, **config)
 
 
 class TestEngines:
+    """The served (batched, sharded) run against both in-process oracles."""
+
     @pytest.mark.parametrize("engine", ["scalar", "columnar"])
     @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_served_equals_baseline(self, trace, baseline, engine, n_shards):
-        _server, result = stream(trace, engine=engine, n_shards=n_shards)
-        assert result.fingerprints() == baseline
+    def test_served_equals_baseline(self, trace, baselines, engine, n_shards):
+        _server, result = stream(trace, n_shards=n_shards)
+        assert result.fingerprints() == baselines[engine]
 
-    def test_engines_agree_with_each_other(self, trace):
-        _s1, scalar = stream(trace, engine="scalar")
-        _s2, columnar = stream(trace, engine="columnar")
-        assert scalar.fingerprints() == columnar.fingerprints()
+    def test_engines_agree_with_each_other(self, baselines):
+        assert baselines["scalar"] == baselines["columnar"]
 
 
 class TestKillSweep:

@@ -13,6 +13,7 @@ from repro.dracc.registry import all_benchmarks, get
 from repro.openmp.runtime import TargetRuntime
 from repro.staticlint import dracc_certificates
 from repro.telemetry import Telemetry, scope
+from tests.per_access import per_access
 
 
 def _run(benchmark, certificate):
@@ -111,35 +112,36 @@ class TestSectionCertificates:
     def test_findings_byte_identical_with_section_certs(self):
         # The differential-equivalence contract: sub-variable pruning must
         # not change a single finding — kind, variable, address, or size —
-        # on either event engine.
+        # under batched or per-access delivery.
         certs = dracc_certificates()
         for number in SECTION_CERT_BENCHMARKS:
             benchmark = get(number)
-            for engine in ("scalar", "columnar"):
+            for tool_cls in (Arbalest, per_access(Arbalest)):
                 key = lambda t: sorted(
                     (f.kind.name, f.variable, f.address, f.size)
                     for f in t.mapping_issue_findings()
                 )
-                rt = TargetRuntime(n_devices=2, engine=engine)
-                baseline = Arbalest().attach(rt.machine)
+                rt = TargetRuntime(n_devices=2)
+                baseline = tool_cls().attach(rt.machine)
                 benchmark.run(rt)
-                rt2 = TargetRuntime(n_devices=2, engine=engine)
-                pruned = Arbalest(certificate=certs[benchmark.name]).attach(
+                rt2 = TargetRuntime(n_devices=2)
+                pruned = tool_cls(certificate=certs[benchmark.name]).attach(
                     rt2.machine
                 )
                 benchmark.run(rt2)
-                assert key(pruned) == key(baseline), (benchmark.name, engine)
+                assert key(pruned) == key(baseline), (benchmark.name, tool_cls)
 
     def test_section_skips_happen_at_sub_variable_granularity(self):
         # At least one benchmark must actually skip accesses through a
-        # section grant (not a whole-variable one), on both engines.
+        # section grant (not a whole-variable one), under batched and
+        # per-access delivery.
         certs = dracc_certificates()
-        for engine in ("scalar", "columnar"):
+        for tool_cls in (Arbalest, per_access(Arbalest)):
             skipped = []
             for number in SECTION_CERT_BENCHMARKS:
                 benchmark = get(number)
-                rt = TargetRuntime(n_devices=2, engine=engine)
-                tool = Arbalest(certificate=certs[benchmark.name]).attach(
+                rt = TargetRuntime(n_devices=2)
+                tool = tool_cls(certificate=certs[benchmark.name]).attach(
                     rt.machine
                 )
                 benchmark.run(rt)
@@ -149,7 +151,7 @@ class TestSectionCertificates:
                 assert stats["section_certified_bytes"] > 0
                 if stats["section_access_skips"] > 0:
                     skipped.append(number)
-            assert skipped, engine
+            assert skipped, tool_cls
 
     def test_no_certificate_means_no_section_accounting(self):
         tool = _run(get(23), None)

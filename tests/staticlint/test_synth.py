@@ -7,14 +7,15 @@ ships with a reviewed golden update:
     PYTHONPATH=src python -m repro synth --json > tests/staticlint/golden_synth.json
 
 The validation matrix (``repro synth --score``) is the stronger check:
-every synthesized mapping must run clean under the dynamic detector on
-both event engines, read identical values at every host read, and move
+every synthesized mapping must run clean under the dynamic detector,
+read identical values at every host read, and move
 no more bytes than the hand-written mapping.
 """
 
 import json
 from pathlib import Path
 
+from repro.core.detector import Arbalest
 from repro.harness.synth import run_synth_matrix, run_synth_program
 from repro.ompsan.interp import run_twin
 from repro.ompsan.ir import EnterData, ExitData, TargetKernel, Update
@@ -25,7 +26,9 @@ from repro.staticlint.synth import (
     synth_suite_programs,
     synthesize,
 )
+from repro.openmp.runtime import TargetRuntime
 from repro.telemetry import Telemetry, scope
+from tests.per_access import per_access
 
 GOLDEN = Path(__file__).parent / "golden_synth.json"
 
@@ -53,9 +56,15 @@ class TestValidationMatrix:
         assert matrix.ok, matrix.failures()
 
     def test_every_program_clean_on_both_engines(self):
+        """Clean batched (the matrix) and under per-access delivery."""
         matrix = run_synth_matrix()
         for row in matrix.rows:
-            assert row.findings == {"scalar": 0, "columnar": 0}, row.name
+            assert row.findings == 0, row.name
+        for name, program in sorted(synth_suite_programs().items()):
+            rt = TargetRuntime(n_devices=2)
+            tool = per_access(Arbalest)().attach(rt.machine)
+            run_twin(synthesize(program).program, rt)
+            assert not tool.mapping_issue_findings(), name
 
     def test_every_program_value_equivalent(self):
         matrix = run_synth_matrix()
@@ -84,7 +93,7 @@ class TestValidationMatrix:
         assert payload["artifact"] == "synth-bench/1"
         assert payload["summary"]["ok"] is True
         for entry in payload["programs"].values():
-            assert entry["clean_scalar"] and entry["clean_columnar"]
+            assert entry["clean"]
             assert entry["synth_bytes"] <= entry["baseline_bytes"]
 
 

@@ -49,7 +49,6 @@ class TestParser:
         assert args.faults == 6
         assert args.suite == "all"
         assert args.target == "runtime"
-        assert args.engine == "scalar"
         # Resolved per-target at run time (BENCH_chaos.json vs
         # BENCH_serve_chaos.json), so the parser default is None.
         assert args.output is None
@@ -83,7 +82,6 @@ class TestParser:
         assert args.suite == "buggy"
         assert args.tools == "arbalest"
         assert args.shards == 4
-        assert args.engine == "columnar"
         assert args.queue_cap == 256
         assert not args.bench
         assert not args.socket
@@ -94,17 +92,21 @@ class TestParser:
         assert args.report is None
 
     def test_serve_engine_validation(self):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["serve", "--engine", "quantum"])
-        assert exc_info.value.code == 2
+        # One dispatch path: no subcommand takes an engine any more.
+        for command in ("fig8", "bench", "chaos", "serve", "report"):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args([command, "--engine", "columnar"])
+            assert exc_info.value.code == 2
 
     def test_chaos_target_and_engine(self):
         args = build_parser().parse_args(
-            ["chaos", "--target", "serve", "--engine", "columnar", "--shards", "2"]
+            ["chaos", "--target", "serve", "--shards", "2"]
         )
         assert args.target == "serve"
-        assert args.engine == "columnar"
         assert args.shards == 2
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["chaos", "--target", "serve", "--engine", "scalar"])
+        assert exc_info.value.code == 2
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(["chaos", "--target", "kernel"])
         assert exc_info.value.code == 2
@@ -497,7 +499,6 @@ class TestSentinelCommand:
             append_history(
                 path,
                 {
-                    "engine": "columnar",
                     "preset": "test",
                     "workloads": {
                         "pcg": {"arbalest": {"slowdown": slowdown}}
