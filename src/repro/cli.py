@@ -347,6 +347,7 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"  worker kills triggered: {payload['worker_kills_triggered']}, "
+        f"frame faults triggered: {payload['frame_faults_triggered']}, "
         f"restarts: {payload['worker_restarts']}, "
         f"retransmits: {payload['retransmits']}, "
         f"dup frames: {payload['dup_frames']}, "
@@ -1018,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-cap",
         type=int,
         default=256,
-        help="per-session reorder-buffer capacity in frames",
+        help="per-session reorder-buffer capacity in parked events",
     )
     ps.add_argument(
         "--bench",

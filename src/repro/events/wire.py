@@ -10,10 +10,13 @@ frame carries one protocol message:
 kind      dir    payload
 ========  =====  ======================================================
 HELLO     c->s   session metadata (JSON: benchmark name, ...)
-EVENT     c->s   one event record (:func:`.trace_io.event_to_json` JSON)
+EVENT     c->s   JSON array of up to :data:`EVENTS_PER_FRAME` event records
+                 (:func:`.trace_io.event_to_json`); ``seq`` numbers the
+                 first, so the records are events ``seq .. seq+n-1``.  A
+                 single JSON object is accepted as a one-event frame
 FIN       c->s   end of stream; ask the server to drain and report
-ACK       s->c   cumulative acknowledgement of ``seq``
-NACK      s->c   retransmit request: ``seq`` is the next expected frame
+ACK       s->c   cumulative acknowledgement of every event through ``seq``
+NACK      s->c   retransmit request: ``seq`` is the next expected event
 FINDING   s->c   one delivered finding (JSON, fingerprint-keyed)
 DEGRADED  s->c   backpressure marker: the stream was shed, not dropped
 RESULT    s->c   end-of-session summary (JSON)
@@ -68,6 +71,7 @@ __all__ = [
     "TRACE_EXT",
     "TRACE_EXT_SIZE",
     "MAX_PAYLOAD",
+    "EVENTS_PER_FRAME",
     "FrameKind",
     "Frame",
     "TraceContext",
@@ -101,6 +105,11 @@ TRACE_EXT_SIZE = TRACE_EXT.size  # 12 bytes
 #: Upper bound on a frame payload.  A declared length beyond this is treated
 #: as header corruption (resync), not as an instruction to buffer a gigabyte.
 MAX_PAYLOAD = 1 << 20
+
+#: Event records per EVENT frame.  Clients cut a stream at multiples of
+#: this, so a retransmitted frame is byte-identical to its first send; one
+#: frame then costs one CRC, one JSON decode and one ACK for 64 events.
+EVENTS_PER_FRAME = 64
 
 
 class FrameKind(enum.IntEnum):
@@ -147,8 +156,8 @@ class Frame:
     #: Propagated tracing context; ``None`` encodes as wire version 1.
     trace: TraceContext | None = None
 
-    def json(self) -> dict:
-        """Decode the payload as a JSON object."""
+    def json(self):
+        """Decode the payload as JSON (an EVENT payload is an array)."""
         return json.loads(self.payload.decode("utf-8"))
 
 
@@ -196,7 +205,7 @@ def encode_frame(frame: Frame) -> bytes:
     )
 
 
-def json_payload(obj: dict) -> bytes:
+def json_payload(obj: dict | list) -> bytes:
     """Canonical JSON payload encoding (sorted keys, compact separators)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -204,14 +213,16 @@ def json_payload(obj: dict) -> bytes:
 def event_frame(
     client_id: int,
     seq: int,
-    event_json: dict,
+    records: list[dict],
     *,
     trace: TraceContext | None = None,
 ) -> Frame:
-    """An EVENT frame wrapping one :func:`.trace_io.event_to_json` record."""
-    return Frame(
-        FrameKind.EVENT, client_id, seq, json_payload(event_json), trace
-    )
+    """An EVENT frame carrying :func:`.trace_io.event_to_json` records.
+
+    ``seq`` is the sequence number of ``records[0]``; the payload is one
+    canonical JSON array, encoded with a single :func:`json_payload` call.
+    """
+    return Frame(FrameKind.EVENT, client_id, seq, json_payload(records), trace)
 
 
 class FrameDecoder:

@@ -29,6 +29,7 @@ import json
 import os
 import random
 import time
+from dataclasses import replace
 from typing import Iterable
 
 from ..dracc.registry import (
@@ -39,6 +40,7 @@ from ..dracc.registry import (
 )
 from ..events.bus import ToolBus
 from ..events.trace_io import TraceWriter, read_trace
+from ..events.wire import EVENTS_PER_FRAME
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
@@ -359,6 +361,46 @@ def _serve_plan_seed(campaign_seed: int, schedule: int, bench_number: int) -> in
     ).getrandbits(32)
 
 
+def _serve_plan(seed: int, n_faults: int, frames: int) -> FaultPlan:
+    """A serve fault plan whose every frame fault lands on a real send.
+
+    Worker kills keep :meth:`FaultPlan.generate`'s delivery-attempt
+    horizon.  Frame faults are re-drawn over the session's first-pass
+    sends (``frames``: HELLO, the EVENT frames, FIN), at most one per
+    send, and a reorder never directly follows a drop or another reorder
+    (the transport would still hold the earlier frame and let it pass).
+    A frame fault that finds no such send is left out of the plan.
+    """
+    plan = FaultPlan.generate(seed, n_faults=n_faults, kinds=SERVE_CHAOS_KINDS)
+    rng = random.Random(f"{seed}/frames")
+    holds = (FaultKind.FRAME_DROP, FaultKind.FRAME_REORDER)
+    taken: dict[int, FaultKind] = {}
+    faults = []
+    for fault in plan.faults:
+        if fault.kind is FaultKind.WORKER_KILL:
+            faults.append(fault)
+            continue
+        free = [
+            index
+            for index in range(1, frames + 1)
+            if index not in taken
+            and not (
+                fault.kind is FaultKind.FRAME_REORDER
+                and taken.get(index - 1) in holds
+            )
+            and not (
+                fault.kind in holds
+                and taken.get(index + 1) is FaultKind.FRAME_REORDER
+            )
+        ]
+        if free:
+            index = rng.choice(free)
+            taken[index] = fault.kind
+            faults.append(replace(fault, index=index))
+    faults.sort(key=lambda f: (f.kind.value, f.index))
+    return FaultPlan(seed=plan.seed, faults=tuple(faults))
+
+
 def run_serve_chaos_campaign(
     *,
     seed: int = 0,
@@ -379,7 +421,10 @@ def run_serve_chaos_campaign(
     Every (schedule, benchmark) pair gets a fresh server, a plan drawn
     from :data:`SERVE_CHAOS_KINDS`, worker kills installed on the
     supervisor's delivery-attempt schedule (alternating before/after the
-    journal write), and frame faults installed on the loopback transport.
+    journal write), and frame faults installed on the loopback transport
+    at sends the session makes (see :func:`_serve_plan`), so every
+    planned fault fires; ``frame_faults_triggered`` and
+    ``worker_kills_triggered`` count what did.
     Unlike runtime chaos, there is no "bounded divergence" tier here:
     *every* faulted run must reproduce the baseline fingerprints exactly.
 
@@ -422,6 +467,7 @@ def run_serve_chaos_campaign(
     nacks = 0
     degraded_sessions = 0
     kills_triggered = 0
+    frame_faults_triggered = 0
 
     log_sink = open(log_output, "w") if log_output is not None else None
     runs_with_redelivery = 0
@@ -440,10 +486,12 @@ def run_serve_chaos_campaign(
     try:
         for schedule in range(schedules):
             for bench in benches:
-                plan = FaultPlan.generate(
+                events = traces[bench.number]
+                plan = _serve_plan(
                     _serve_plan_seed(seed, schedule, bench.number),
-                    n_faults=faults_per_schedule,
-                    kinds=SERVE_CHAOS_KINDS,
+                    faults_per_schedule,
+                    # First-pass sends: HELLO, the EVENT frames, FIN.
+                    2 + -(-len(events) // EVENTS_PER_FRAME),
                 )
                 run_id = {"schedule": schedule, "benchmark": bench.number}
                 for fault in plan.faults:
@@ -488,7 +536,7 @@ def run_serve_chaos_campaign(
                     transport, client_id=bench.number, spanlog=client_spans
                 )
                 try:
-                    result = client.stream(traces[bench.number])
+                    result = client.stream(events)
                 except BaseException as exc:  # a crash fails the campaign, not us
                     crashes.append(
                         {**run_id, "error": f"{type(exc).__name__}: {exc}"}
@@ -496,6 +544,10 @@ def run_serve_chaos_campaign(
                     continue
                 supervisor = session.supervisor
                 kills_triggered += len(kills) - len(supervisor.kill_schedule)
+                sends = transport.stats()
+                frame_faults_triggered += (
+                    sends["dropped"] + sends["duplicated"] + sends["reordered"]
+                )
                 worker_restarts += supervisor.worker_restarts
                 retransmits += result.retransmits
                 backoff_ticks += result.backoff_ticks
@@ -576,6 +628,7 @@ def run_serve_chaos_campaign(
         "injected_total": sum(injected_counts.values()),
         "schedule_log": schedule_log,
         "worker_kills_triggered": kills_triggered,
+        "frame_faults_triggered": frame_faults_triggered,
         "worker_restarts": worker_restarts,
         "retransmits": retransmits,
         "backoff_ticks": backoff_ticks,

@@ -30,7 +30,7 @@ METRICS_SCHEMA = "serve-metrics/1"
 def _session_snapshot(session) -> dict:
     sup = session.supervisor
     return {
-        "queue_depth": len(session.reorder),
+        "queue_depth": session.parked,
         "next_seq": session.next_seq,
         "finished": session.finished,
         "degraded": session.degraded,
@@ -66,7 +66,7 @@ def service_snapshot(server, observer=None) -> dict:
         "sessions": len(sessions),
         "finished_sessions": sum(1 for s in sessions.values() if s["finished"]),
         "degraded_sessions": sum(1 for s in sessions.values() if s["degraded"]),
-        "in_flight_frames": sum(s["queue_depth"] for s in sessions.values()),
+        "in_flight_events": sum(s["queue_depth"] for s in sessions.values()),
         "queue_cap": server.config.queue_cap,
     }
     for key in (
@@ -206,14 +206,14 @@ def render_prometheus(snapshot: dict) -> str:
     gauges = [
         ("repro_serve_sessions", totals["sessions"], "Sessions ever opened."),
         (
-            "repro_serve_in_flight_frames",
-            totals["in_flight_frames"],
-            "Frames parked in reorder buffers across all sessions.",
+            "repro_serve_in_flight_events",
+            totals["in_flight_events"],
+            "Events parked in reorder buffers across all sessions.",
         ),
         (
             "repro_serve_queue_cap",
             totals["queue_cap"],
-            "Per-session reorder buffer capacity in frames.",
+            "Per-session reorder buffer capacity in events.",
         ),
         (
             "repro_serve_degraded_sessions",
@@ -289,7 +289,7 @@ def render_prometheus(snapshot: dict) -> str:
     exp.family(
         "repro_serve_session_queue_depth",
         "gauge",
-        "Reorder-buffer depth per session.",
+        "Reorder-buffer depth per session, in parked events.",
     )
     for client, sess in snapshot["sessions"].items():
         exp.sample(

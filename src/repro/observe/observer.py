@@ -197,8 +197,9 @@ class ServeObserver:
 
     @staticmethod
     def _queue_occupancy(server) -> float:
+        """Fullest session's parked events over ``queue_cap`` (also events)."""
         cap = server.config.queue_cap or 1
-        depths = [len(s.reorder) for s in server.sessions.values()]
+        depths = [s.parked for s in server.sessions.values()]
         return max(depths, default=0) / cap
 
     def evaluate(self, server) -> dict:

@@ -1,8 +1,11 @@
 """The reference serve client: windowed streaming with retry and backoff.
 
-The client side of the delivery guarantee.  Every event frame carries a
-sequence number; the client holds a frame until a *cumulative* ACK covers
-it, and retransmits unacknowledged frames — on a NACK (the server names
+The client side of the delivery guarantee.  Events travel in EVENT frames
+of up to :data:`~repro.events.wire.EVENTS_PER_FRAME` records, cut at fixed
+multiples of that size and numbered by their first event's sequence
+number, so a retransmitted frame is byte-identical to its first send.  The
+client holds a frame until a *cumulative* ACK covers its last event, and
+retransmits unacknowledged frames — on a NACK (the server names
 the next sequence number it expects) or after a timeout, with capped
 exponential backoff and deterministic jitter.  Backoff is simulated in
 ticks (like every other latency in this codebase) so tests and chaos
@@ -23,7 +26,15 @@ import random
 from dataclasses import dataclass, field, replace
 
 from ..events.trace_io import event_to_json
-from ..events.wire import Frame, FrameDecoder, FrameKind, TraceContext, json_payload
+from ..events.wire import (
+    EVENTS_PER_FRAME,
+    Frame,
+    FrameDecoder,
+    FrameKind,
+    TraceContext,
+    event_frame,
+    json_payload,
+)
 
 __all__ = ["ServeClient", "SessionResult", "RetryPolicy", "DeliveryError"]
 
@@ -163,16 +174,20 @@ class ServeClient:
             raise DeliveryError("HELLO was never acknowledged")
         acked_through = -1  # the HELLO ACK does not cover any event
 
-        # First pass: stream every event once.
-        for seq, payload in enumerate(payloads):
-            absorb(
-                self._exchange(
-                    Frame(FrameKind.EVENT, self.client_id, seq, json_payload(payload)),
-                    result,
-                )
+        def frame_at(first: int) -> Frame:
+            """The EVENT frame opening at ``first`` (a multiple of the size)."""
+            return event_frame(
+                self.client_id,
+                first,
+                payloads[first : first + EVENTS_PER_FRAME],
             )
 
-        # Repair passes: retransmit past the watermark until all acked.
+        # First pass: stream every frame once.
+        for first in range(0, len(payloads), EVENTS_PER_FRAME):
+            absorb(self._exchange(frame_at(first), result))
+
+        # Repair passes: retransmit from the frame holding the first
+        # unacknowledged event until all are acked.
         attempt = 0
         while acked_through < len(payloads) - 1:
             attempt += 1
@@ -184,19 +199,10 @@ class ServeClient:
                 )
             result.backoff_ticks += self.policy.delay(attempt)
             before = acked_through
-            for seq in range(acked_through + 1, len(payloads)):
+            start = (acked_through + 1) // EVENTS_PER_FRAME * EVENTS_PER_FRAME
+            for first in range(start, len(payloads), EVENTS_PER_FRAME):
                 result.retransmits += 1
-                absorb(
-                    self._exchange(
-                        Frame(
-                            FrameKind.EVENT,
-                            self.client_id,
-                            seq,
-                            json_payload(payloads[seq]),
-                        ),
-                        result,
-                    )
-                )
+                absorb(self._exchange(frame_at(first), result))
             if acked_through > before:
                 attempt = 0  # forward progress resets the budget
 

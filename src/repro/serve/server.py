@@ -6,17 +6,21 @@ one analysis run: its own :class:`~repro.serve.supervisor.Supervisor`
 its own :class:`~repro.forensics.ledger.DeliveryLedger`.
 
 **Ordering.**  Findings must be independent of transport mischief, so the
-server applies EVENT frames strictly in sequence order.  A frame arriving
-early (gap before it) parks in a bounded reorder buffer; a frame arriving
-twice is acknowledged again and dropped (the ACK, not the frame, is what
-the client needs); a gap elicits a NACK naming the next expected sequence
+server applies events strictly in sequence order.  An EVENT frame carries
+events ``seq .. seq+n-1``; each is handed to the supervisor with its own
+sequence number, and the frame is answered by one cumulative ACK naming
+the last applied event.  A frame arriving early (gap before it) parks in a
+bounded reorder buffer, keyed by its first seq; a frame lying wholly below
+the watermark is acknowledged again and dropped (the ACK, not the frame,
+is what the client needs); a frame straddling the watermark applies only
+its unapplied tail; a gap elicits a NACK naming the next expected sequence
 number so the client can retransmit without waiting for a timeout.
 
 **Backpressure.**  The reorder buffer is the inbound queue, and it is
-bounded.  When a slow or lossy client overflows it, the server *sheds the
-parked frame* — which is recoverable, the client still holds it — and
-marks the session ``DEGRADED`` in the finding stream.  Findings are never
-shed: degradation costs latency and a marker, not results.
+bounded in *events*.  When a slow or lossy client overflows it, the server
+*sheds the parked frame* — which is recoverable, the client still holds it
+— and marks the session ``DEGRADED`` in the finding stream.  Findings are
+never shed: degradation costs latency and a marker, not results.
 
 **Drain.**  FIN (and SIGTERM, via :meth:`AnalysisServer.shutdown`) flushes
 every shard's parked columnar batch before findings are collected, so an
@@ -42,7 +46,8 @@ class ServerConfig:
 
     n_shards: int = 4
     tools: tuple[str, ...] = ("arbalest",)
-    #: Reorder-buffer (inbound queue) capacity per session, in frames.
+    #: Reorder-buffer (inbound queue) capacity per session, in parked
+    #: events (a parked frame occupies one slot per event it carries).
     queue_cap: int = 256
 
 
@@ -55,7 +60,9 @@ class _Session:
     ledger: DeliveryLedger = field(default_factory=DeliveryLedger)
     meta: dict = field(default_factory=dict)
     next_seq: int = 0
-    reorder: dict[int, dict] = field(default_factory=dict)
+    #: Parked frames keyed by first seq, and the events they hold.
+    reorder: dict[int, list[dict]] = field(default_factory=dict)
+    parked: int = 0
     finished: bool = False
     degraded: bool = False
     out_seq: int = 0
@@ -211,23 +218,36 @@ class AnalysisServer:
             ),
         )
 
-    def _dispatch(self, session: _Session, seq: int, event: dict) -> Frame | None:
-        """Dispatch one in-order event; returns an ERROR frame on failure.
+    def _apply(
+        self, session: _Session, first: int, events: list[dict]
+    ) -> list[Frame]:
+        """Dispatch the unapplied tail of a frame; returns ERROR frames.
 
-        A structurally broken event record (missing tag, wrong field
-        type) raises out of routing or the shard's record builder.  The
-        frame is *consumed* — retransmitting identical bytes cannot fix
-        a CRC-valid payload — and the failure surfaces as a decode
-        error, not a wedged stream.
+        ``first`` is the frame's first seq (its trace key); events below
+        the watermark were applied by an earlier copy and are skipped.  A
+        structurally broken event record (missing tag, wrong field type)
+        raises out of routing or the shard's record builder.  The event is
+        *consumed* — retransmitting identical bytes cannot fix a CRC-valid
+        payload — and the failure surfaces as a decode error, not a wedged
+        stream.
         """
-        try:
-            session.supervisor.dispatch(session.client_id, seq, event)
-            return None
-        except (KeyError, ValueError, TypeError) as exc:
-            return self._payload_error(
-                Frame(FrameKind.EVENT, session.client_id, seq),
-                f"{type(exc).__name__}: {exc}",
-            )
+        errors: list[Frame] = []
+        dispatch = session.supervisor.dispatch
+        client = session.client_id
+        seq = session.next_seq
+        for event in events[seq - first :]:
+            try:
+                dispatch(client, seq, event, frame=first)
+            except (KeyError, ValueError, TypeError) as exc:
+                errors.append(
+                    self._payload_error(
+                        Frame(FrameKind.EVENT, client, seq),
+                        f"{type(exc).__name__}: {exc}",
+                    )
+                )
+            seq += 1
+            session.next_seq = seq
+        return errors
 
     def _handle_event(self, frame: Frame) -> list[Frame]:
         session = self.session(frame.client_id)
@@ -240,17 +260,6 @@ class AnalysisServer:
             ]
         seq = frame.seq
         observer = self.observer
-        if seq < session.next_seq:
-            # Idempotent re-delivery of an *applied* frame: the client
-            # lost our ACK (or the transport duplicated the frame).
-            # Re-acknowledge with the cumulative watermark, drop the copy.
-            session.dup_frames += 1
-            if observer is not None:
-                observer.count_redelivery()
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count("serve.dup_frames")
-            return [session.reply(FrameKind.ACK, seq=session.next_seq - 1)]
         if seq in session.reorder:
             # Duplicate of a *parked* frame.  Parked is not applied: an
             # ACK here would claim durability the gap denies, so renew
@@ -261,18 +270,37 @@ class AnalysisServer:
                 observer.count_redelivery()
             return [session.reply(FrameKind.NACK, seq=session.next_seq)]
         try:
-            event = frame.json()
+            events = frame.json()
         except ValueError as exc:
             return [self._payload_error(frame, f"not JSON: {exc}")]
-        if not isinstance(event, dict):
+        if isinstance(events, dict):
+            events = [events]  # a one-event (legacy) frame
+        if not (
+            isinstance(events, list)
+            and events
+            and all(isinstance(event, dict) for event in events)
+        ):
             return [
                 self._payload_error(
                     frame,
-                    f"event payload is {type(event).__name__}, not an object",
+                    "event payload is not an object or a non-empty array "
+                    "of objects",
                 )
             ]
+        if seq + len(events) <= session.next_seq:
+            # Idempotent re-delivery of an *applied* frame: the client
+            # lost our ACK (or the transport duplicated the frame).
+            # Re-acknowledge with the cumulative watermark, drop the copy.
+            session.dup_frames += 1
+            if observer is not None:
+                observer.count_redelivery()
+            telemetry = _telemetry.ACTIVE
+            if telemetry is not None:
+                telemetry.count("serve.dup_frames")
+            return [session.reply(FrameKind.ACK, seq=session.next_seq - 1)]
         if seq > session.next_seq:
-            if len(session.reorder) >= self.config.queue_cap:
+            cap = self.config.queue_cap
+            if session.parked + len(events) > cap:
                 # Backpressure: shed the parked frame (the client still
                 # holds it) and mark the stream DEGRADED — latency is
                 # sacrificed, findings are not.
@@ -283,7 +311,7 @@ class AnalysisServer:
                     session.degraded = True
                     session.ledger.mark_degraded(
                         f"reorder buffer overflow at seq {seq} "
-                        f"(cap {self.config.queue_cap}): frame shed, "
+                        f"(cap {cap} events): frame shed, "
                         "retransmission required"
                     )
                     if observer is not None:
@@ -291,27 +319,27 @@ class AnalysisServer:
                             "session.degraded",
                             client=session.client_id,
                             seq=seq,
-                            queue_cap=self.config.queue_cap,
+                            queue_cap=cap,
                         )
                 telemetry = _telemetry.ACTIVE
                 if telemetry is not None:
                     telemetry.count("serve.shed_frames")
             else:
-                session.reorder[seq] = event
+                session.reorder[seq] = events
+                session.parked += len(events)
             session.nacks_sent += 1
             return [session.reply(FrameKind.NACK, seq=session.next_seq)]
-        # In-order: apply, then drain everything the gap was blocking.
-        errors: list[Frame] = []
-        failure = self._dispatch(session, seq, event)
-        if failure is not None:
-            errors.append(failure)
-        session.next_seq += 1
-        while session.next_seq in session.reorder:
-            parked = session.reorder.pop(session.next_seq)
-            failure = self._dispatch(session, session.next_seq, parked)
-            if failure is not None:
-                errors.append(failure)
-            session.next_seq += 1
+        # In order (or straddling the watermark): apply the tail, then
+        # drain every parked frame the gap was blocking.
+        errors = self._apply(session, seq, events)
+        reorder = session.reorder
+        while reorder:
+            first = min(reorder)
+            if first > session.next_seq:
+                break
+            parked = reorder.pop(first)
+            session.parked -= len(parked)
+            errors += self._apply(session, first, parked)
         # Cumulative acknowledgement of everything applied so far.
         return errors + [session.reply(FrameKind.ACK, seq=session.next_seq - 1)]
 

@@ -17,6 +17,8 @@ same detector state after :meth:`restart` replays the journal.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
@@ -121,6 +123,13 @@ class ShardWorker:
             getattr(observer, "profiler", None) if observer is not None else None
         )
         self._prof_phase = f"shard-{shard_id}"
+        #: Per client, ``(first seq applied here, frame key)`` for every
+        #: wire frame that reached this shard, in apply order — kept only
+        #: while spans or the profiler need frame keys, so a journal
+        #: replay names the same ``(client, frame)`` key the apply did.
+        self._frame_marks: dict[int, list[tuple[int, int]]] | None = (
+            {} if self._spanlog is not None or self._profiler is not None else None
+        )
         #: A session-level recorder shared with sibling shards (the
         #: supervisor passes one), or ``None`` for a private per-worker
         #: one.  Sharing matters for attribution: an overrun access can
@@ -183,6 +192,7 @@ class ShardWorker:
         observer = self._observer
         spanlog = self._spanlog
         for client, seq, event_json in self.journal.replay():
+            frame = self._frame_key(client, seq)
             try:
                 if spanlog is not None:
                     # The replay span links back to the original apply via
@@ -192,14 +202,15 @@ class ShardWorker:
                     with spanlog.span(
                         "replay",
                         client=client,
-                        seq=seq,
+                        seq=frame,
+                        event=seq,
                         shard=self.shard_id,
                         restart=self.restarts,
-                        replayed_from=f"{client}:{seq}",
+                        replayed_from=f"{client}:{frame}",
                     ):
-                        self._apply(event_json, (client, seq))
+                        self._apply(event_json, (client, frame))
                 else:
-                    self._apply(event_json, (client, seq))
+                    self._apply(event_json, (client, frame))
             except (KeyError, ValueError, TypeError) as exc:
                 # A journal entry that no longer decodes (bit rot in a
                 # mirror, a version skew) must not take the whole shard
@@ -226,6 +237,16 @@ class ShardWorker:
             telemetry.count("serve.worker_restarts")
             telemetry.count("serve.replayed_events", replayed)
 
+    def _frame_key(self, client: int, seq: int) -> int:
+        """The first seq of the wire frame that delivered journaled ``seq``."""
+        marks = (
+            self._frame_marks.get(client) if self._frame_marks is not None else None
+        )
+        if not marks:
+            return seq
+        index = bisect_right(marks, seq, key=itemgetter(0)) - 1
+        return marks[index][1] if index >= 0 else seq
+
     # -- delivery ----------------------------------------------------------
 
     def _apply(self, event_json: dict, frame: tuple | None = None) -> None:
@@ -238,7 +259,7 @@ class ShardWorker:
             self.applied += 1
             return
         # Manual activate/restore (not the scope() contextmanager): this
-        # runs once per event frame, and a generator frame per event would
+        # runs once per applied event, and a generator frame per event would
         # be the kind of observability tax the governor exists to prevent.
         profiler.set_context(phase=self._prof_phase)
         if frame is not None:
@@ -260,13 +281,16 @@ class ShardWorker:
         event_json: dict,
         *,
         crash_phase: str | None = None,
+        frame: int | None = None,
     ) -> bool:
-        """Journal + apply one frame; returns ``False`` for a duplicate.
+        """Journal + apply one event; returns ``False`` for a duplicate.
 
         ``crash_phase`` is the chaos hook: ``"pre"`` crashes before the
-        journal sees the frame, ``"post"`` after journal+apply but before
+        journal sees the event, ``"post"`` after journal+apply but before
         the acknowledgement — the two interleavings a real worker death
-        can produce.
+        can produce.  ``frame`` is the first seq of the wire frame that
+        carried the event (default ``seq``): spans and profiler samples
+        are keyed by ``(client, frame)``.
         """
         if not self.alive:
             raise WorkerCrash(f"shard {self.shard_id} is down")
@@ -277,14 +301,21 @@ class ShardWorker:
             )
         if not self.journal.record(client, seq, event_json):
             return False  # idempotent re-delivery
+        if frame is None:
+            frame = seq
+        marks = self._frame_marks
+        if marks is not None:
+            client_marks = marks.setdefault(client, [])
+            if not client_marks or client_marks[-1][1] != frame:
+                client_marks.append((seq, frame))
         spanlog = self._spanlog
         if spanlog is not None:
             with spanlog.span(
-                "apply", client=client, seq=seq, shard=self.shard_id
+                "apply", client=client, seq=frame, event=seq, shard=self.shard_id
             ):
-                self._apply(event_json, (client, seq))
+                self._apply(event_json, (client, frame))
         else:
-            self._apply(event_json, (client, seq))
+            self._apply(event_json, (client, frame))
         if crash_phase == "post":
             self.crash()
             raise WorkerCrash(

@@ -2,20 +2,21 @@
 
 The supervisor is the component that turns "a worker crashed" from an
 outage into a non-event.  It owns the shard workers, routes every inbound
-event frame to the shard(s) whose address ranges it touches (kernel and
-sync events broadcast — they carry the epoch structure every shard's race
-checker needs), and wraps each delivery in the restart protocol:
+event (the server unpacks each EVENT frame into its events, in order) to
+the shard(s) whose address ranges it touches (kernel and sync events
+broadcast — they carry the epoch structure every shard's race checker
+needs), and wraps each delivery in the restart protocol:
 
 * a :exc:`~repro.serve.shard.WorkerCrash` during delivery triggers an
   immediate restart of that worker — fresh tool stack, journal replay up
-  to the last acknowledged frame — followed by redelivery of the frame
+  to the last acknowledged event — followed by redelivery of the event
   that was in flight;
 * redelivery is idempotent by construction (journal dedup on
   ``(client, seq)``), so it does not matter whether the crash happened
-  before or after the frame reached the journal;
-* a worker that keeps dying on one frame exhausts
+  before or after the event reached the journal;
+* a worker that keeps dying on one event exhausts
   :data:`MAX_DELIVERY_RETRIES` and surfaces a hard error — the supervisor
-  never spins forever and never silently skips a frame.
+  never spins forever and never silently skips an event.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .shard import ShardWorker, WorkerCrash
 
 __all__ = ["Supervisor", "MAX_DELIVERY_RETRIES"]
 
-#: Restart-and-redeliver attempts per (frame, shard) before giving up.
+#: Restart-and-redeliver attempts per (event, shard) before giving up.
 MAX_DELIVERY_RETRIES = 4
 
 
@@ -65,7 +66,7 @@ class Supervisor:
             for i in range(n_shards)
         ]
         #: Delivery-attempt occurrence index -> crash phase ("pre"/"post"),
-        #: installed by the chaos harness.  Consulted once per (frame,
+        #: installed by the chaos harness.  Consulted once per (event,
         #: shard) delivery attempt, in deterministic order.
         self.kill_schedule: dict[int, str] = {}
         self.delivery_attempts = 0
@@ -127,8 +128,10 @@ class Supervisor:
         worker.restart()
         self.worker_restarts += 1
 
-    def _deliver_to(self, shard_id: int, client: int, seq: int, event: dict) -> None:
-        """Deliver one frame to one shard, surviving worker crashes."""
+    def _deliver_to(
+        self, shard_id: int, client: int, seq: int, event: dict, frame: int
+    ) -> None:
+        """Deliver one event to one shard, surviving worker crashes."""
         worker = self.workers[shard_id]
         observer = self.observer
         for _attempt in range(MAX_DELIVERY_RETRIES + 1):
@@ -142,7 +145,7 @@ class Supervisor:
                         worker, client=client, seq=seq, cause="found-dead"
                     )
                 fresh = worker.deliver(
-                    client, seq, event, crash_phase=crash_phase
+                    client, seq, event, crash_phase=crash_phase, frame=frame
                 )
                 if not fresh:
                     self.duplicates_dropped += 1
@@ -160,10 +163,19 @@ class Supervisor:
             f"attempts for (client={client}, seq={seq})"
         )
 
-    def dispatch(self, client: int, seq: int, event_json: dict) -> None:
-        """Route one in-order frame to every shard it concerns."""
+    def dispatch(
+        self, client: int, seq: int, event_json: dict, *, frame: int | None = None
+    ) -> None:
+        """Route one in-order event to every shard it concerns.
+
+        ``frame`` is the first seq of the wire frame that carried the event
+        (``seq`` itself by default): the ``(client, frame)`` key that joins
+        shard spans and profiler samples to the client and server spans.
+        """
+        if frame is None:
+            frame = seq
         for shard_id in self.shards_for(event_json):
-            self._deliver_to(shard_id, client, seq, event_json)
+            self._deliver_to(shard_id, client, seq, event_json, frame)
         self.events_delivered += 1
 
     # -- drain / results ---------------------------------------------------

@@ -106,6 +106,11 @@ class TestServeChaos:
         assert set(payload["injected_faults"]) <= {
             k.value for k in SERVE_CHAOS_KINDS
         }
+        injected = payload["injected_faults"]
+        assert payload["worker_kills_triggered"] == injected.get("worker-kill", 0)
+        assert payload["frame_faults_triggered"] == sum(
+            n for kind, n in injected.items() if kind.startswith("frame-")
+        )
 
     def test_campaign_is_seed_reproducible(self):
         kwargs = dict(
@@ -123,6 +128,29 @@ class TestServeChaos:
         a = run_serve_chaos_campaign(seed=1, **kwargs)
         b = run_serve_chaos_campaign(seed=2, **kwargs)
         assert a["schedule_log"] != b["schedule_log"]
+
+
+class TestServePlan:
+    @pytest.mark.parametrize("frames", [3, 4, 7, 37])
+    def test_frame_faults_land_on_first_pass_sends(self, frames):
+        from repro.faults.plan import FaultKind
+        from repro.harness.serve import _serve_plan
+
+        holds = (FaultKind.FRAME_DROP, FaultKind.FRAME_REORDER)
+        for seed in range(40):
+            plan = _serve_plan(seed, 6, frames)
+            at = {
+                f.index: f.kind
+                for f in plan.faults
+                if f.kind is not FaultKind.WORKER_KILL
+            }
+            assert len(at) == len(plan.faults) - len(
+                plan.by_kind(FaultKind.WORKER_KILL)
+            ), "two frame faults share a send"
+            assert all(1 <= index <= frames for index in at)
+            for index, kind in at.items():
+                if kind is FaultKind.FRAME_REORDER:
+                    assert at.get(index - 1) not in holds
 
 
 class TestBaseline:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.dracc import get
+from repro.events.wire import EVENTS_PER_FRAME
 from repro.harness.serve import record_trace
 from repro.observe import (
     ServeObserver,
@@ -101,9 +102,18 @@ class TestCrossProcessTrace:
     def test_client_server_shard_spans_share_frame_keys(self):
         doc = traced_session()
         index = spans_by_frame(doc)
-        multi = [k for k, spans in index.items() if len({s["pid"] for s in spans}) >= 3]
-        # Most event frames traverse client -> server -> shard.
-        assert len(multi) > 10
+        frames = [
+            (e["args"]["client"], e["args"]["seq"])
+            for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "frame:EVENT"
+        ]
+        events = len(record_trace(get(BENCH)))
+        assert len(frames) == -(-events // EVENTS_PER_FRAME)
+        # Every event frame traverses client -> server -> shard, and all
+        # three processes key their spans by the frame's first seq.
+        for key in frames:
+            names = {span["name"] for span in index[key]}
+            assert {"frame:EVENT", "handle:EVENT", "apply"} <= names, key
 
     def test_replay_spans_link_their_origin_frame(self):
         doc = traced_session(kill_at=5)

@@ -12,6 +12,7 @@ import pytest
 from repro.core.detector import Arbalest
 from repro.dracc import get
 from repro.events.bus import ToolBus
+from repro.events.wire import EVENTS_PER_FRAME
 from repro.forensics.recorder import FlightRecorder, scope as forensics_scope
 from repro.harness.serve import baseline_fingerprints, record_trace
 from repro.serve import (
@@ -135,8 +136,8 @@ class TestDoubleDelivery:
         )
         session = server.sessions[BENCH]
         assert result.fingerprints() == baseline
-        # Every EVENT duplicate was counted and dropped, not applied.
-        assert session.dup_frames == len(trace)
+        # Every EVENT frame's duplicate was counted and dropped, not applied.
+        assert session.dup_frames == -(-len(trace) // EVENTS_PER_FRAME)
         assert session.supervisor.events_delivered == len(trace)
 
     def test_applied_duplicate_reacks_with_cumulative_watermark(self, trace):
@@ -177,16 +178,18 @@ class TestBackpressure:
     def test_overflow_sheds_and_degrades_but_loses_nothing(self, trace, baseline):
         from repro.faults.plan import FaultKind, FaultPlan, PlannedFault
 
-        # Drop an early frame so every later one parks behind the gap;
-        # a tiny queue then overflows and sheds.
+        # Drop the first EVENT frame (send 2) so the next one parks behind
+        # the gap; a tiny queue (in events) then overflows and sheds.
         plan = FaultPlan(
             seed=0,
-            faults=(PlannedFault(kind=FaultKind.FRAME_DROP, index=10),),
+            faults=(PlannedFault(kind=FaultKind.FRAME_DROP, index=2),),
         )
         server = AnalysisServer(ServerConfig(n_shards=2, queue_cap=4))
-        client = ServeClient(LoopbackTransport(server, plan), client_id=BENCH)
+        transport = LoopbackTransport(server, plan)
+        client = ServeClient(transport, client_id=BENCH)
         result = client.stream(trace)
         session = server.sessions[BENCH]
+        assert transport.dropped == 1
         assert session.shed_frames > 0
         assert session.degraded
         assert result.markers, "DEGRADED marker must reach the client"

@@ -39,6 +39,12 @@ class TestEncode:
         assert frame.payload == b'{"a":1,"b":2,"t":"sync"}'
         assert frame.json() == {"a": 1, "b": 2, "t": "sync"}
 
+    def test_event_frame_carries_a_canonical_json_array(self):
+        frame = event_frame(1, 64, [{"b": 2, "t": "sync"}, {"a": 1, "t": "sync"}])
+        assert frame.seq == 64
+        assert frame.payload == b'[{"b":2,"t":"sync"},{"a":1,"t":"sync"}]'
+        assert frame.json() == [{"b": 2, "t": "sync"}, {"a": 1, "t": "sync"}]
+
     def test_oversized_payload_refused_at_encode(self):
         huge = Frame(FrameKind.EVENT, 1, 0, b"x" * (MAX_PAYLOAD + 1))
         with pytest.raises(ValueError, match="exceeds MAX_PAYLOAD"):

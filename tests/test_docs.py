@@ -26,3 +26,18 @@ def test_quoted_fig8_geomeans_match_the_artifact(key):
         f"EXPERIMENTS.md quotes {key} as {quoted}; "
         f"BENCH_fig8.json says {summary[key]}"
     )
+
+
+#: How EXPERIMENTS.md quotes the serve bench's served throughput.
+SERVE_EVENTS_PER_SEC = r"`events_per_sec`\s+\**(\d+(?:\.\d+)?)"
+
+
+def test_quoted_served_events_per_sec_matches_the_artifact():
+    summary = json.loads((ROOT / "BENCH_serve.json").read_text())["summary"]
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    quoted = re.findall(SERVE_EVENTS_PER_SEC, text)
+    assert quoted, "EXPERIMENTS.md no longer quotes the served events/sec"
+    assert all(float(q) == summary["events_per_sec"] for q in quoted), (
+        f"EXPERIMENTS.md quotes events_per_sec as {quoted}; "
+        f"BENCH_serve.json says {summary['events_per_sec']}"
+    )
