@@ -4,12 +4,14 @@ Each (workload, configuration) cell is one pytest-benchmark entry, grouped
 per workload — the relative "Mean" column within a group *is* Fig. 8's bar
 cluster for that benchmark.  A final summary test prints the slowdown
 table computed the same way the paper reports it (factor over native).
+Every cell is built by :func:`repro.harness.overhead.measure_one`, the
+same cell builder the ``bench``/``fig8`` commands use, so the
+``arbalest-cert``/``-rec``/``-prof`` configurations run exactly as there.
 """
 
 import pytest
 
-from repro.harness import CONFIGS, TOOL_FACTORIES, run_overhead_comparison
-from repro.openmp import TargetRuntime
+from repro.harness import CONFIGS, measure_one, run_overhead_comparison
 from repro.specaccel import WORKLOADS
 
 PRESET = "train"
@@ -23,12 +25,7 @@ def test_workload_under_config(benchmark, workload, config):
     benchmark.extra_info["config"] = config
 
     def run_once():
-        rt = TargetRuntime(n_devices=1)
-        if config != "native":
-            TOOL_FACTORIES[config]().attach(rt.machine)
-        out = workload.run(rt, PRESET)
-        rt.finalize()
-        return out
+        return measure_one(workload, config, PRESET).checksum
 
     checksum = benchmark(run_once)
     assert checksum is not None

@@ -10,6 +10,11 @@ corresponding handler, so that
 * an instrumented run pays only for the handlers a tool really implements
   (the paper's OMPT-less tools never see semantic data ops).
 
+The bus also owns the run's :class:`~repro.events.variables.VariableIndex`:
+every allocation and data op feeds it before fan-out (and before chaos
+perturbation, so names follow the program), and every attached tool names
+its address-only findings through it.
+
 Two robustness roles ride on top of dispatch:
 
 * **Crash isolation** — an exception escaping a tool handler is contained
@@ -49,6 +54,7 @@ from .records import (
     MemcpyEvent,
     SyncEvent,
 )
+from .variables import VariableIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
@@ -80,10 +86,12 @@ class ToolBus:
     attached, every access is flushed as it is published.
 
     :attr:`dispatch` maps each event record type to its ``publish_*``
-    method, for replaying a recorded stream.
+    method, for replaying a recorded stream.  ``variables`` shares one
+    address-to-variable index between several buses (the serve shards);
+    by default each bus builds its own.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, variables: VariableIndex | None = None) -> None:
         self._batch_pending: list[Access] = []
         self._immediate = False
         self._tools: list["Tool"] = []
@@ -95,6 +103,8 @@ class ToolBus:
         self._sync: tuple["Tool", ...] = ()
         self._flush: tuple["Tool", ...] = ()
         self._memcpy: tuple["Tool", ...] = ()
+        #: Address-to-variable index, fed from the event stream.
+        self.variables = variables if variables is not None else VariableIndex()
         #: Optional fault injector perturbing the data-op callback stream.
         self.chaos: "FaultInjector | None" = None
         #: Re-raise tool-handler exceptions instead of isolating them.
@@ -118,6 +128,7 @@ class ToolBus:
         if self._batch_pending:
             self.flush_batch()  # pending events predate the newcomer
         self._tools.append(tool)
+        tool.variables = self.variables
         self._rebuild()
 
     def detach(self, tool: "Tool") -> None:
@@ -283,6 +294,7 @@ class ToolBus:
     def publish_data_op(self, op: DataOp) -> None:
         if self._batch_pending:
             self.flush_batch()
+        self.variables.observe(op)
         if self.chaos is not None:
             for event in self.chaos.perturb_data_op(op):
                 self._fan_out_data_op(event)
@@ -328,6 +340,7 @@ class ToolBus:
     def publish_allocation(self, event: AllocationEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
+        self.variables.observe(event)
         if _telemetry.ACTIVE is not None:
             self._publish_instrumented(self._allocation, "on_allocation", event)
             return

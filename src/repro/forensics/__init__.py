@@ -13,7 +13,6 @@ from .recorder import (
     RecordedEvent,
     VariableRing,
     scope,
-    variable_at,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "RecordedEvent",
     "VariableRing",
     "scope",
-    "variable_at",
     "Provenance",
     "build_provenance",
     "explain",

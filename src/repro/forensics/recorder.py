@@ -9,6 +9,13 @@ the variable's VSM state (steady-state accesses that do not change the
 state are deliberately *not* recorded; they carry no causal information
 and recording them would wreck the hot path).
 
+The recorder holds timelines only: naming the variable behind a finding
+is the bus's job (:class:`~repro.events.variables.VariableIndex`), done in
+every run, so a finding fingerprints the same with the recorder on or off.
+The recorder lives wherever a report is built in process (``repro
+report``, the ``arbalest-rec`` Fig-8 cell); the serve path runs without
+one.
+
 Each variable gets its own bounded ring buffer (:class:`VariableRing`):
 memory stays bounded no matter how long the run is, and eviction is
 per-variable so a chatty array cannot push a quiet one's history out.
@@ -44,11 +51,6 @@ ACTIVE: "FlightRecorder | None" = None
 #: every semantic event of the DRACC benchmarks and the interesting suffix
 #: of the SPEC workloads' histories.
 DEFAULT_CAPACITY = 64
-
-#: How many retired (unmapped/freed) address ranges to remember, so that
-#: use-after-free findings can still name the variable that used to live
-#: at the faulting address.
-RETIRED_RANGES = 256
 
 
 class RecordedEvent:
@@ -148,13 +150,10 @@ class VariableRing:
 
 
 class FlightRecorder:
-    """Per-variable ring buffers plus an address-to-variable index.
+    """Per-variable ring buffers of timeline events.
 
-    The address index exists for the baseline tools: ASan/MSan/Valgrind
-    findings carry a faulting address but no variable name, and the
-    recorder is the one component that watched every labelled range get
-    mapped in.  ``resolve`` answers "whose storage is this address?" for
-    both live and recently retired ranges.
+    Consulted only to attach provenance to a finding the bus's
+    :class:`~repro.events.variables.VariableIndex` has already named.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -166,8 +165,6 @@ class FlightRecorder:
         self.ordinal = 0
         #: Total events recorded (rings may have evicted some of them).
         self.records = 0
-        self._ranges: list[tuple[int, int, int, str]] = []
-        self._retired: list[tuple[int, int, int, str]] = []
 
     # -- clock -------------------------------------------------------------
 
@@ -217,72 +214,7 @@ class FlightRecorder:
             return (), 0
         return ring.events(), ring.dropped
 
-    # -- address index -----------------------------------------------------
-
-    def register_range(
-        self, device_id: int, base: int, nbytes: int, variable: str
-    ) -> None:
-        """Remember that ``variable``'s storage occupies this range."""
-        if variable and nbytes > 0:
-            self._ranges.append((device_id, base, base + nbytes, variable))
-
-    def release_range(self, device_id: int, base: int) -> None:
-        """Retire the range starting at ``base`` (unmap/free)."""
-        for i in range(len(self._ranges) - 1, -1, -1):
-            dev, lo, hi, var = self._ranges[i]
-            if dev == device_id and lo == base:
-                del self._ranges[i]
-                self._retired.append((dev, lo, hi, var))
-                if len(self._retired) > RETIRED_RANGES:
-                    del self._retired[0]
-                return
-
-    def resolve(self, device_id: int, address: int) -> str:
-        """The variable whose storage covers ``address``, or ``""``.
-
-        Live ranges win over retired ones; within each class the most
-        recently registered range wins (matching allocator reuse).
-        """
-        for ranges in (self._ranges, self._retired):
-            for dev, lo, hi, var in reversed(ranges):
-                if dev == device_id and lo <= address < hi:
-                    return var
-        return ""
-
-    def resolve_near(self, device_id: int, address: int, slack: int = 4096) -> str:
-        """Like :meth:`resolve`, with a nearest-range fallback.
-
-        Buffer overflows fault *outside* every registered range by
-        definition; the intended variable is the one whose range ends (or
-        begins) closest to the faulting address.  ``slack`` bounds the gap
-        so a wild access far from everything stays unattributed.
-        """
-        exact = self.resolve(device_id, address)
-        if exact:
-            return exact
-        best = ""
-        best_gap = slack + 1
-        for ranges in (self._ranges, self._retired):
-            for dev, lo, hi, var in reversed(ranges):
-                if dev != device_id:
-                    continue
-                gap = address - hi if address >= hi else lo - address
-                if 0 <= gap < best_gap:
-                    best, best_gap = var, gap
-        return best
-
     # -- finding enrichment ------------------------------------------------
-
-    def resolve_variable(self, finding: "Finding") -> "Finding":
-        """Fill in ``finding.variable`` from the address index if empty."""
-        if finding.variable or not finding.address:
-            return finding
-        variable = self.resolve_near(finding.device_id, finding.address)
-        if not variable:
-            return finding
-        from dataclasses import replace
-
-        return replace(finding, variable=variable)
 
     def attach_provenance(self, finding: "Finding") -> "Finding":
         """Snapshot this recorder into ``finding.provenance``."""
@@ -296,19 +228,7 @@ class FlightRecorder:
         """Rough live footprint, for memory-bound assertions."""
         per_event = 120  # a RecordedEvent with slots, rounded up
         retained = sum(len(ring) for ring in self.rings.values())
-        return retained * per_event + (len(self._ranges) + len(self._retired)) * 48
-
-
-def variable_at(device_id: int, address: int) -> str:
-    """Module-level resolve helper for tool finding sites.
-
-    Returns ``""`` when no recorder is active, so callers can pass the
-    result straight to ``Finding(variable=...)`` unconditionally.
-    """
-    rec = ACTIVE
-    if rec is None:
-        return ""
-    return rec.resolve(device_id, address)
+        return retained * per_event
 
 
 @contextmanager

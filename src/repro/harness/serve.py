@@ -10,7 +10,8 @@ over the loopback transport):
   session's :class:`~repro.forensics.ledger.DeliveryLedger`, and the
   delivered findings are assembled into a ``repro-report/1`` payload so
   CI can ``repro diff`` the served suite against the tracked golden
-  report.
+  report.  The serve path runs without a flight recorder, so its entries
+  carry variables, fingerprints and counts but no timelines.
 * :func:`run_serve_bench` — the throughput run.  Events/sec and frame
   latency percentiles over the streamed suite, written to the tracked
   ``BENCH_serve.json`` (``serve-bench/1`` shape, understood by
@@ -42,7 +43,6 @@ from ..events.bus import ToolBus
 from ..events.trace_io import TraceWriter, read_trace
 from ..events.wire import EVENTS_PER_FRAME
 from ..faults.plan import FaultKind, FaultPlan
-from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
 from ..serve import (
@@ -51,7 +51,6 @@ from ..serve import (
     LoopbackTransport,
     ServeClient,
     ServerConfig,
-    register_forensic_ranges,
 )
 
 #: Valid ``--suite`` selections for the serve CLI.
@@ -97,22 +96,19 @@ def baseline_fingerprints(
 ) -> tuple[tuple[str, str], ...]:
     """In-process fingerprints: the recorded trace through fresh tools.
 
-    Dispatched under a flight recorder whose address index is rebuilt
-    from the trace (exactly as each shard worker rebuilds its own), so
-    variable attribution — and therefore every fingerprint — matches
-    both the served path and the live golden-report path.
+    The bus's variable index names findings from the replayed events,
+    exactly as each shard's bus and the live runtime's bus do, so every
+    fingerprint matches both the served path and the live golden-report
+    path.  No flight recorder is needed for that.
     """
     instances = {name: DEFAULT_TOOLS[name]() for name in tools}
     bus = ToolBus()
     for tool in instances.values():
         bus.attach(tool)
     dispatch = bus.dispatch
-    recorder = FlightRecorder()
-    with _forensics_scope(recorder):
-        for event in events:
-            register_forensic_ranges(recorder, event)
-            dispatch[type(event)](event)
-        bus.flush_batch()
+    for event in events:
+        dispatch[type(event)](event)
+    bus.flush_batch()
     return tuple(
         sorted(
             (name, finding.fingerprint())

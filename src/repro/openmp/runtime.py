@@ -211,7 +211,6 @@ class TargetRuntime:
         self._arrays[name] = arr
         recorder = _forensics.ACTIVE
         if recorder is not None:
-            recorder.register_range(0, arr.base, arr.nbytes, name)
             stack = self.machine.source.snapshot()
             recorder.record(
                 name,
@@ -244,9 +243,6 @@ class TargetRuntime:
                     dev, arr.nbytes, storage="global", fill=0,
                     label=f"{arr.name}(image)",
                 ).base
-            recorder = _forensics.ACTIVE
-            if recorder is not None:
-                recorder.register_range(device_id, cv_address, arr.nbytes, arr.name)
             dev.present.insert(
                 PresentEntry(
                     ov_address=arr.base,
@@ -275,7 +271,6 @@ class TargetRuntime:
         self._arrays.pop(array.name, None)
         recorder = _forensics.ACTIVE
         if recorder is not None:
-            recorder.release_range(0, array.base)
             stack = self.machine.source.snapshot()
             recorder.record(
                 array.name,
@@ -555,11 +550,6 @@ class TargetRuntime:
             name=spec.array.name,
             array=spec.array,
         )
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.register_range(
-                dev.device_id, cv_address, spec.nbytes, spec.array.name
-            )
         dev.present.insert(entry)
         machine.bus.publish_data_op(
             DataOp(
@@ -583,8 +573,6 @@ class TargetRuntime:
         """
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count("runtime.map_rollbacks")
-        if _forensics.ACTIVE is not None:
-            _forensics.ACTIVE.release_range(dev.device_id, entry.cv_address)
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -641,8 +629,6 @@ class TargetRuntime:
             self._transfer(dev, entry, DataOpKind.D2H)
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count("runtime.unmaps")
-        if _forensics.ACTIVE is not None:
-            _forensics.ACTIVE.release_range(dev.device_id, entry.cv_address)
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(

@@ -48,7 +48,6 @@ from .shard import (
     DEFAULT_TOOLS,
     ShardWorker,
     WorkerCrash,
-    register_forensic_ranges,
 )
 from .supervisor import Supervisor
 from .transport import LoopbackTransport
@@ -70,5 +69,4 @@ __all__ = [
     "serve_socket",
     "serve_stdio",
     "serve_connection",
-    "register_forensic_ranges",
 ]

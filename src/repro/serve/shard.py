@@ -3,7 +3,10 @@
 A :class:`ShardWorker` owns a fresh :class:`~repro.events.bus.ToolBus`
 with its own tool instances.  It consumes
 journaled event frames, applies them to the bus, and exposes its tools'
-findings.
+findings.  Findings are named by the bus's
+:class:`~repro.events.variables.VariableIndex`, fed from the applied
+events; no flight recorder runs on the serve path, so served findings
+carry fingerprints and counts but no timelines.
 
 Crash semantics are explicit, because the chaos campaign injects them at
 every possible point: :exc:`WorkerCrash` models the worker process dying
@@ -23,9 +26,8 @@ from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
-from ..events.records import AllocationEvent, DataOp, DataOpKind
 from ..events.trace_io import event_from_json
-from ..forensics.recorder import FlightRecorder, scope as _forensics_scope
+from ..events.variables import VariableIndex
 from ..observe import prof as _prof
 from ..telemetry import registry as _telemetry
 from ..tools.archer import ArcherTool
@@ -40,7 +42,6 @@ __all__ = [
     "ShardWorker",
     "WorkerCrash",
     "DEFAULT_TOOLS",
-    "register_forensic_ranges",
 ]
 
 #: Tool factories the server can host, mirroring the harness's Table III
@@ -59,42 +60,6 @@ class WorkerCrash(RuntimeError):
     """A shard worker died mid-delivery (injected or real)."""
 
 
-def register_forensic_ranges(recorder: FlightRecorder, event) -> None:
-    """Rebuild the live runtime's address index from a streamed trace.
-
-    Findings name their variable through the flight recorder's address
-    index, and the live runtime populates that index out of band (at
-    ``HostArray`` creation and present-table insertion) — calls a trace
-    replay never sees.  This mirrors each registration from the events
-    that *are* in the trace, so served findings fingerprint identically
-    to in-process ones:
-
-    * a host (device 0) allocation carries the array name as its label —
-      register it verbatim;
-    * a device CV is named after its OV, **not** after its allocation
-      label (device allocs are labelled ``name(CV)`` / ``name(image)``),
-      so CV ranges register at the ``ALLOC`` data op by resolving the OV
-      address against the already-registered host range;
-    * frees and ``DELETE`` data ops retire ranges, keeping allocator
-      reuse from mis-attributing and letting use-after-unmap findings
-      still name the departed variable.
-    """
-    if type(event) is AllocationEvent:
-        if event.is_free:
-            recorder.release_range(event.device_id, event.address)
-        elif event.device_id == 0 and event.label:
-            recorder.register_range(0, event.address, event.nbytes, event.label)
-    elif type(event) is DataOp:
-        if event.kind is DataOpKind.ALLOC:
-            name = recorder.resolve(0, event.ov_address)
-            if name:
-                recorder.register_range(
-                    event.device_id, event.cv_address, event.nbytes, name
-                )
-        elif event.kind is DataOpKind.DELETE:
-            recorder.release_range(event.device_id, event.cv_address)
-
-
 class ShardWorker:
     """One shard of detector state, restartable from its journal."""
 
@@ -104,7 +69,7 @@ class ShardWorker:
         *,
         tools: Iterable[str] = ("arbalest",),
         journal: ShardJournal | None = None,
-        recorder: FlightRecorder | None = None,
+        variables: VariableIndex | None = None,
         observer=None,
     ):
         self.shard_id = shard_id
@@ -130,12 +95,12 @@ class ShardWorker:
         self._frame_marks: dict[int, list[tuple[int, int]]] | None = (
             {} if self._spanlog is not None or self._profiler is not None else None
         )
-        #: A session-level recorder shared with sibling shards (the
+        #: A session-level variable index shared with sibling shards (the
         #: supervisor passes one), or ``None`` for a private per-worker
         #: one.  Sharing matters for attribution: an overrun access can
         #: fault inside a range whose events route to a *different*
         #: shard, and only a shared address index can still name it.
-        self._shared_recorder = recorder
+        self._shared_variables = variables
         self.tool_names = tuple(tools)
         unknown = [t for t in self.tool_names if t not in DEFAULT_TOOLS]
         if unknown:
@@ -155,18 +120,11 @@ class ShardWorker:
 
     def _boot(self) -> None:
         """Build a fresh bus + tool stack (initial boot and every restart)."""
-        self.bus = ToolBus()
-        # Variable attribution must match the in-process golden path.  A
-        # shared (supervisor-owned) recorder survives worker crashes —
-        # journal replay's re-registrations are idempotent in effect
-        # (same ranges, same names, most-recent-wins resolution); a
-        # private recorder is rebuilt from the journal like everything
-        # else.
-        self.recorder = (
-            self._shared_recorder
-            if self._shared_recorder is not None
-            else FlightRecorder()
-        )
+        # A shared (supervisor-owned) index survives worker crashes —
+        # journal replay's re-registrations are idempotent (same ranges,
+        # same names, keyed by base); a private index is rebuilt from the
+        # journal like everything else.
+        self.bus = ToolBus(self._shared_variables)
         self.tools: dict[str, Tool] = {}
         for name in self.tool_names:
             tool = DEFAULT_TOOLS[name]()
@@ -251,11 +209,9 @@ class ShardWorker:
 
     def _apply(self, event_json: dict, frame: tuple | None = None) -> None:
         event = event_from_json(event_json)
-        register_forensic_ranges(self.recorder, event)
         profiler = self._profiler
         if profiler is None:
-            with _forensics_scope(self.recorder):
-                self._dispatch[type(event)](event)
+            self._dispatch[type(event)](event)
             self.applied += 1
             return
         # Manual activate/restore (not the scope() contextmanager): this
@@ -267,8 +223,7 @@ class ShardWorker:
         previous = _prof.ACTIVE
         _prof.ACTIVE = profiler
         try:
-            with _forensics_scope(self.recorder):
-                self._dispatch[type(event)](event)
+            self._dispatch[type(event)](event)
         finally:
             _prof.ACTIVE = previous
             profiler.clear_frame()
@@ -333,13 +288,11 @@ class ShardWorker:
             previous = _prof.ACTIVE
             _prof.ACTIVE = profiler
             try:
-                with _forensics_scope(self.recorder):
-                    self.bus.flush_batch()
+                self.bus.flush_batch()
             finally:
                 _prof.ACTIVE = previous
             return
-        with _forensics_scope(self.recorder):
-            self.bus.flush_batch()
+        self.bus.flush_batch()
 
     # -- results -----------------------------------------------------------
 

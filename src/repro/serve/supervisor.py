@@ -17,13 +17,17 @@ needs), and wraps each delivery in the restart protocol:
 * a worker that keeps dying on one event exhausts
   :data:`MAX_DELIVERY_RETRIES` and surfaces a hard error — the supervisor
   never spins forever and never silently skips an event.
+
+The supervisor also owns the session's one
+:class:`~repro.events.variables.VariableIndex`, shared by every worker's
+bus, which names the shards' findings.  No flight recorder runs here.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..forensics.recorder import FlightRecorder
+from ..events.variables import VariableIndex
 from ..telemetry import registry as _telemetry
 from ..tools.findings import Finding
 from .router import AddressRouter
@@ -50,17 +54,17 @@ class Supervisor:
         #: with the owning server; ``None`` keeps every site below free.
         self.observer = observer
         #: The session's address-to-variable index, shared by all shard
-        #: workers.  It is supervisor state, not worker state: a worker
-        #: crash wipes detector state (rebuilt from the journal) but not
-        #: attribution, and a finding on one shard can name a variable
-        #: whose mapping events routed to another (overrun attribution
-        #: crosses shard boundaries).
-        self.recorder = FlightRecorder()
+        #: workers' buses.  It is supervisor state, not worker state: a
+        #: worker crash wipes detector state (rebuilt from the journal)
+        #: but not attribution, and a finding on one shard can name a
+        #: variable whose mapping events routed to another (overrun
+        #: attribution crosses shard boundaries).
+        self.variables = VariableIndex()
         self.workers = [
             ShardWorker(
                 i,
                 tools=tools,
-                recorder=self.recorder,
+                variables=self.variables,
                 observer=observer,
             )
             for i in range(n_shards)

@@ -35,7 +35,6 @@ import numpy as np
 from ..clocks.epoch import CLOCK_BITS, MAX_CLOCK
 from ..clocks.vector_clock import VectorClock
 from ..memory.layout import GRANULE
-from ..forensics import recorder as _forensics
 from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
@@ -664,9 +663,6 @@ class ArcherTool(Tool):
                 address=access.address,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(
-                    access.device_id, access.address
-                ),
             )
         )
 
@@ -744,9 +740,6 @@ class ArcherTool(Tool):
                     address=event.dst_address,
                     size=event.nbytes,
                     stack=event.stack,
-                    variable=_forensics.variable_at(
-                        event.dst_device, event.dst_address
-                    ),
                 )
             )
 

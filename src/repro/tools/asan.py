@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..forensics import recorder as _forensics
 from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
@@ -63,9 +62,6 @@ class AsanTool(Tool):
                         device_id=event.device_id,
                         address=event.address,
                         stack=event.stack,
-                        variable=_forensics.variable_at(
-                            event.device_id, event.address
-                        ),
                     )
                 )
                 return
@@ -188,7 +184,6 @@ class AsanTool(Tool):
                 address=bad,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(access.device_id, bad),
             )
         )
 

@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         MemcpyEvent,
         SyncEvent,
     )
+    from ..events.variables import VariableIndex
     from ..openmp.runtime import Machine
 
 
@@ -52,6 +53,10 @@ class Tool:
     #: bytes (a tool that rewrites memory from it).  While such a tool is
     #: attached the bus delivers every access as it is published.
     immediate_delivery = False
+
+    #: The bus's address-to-variable index, handed over by
+    #: :meth:`ToolBus.attach <repro.events.bus.ToolBus.attach>`.
+    variables: "VariableIndex | None" = None
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
@@ -78,16 +83,15 @@ class Tool:
     def report(self, finding: Finding) -> bool:
         """File a finding; duplicates of an already-reported site are dropped.
 
-        Returns whether the finding was new.  While a flight recorder is
-        active the finding is enriched before filing: an empty ``variable``
-        is resolved through the recorder's address index (this happens
-        *before* the dedup key is computed, so enrichment cannot split one
-        site into two), and new findings get a :class:`Provenance`
-        timeline attached.  Duplicates only bump the per-site count.
+        Returns whether the finding was new.  An empty ``variable`` is
+        resolved through the bus's address-to-variable index in every run
+        (*before* the dedup key is computed, so naming cannot split one
+        site into two).  While a flight recorder is active, new findings
+        also get a :class:`Provenance` timeline attached.  Duplicates only
+        bump the per-site count.
         """
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            finding = recorder.resolve_variable(finding)
+        if self.variables is not None:
+            finding = self.variables.resolve_variable(finding)
         key = finding.dedup_key()
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count(
@@ -99,6 +103,7 @@ class Tool:
         if key in self._seen:
             return False
         self._seen.add(key)
+        recorder = _forensics.ACTIVE
         if recorder is not None:
             finding = recorder.attach_provenance(finding)
         self.findings.append(finding)

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..forensics import recorder as _forensics
 from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
@@ -135,9 +134,6 @@ class MsanTool(Tool):
                         address=address,
                         size=access.size,
                         stack=access.stack,
-                        variable=_forensics.variable_at(
-                            access.device_id, address
-                        ),
                     )
                 )
 

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..forensics import recorder as _forensics
 from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
@@ -92,9 +91,6 @@ class ValgrindTool(Tool):
                         device_id=event.device_id,
                         address=event.address,
                         stack=event.stack,
-                        variable=_forensics.variable_at(
-                            event.device_id, event.address
-                        ),
                     )
                 )
             return
@@ -158,9 +154,6 @@ class ValgrindTool(Tool):
                 address=address + covered,
                 size=access.size,
                 stack=access.stack,
-                variable=_forensics.variable_at(
-                    access.device_id, address + covered
-                ),
             )
         )
 

@@ -1,4 +1,4 @@
-"""The flight recorder core: rings, clock, address index, disabled path."""
+"""The flight recorder core: rings, clock, disabled path; the variable index."""
 
 import tracemalloc
 
@@ -12,10 +12,10 @@ from repro.forensics import (
     RecordedEvent,
     VariableRing,
     scope,
-    variable_at,
 )
+from repro.events.records import AllocationEvent, DataOp, DataOpKind
+from repro.events.variables import RETIRED_RANGES, VariableIndex
 from repro.forensics import recorder as forensics_recorder
-from repro.forensics.recorder import RETIRED_RANGES
 from repro.harness.chaos import run_chaos_campaign
 from repro.openmp.runtime import TargetRuntime
 from repro.telemetry import Telemetry
@@ -83,55 +83,108 @@ class TestClock:
         assert second.ordinal == first.ordinal + 1
 
 
+def _register(index: VariableIndex, base: int, nbytes: int, name: str) -> None:
+    """Name host range ``[base, base + nbytes)`` through its allocation event."""
+    index.observe(
+        AllocationEvent(
+            device_id=0,
+            thread_id=0,
+            address=base,
+            nbytes=nbytes,
+            is_free=False,
+            label=name,
+        )
+    )
+
+
+def _free(index: VariableIndex, base: int) -> None:
+    index.observe(
+        AllocationEvent(
+            device_id=0, thread_id=0, address=base, nbytes=0, is_free=True
+        )
+    )
+
+
 class TestAddressIndex:
+    """The bus's variable index, fed through its event stream."""
+
     def test_exact_resolution(self):
-        rec = FlightRecorder()
-        rec.register_range(0, 0x1000, 64, "a")
-        assert rec.resolve(0, 0x1000) == "a"
-        assert rec.resolve(0, 0x103F) == "a"
-        assert rec.resolve(0, 0x1040) == ""
-        assert rec.resolve(1, 0x1000) == ""  # wrong device
+        index = VariableIndex()
+        _register(index, 0x1000, 64, "a")
+        assert index.resolve(0, 0x1000) == "a"
+        assert index.resolve(0, 0x103F) == "a"
+        assert index.resolve(0, 0x1040) == ""
+        assert index.resolve(1, 0x1000) == ""  # wrong device
 
     def test_most_recent_registration_wins(self):
-        rec = FlightRecorder()
-        rec.register_range(0, 0x1000, 64, "old")
-        rec.register_range(0, 0x1000, 64, "new")
-        assert rec.resolve(0, 0x1010) == "new"
+        index = VariableIndex()
+        _register(index, 0x1000, 64, "old")
+        _register(index, 0x1000, 64, "new")
+        assert index.resolve(0, 0x1010) == "new"
 
     def test_released_range_still_resolves_as_retired(self):
-        rec = FlightRecorder()
-        rec.register_range(0, 0x1000, 64, "a")
-        rec.release_range(0, 0x1000)
-        assert rec.resolve(0, 0x1010) == "a"  # use-after-free attribution
+        index = VariableIndex()
+        _register(index, 0x1000, 64, "a")
+        _free(index, 0x1000)
+        assert index.resolve(0, 0x1010) == "a"  # use-after-free attribution
 
     def test_retired_list_is_bounded(self):
-        rec = FlightRecorder()
+        index = VariableIndex()
         for i in range(RETIRED_RANGES + 50):
             base = 0x1000 + i * 0x100
-            rec.register_range(0, base, 16, f"v{i}")
-            rec.release_range(0, base)
-        assert len(rec._retired) == RETIRED_RANGES
+            _register(index, base, 16, f"v{i}")
+            _free(index, base)
+        assert len(index) == RETIRED_RANGES
 
     def test_resolve_near_attributes_overflow(self):
-        rec = FlightRecorder()
-        rec.register_range(0, 0x1000, 64, "a")
+        index = VariableIndex()
+        _register(index, 0x1000, 64, "a")
         # One past the end: a classic off-by-one overflow address.
-        assert rec.resolve_near(0, 0x1040) == "a"
+        assert index.resolve_near(0, 0x1040) == "a"
         # Far beyond the slack: stays unattributed.
-        assert rec.resolve_near(0, 0x1040 + 5000) == ""
+        assert index.resolve_near(0, 0x1040 + 5000) == ""
 
     def test_resolve_near_prefers_closest_range(self):
-        rec = FlightRecorder()
-        rec.register_range(0, 0x1000, 64, "far")
-        rec.register_range(0, 0x2000, 64, "near")
-        assert rec.resolve_near(0, 0x2041) == "near"
+        index = VariableIndex()
+        _register(index, 0x1000, 64, "far")
+        _register(index, 0x2000, 64, "near")
+        assert index.resolve_near(0, 0x2041) == "near"
+
+    def _dracc_023_layout(self) -> VariableIndex:
+        """DRACC 023/025's device layout: ``a``'s CV is half its host size,
+        with a 64-byte gap before ``b``'s CV."""
+        index = VariableIndex()
+        for name, host, cv, nbytes in (
+            ("a", 0x1_0000_0000, 0x2_0000_0000, 0x100),
+            ("b", 0x1_0000_0240, 0x2_0000_0140, 0x200),
+        ):
+            _register(index, host, 0x200, name)
+            index.observe(
+                DataOp(
+                    kind=DataOpKind.ALLOC,
+                    device_id=1,
+                    thread_id=0,
+                    ov_address=host,
+                    cv_address=cv,
+                    nbytes=nbytes,
+                )
+            )
+        return index
+
+    def test_overrun_is_attributed_to_the_range_it_ran_past(self):
+        # 0x30 past a's CV end, 0x10 short of b's CV: the access ran past
+        # a, so it is a's overflow however close b's storage begins.
+        index = self._dracc_023_layout()
+        assert index.resolve_near(1, 0x2_0000_0130) == "a"
+        assert index.resolve_near(1, 0x2_0000_0100) == "a"
+
+    def test_underrun_falls_back_to_the_range_above(self):
+        # Below every range (DRACC 025's lower-half underrun).
+        index = self._dracc_023_layout()
+        assert index.resolve_near(1, 0x1_FFFF_FF00) == "a"
 
 
 class TestDisabledPath:
-    def test_variable_at_disabled_returns_empty(self):
-        assert forensics_recorder.ACTIVE is None
-        assert variable_at(0, 0x1234) == ""
-
     def test_scope_restores_previous(self):
         outer, inner = FlightRecorder(), FlightRecorder()
         with scope(outer):

@@ -45,6 +45,15 @@ class TestFullComparison:
         for mode in MODES:
             assert comparison.false_positives(mode) == []
 
+    def test_soundness_check_sees_the_overflow_variables(self, comparison):
+        # The buffer-overflow rows' findings carry no variable of their
+        # own; the bus's variable index must name them in a plain run, or
+        # ``dynamic_variables & certified`` is empty by construction.
+        rows = comparison.by_number()
+        for number in (23, 25, 28, 29, 30, 31):
+            assert rows[number].dynamic_variables, number
+        assert comparison.soundness_violations() == []
+
     def test_render_contains_overall_row(self, comparison):
         text = comparison.render()
         assert "Overall" in text and "16/17" in text and "17/17" in text

@@ -32,10 +32,11 @@ class TestServeSuite:
     def test_embedded_report_matches_the_live_golden_path(self):
         """Served findings fingerprint identically to a live recorded run.
 
-        The live path registers variable names out of band (HostArray
-        creation, present-table inserts); the serve path rebuilds the
-        index from the trace.  If they ever drift, `repro diff` against
-        the golden report regresses — this is the unit-sized version.
+        Both paths name findings through a bus variable index fed from
+        the same events; the live one runs under a flight recorder (as
+        ``repro report`` does), the served one without.  If they ever
+        drift, `repro diff` against the golden report regresses — this
+        is the unit-sized version.
         """
         from repro.forensics.recorder import FlightRecorder, scope
         from repro.harness.precision import TOOL_FACTORIES

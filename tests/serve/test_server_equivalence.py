@@ -13,7 +13,6 @@ from repro.core.detector import Arbalest
 from repro.dracc import get
 from repro.events.bus import ToolBus
 from repro.events.wire import EVENTS_PER_FRAME
-from repro.forensics.recorder import FlightRecorder, scope as forensics_scope
 from repro.harness.serve import baseline_fingerprints, record_trace
 from repro.serve import (
     AnalysisServer,
@@ -21,7 +20,6 @@ from repro.serve import (
     ServeClient,
     ServerConfig,
 )
-from repro.serve.shard import register_forensic_ranges
 from tests.per_access import per_access
 
 #: DRACC_OMP_018: the smallest trace in the suite (~85 events), so the
@@ -46,12 +44,9 @@ def baselines(trace, baseline):
     tool = per_access(Arbalest)()
     bus = ToolBus()
     bus.attach(tool)
-    recorder = FlightRecorder()
-    with forensics_scope(recorder):
-        for event in trace:
-            register_forensic_ranges(recorder, event)
-            bus.dispatch[type(event)](event)
-        bus.flush_batch()
+    for event in trace:
+        bus.dispatch[type(event)](event)
+    bus.flush_batch()
     reference = tuple(sorted(("arbalest", f.fingerprint()) for f in tool.findings))
     return {"scalar": reference, "columnar": baseline}
 

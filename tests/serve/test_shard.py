@@ -9,8 +9,8 @@ from repro.events.records import (
     SyncEvent,
 )
 from repro.events.trace_io import event_to_json
-from repro.forensics.recorder import FlightRecorder
-from repro.serve import ShardWorker, WorkerCrash, register_forensic_ranges
+from repro.events.variables import VariableIndex
+from repro.serve import ShardWorker, Supervisor, WorkerCrash
 
 
 def sync_json(seq: int) -> dict:
@@ -78,7 +78,7 @@ class TestCrashConvergence:
 
 
 class TestForensicRanges:
-    """The trace-driven address index mirrors the live runtime's."""
+    """The variable index is fed by the event stream alone."""
 
     def host_alloc(self, address=0x1000, label="a"):
         return AllocationEvent(
@@ -91,17 +91,16 @@ class TestForensicRanges:
         )
 
     def test_host_allocation_registers_its_label(self):
-        recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
-        assert recorder.resolve(0, 0x1000) == "a"
-        assert recorder.resolve(0, 0x103F) == "a"
+        index = VariableIndex()
+        index.observe(self.host_alloc())
+        assert index.resolve(0, 0x1000) == "a"
+        assert index.resolve(0, 0x103F) == "a"
 
     def test_device_allocation_label_is_ignored(self):
         # Device allocs are labelled "a(CV)" / "a(image)"; registering
         # them verbatim would split fingerprints against the live path.
-        recorder = FlightRecorder()
-        register_forensic_ranges(
-            recorder,
+        index = VariableIndex()
+        index.observe(
             AllocationEvent(
                 device_id=1,
                 thread_id=0,
@@ -111,13 +110,12 @@ class TestForensicRanges:
                 label="a(CV)",
             ),
         )
-        assert recorder.resolve(1, 0x9000) == ""
+        assert index.resolve(1, 0x9000) == ""
 
     def test_cv_registers_under_the_ov_name_at_the_alloc_data_op(self):
-        recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
-        register_forensic_ranges(
-            recorder,
+        index = VariableIndex()
+        index.observe(self.host_alloc())
+        index.observe(
             DataOp(
                 kind=DataOpKind.ALLOC,
                 device_id=1,
@@ -127,12 +125,11 @@ class TestForensicRanges:
                 nbytes=64,
             ),
         )
-        assert recorder.resolve(1, 0x9000) == "a"
+        assert index.resolve(1, 0x9000) == "a"
 
     def test_alloc_data_op_without_known_ov_registers_nothing(self):
-        recorder = FlightRecorder()
-        register_forensic_ranges(
-            recorder,
+        index = VariableIndex()
+        index.observe(
             DataOp(
                 kind=DataOpKind.ALLOC,
                 device_id=1,
@@ -142,13 +139,12 @@ class TestForensicRanges:
                 nbytes=64,
             ),
         )
-        assert recorder.resolve(1, 0x9000) == ""
+        assert index.resolve(1, 0x9000) == ""
 
     def test_free_and_delete_retire_but_still_resolve(self):
-        recorder = FlightRecorder()
-        register_forensic_ranges(recorder, self.host_alloc())
-        register_forensic_ranges(
-            recorder,
+        index = VariableIndex()
+        index.observe(self.host_alloc())
+        index.observe(
             AllocationEvent(
                 device_id=0,
                 thread_id=0,
@@ -158,25 +154,56 @@ class TestForensicRanges:
             ),
         )
         # Retired, not forgotten: use-after-free can still name it.
-        assert recorder.resolve(0, 0x1000) == "a"
+        assert index.resolve(0, 0x1000) == "a"
 
 
-class TestSharedRecorder:
-    def test_shared_recorder_survives_worker_restart(self):
-        recorder = FlightRecorder()
-        worker = ShardWorker(0, recorder=recorder)
+class TestSharedIndex:
+    def test_shared_index_survives_worker_restart(self):
+        index = VariableIndex()
+        worker = ShardWorker(0, variables=index)
         worker.deliver(1, 0, event_to_json(TestForensicRanges().host_alloc()))
         worker.crash()
         worker.restart()
-        assert worker.recorder is recorder
-        assert recorder.resolve(0, 0x1000) == "a"
+        assert worker.bus.variables is index
+        assert index.resolve(0, 0x1000) == "a"
 
-    def test_private_recorder_is_rebuilt_from_the_journal(self):
+    def test_private_index_is_rebuilt_from_the_journal(self):
         worker = ShardWorker(0)
         worker.deliver(1, 0, event_to_json(TestForensicRanges().host_alloc()))
-        before = worker.recorder
+        before = worker.bus.variables
         worker.crash()
         worker.restart()
-        assert worker.recorder is not before
-        # Replay re-registered the range into the fresh recorder.
-        assert worker.recorder.resolve(0, 0x1000) == "a"
+        assert worker.bus.variables is not before
+        # Replay re-registered the range into the fresh index.
+        assert worker.bus.variables.resolve(0, 0x1000) == "a"
+
+    def test_every_shard_bus_shares_the_supervisor_index(self):
+        supervisor = Supervisor(n_shards=3)
+        assert all(
+            w.bus.variables is supervisor.variables for w in supervisor.workers
+        )
+
+    def test_journal_replay_leaves_resolution_unchanged(self):
+        from repro.dracc import get
+        from repro.harness.serve import record_trace
+
+        # DRACC 025 maps, unmaps and frees three variables, and its
+        # underrun names ``a`` through the nearest-range fallback.
+        trace = record_trace(get(25))
+        supervisor = Supervisor(n_shards=4)
+        for seq, event in enumerate(trace):
+            supervisor.dispatch(25, seq, event_to_json(event))
+        index = supervisor.variables
+        probes = [
+            (e.device_id, e.address + offset)
+            for e in trace
+            if isinstance(e, AllocationEvent) and not e.is_free
+            for offset in (-8, 0, e.nbytes - 1, e.nbytes + 8)
+        ]
+        before = [index.resolve_near(d, a) for d, a in probes]
+        size = len(index)
+        for worker in supervisor.workers:
+            worker.crash()
+            worker.restart()
+        assert [index.resolve_near(d, a) for d, a in probes] == before
+        assert len(index) == size
