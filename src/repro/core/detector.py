@@ -51,7 +51,7 @@ from ..tools.findings import Finding, FindingKind
 from .registry import MappingRecord, MappingRegistry, ShadowRegistry
 from .reports import Anomaly, BlockInfo, BugReport
 from .shadow import ShadowBlock
-from .states import VsmOp
+from .states import VsmOp, VsmState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.records import (
@@ -71,6 +71,9 @@ _DATA_OP_EVENT_KINDS = {
     "d2h": "update-to-host",
 }
 
+#: VSM state names by state code (flight-recorder timelines).
+_STATE_NAMES = [VsmState(code).name for code in range(4)]
+
 
 class Arbalest(Tool):
     """The data mapping issue detector (single-accelerator VSM).
@@ -84,9 +87,6 @@ class Arbalest(Tool):
     race_detection:
         Run the embedded FastTrack engine (needed for Theorem-1
         certification and responsible for most of the overhead, §VI.E).
-    record_access_metadata:
-        Also stamp Table II's tid/clock/size/offset fields into the shadow
-        word on every access (rich reports at extra cost).
     shadow_budget_bytes:
         Optional cap on live shadow storage.  Under pressure new blocks are
         coarsened to whole-allocation granularity (conservative ``INVALID``
@@ -128,7 +128,6 @@ class Arbalest(Tool):
         *,
         granule: int = GRANULE,
         race_detection: bool = True,
-        record_access_metadata: bool = False,
         shadow_budget_bytes: int | None = None,
         certificate=None,
     ) -> None:
@@ -160,7 +159,6 @@ class Arbalest(Tool):
         )
         self.mappings = MappingRegistry(certified=certified)
         self.race_engine = RaceEngine() if race_detection else None
-        self.record_access_metadata = record_access_metadata
         self.bug_reports: list[BugReport] = []
         self.quarantine_log: list[dict] = []
         self._alloc_info: dict[int, "AllocationEvent"] = {}
@@ -376,14 +374,31 @@ class Arbalest(Tool):
         first = idx.start if idx.start < idx.stop else None
         before = block.state_label(first) if first is not None else ""
         block.apply(idx, vsm_op, op.device_id)
+        after = block.state_label(first) if first is not None else ""
+        self._record(
+            recorder, block, _DATA_OP_EVENT_KINDS[op.kind.value], op,
+            before, after, detail=f"{nbytes}B",
+        )
+
+    @staticmethod
+    def _record(
+        recorder, block, kind: str, event, before: str, after: str, detail: str = ""
+    ) -> None:
+        """Append one VSM transition of ``block`` to the flight recorder.
+
+        ``event`` is the access or data op that caused it (device and
+        source location).  Access sites call this only for transitions and
+        illegal accesses: steady-state accesses carry no causal information.
+        """
+        stack = event.stack
         recorder.record(
             block.label,
-            _DATA_OP_EVENT_KINDS[op.kind.value],
-            device_id=op.device_id,
-            location=op.stack[0] if op.stack else UNKNOWN_LOCATION,
+            kind,
+            device_id=event.device_id,
+            location=stack[0] if stack else UNKNOWN_LOCATION,
             state_before=before,
-            state_after=block.state_label(first) if first is not None else "",
-            detail=f"{nbytes}B",
+            state_after=after,
+            detail=detail,
         )
 
     # ------------------------------------------------------------------
@@ -441,16 +456,10 @@ class Arbalest(Tool):
         table-lookup VSM (:meth:`ShadowBlock.apply_ops`) plus one batched
         FastTrack pass per segment; everything else — host events, bulk
         accesses, unified mappings, overflow suspects — replays through
-        :meth:`on_access` *in place*, so findings land in the same order as
-        under per-access delivery.  Forensics and rich-metadata runs replay
-        wholesale: both sample per-event state around each transition.
+        :meth:`on_access` *in place*, so findings and flight-recorder
+        events land in the same order as under per-access delivery.
         """
         accesses = batch.accesses
-        if _forensics.ACTIVE is not None or self.record_access_metadata:
-            on_access = self.on_access
-            for access in accesses:
-                on_access(access)
-            return
         cols = batch.columns
         n = len(accesses)
         addr = cols.addresses
@@ -554,9 +563,11 @@ class Arbalest(Tool):
             if telemetry is not None:
                 telemetry.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
-        # (position, phase, access, uninit) — phase 0 = VSM issue, 1 = race;
-        # sorted at the end to reproduce per-access report order.
-        found: list[tuple[int, int, object, bool]] = []
+        recorder = _forensics.ACTIVE
+        # (position, phase, arg) — phase 0 = recorded transition (arg: the
+        # state labels before/after), 1 = VSM issue (arg: uninitialized),
+        # 2 = race; sorted at the end to reproduce per-access order.
+        found: list[tuple[int, int, object]] = []
         vsm_pos = seg[c == 3]
         if len(vsm_pos):
             order = np.argsort(bi[vsm_pos], kind="stable")
@@ -568,24 +579,36 @@ class Arbalest(Tool):
                 passes, remainder = first_occurrence_passes(gran[sel])
                 for p in passes:
                     pos = sel[p]
+                    g = gran[pos]
                     ops = np.where(
                         is_write[pos],
                         np.intp(VsmOp.WRITE_TARGET),
                         np.intp(VsmOp.READ_TARGET),
                     )
-                    illegal, uninit = block.apply_ops(gran[pos], ops)
+                    if recorder is not None:
+                        before = block.states(g)
+                    illegal, uninit = block.apply_ops(g, ops)
+                    if recorder is not None:
+                        after = block.states(g)
+                        for h in np.flatnonzero((after != before) | illegal).tolist():
+                            labels = (_STATE_NAMES[before[h]], _STATE_NAMES[after[h]])
+                            found.append((int(pos[h]), 0, labels))
                     for h in np.flatnonzero(illegal & ~is_write[pos]).tolist():
-                        p_abs = int(pos[h])
-                        found.append((p_abs, 0, accesses[p_abs], bool(uninit[h])))
+                        found.append((int(pos[h]), 1, bool(uninit[h])))
                 for r in remainder.tolist():
                     p_abs = int(sel[r])
                     access = accesses[p_abs]
+                    g = int(gran[p_abs])
                     op = VsmOp.WRITE_TARGET if access.is_write else VsmOp.READ_TARGET
-                    ill, uni = block.apply_scalar(
-                        int(gran[p_abs]), op, recs[int(ri[p_abs])].device_id
-                    )
+                    if recorder is not None:
+                        before = block.state_label(g)
+                    ill, uni = block.apply_scalar(g, op, recs[int(ri[p_abs])].device_id)
+                    if recorder is not None:
+                        after = block.state_label(g)
+                        if ill or after != before:
+                            found.append((p_abs, 0, (before, after)))
                     if ill and not access.is_write:
-                        found.append((p_abs, 0, access, bool(uni)))
+                        found.append((p_abs, 1, bool(uni)))
         if self.race_engine is not None:
             race_pos = seg[c != 1]  # cat 2 and 3: everything not cert-skipped
             if len(race_pos):
@@ -597,12 +620,16 @@ class Arbalest(Tool):
                     is_write[race_pos],
                 )
                 for p in racy:
-                    p_abs = int(race_pos[p])
-                    found.append((p_abs, 1, accesses[p_abs], False))
-        for p_abs, phase, access, uninit in sorted(found, key=lambda t: (t[0], t[1])):
+                    found.append((int(race_pos[p]), 2, None))
+        for p_abs, phase, arg in sorted(found, key=lambda t: (t[0], t[1])):
+            access = accesses[p_abs]
             if phase == 0:
+                self._record(
+                    recorder, blocks[int(bi[p_abs])], access.kind_label, access, *arg
+                )
+            elif phase == 1:
                 self._report_issue(
-                    access, blocks[int(bi[p_abs])], recs[int(ri[p_abs])], uninit
+                    access, blocks[int(bi[p_abs])], recs[int(ri[p_abs])], arg
                 )
             else:
                 self._report_race_finding(access)
@@ -758,26 +785,10 @@ class Arbalest(Tool):
                         first = False
                 if recorder is not None:
                     after = block.state_label(lo)
-                    # Steady-state accesses carry no causal information;
-                    # record only transitions and illegal reads.
                     if illegal or after != before:
-                        recorder.record(
-                            block.label,
-                            access.kind_label,
-                            device_id=access.device_id,
-                            location=access.location,
-                            state_before=before,
-                            state_after=after,
+                        self._record(
+                            recorder, block, access.kind_label, access, before, after
                         )
-                if self.record_access_metadata:
-                    block.record_access(
-                        lo,
-                        tid=min(access.thread_id, 0xFFF),
-                        clock=0,
-                        is_write=access.is_write,
-                        access_size=access.size if access.size in (1, 2, 4, 8) else 8,
-                        offset=access.address % 8,
-                    )
                 if not access.is_write and illegal:
                     self._report_issue(access, block, rec, uninit)
                 return
@@ -818,24 +829,10 @@ class Arbalest(Tool):
             after = block.state_label(rec_first)
             if after != before or bool(illegal.any()):
                 n = (idx.stop - idx.start) if type(idx) is slice else len(idx)
-                recorder.record(
-                    block.label,
-                    access.kind_label,
-                    device_id=access.device_id,
-                    location=access.location,
-                    state_before=before,
-                    state_after=after,
+                self._record(
+                    recorder, block, access.kind_label, access, before, after,
                     detail=f"{n} granule(s)",
                 )
-        if self.record_access_metadata:
-            block.record_access(
-                idx,
-                tid=min(access.thread_id, 0xFFF),
-                clock=0,
-                is_write=access.is_write,
-                access_size=access.size if access.size in (1, 2, 4, 8) else 8,
-                offset=access.address % 8,
-            )
         if not access.is_write and illegal.any():
             self._report_issue(access, block, rec, bool(uninit[illegal].all()))
 

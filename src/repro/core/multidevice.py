@@ -203,9 +203,6 @@ class MultiShadowBlock:
         self._init[i] = ini
         return illegal, uninit
 
-    def record_access(self, idx, **_: object) -> None:
-        """Access metadata is a Table-II (single-device) feature; no-op."""
-
     def validity_at(self, address: int) -> int:
         """The raw validity mask of one granule (bit 0 = host)."""
         u = self._uniform

@@ -409,20 +409,6 @@ class ShadowBlock:
                 )
         return illegal, uninit
 
-    def record_access(
-        self, idx, *, tid: int, clock: int, is_write: bool, access_size: int, offset: int
-    ) -> None:
-        """Stamp the Table II access-metadata fields (optional rich mode)."""
-        meta = np.uint64(
-            (tid << SHIFT_TID)
-            | (clock << SHIFT_CLOCK)
-            | (int(is_write) << BIT_IS_WRITE)
-            | (SIZE_CODES[access_size] << SHIFT_SIZE)
-            | (offset << SHIFT_OFFSET)
-        )
-        keep = np.uint64(0b1111)  # validity + init bits survive
-        self.words[idx] = (self.words[idx] & keep) | meta
-
     # -- inspection ----------------------------------------------------------
 
     def states(self, idx=slice(None)) -> np.ndarray:

@@ -269,6 +269,9 @@ class TargetRuntime:
     def free(self, array: HostArray) -> None:
         """``free()`` the host storage of ``array``."""
         self._arrays.pop(array.name, None)
+        # Record after the free publishes (and so flushes the accesses the
+        # bus still holds): the timeline keeps program order.
+        self.machine.host.free(array.base)
         recorder = _forensics.ACTIVE
         if recorder is not None:
             stack = self.machine.source.snapshot()
@@ -279,7 +282,6 @@ class TargetRuntime:
                 location=stack[0] if stack else UNKNOWN_LOCATION,
                 detail=f"{array.nbytes}B",
             )
-        self.machine.host.free(array.base)
 
     # -- directives ------------------------------------------------------------
 
@@ -748,15 +750,6 @@ class TargetRuntime:
         else:
             self.d2h_bytes += nbytes
         stack = machine.source.snapshot()
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            recorder.record(
-                entry.name,
-                "transfer",
-                device_id=dev.device_id,
-                location=stack[0] if stack else UNKNOWN_LOCATION,
-                detail=f"{kind.value} {nbytes}B",
-            )
         machine.bus.publish_memcpy(
             MemcpyEvent(
                 device_id=0,
@@ -769,6 +762,17 @@ class TargetRuntime:
                 stack=stack,
             )
         )
+        # Recorded after the publish, which flushes the accesses the bus
+        # still holds, so the accesses a transfer carries come first.
+        recorder = _forensics.ACTIVE
+        if recorder is not None:
+            recorder.record(
+                entry.name,
+                "transfer",
+                device_id=dev.device_id,
+                location=stack[0] if stack else UNKNOWN_LOCATION,
+                detail=f"{kind.value} {nbytes}B",
+            )
         machine.bus.publish_data_op(
             DataOp(
                 kind=kind,

@@ -311,16 +311,6 @@ class TestAccounting:
         hits, misses = det.mapping_lookup_stats()
         assert hits > 10 * misses
 
-    def test_metadata_recording_mode(self):
-        rt = TargetRuntime(n_devices=1)
-        det = Arbalest(record_access_metadata=True).attach(rt.machine)
-        a = rt.array("a", 8)
-        a.fill(1.0)
-        rt.machine.bus.flush_batch()
-        block = det.shadows.find(a.base)
-        word = block.word_at(a.base)
-        assert word["is_write"]
-
 
 class TestLookupCacheInvalidation:
     """The (block, record) last-lookup caches must never serve stale pairs."""

@@ -149,12 +149,24 @@ class TestShadowBlock:
         assert not illegal.any()
 
     def test_record_access_preserves_state_bits(self):
+        # Table II's access-metadata fields never overlap the validity and
+        # initialization bits the VSM transitions read and write.
         b = ShadowBlock(BASE, 8)
         b.apply(slice(0, 1), VsmOp.WRITE_HOST)
-        b.record_access(slice(0, 1), tid=5, clock=0, is_write=True, access_size=4, offset=2)
-        f = b.word_at(BASE)
+        state_bits = int(b.words[0])
+        word = pack_word(
+            VsmState.HOST,
+            ov_initialized=True,
+            tid=5,
+            clock=(1 << 42) - 1,
+            is_write=True,
+            access_size=4,
+            offset=2,
+        )
+        assert word & 0b1111 == state_bits
+        f = unpack_word(word)
         assert f["state"] is VsmState.HOST
-        assert f["ov_initialized"]
+        assert f["ov_initialized"] and not f["cv_initialized"]
         assert f["tid"] == 5 and f["access_size"] == 4 and f["offset"] == 2
 
     def test_shadow_nbytes(self):

@@ -210,6 +210,41 @@ class TestDisabledPath:
         ]
 
 
+class _CountingArbalest(Arbalest):
+    """Counts the detector's access entry points."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = {"on_access": 0, "on_batch": 0}
+
+    def on_access(self, access) -> None:
+        self.calls["on_access"] += 1
+        super().on_access(access)
+
+    def on_batch(self, batch) -> None:
+        self.calls["on_batch"] += 1
+        super().on_batch(batch)
+
+
+class TestBatchPath:
+    def test_recorder_keeps_the_batch_path(self):
+        # A recorder changes what is written down, not how accesses are
+        # processed: batches of MIN_BATCH or more stay vectorized.
+        def calls(recording: bool) -> dict:
+            rt = TargetRuntime(n_devices=2)
+            detector = _CountingArbalest().attach(rt.machine)
+            if recording:
+                with scope(FlightRecorder()):
+                    dracc_get(8).run(rt)
+            else:
+                dracc_get(8).run(rt)
+            return detector.calls
+
+        plain = calls(False)
+        assert plain["on_batch"] >= 1
+        assert calls(True) == plain
+
+
 class TestBoundedMemory:
     def test_rings_bounded_on_chatty_benchmark(self):
         # DRACC 22 reports the same site 256 times; a tiny ring must not
