@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import Arbalest
 from repro.openmp import TargetRuntime, to, tofrom
+from tests.per_access import per_access
 
 N = 256
 SWEEPS = 4
@@ -51,9 +52,12 @@ def test_lookup_cost(benchmark, cached):
 def test_cache_hit_rate_mechanism():
     """With the cache on, almost every device access is a cache hit —
     alternating between two arrays still hits because each bulk/scalar
-    access re-checks the cached interval first."""
+    access re-checks the cached interval first.
+
+    Per-access delivery: batched delivery resolves each mapping once per
+    segment, so the cache only serves the per-access path."""
     rt = TargetRuntime(n_devices=1)
-    det = Arbalest(race_detection=False).attach(rt.machine)
+    det = per_access(Arbalest)(race_detection=False).attach(rt.machine)
     access_heavy_program(rt)
     rt.finalize()
     hits, misses = det.mapping_lookup_stats()

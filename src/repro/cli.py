@@ -640,8 +640,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .harness import PROFILE_CLOCKS, PROFILE_SUITES, run_profile
-    from .telemetry import render_self_time_table
+    from .harness import PROFILE_SUITES, run_profile
 
     if args.suite not in PROFILE_SUITES:
         print(
@@ -656,7 +655,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             benchmark=args.benchmark,
             workload=args.workload,
             preset=args.preset,
-            clock=args.clock,
             output=args.output,
             metrics_output=args.metrics,
         )
@@ -671,14 +669,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"repro profile: error: {exc}", file=sys.stderr)
         return 2
-    telemetry = payload["telemetry"]
     print(
         f"profiled {payload['target']} under arbalest "
-        f"(clock={payload['clock']}, {payload['span_count']} spans across "
+        f"({payload['span_count']} spans across "
         f"layers: {', '.join(payload['span_layers'])})"
     )
-    print()
-    print(render_self_time_table(telemetry))
     snapshot = payload["snapshot"]
     gauges = snapshot["gauges"]
     print()
@@ -1120,7 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--benchmark", type=int, default=22)
     pp.add_argument("--workload", default="postencil")
     pp.add_argument("--preset", default="test", choices=("test", "train", "ref"))
-    pp.add_argument("--clock", default="ordinal", choices=("ordinal", "wall"))
     pp.add_argument("--output", default="trace.json")
     pp.add_argument(
         "--metrics",

@@ -24,7 +24,7 @@ from .hybrid import (
     run_benchmark_hybrid,
     run_hybrid_comparison,
 )
-from .profile import PROFILE_CLOCKS, PROFILE_SUITES, inventory, run_profile
+from .profile import PROFILE_SUITES, inventory, run_profile
 from .report import REPORT_SUITES, run_report
 from .synth import (
     SynthMatrixResult,
@@ -82,7 +82,6 @@ __all__ = [
     "REPORT_SUITES",
     "inventory",
     "PROFILE_SUITES",
-    "PROFILE_CLOCKS",
     "CHAOS_SUITES",
     "MAX_EVENT_FAULT_DIVERGENCE",
     "run_serve_suite",

@@ -9,15 +9,15 @@ edges, lookup-cache hits, quarantine events, per-tool findings).
 
 Artifacts:
 
-* ``trace.json`` — Chrome Trace Event JSON; open in ``chrome://tracing``
-  or https://ui.perfetto.dev;
-* an optional metrics snapshot JSON (counters/gauges/histograms);
-* a per-phase self-time table on stdout (rendered by the CLI).
+* ``trace.json`` — the span log as a stitched Chrome Trace Event document
+  (the same writer the serve stack uses); open in ``chrome://tracing`` or
+  https://ui.perfetto.dev;
+* an optional metrics snapshot JSON (counters/gauges/histograms).
 
-With the default event-ordinal clock both artifacts are *byte-identical*
-across repeated runs of the same target — they are diffable CI artifacts,
-not just local profiles.  ``clock="wall"`` trades that determinism for real
-seconds.
+Spans are stamped with the event-ordinal clock, so both artifacts are
+*byte-identical* across repeated runs of the same target — they are
+diffable CI artifacts, not just local profiles.  Seconds per layer come
+from ``perfbench/run.py --workload W --trace 1``.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import json
 
 from ..core.detector import Arbalest
 from ..dracc.registry import all_benchmarks, get as dracc_get
+from ..observe.spans import write_stitched_trace
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, workload as workload_get
-from ..telemetry import Telemetry, chrome_trace, scope, self_times
+from ..telemetry import Telemetry, scope
 
 #: Valid ``--suite`` selections for the profile CLI.
 PROFILE_SUITES = ("dracc", "specaccel")
-
-#: Valid ``--clock`` selections.
-PROFILE_CLOCKS = ("ordinal", "wall")
 
 
 def run_profile(
@@ -43,7 +41,6 @@ def run_profile(
     benchmark: int = 22,
     workload: str = "postencil",
     preset: str = "test",
-    clock: str = "ordinal",
     output: str = "trace.json",
     metrics_output: str | None = None,
 ) -> dict:
@@ -59,12 +56,8 @@ def run_profile(
         raise ValueError(
             f"unknown suite {suite!r} (valid choices: {', '.join(PROFILE_SUITES)})"
         )
-    if clock not in PROFILE_CLOCKS:
-        raise ValueError(
-            f"unknown clock {clock!r} (valid choices: {', '.join(PROFILE_CLOCKS)})"
-        )
 
-    telemetry = Telemetry(wall_clock=(clock == "wall"))
+    telemetry = Telemetry()
     with scope(telemetry):
         if suite == "dracc":
             bench = dracc_get(benchmark)  # KeyError -> caller's 1..56 message
@@ -88,11 +81,10 @@ def run_profile(
             telemetry.gauge(f"detector.{key}", value)
         telemetry.gauge("detector.shadow_bytes", detector.shadow_bytes())
 
-    trace = chrome_trace(telemetry)
     with open(output, "w") as sink:
-        json.dump(trace, sink, indent=2, sort_keys=True)
-        sink.write("\n")
+        write_stitched_trace([telemetry.span_log], sink)
     snapshot = telemetry.snapshot()
+    spans = telemetry.span_log.spans
     if metrics_output is not None:
         with open(metrics_output, "w") as sink:
             json.dump(snapshot, sink, indent=2, sort_keys=True)
@@ -101,15 +93,12 @@ def run_profile(
     return {
         "suite": suite,
         "target": target,
-        "clock": clock,
         "output": output,
         "metrics_output": metrics_output,
-        "span_count": len(telemetry.spans),
-        "span_layers": sorted({s.cat for s in telemetry.spans}),
-        "self_times": self_times(telemetry),
+        "span_count": len(spans),
+        "span_layers": sorted({span["cat"] for span in spans}),
         "snapshot": snapshot,
         "findings": len(detector.findings),
-        "telemetry": telemetry,
     }
 
 

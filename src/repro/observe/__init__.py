@@ -3,11 +3,13 @@
 PR-3's :mod:`repro.telemetry` measures one *run* after the fact; this
 package watches a *service* while it is up:
 
-* :mod:`~repro.observe.log` — structured JSONL event logging with the
-  ``ACTIVE``/``scope`` zero-overhead discipline;
+* :mod:`~repro.observe.log` — structured JSONL event logging on an
+  ordinal clock; a server logs through its observer's ``log``;
 * :mod:`~repro.observe.spans` — per-process span logs and the stitcher
   that merges client, server, and shard spans into one cross-process
-  Chrome trace, correlated by ``(client, seq)``;
+  Chrome trace, correlated by ``(client, seq)``; the telemetry registry
+  keeps its in-process spans in a span log too, so ``repro profile``
+  writes its trace through the same stitcher;
 * :mod:`~repro.observe.slo` — declarative SLO specs and the burn/clear
   watchdog behind ``/healthz``;
 * :mod:`~repro.observe.observer` — the per-server bundle wiring all of

@@ -15,25 +15,17 @@ same identity fields the wire format does:
 * ``client`` / ``seq`` / ``shard`` — the frame identity, when the event
   concerns one.
 
-Scoping mirrors :mod:`repro.telemetry.registry`: instrumentation sites
-consult the module attribute :data:`ACTIVE`, which is ``None`` by default —
-the disabled fast path is one attribute load and an ``is not None`` check,
-and no logger object exists.  ``repro serve --log-file`` activates one for
-the process; harnesses activate one per session.
+There is no module-level switch: a server logs through its observer's
+``log`` (``ServeObserver.log``), and ``repro serve --log-file`` hands the
+front end its own logger.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO
 
-__all__ = ["ACTIVE", "ObserveLog", "scope", "emit"]
-
-#: The currently active logger, or ``None`` (structured logging disabled).
-#: Instrumentation sites read this attribute directly; only :func:`scope`
-#: (and explicit front-end wiring) should write it.
-ACTIVE: "ObserveLog | None" = None
+__all__ = ["ObserveLog"]
 
 
 class ObserveLog:
@@ -104,26 +96,3 @@ class ObserveLog:
             "evicted": self.evicted,
         }
 
-
-@contextmanager
-def scope(log: ObserveLog) -> Iterator[ObserveLog]:
-    """Activate ``log`` for the dynamic extent of the block (re-entrant)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = log
-    try:
-        yield log
-    finally:
-        ACTIVE = previous
-
-
-def emit(event: str, **fields) -> None:
-    """Log to the active logger, if any.
-
-    Hot paths should guard with ``if _observe_log.ACTIVE is not None:``
-    before building keyword arguments — this helper exists for warm paths
-    (restarts, errors, lifecycle) where one extra call is immaterial.
-    """
-    log = ACTIVE
-    if log is not None:
-        log.event(event, **fields)

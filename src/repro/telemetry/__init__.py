@@ -1,23 +1,14 @@
-"""Telemetry: deterministic metrics, pipeline spans, Chrome-trace export.
+"""Telemetry: deterministic metrics and pipeline spans.
 
 See :mod:`repro.telemetry.registry` for the metric/span registry and the
-scoping rules, and :mod:`repro.telemetry.trace` for the Chrome Trace Event
-export and self-time attribution.
+scoping rules; :func:`repro.observe.spans.write_stitched_trace` writes the
+registry's span log as Chrome Trace Event JSON.
 """
 
-from .registry import Histogram, SpanRecord, Telemetry, scope
-from .trace import chrome_trace, render_self_time_table, self_times
+from .registry import Histogram, Telemetry, scope
 
 # NOTE: the live enabled/disabled switch is ``registry.ACTIVE`` — read it
 # through the module (``from repro.telemetry import registry``), never as a
 # from-import, which would freeze the value at import time.
 
-__all__ = [
-    "Telemetry",
-    "Histogram",
-    "SpanRecord",
-    "scope",
-    "chrome_trace",
-    "self_times",
-    "render_self_time_table",
-]
+__all__ = ["Telemetry", "Histogram", "scope"]

@@ -6,19 +6,16 @@ One :class:`Telemetry` instance holds every metric of one measured run:
   transfers", "how many VSM transitions VALID_HOST->CONSISTENT");
 * **gauges** — last-written values ("live mappings", "shadow bytes");
 * **histograms** — power-of-two bucketed distributions ("transfer sizes");
-* **spans** — begin/end intervals forming the pipeline trace, exported to
-  Chrome Trace Event JSON by :mod:`repro.telemetry.trace`.
+* **spans** — begin/end intervals forming the pipeline trace, kept in a
+  :class:`~repro.observe.spans.SpanLog` and written as Chrome Trace Event
+  JSON by :func:`~repro.observe.spans.write_stitched_trace`.
 
-Two clocks drive the spans, chosen at construction time:
-
-* the **event-ordinal clock** (default) stamps every span boundary with the
-  next value of a per-registry counter.  Ordinals depend only on the event
-  sequence, so two runs of a deterministic program produce *byte-identical*
-  telemetry artifacts — the same guarantee the chaos layer makes for fault
-  schedules, extended to observability;
-* the **wall clock** (``wall_clock=True``) additionally stamps
-  ``time.perf_counter()`` at every boundary, for real self-time profiles at
-  the cost of determinism.
+The span log's **event-ordinal clock** stamps every span boundary with the
+next value of a per-registry counter.  Ordinals depend only on the event
+sequence, so two runs of a deterministic program produce *byte-identical*
+telemetry artifacts — the same guarantee the chaos layer makes for fault
+schedules, extended to observability.  Seconds per layer are measured by
+``perfbench/run.py --trace 1``, not here.
 
 Scoping
 -------
@@ -41,7 +38,6 @@ span records allocated.  A measured run activates a registry explicitly:
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -110,96 +106,31 @@ class Histogram:
         }
 
 
-class _Span:
-    """Context manager recording one open span (allocated only when enabled)."""
+class _Discard(list):
+    """A span list that keeps nothing: a metrics-only registry's records."""
 
-    __slots__ = ("_t", "cat", "name", "tid", "args", "ord_begin", "wall_begin")
+    __slots__ = ()
 
-    def __init__(self, t: "Telemetry", cat: str, name: str, tid: int, args: dict):
-        self._t = t
-        self.cat = cat
-        self.name = name
-        self.tid = tid
-        self.args = args
-
-    def __enter__(self) -> "_Span":
-        t = self._t
-        t.ordinal += 1
-        self.ord_begin = t.ordinal
-        self.wall_begin = time.perf_counter() if t.wall_clock else 0.0
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        t = self._t
-        t.ordinal += 1
-        if not t.record_spans:
-            return False
-        wall_end = time.perf_counter() if t.wall_clock else 0.0
-        t.spans.append(
-            SpanRecord(
-                cat=self.cat,
-                name=self.name,
-                tid=self.tid,
-                ord_begin=self.ord_begin,
-                ord_end=t.ordinal,
-                wall_begin=self.wall_begin,
-                wall_end=wall_end,
-                args=self.args,
-            )
-        )
-        return False
-
-
-class SpanRecord:
-    """One finished span: both clocks, category/name, free-form args."""
-
-    __slots__ = (
-        "cat", "name", "tid", "ord_begin", "ord_end",
-        "wall_begin", "wall_end", "args",
-    )
-
-    def __init__(
-        self,
-        *,
-        cat: str,
-        name: str,
-        tid: int,
-        ord_begin: int,
-        ord_end: int,
-        wall_begin: float,
-        wall_end: float,
-        args: dict,
-    ) -> None:
-        self.cat = cat
-        self.name = name
-        self.tid = tid
-        self.ord_begin = ord_begin
-        self.ord_end = ord_end
-        self.wall_begin = wall_begin
-        self.wall_end = wall_end
-        self.args = args
-
-    def duration(self, *, wall: bool) -> float:
-        if wall:
-            return self.wall_end - self.wall_begin
-        return self.ord_end - self.ord_begin
+    def append(self, record) -> None:
+        pass
 
 
 class Telemetry:
     """One run's worth of counters, gauges, histograms, and spans."""
 
-    def __init__(self, *, wall_clock: bool = False, record_spans: bool = True) -> None:
-        self.wall_clock = wall_clock
-        #: ``False`` keeps counters/gauges/histograms (and the ordinal
-        #: clock) but drops span records — metrics-only mode for long
-        #: campaigns where a full trace would not fit in memory.
-        self.record_spans = record_spans
+    def __init__(self, *, record_spans: bool = True) -> None:
+        # Imported here: repro.observe imports Histogram from this module.
+        from ..observe.spans import SpanLog
+
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.spans: list[SpanRecord] = []
-        #: The event-ordinal clock: advanced at every span boundary.
-        self.ordinal = 0
+        #: The run's spans; its ordinal is the registry's one clock.
+        self.span_log = SpanLog("telemetry")
+        if not record_spans:
+            # Metrics-only mode for long campaigns where a full trace would
+            # not fit in memory: the clock still ticks, no record is kept.
+            self.span_log.spans = _Discard()
 
     # -- metrics -----------------------------------------------------------
 
@@ -217,6 +148,10 @@ class Telemetry:
 
     # -- clock -------------------------------------------------------------
 
+    @property
+    def ordinal(self) -> int:
+        return self.span_log.ordinal
+
     def tick(self) -> int:
         """Advance the event-ordinal clock by one and return the new value.
 
@@ -224,31 +159,36 @@ class Telemetry:
         (the forensics flight recorder) share the same clock through this
         method so their timestamps interleave deterministically with spans.
         """
-        self.ordinal += 1
-        return self.ordinal
+        return self.span_log.tick()
 
     # -- spans -------------------------------------------------------------
 
-    def span(self, cat: str, name: str, *, tid: int = 0, **args) -> _Span:
-        """Open a span; use as ``with t.span("runtime", "kernel:foo"): ...``."""
-        return _Span(self, cat, name, tid, args)
+    def span(self, cat: str, name: str, *, tid: int = 0, **args):
+        """Open a span; use as ``with t.span("runtime", "kernel:foo"): ...``.
+
+        The logical thread ``tid`` is recorded as a tag beside ``args``.
+        """
+        return self.span_log.span(name, cat=cat, tid=tid, **args)
 
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """All metrics as a stable, JSON-serializable dict.
 
-        Keys are sorted so ``json.dumps`` of two identical runs under the
-        ordinal clock compares byte-for-byte.
+        Keys are sorted so ``json.dumps`` of two identical runs compares
+        byte-for-byte.
         """
         return {
-            "clock": "wall" if self.wall_clock else "ordinal",
+            "clock": "ordinal",
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
             "histograms": {
                 k: self.histograms[k].snapshot() for k in sorted(self.histograms)
             },
-            "spans": {"finished": len(self.spans), "ordinal_ticks": self.ordinal},
+            "spans": {
+                "finished": len(self.span_log.spans),
+                "ordinal_ticks": self.span_log.ordinal,
+            },
         }
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness import PROFILE_CLOCKS, PROFILE_SUITES, inventory, run_profile
+from repro.harness import PROFILE_SUITES, inventory, run_profile
 
 
 class TestRunProfile:
@@ -13,14 +13,10 @@ class TestRunProfile:
         payload = run_profile(suite="dracc", benchmark=22, output=str(out))
         assert payload["suite"] == "dracc"
         assert payload["target"] == "DRACC_OMP_022"
-        assert payload["clock"] == "ordinal"
         assert payload["span_count"] > 0
         # The acceptance bar: spans from at least the three core layers.
         assert {"runtime", "bus", "detector"} <= set(payload["span_layers"])
         assert payload["findings"] >= 1  # DRACC 22 is a buggy benchmark
-        assert payload["self_times"]
-        for row in payload["self_times"]:
-            assert row["self"] <= row["total"]
 
     def test_trace_file_round_trips_json(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -28,7 +24,7 @@ class TestRunProfile:
         trace = json.load(out.open())
         assert isinstance(trace["traceEvents"], list)
         assert trace["traceEvents"]
-        cats = {e["cat"] for e in trace["traceEvents"]}
+        cats = {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"runtime", "bus", "detector"} <= cats
 
     def test_metrics_file_written(self, tmp_path):
@@ -50,25 +46,12 @@ class TestRunProfile:
         )
         assert payload["target"] == "503.postencil"
 
-    def test_wall_clock_payload(self, tmp_path):
-        out = tmp_path / "trace.json"
-        payload = run_profile(
-            suite="dracc", benchmark=1, clock="wall", output=str(out)
-        )
-        assert payload["clock"] == "wall"
-        assert any(r["self"] > 0 for r in payload["self_times"])
-
     def test_unknown_suite_raises(self, tmp_path):
         with pytest.raises(ValueError, match="unknown suite 'bogus'"):
             run_profile(suite="bogus", output=str(tmp_path / "t.json"))
 
-    def test_unknown_clock_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown clock 'cesium'"):
-            run_profile(clock="cesium", output=str(tmp_path / "t.json"))
-
     def test_suite_constants(self):
         assert PROFILE_SUITES == ("dracc", "specaccel")
-        assert PROFILE_CLOCKS == ("ordinal", "wall")
 
 
 class TestInventory:

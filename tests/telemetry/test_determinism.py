@@ -1,6 +1,6 @@
 """The two headline telemetry guarantees.
 
-1. **Determinism** — under the event-ordinal clock, two runs of the same
+1. **Determinism** — on the event-ordinal clock, two runs of the same
    target produce byte-identical trace and metrics artifacts.
 2. **Zero disabled-mode cost** — with no active registry the instrumented
    hot paths allocate nothing inside the telemetry package.
@@ -39,7 +39,7 @@ class TestByteIdenticalArtifacts:
 
     def test_dracc_profile_byte_identical(self, tmp_path):
         (trace_a, metrics_a), (trace_b, metrics_b) = self._profile_twice(
-            tmp_path, suite="dracc", benchmark=22, clock="ordinal"
+            tmp_path, suite="dracc", benchmark=22
         )
         assert trace_a == trace_b
         assert metrics_a == metrics_b
@@ -50,7 +50,6 @@ class TestByteIdenticalArtifacts:
             suite="specaccel",
             workload="pcg",
             preset="test",
-            clock="ordinal",
         )
         assert trace_a == trace_b
         assert metrics_a == metrics_b
@@ -90,7 +89,7 @@ class TestInstrumentationCoverage:
         t = Telemetry()
         with scope(t):
             _run_dracc(22)
-        layers = {s.cat for s in t.spans}
+        layers = {s["cat"] for s in t.span_log.spans}
         assert {"runtime", "bus", "detector"} <= layers
 
     def test_counters_cover_runtime_detector_tools_and_vsm(self):

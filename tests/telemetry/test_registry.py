@@ -2,14 +2,9 @@
 
 import json
 
-from repro.telemetry import (
-    Histogram,
-    Telemetry,
-    chrome_trace,
-    scope,
-    self_times,
-    render_self_time_table,
-)
+from repro.harness import run_profile
+from repro.observe import SpanLog, spans_by_frame, stitch_traces
+from repro.telemetry import Histogram, Telemetry, scope
 from repro.telemetry import registry as telemetry_registry
 
 
@@ -68,34 +63,28 @@ class TestSpans:
         with t.span("cat", "outer", tid=3, device=1):
             with t.span("cat", "inner"):
                 pass
-        assert len(t.spans) == 2
-        outer = next(s for s in t.spans if s.name == "outer")
-        inner = next(s for s in t.spans if s.name == "inner")
-        assert outer.tid == 3
-        assert outer.args == {"device": 1}
+        spans = t.span_log.spans
+        assert len(spans) == 2
+        outer = next(s for s in spans if s["name"] == "outer")
+        inner = next(s for s in spans if s["name"] == "inner")
+        # The logical thread rides in the tags beside the span's args.
+        assert outer["tags"] == {"tid": 3, "device": 1}
         # Ordinals advance at every boundary: proper containment.
-        assert outer.ord_begin < inner.ord_begin < inner.ord_end < outer.ord_end
+        assert outer["b"] < inner["b"] < inner["e"] < outer["e"]
 
     def test_ordinal_clock_has_no_wall_timestamps(self):
         t = Telemetry()
         with t.span("cat", "s"):
             pass
-        span = t.spans[0]
-        assert span.wall_begin == 0.0 and span.wall_end == 0.0
-        assert span.duration(wall=False) > 0
-
-    def test_wall_clock_stamps_perf_counter(self):
-        t = Telemetry(wall_clock=True)
-        with t.span("cat", "s"):
-            pass
-        span = t.spans[0]
-        assert span.wall_end >= span.wall_begin > 0.0
+        (span,) = t.span_log.spans
+        assert set(span) == {"name", "cat", "b", "e", "tags"}
+        assert span["e"] - span["b"] > 0
 
     def test_record_spans_false_keeps_ordinal_but_drops_records(self):
         t = Telemetry(record_spans=False)
         with t.span("cat", "s"):
             t.count("inside")
-        assert t.spans == []
+        assert t.span_log.spans == []
         assert t.ordinal == 2  # the clock still ticked at both boundaries
         assert t.counters == {"inside": 1}
 
@@ -145,83 +134,51 @@ class TestSnapshot:
 
 
 class TestChromeTrace:
-    def _traced(self):
+    """``repro profile`` writes the registry's spans as a stitched document."""
+
+    def _profiled(self, tmp_path):
+        out = tmp_path / "trace.json"
+        run_profile(suite="dracc", benchmark=22, output=str(out))
+        return json.loads(out.read_text())
+
+    def test_complete_events_with_required_keys(self, tmp_path):
+        trace = self._profiled(tmp_path)
+        assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
+        assert trace["otherData"]["clock"] == "ordinal"
+        assert trace["otherData"]["processes"] == ["telemetry"]
+        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert complete
+        for event in complete:
+            for key in ("name", "cat", "ph", "pid", "tid", "ts", "dur"):
+                assert key in event
+            assert "tid" in event["args"]  # the logical thread, as a tag
+        others = [e for e in trace["traceEvents"] if e["ph"] != "X"]
+        assert [(e["ph"], e["name"]) for e in others] == [("M", "process_name")]
+
+    def test_events_sorted_parents_first(self):
         t = Telemetry()
         with t.span("runtime", "target:k", tid=1, device=0):
             with t.span("bus", "arbalest.on_data_op", tid=1):
                 pass
-        return t
+        events = stitch_traces([t.span_log])["traceEvents"]
+        spans = sorted((e for e in events if e["ph"] == "X"), key=lambda e: e["ts"])
+        assert [e["name"] for e in spans] == ["target:k", "arbalest.on_data_op"]
+        parent, child = spans
+        assert child["ts"] + child["dur"] < parent["ts"] + parent["dur"]
 
-    def test_complete_events_with_required_keys(self):
-        trace = chrome_trace(self._traced())
-        assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
-        assert trace["otherData"]["clock"] == "ordinal"
-        assert len(trace["traceEvents"]) == 2
-        for event in trace["traceEvents"]:
-            for key in ("name", "cat", "ph", "pid", "tid", "ts", "dur"):
-                assert key in event
-            assert event["ph"] == "X"
-
-    def test_events_sorted_parents_first(self):
-        events = chrome_trace(self._traced())["traceEvents"]
-        assert [e["name"] for e in events] == ["target:k", "arbalest.on_data_op"]
-
-    def test_round_trips_json(self):
-        trace = chrome_trace(self._traced())
+    def test_round_trips_json(self, tmp_path):
+        trace = self._profiled(tmp_path)
         assert json.loads(json.dumps(trace)) == trace
 
-
-class TestSelfTimes:
-    def test_self_excludes_direct_children(self):
+    def test_stitches_with_a_serve_span_log(self):
         t = Telemetry()
-        with t.span("runtime", "outer"):  # ticks: 1 .. 8
-            with t.span("bus", "child"):  # 2 .. 5
-                with t.span("detector", "grandchild"):  # 3 .. 4
-                    pass
-            with t.span("bus", "child"):  # 6 .. 7
-                pass
-        rows = {(r["cat"], r["name"]): r for r in self_times(t)}
-        outer = rows[("runtime", "outer")]
-        child = rows[("bus", "child")]
-        grand = rows[("detector", "grandchild")]
-        assert outer["total"] == 7  # ordinals 1..8
-        # outer's direct children are the two 'child' spans only; the
-        # grandchild is charged against its own parent, not outer.
-        assert outer["self"] == outer["total"] - child["total"]
-        assert child["self"] == child["total"] - grand["total"]
-        assert grand["self"] == grand["total"]
-
-    def test_sorted_by_self_descending(self):
-        t = Telemetry()
-        with t.span("a", "big"):
-            with t.span("b", "small"):
-                pass
-        rows = self_times(t)
-        assert [r["self"] for r in rows] == sorted(
-            (r["self"] for r in rows), reverse=True
-        )
-
-    def test_separate_tids_do_not_nest(self):
-        t = Telemetry()
-        with t.span("a", "t0", tid=0):
-            with t.span("a", "t1", tid=1):
-                pass
-        rows = {r["name"]: r for r in self_times(t)}
-        # Different logical thread: t1 is not a child of t0.
-        assert rows["t0"]["self"] == rows["t0"]["total"]
-
-    def test_render_table(self):
-        t = Telemetry()
-        with t.span("runtime", "target:k"):
+        with t.span("runtime", "target:k", tid=1, client=7, seq=3):
             pass
-        table = render_self_time_table(t)
-        assert "layer" in table and "self%" in table
-        assert "target:k" in table
-
-    def test_render_table_limit_overflow_row(self):
-        t = Telemetry()
-        for i in range(5):
-            with t.span("cat", f"span{i}"):
-                pass
-        table = render_self_time_table(t, limit=2)
-        assert "(3 more spans)" in table
+        server = SpanLog("server")
+        with server.span("handle:EVENT", client=7, seq=3):
+            pass
+        document = stitch_traces([t.span_log, server])
+        assert document["otherData"]["processes"] == ["server", "telemetry"]
+        (frame,) = spans_by_frame(document).values()
+        assert sorted(e["name"] for e in frame) == ["handle:EVENT", "target:k"]
+        assert {e["pid"] for e in frame} == {0, 1}

@@ -59,14 +59,8 @@ class TestParser:
         assert args.suite == "dracc"
         assert args.benchmark == 22
         assert args.workload == "postencil"
-        assert args.clock == "ordinal"
         assert args.output == "trace.json"
         assert args.metrics is None
-
-    def test_profile_clock_validation(self):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["profile", "--clock", "cesium"])
-        assert exc_info.value.code == 2
 
     def test_telemetry_flags(self):
         assert build_parser().parse_args(["bench", "--telemetry"]).telemetry
@@ -281,10 +275,10 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "profiled DRACC_OMP_022 under arbalest" in out
-        assert "self%" in out  # the self-time table rendered
+        assert "spans across layers: bus, detector, runtime" in out
         assert "wrote" in out
         trace = json.loads(out_file.read_text())
-        cats = {e["cat"] for e in trace["traceEvents"]}
+        cats = {e["cat"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert {"runtime", "bus", "detector"} <= cats
 
     def test_profile_unknown_benchmark_exits_2_with_one_line(self, capsys):
