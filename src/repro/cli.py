@@ -557,7 +557,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"Serve bench (suite={payload['suite']}, "
             f"shards={payload['n_shards']}): "
-            f"{payload['events']} events in {payload['frames']} frames"
+            f"{payload['events']} events in {payload['frames']} frames, "
+            f"{payload['wire_bytes']} wire bytes"
         )
         print(
             f"  throughput: {s['events_per_sec']:.0f} events/sec, "

@@ -50,11 +50,11 @@ from .source import SourceLocation, UNKNOWN_LOCATION
 FORMAT_VERSION = 1
 
 
-def _stack_to_json(stack: tuple[SourceLocation, ...]) -> list[list]:
+def stack_to_json(stack: tuple[SourceLocation, ...]) -> list[list]:
     return [[f.file, f.line, f.column, f.function] for f in stack]
 
 
-def _stack_from_json(data: list[list]) -> tuple[SourceLocation, ...]:
+def stack_from_json(data: list[list]) -> tuple[SourceLocation, ...]:
     if not data:
         return (UNKNOWN_LOCATION,)
     return tuple(SourceLocation(f, l, c, fn) for f, l, c, fn in data)
@@ -74,7 +74,7 @@ def event_to_json(event: object) -> dict:
             "count": event.count,
             "stride": event.stride,
             "origin": event.origin.value,
-            "stack": _stack_to_json(event.stack),
+            "stack": stack_to_json(event.stack),
         }
     if isinstance(event, DataOp):
         return {
@@ -86,7 +86,7 @@ def event_to_json(event: object) -> dict:
             "ov": event.ov_address,
             "cv": event.cv_address,
             "n": event.nbytes,
-            "stack": _stack_to_json(event.stack),
+            "stack": stack_to_json(event.stack),
         }
     if isinstance(event, MemcpyEvent):
         return {
@@ -99,7 +99,7 @@ def event_to_json(event: object) -> dict:
             "src_dev": event.src_device,
             "src": event.src_address,
             "n": event.nbytes,
-            "stack": _stack_to_json(event.stack),
+            "stack": stack_to_json(event.stack),
         }
     if isinstance(event, KernelEvent):
         return {
@@ -111,7 +111,7 @@ def event_to_json(event: object) -> dict:
             "tid": event.thread_id,
             "nowait": event.nowait,
             "name": event.name,
-            "stack": _stack_to_json(event.stack),
+            "stack": stack_to_json(event.stack),
         }
     if isinstance(event, AllocationEvent):
         return {
@@ -124,7 +124,7 @@ def event_to_json(event: object) -> dict:
             "free": event.is_free,
             "storage": event.storage,
             "label": event.label,
-            "stack": _stack_to_json(event.stack),
+            "stack": stack_to_json(event.stack),
         }
     if isinstance(event, SyncEvent):
         return {
@@ -147,8 +147,8 @@ def event_to_json(event: object) -> dict:
     raise TypeError(f"not a traceable event: {event!r}")
 
 
-def _require_int(data: dict, tag: str, key: str, *, minimum: int) -> int:
-    """Fetch a declared numeric field, rejecting non-ints and underflows.
+def check_int(tag: str, key: str, value, *, minimum: int) -> int:
+    """Validate a declared numeric field, rejecting non-ints and underflows.
 
     A record that survived JSON parsing can still be semantically mangled —
     a truncated transport write, a buggy client.  Accepting a negative or
@@ -156,7 +156,6 @@ def _require_int(data: dict, tag: str, key: str, *, minimum: int) -> int:
     short record was silently zero-filled into a bogus event); rejecting it
     turns the damage into one skipped, *tallied* record instead.
     """
-    value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(
             f"{tag} record field {key!r} must be an integer, got {value!r}"
@@ -179,10 +178,10 @@ def event_from_json(data: dict) -> object:
     """
     tag = data["t"]
     if tag == "access":
-        _require_int(data, tag, "addr", minimum=0)
-        _require_int(data, tag, "size", minimum=1)
-        _require_int(data, tag, "count", minimum=1)
-        _require_int(data, tag, "stride", minimum=0)
+        check_int(tag, "addr", data["addr"], minimum=0)
+        check_int(tag, "size", data["size"], minimum=1)
+        check_int(tag, "count", data["count"], minimum=1)
+        check_int(tag, "stride", data["stride"], minimum=0)
         return Access(
             device_id=data["dev"],
             thread_id=data["tid"],
@@ -192,12 +191,12 @@ def event_from_json(data: dict) -> object:
             count=data["count"],
             stride=data["stride"],
             origin=AccessOrigin(data["origin"]),
-            stack_ref=_stack_from_json(data["stack"]),
+            stack_ref=stack_from_json(data["stack"]),
         )
     if tag == "data_op":
-        _require_int(data, tag, "ov", minimum=0)
-        _require_int(data, tag, "cv", minimum=0)
-        _require_int(data, tag, "n", minimum=0)
+        check_int(tag, "ov", data["ov"], minimum=0)
+        check_int(tag, "cv", data["cv"], minimum=0)
+        check_int(tag, "n", data["n"], minimum=0)
         return DataOp(
             kind=DataOpKind(data["kind"]),
             device_id=data["dev"],
@@ -205,12 +204,12 @@ def event_from_json(data: dict) -> object:
             ov_address=data["ov"],
             cv_address=data["cv"],
             nbytes=data["n"],
-            stack=_stack_from_json(data["stack"]),
+            stack=stack_from_json(data["stack"]),
         )
     if tag == "memcpy":
-        _require_int(data, tag, "dst", minimum=0)
-        _require_int(data, tag, "src", minimum=0)
-        _require_int(data, tag, "n", minimum=0)
+        check_int(tag, "dst", data["dst"], minimum=0)
+        check_int(tag, "src", data["src"], minimum=0)
+        check_int(tag, "n", data["n"], minimum=0)
         return MemcpyEvent(
             device_id=data["dev"],
             thread_id=data["tid"],
@@ -219,7 +218,7 @@ def event_from_json(data: dict) -> object:
             src_device=data["src_dev"],
             src_address=data["src"],
             nbytes=data["n"],
-            stack=_stack_from_json(data["stack"]),
+            stack=stack_from_json(data["stack"]),
         )
     if tag == "kernel":
         return KernelEvent(
@@ -229,11 +228,11 @@ def event_from_json(data: dict) -> object:
             thread_id=data["tid"],
             nowait=data["nowait"],
             name=data["name"],
-            stack=_stack_from_json(data["stack"]),
+            stack=stack_from_json(data["stack"]),
         )
     if tag == "alloc":
-        _require_int(data, tag, "addr", minimum=0)
-        _require_int(data, tag, "n", minimum=0)
+        check_int(tag, "addr", data["addr"], minimum=0)
+        check_int(tag, "n", data["n"], minimum=0)
         return AllocationEvent(
             device_id=data["dev"],
             thread_id=data["tid"],
@@ -242,7 +241,7 @@ def event_from_json(data: dict) -> object:
             is_free=data["free"],
             storage=data["storage"],
             label=data["label"],
-            stack=_stack_from_json(data["stack"]),
+            stack=stack_from_json(data["stack"]),
         )
     if tag == "sync":
         return SyncEvent(

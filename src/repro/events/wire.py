@@ -10,10 +10,12 @@ frame carries one protocol message:
 kind      dir    payload
 ========  =====  ======================================================
 HELLO     c->s   session metadata (JSON: benchmark name, ...)
-EVENT     c->s   JSON array of up to :data:`EVENTS_PER_FRAME` event records
-                 (:func:`.trace_io.event_to_json`); ``seq`` numbers the
-                 first, so the records are events ``seq .. seq+n-1``.  A
-                 single JSON object is accepted as a one-event frame
+EVENT     c->s   up to :data:`EVENTS_PER_FRAME` events as positional rows
+                 plus the frame's stack table (:mod:`.codec`); ``seq``
+                 numbers the first, so the rows are events
+                 ``seq .. seq+n-1``.  A single :func:`.trace_io.event_to_json`
+                 object (a one-event frame) or a JSON array of them is
+                 still accepted
 FIN       c->s   end of stream; ask the server to drain and report
 ACK       s->c   cumulative acknowledgement of every event through ``seq``
 NACK      s->c   retransmit request: ``seq`` is the next expected event
@@ -108,7 +110,7 @@ MAX_PAYLOAD = 1 << 20
 
 #: Event records per EVENT frame.  Clients cut a stream at multiples of
 #: this, so a retransmitted frame is byte-identical to its first send; one
-#: frame then costs one CRC, one JSON decode and one ACK for 64 events.
+#: frame then costs one CRC, one payload decode and one ACK for 64 events.
 EVENTS_PER_FRAME = 64
 
 
@@ -157,7 +159,7 @@ class Frame:
     trace: TraceContext | None = None
 
     def json(self):
-        """Decode the payload as JSON (an EVENT payload is an array)."""
+        """Decode the payload as JSON (EVENT payloads decode via :mod:`.codec`)."""
         return json.loads(self.payload.decode("utf-8"))
 
 
@@ -217,10 +219,12 @@ def event_frame(
     *,
     trace: TraceContext | None = None,
 ) -> Frame:
-    """An EVENT frame carrying :func:`.trace_io.event_to_json` records.
+    """A legacy EVENT frame carrying :func:`.trace_io.event_to_json` records.
 
     ``seq`` is the sequence number of ``records[0]``; the payload is one
-    canonical JSON array, encoded with a single :func:`json_payload` call.
+    canonical JSON array (or object), encoded with a single
+    :func:`json_payload` call.  Clients send positional rows instead
+    (:func:`.codec.encode_events`); the server still serves both.
     """
     return Frame(FrameKind.EVENT, client_id, seq, json_payload(records), trace)
 
@@ -356,10 +360,11 @@ class FrameDecoder:
         buf = self._buffer
         if buf:
             if len(buf) >= HEADER_SIZE and buf[:2] == MAGIC:
-                _, _, _, _, seq, length, _ = HEADER.unpack(
+                _, version, _, _, seq, length, _ = HEADER.unpack(
                     bytes(buf[:HEADER_SIZE])
                 )
-                have = len(buf) - HEADER_SIZE
+                ext_size = TRACE_EXT_SIZE if version == WIRE_VERSION_TRACE else 0
+                have = max(0, len(buf) - HEADER_SIZE - ext_size)
                 self._reject(
                     self._base,
                     f"truncated frame at end of stream: declared {length} "

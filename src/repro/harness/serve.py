@@ -212,13 +212,16 @@ def run_serve_suite(
 
 
 class _TimedTransport:
-    """Transport wrapper recording per-frame round-trip wall latency."""
+    """Transport wrapper recording per-frame round-trip wall latency and
+    the bytes the client put on the wire."""
 
     def __init__(self, inner):
         self.inner = inner
         self.latencies_us: list[float] = []
+        self.wire_bytes = 0
 
     def send(self, data: bytes) -> bytes:
+        self.wire_bytes += len(data)
         start = time.perf_counter()
         out = self.inner.send(data)
         self.latencies_us.append((time.perf_counter() - start) * 1e6)
@@ -247,7 +250,8 @@ def run_serve_bench(
 
     Events/sec counts analysis events over total streaming wall time
     (framing, decoding, sharded dispatch and finding streams included);
-    the percentiles are per-frame round-trip latencies.  The delivery
+    the percentiles are per-frame round-trip latencies, and ``wire_bytes``
+    is every byte the clients sent.  The delivery
     verdict rides along so a "fast but wrong" server can never produce a
     publishable bench.
 
@@ -275,6 +279,7 @@ def run_serve_bench(
     latencies: list[float] = []
     total_events = 0
     total_frames = 0
+    wire_bytes = 0
     stream_seconds = 0.0
     delivery_ok = True
     for bench in benches:
@@ -288,6 +293,7 @@ def run_serve_bench(
         latencies.extend(transport.latencies_us)
         total_events += len(events)
         total_frames += result.frames_sent
+        wire_bytes += transport.wire_bytes
         if result.fingerprints() != baseline:
             delivery_ok = False
     latencies.sort()
@@ -300,6 +306,7 @@ def run_serve_bench(
         "benchmarks": len(benches),
         "events": total_events,
         "frames": total_frames,
+        "wire_bytes": wire_bytes,
         "stream_seconds": round(stream_seconds, 6),
         "delivery_ok": delivery_ok,
         "summary": {

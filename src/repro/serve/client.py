@@ -1,9 +1,11 @@
 """The reference serve client: windowed streaming with retry and backoff.
 
 The client side of the delivery guarantee.  Events travel in EVENT frames
-of up to :data:`~repro.events.wire.EVENTS_PER_FRAME` records, cut at fixed
-multiples of that size and numbered by their first event's sequence
-number, so a retransmitted frame is byte-identical to its first send.  The
+of up to :data:`~repro.events.wire.EVENTS_PER_FRAME` records, encoded as
+positional rows with a per-frame stack table
+(:func:`~repro.events.codec.encode_events`), cut at fixed multiples of
+that size and numbered by their first event's sequence number, so a
+retransmitted frame is byte-identical to its first send.  The
 client holds a frame until a *cumulative* ACK covers its last event, and
 retransmits unacknowledged frames — on a NACK (the server names
 the next sequence number it expects) or after a timeout, with capped
@@ -25,14 +27,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from ..events.trace_io import event_to_json
+from ..events.codec import encode_events
+from ..events.trace_io import event_from_json
 from ..events.wire import (
     EVENTS_PER_FRAME,
     Frame,
     FrameDecoder,
     FrameKind,
     TraceContext,
-    event_frame,
     json_payload,
 )
 
@@ -137,9 +139,13 @@ class ServeClient:
     # -- session -----------------------------------------------------------
 
     def stream(self, events, *, meta: dict | None = None) -> SessionResult:
-        """Run one full session: HELLO, EVENT stream, FIN, finding stream."""
-        payloads = [event_to_json(e) if not isinstance(e, dict) else e for e in events]
-        result = SessionResult(client_id=self.client_id, events=len(payloads))
+        """Run one full session: HELLO, EVENT stream, FIN, finding stream.
+
+        ``events`` are event records; a :func:`~repro.events.trace_io.event_to_json`
+        dict is decoded into its record once, up front.
+        """
+        records = [event_from_json(e) if isinstance(e, dict) else e for e in events]
+        result = SessionResult(client_id=self.client_id, events=len(records))
         acked_through = -1
         hello_acked = False
 
@@ -176,20 +182,21 @@ class ServeClient:
 
         def frame_at(first: int) -> Frame:
             """The EVENT frame opening at ``first`` (a multiple of the size)."""
-            return event_frame(
+            return Frame(
+                FrameKind.EVENT,
                 self.client_id,
                 first,
-                payloads[first : first + EVENTS_PER_FRAME],
+                encode_events(records[first : first + EVENTS_PER_FRAME]),
             )
 
         # First pass: stream every frame once.
-        for first in range(0, len(payloads), EVENTS_PER_FRAME):
+        for first in range(0, len(records), EVENTS_PER_FRAME):
             absorb(self._exchange(frame_at(first), result))
 
         # Repair passes: retransmit from the frame holding the first
         # unacknowledged event until all are acked.
         attempt = 0
-        while acked_through < len(payloads) - 1:
+        while acked_through < len(records) - 1:
             attempt += 1
             if attempt > self.policy.max_attempts:
                 raise DeliveryError(
@@ -200,14 +207,14 @@ class ServeClient:
             result.backoff_ticks += self.policy.delay(attempt)
             before = acked_through
             start = (acked_through + 1) // EVENTS_PER_FRAME * EVENTS_PER_FRAME
-            for first in range(start, len(payloads), EVENTS_PER_FRAME):
+            for first in range(start, len(records), EVENTS_PER_FRAME):
                 result.retransmits += 1
                 absorb(self._exchange(frame_at(first), result))
             if acked_through > before:
                 attempt = 0  # forward progress resets the budget
 
         # FIN until the finding stream arrives.
-        fin = Frame(FrameKind.FIN, self.client_id, len(payloads))
+        fin = Frame(FrameKind.FIN, self.client_id, len(records))
         for attempt in range(self.policy.max_attempts + 1):
             tail = absorb(self._exchange(fin, result))
             for f in tail:

@@ -14,15 +14,20 @@ dropped without touching detector state.  One event frame can legitimately
 reach *two* shards (a memcpy whose source and destination live on
 different shards), which is why dedup is per-journal, not global.
 
-The journal can optionally mirror itself to a JSON-lines sink (one entry
-per line) so a supervisor restart — not just a worker restart — can
-rebuild shard state from disk; :meth:`ShardJournal.load` is the inverse.
+Entries are the decoded event records the server handed the supervisor,
+so replay applies them with no second decode.  The journal can optionally
+mirror itself to a JSON-lines sink (one ``{"c", "s", "e"}`` entry per
+line, the event in :func:`~repro.events.trace_io.event_to_json` form) so a
+supervisor restart — not just a worker restart — can rebuild shard state
+from disk; :meth:`ShardJournal.load` is the inverse.
 """
 
 from __future__ import annotations
 
 import json
 from typing import IO, Iterator
+
+from ..events.trace_io import event_from_json, event_to_json
 
 __all__ = ["ShardJournal"]
 
@@ -32,7 +37,7 @@ class ShardJournal:
 
     def __init__(self, shard_id: int = 0, *, sink: IO[str] | None = None):
         self.shard_id = shard_id
-        self._entries: list[tuple[int, int, dict]] = []
+        self._entries: list[tuple[int, int, object]] = []
         self._seen: set[tuple[int, int]] = set()
         #: Highest acknowledged sequence number per client (-1 = none).
         self._acked: dict[int, int] = {}
@@ -48,18 +53,18 @@ class ShardJournal:
     def seen(self, client: int, seq: int) -> bool:
         return (client, seq) in self._seen
 
-    def record(self, client: int, seq: int, event_json: dict) -> bool:
-        """Journal one frame; returns ``False`` for an idempotent duplicate."""
+    def record(self, client: int, seq: int, event) -> bool:
+        """Journal one event record; ``False`` for an idempotent duplicate."""
         key = (client, seq)
         if key in self._seen:
             self.duplicates_dropped += 1
             return False
         self._seen.add(key)
-        self._entries.append((client, seq, event_json))
+        self._entries.append((client, seq, event))
         if self._sink is not None:
             self._sink.write(
                 json.dumps(
-                    {"c": client, "s": seq, "e": event_json},
+                    {"c": client, "s": seq, "e": event_to_json(event)},
                     sort_keys=True,
                     separators=(",", ":"),
                 )
@@ -76,7 +81,7 @@ class ShardJournal:
         """Highest acknowledged sequence number for ``client`` (-1 if none)."""
         return self._acked.get(client, -1)
 
-    def replay(self) -> Iterator[tuple[int, int, dict]]:
+    def replay(self) -> Iterator[tuple[int, int, object]]:
         """Every journaled entry in append order."""
         return iter(tuple(self._entries))
 
@@ -96,8 +101,9 @@ class ShardJournal:
     def load(cls, shard_id: int, source: IO[str]) -> "ShardJournal":
         """Rebuild a journal from its JSON-lines mirror.
 
-        A malformed line (truncated JSON from a crash mid-write, or a
-        record missing its fields) is **counted and skipped**, never
+        A malformed line (truncated JSON from a crash mid-write, or an
+        event that :func:`~repro.events.trace_io.event_from_json` rejects)
+        is **counted and skipped**, never
         silently absorbed and never fatal: the journal that loads is the
         longest well-formed prefix semantics allow, and
         :attr:`load_errors` reports exactly how much was lost.
@@ -109,7 +115,7 @@ class ShardJournal:
                 continue
             try:
                 entry = json.loads(line)
-                journal.record(entry["c"], entry["s"], entry["e"])
+                journal.record(entry["c"], entry["s"], event_from_json(entry["e"]))
             except (ValueError, KeyError, TypeError):
                 journal.load_errors += 1
         return journal

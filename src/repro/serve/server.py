@@ -7,14 +7,16 @@ its own :class:`~repro.forensics.ledger.DeliveryLedger`.
 
 **Ordering.**  Findings must be independent of transport mischief, so the
 server applies events strictly in sequence order.  An EVENT frame carries
-events ``seq .. seq+n-1``; each is handed to the supervisor with its own
-sequence number, and the frame is answered by one cumulative ACK naming
-the last applied event.  A frame arriving early (gap before it) parks in a
-bounded reorder buffer, keyed by its first seq; a frame lying wholly below
-the watermark is acknowledged again and dropped (the ACK, not the frame,
-is what the client needs); a frame straddling the watermark applies only
-its unapplied tail; a gap elicits a NACK naming the next expected sequence
-number so the client can retransmit without waiting for a timeout.
+events ``seq .. seq+n-1``; its payload is decoded once, on arrival, into
+event records (:func:`~repro.events.codec.decode_events`).  Each record is
+handed to the supervisor with its own sequence number, and the frame is
+answered by one cumulative ACK naming the last applied event.  A frame
+arriving early (gap before it) parks in a bounded reorder buffer, keyed by
+its first seq; a frame lying wholly below the watermark is acknowledged
+again and dropped (the ACK, not the frame, is what the client needs); a
+frame straddling the watermark applies only its unapplied tail; a gap
+elicits a NACK naming the next expected sequence number so the client can
+retransmit without waiting for a timeout.
 
 **Backpressure.**  The reorder buffer is the inbound queue, and it is
 bounded in *events*.  When a slow or lossy client overflows it, the server
@@ -32,6 +34,7 @@ from __future__ import annotations
 from time import perf_counter
 from dataclasses import dataclass, field
 
+from ..events.codec import PayloadError, RowError, decode_events
 from ..events.wire import Frame, FrameDecoder, FrameKind, json_payload
 from ..forensics.ledger import DeliveryLedger
 from ..telemetry import registry as _telemetry
@@ -60,8 +63,8 @@ class _Session:
     ledger: DeliveryLedger = field(default_factory=DeliveryLedger)
     meta: dict = field(default_factory=dict)
     next_seq: int = 0
-    #: Parked frames keyed by first seq, and the events they hold.
-    reorder: dict[int, list[dict]] = field(default_factory=dict)
+    #: Parked frames keyed by first seq, and the decoded events they hold.
+    reorder: dict[int, list] = field(default_factory=dict)
     parked: int = 0
     finished: bool = False
     degraded: bool = False
@@ -218,15 +221,13 @@ class AnalysisServer:
             ),
         )
 
-    def _apply(
-        self, session: _Session, first: int, events: list[dict]
-    ) -> list[Frame]:
+    def _apply(self, session: _Session, first: int, events: list) -> list[Frame]:
         """Dispatch the unapplied tail of a frame; returns ERROR frames.
 
         ``first`` is the frame's first seq (its trace key); events below
         the watermark were applied by an earlier copy and are skipped.  A
-        structurally broken event record (missing tag, wrong field type)
-        raises out of routing or the shard's record builder.  The event is
+        structurally broken event (missing field, wrong field type) decoded
+        to a :class:`~repro.events.codec.RowError`.  The event is
         *consumed* — retransmitting identical bytes cannot fix a CRC-valid
         payload — and the failure surfaces as a decode error, not a wedged
         stream.
@@ -236,14 +237,17 @@ class AnalysisServer:
         client = session.client_id
         seq = session.next_seq
         for event in events[seq - first :]:
-            try:
-                dispatch(client, seq, event, frame=first)
-            except (KeyError, ValueError, TypeError) as exc:
+            detail = None
+            if type(event) is RowError:
+                detail = str(event)
+            else:
+                try:
+                    dispatch(client, seq, event, frame=first)
+                except (KeyError, ValueError, TypeError) as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+            if detail is not None:
                 errors.append(
-                    self._payload_error(
-                        Frame(FrameKind.EVENT, client, seq),
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                    self._payload_error(Frame(FrameKind.EVENT, client, seq), detail)
                 )
             seq += 1
             session.next_seq = seq
@@ -270,23 +274,9 @@ class AnalysisServer:
                 observer.count_redelivery()
             return [session.reply(FrameKind.NACK, seq=session.next_seq)]
         try:
-            events = frame.json()
-        except ValueError as exc:
-            return [self._payload_error(frame, f"not JSON: {exc}")]
-        if isinstance(events, dict):
-            events = [events]  # a one-event (legacy) frame
-        if not (
-            isinstance(events, list)
-            and events
-            and all(isinstance(event, dict) for event in events)
-        ):
-            return [
-                self._payload_error(
-                    frame,
-                    "event payload is not an object or a non-empty array "
-                    "of objects",
-                )
-            ]
+            events = decode_events(frame.payload)
+        except PayloadError as exc:
+            return [self._payload_error(frame, str(exc))]
         if seq + len(events) <= session.next_seq:
             # Idempotent re-delivery of an *applied* frame: the client
             # lost our ACK (or the transport duplicated the frame).

@@ -1,9 +1,9 @@
 """One shard worker: a full detector stack over a slice of address space.
 
 A :class:`ShardWorker` owns a fresh :class:`~repro.events.bus.ToolBus`
-with its own tool instances.  It consumes
-journaled event frames, applies them to the bus, and exposes its tools'
-findings.  Findings are named by the bus's
+with its own tool instances.  It consumes journaled event records (the
+server decoded them once; the worker never decodes), applies them to the
+bus, and exposes its tools' findings.  Findings are named by the bus's
 :class:`~repro.events.variables.VariableIndex`, fed from the applied
 events; no flight recorder runs on the serve path, so served findings
 carry fingerprints and counts but no timelines.
@@ -26,7 +26,6 @@ from typing import Callable, Iterable
 
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
-from ..events.trace_io import event_from_json
 from ..events.variables import VariableIndex
 from ..observe import prof as _prof
 from ..telemetry import registry as _telemetry
@@ -149,7 +148,7 @@ class ShardWorker:
         self._boot()
         observer = self._observer
         spanlog = self._spanlog
-        for client, seq, event_json in self.journal.replay():
+        for client, seq, event in self.journal.replay():
             frame = self._frame_key(client, seq)
             try:
                 if spanlog is not None:
@@ -166,14 +165,13 @@ class ShardWorker:
                         restart=self.restarts,
                         replayed_from=f"{client}:{frame}",
                     ):
-                        self._apply(event_json, (client, frame))
+                        self._apply(event, (client, frame))
                 else:
-                    self._apply(event_json, (client, frame))
+                    self._apply(event, (client, frame))
             except (KeyError, ValueError, TypeError) as exc:
-                # A journal entry that no longer decodes (bit rot in a
-                # mirror, a version skew) must not take the whole shard
-                # down with it — count it, log it, skip it.  Silently
-                # swallowing it is the bug class this PR audits out.
+                # A journal entry that no longer applies (a record the
+                # tools reject) must not take the whole shard down with
+                # it — count it, log it, skip it, never swallow it.
                 self.replay_errors += 1
                 if observer is not None:
                     observer.count_replay_error()
@@ -207,8 +205,7 @@ class ShardWorker:
 
     # -- delivery ----------------------------------------------------------
 
-    def _apply(self, event_json: dict, frame: tuple | None = None) -> None:
-        event = event_from_json(event_json)
+    def _apply(self, event, frame: tuple | None = None) -> None:
         profiler = self._profiler
         if profiler is None:
             self._dispatch[type(event)](event)
@@ -233,12 +230,12 @@ class ShardWorker:
         self,
         client: int,
         seq: int,
-        event_json: dict,
+        event,
         *,
         crash_phase: str | None = None,
         frame: int | None = None,
     ) -> bool:
-        """Journal + apply one event; returns ``False`` for a duplicate.
+        """Journal + apply one event record; returns ``False`` for a duplicate.
 
         ``crash_phase`` is the chaos hook: ``"pre"`` crashes before the
         journal sees the event, ``"post"`` after journal+apply but before
@@ -254,7 +251,7 @@ class ShardWorker:
             raise WorkerCrash(
                 f"shard {self.shard_id} killed before journaling seq {seq}"
             )
-        if not self.journal.record(client, seq, event_json):
+        if not self.journal.record(client, seq, event):
             return False  # idempotent re-delivery
         if frame is None:
             frame = seq
@@ -268,9 +265,9 @@ class ShardWorker:
             with spanlog.span(
                 "apply", client=client, seq=frame, event=seq, shard=self.shard_id
             ):
-                self._apply(event_json, (client, frame))
+                self._apply(event, (client, frame))
         else:
-            self._apply(event_json, (client, frame))
+            self._apply(event, (client, frame))
         if crash_phase == "post":
             self.crash()
             raise WorkerCrash(

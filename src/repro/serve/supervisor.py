@@ -2,10 +2,10 @@
 
 The supervisor is the component that turns "a worker crashed" from an
 outage into a non-event.  It owns the shard workers, routes every inbound
-event (the server unpacks each EVENT frame into its events, in order) to
-the shard(s) whose address ranges it touches (kernel and sync events
-broadcast — they carry the epoch structure every shard's race checker
-needs), and wraps each delivery in the restart protocol:
+event record (the server decodes each EVENT frame once into its records,
+in order) to the shard(s) whose address ranges it touches (kernel and
+sync events broadcast — they carry the epoch structure every shard's race
+checker needs), and wraps each delivery in the restart protocol:
 
 * a :exc:`~repro.serve.shard.WorkerCrash` during delivery triggers an
   immediate restart of that worker — fresh tool stack, journal replay up
@@ -27,6 +27,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..events.records import (
+    Access,
+    AllocationEvent,
+    DataOp,
+    FlushEvent,
+    MemcpyEvent,
+)
 from ..events.variables import VariableIndex
 from ..telemetry import registry as _telemetry
 from ..tools.findings import Finding
@@ -69,6 +76,7 @@ class Supervisor:
             )
             for i in range(n_shards)
         ]
+        self._every_shard = tuple(range(n_shards))
         #: Delivery-attempt occurrence index -> crash phase ("pre"/"post"),
         #: installed by the chaos harness.  Consulted once per (event,
         #: shard) delivery attempt, in deterministic order.
@@ -80,40 +88,37 @@ class Supervisor:
 
     # -- routing -----------------------------------------------------------
 
-    def shards_for(self, event_json: dict) -> tuple[int, ...]:
-        """The shard ids an event must reach, in ascending order."""
-        tag = event_json["t"]
+    def shards_for(self, event) -> tuple[int, ...]:
+        """The shard ids an event record must reach, in ascending order."""
+        kind = type(event)
         router = self.router
-        if tag == "access":
-            return (router.route(event_json["addr"]),)
-        if tag == "alloc":
+        if kind is Access:
+            return (router.route(event.address),)
+        if kind is AllocationEvent:
             # Allocations broadcast: they are rare, every shard's extent
             # map needs them, and broadcasting is what makes the router's
             # CV rebind (see AddressRouter.bind) safe — the new owner of
             # a rebound range has already seen its allocation.
-            if not event_json["free"]:
-                router.claim(event_json["addr"], event_json["n"])
-            return tuple(range(len(self.workers)))
-        if tag == "data_op":
-            pair = router.bind(
-                event_json["ov"], event_json["cv"], event_json["n"]
-            )
+            if not event.is_free:
+                router.claim(event.address, event.nbytes)
+            return self._every_shard
+        if kind is DataOp:
+            pair = router.bind(event.ov_address, event.cv_address, event.nbytes)
             return tuple(sorted(set(pair)))
-        if tag == "memcpy":
+        if kind is MemcpyEvent:
             return tuple(
                 sorted(
                     {
-                        router.route(event_json["dst"]),
-                        router.route(event_json["src"]),
+                        router.route(event.dst_address),
+                        router.route(event.src_address),
                     }
                 )
             )
-        if tag == "flush":
-            if event_json["addr"]:
-                return (router.route(event_json["addr"]),)
-            return tuple(range(len(self.workers)))
-        # kernel / sync: epoch structure, every shard's race checker needs it
-        return tuple(range(len(self.workers)))
+        if kind is FlushEvent and event.address:
+            return (router.route(event.address),)
+        # kernel / sync / whole-memory flush: epoch structure, every
+        # shard's race checker needs it
+        return self._every_shard
 
     # -- delivery ----------------------------------------------------------
 
@@ -133,7 +138,7 @@ class Supervisor:
         self.worker_restarts += 1
 
     def _deliver_to(
-        self, shard_id: int, client: int, seq: int, event: dict, frame: int
+        self, shard_id: int, client: int, seq: int, event, frame: int
     ) -> None:
         """Deliver one event to one shard, surviving worker crashes."""
         worker = self.workers[shard_id]
@@ -168,9 +173,9 @@ class Supervisor:
         )
 
     def dispatch(
-        self, client: int, seq: int, event_json: dict, *, frame: int | None = None
+        self, client: int, seq: int, event, *, frame: int | None = None
     ) -> None:
-        """Route one in-order event to every shard it concerns.
+        """Route one in-order event record to every shard it concerns.
 
         ``frame`` is the first seq of the wire frame that carried the event
         (``seq`` itself by default): the ``(client, frame)`` key that joins
@@ -178,8 +183,8 @@ class Supervisor:
         """
         if frame is None:
             frame = seq
-        for shard_id in self.shards_for(event_json):
-            self._deliver_to(shard_id, client, seq, event_json, frame)
+        for shard_id in self.shards_for(event):
+            self._deliver_to(shard_id, client, seq, event, frame)
         self.events_delivered += 1
 
     # -- drain / results ---------------------------------------------------

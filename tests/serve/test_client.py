@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dracc import get
+from repro.events.codec import decode_events
 from repro.events.wire import EVENTS_PER_FRAME, FrameDecoder
 from repro.faults.plan import FaultKind, FaultPlan, PlannedFault
 from repro.harness.serve import baseline_fingerprints, record_trace
@@ -138,7 +139,7 @@ class TestFrameBoundaries:
             ("FIN", len(trace)),
         ]
         assert transport.sent[3] == transport.sent[1]
-        assert len(frames[1].json()) == EVENTS_PER_FRAME
+        assert len(decode_events(frames[1].payload)) == EVENTS_PER_FRAME
 
 
 class BlackHoleTransport:

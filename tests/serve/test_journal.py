@@ -1,10 +1,16 @@
 """Shard journals: write-ahead dedup, ack watermarks, mirror round-trip."""
 
 import io
+import json
+from dataclasses import replace
 
-from repro.serve import ShardJournal
+from repro.dracc import get
+from repro.events.records import SyncEvent
+from repro.events.trace_io import event_to_json
+from repro.harness.serve import record_trace
+from repro.serve import ShardJournal, ShardWorker
 
-EVENT = {"t": "sync", "v": 1, "kind": "taskwait", "src": 1, "dst": 2, "tid": 0}
+EVENT = SyncEvent(kind="taskwait", source_task=1, target_task=2, thread_id=0)
 
 
 class TestDedup:
@@ -46,7 +52,7 @@ class TestReplay:
     def test_replay_preserves_append_order(self):
         journal = ShardJournal(0)
         for seq in (0, 1, 2):
-            journal.record(1, seq, {**EVENT, "src": seq})
+            journal.record(1, seq, replace(EVENT, source_task=seq))
         assert [seq for _c, seq, _e in journal.replay()] == [0, 1, 2]
 
     def test_replay_snapshot_unaffected_by_later_appends(self):
@@ -62,9 +68,49 @@ class TestMirror:
         sink = io.StringIO()
         journal = ShardJournal(3, sink=sink)
         journal.record(1, 0, EVENT)
-        journal.record(1, 1, {**EVENT, "src": 7})
+        journal.record(1, 1, replace(EVENT, source_task=7))
         journal.record(1, 0, EVENT)  # duplicate: not mirrored
         sink.seek(0)
         loaded = ShardJournal.load(3, sink)
         assert list(loaded.replay()) == list(journal.replay())
         assert loaded.stats()["entries"] == 2
+
+    def test_mirror_lines_keep_the_event_to_json_format(self):
+        trace = record_trace(get(22))
+        sink = io.StringIO()
+        journal = ShardJournal(0, sink=sink)
+        for seq, event in enumerate(trace):
+            journal.record(1, seq, event)
+        assert sink.getvalue().splitlines() == [
+            json.dumps(
+                {"c": 1, "s": seq, "e": event_to_json(event)},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for seq, event in enumerate(trace)
+        ]
+
+    def test_dict_mirror_replays_to_the_live_findings(self):
+        # Mirror lines as journals wrote them when entries were
+        # ``event_to_json`` dicts: ``{"c", "s", "e": <dict>}``.
+        trace = record_trace(get(22))
+        lines = "".join(
+            json.dumps({"c": 1, "s": seq, "e": event_to_json(event)}) + "\n"
+            for seq, event in enumerate(trace)
+        )
+        live = ShardWorker(0)
+        for seq, event in enumerate(trace):
+            live.deliver(1, seq, event)
+        replayed = ShardWorker(0, journal=ShardJournal.load(0, io.StringIO(lines)))
+        replayed.restart()
+        assert replayed.replayed_events == len(trace)
+        assert replayed.journal.load_errors == 0
+
+        def fingerprints(worker):
+            return sorted(
+                (tool, finding.fingerprint(), count)
+                for tool, finding, count in worker.findings()
+            )
+
+        assert fingerprints(live)
+        assert fingerprints(replayed) == fingerprints(live)

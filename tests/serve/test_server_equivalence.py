@@ -99,13 +99,12 @@ class TestKillSweep:
     def test_kill_before_drain_still_delivers_everything(self, trace, baseline):
         # A worker dead at drain time is restarted (journal replay) before
         # its findings are collected; nothing acknowledged may vanish.
-        from repro.events.trace_io import event_to_json
         from repro.forensics.ledger import DeliveryLedger
 
         server = AnalysisServer(ServerConfig(n_shards=2))
         supervisor = server.session(BENCH).supervisor
         for seq, event in enumerate(trace):
-            supervisor.dispatch(BENCH, seq, event_to_json(event))
+            supervisor.dispatch(BENCH, seq, event)
         supervisor.workers[0].crash()
         ledger = DeliveryLedger()
         for shard, tool, finding, count in supervisor.findings():

@@ -8,15 +8,12 @@ from repro.events.records import (
     DataOpKind,
     SyncEvent,
 )
-from repro.events.trace_io import event_to_json
 from repro.events.variables import VariableIndex
 from repro.serve import ShardWorker, Supervisor, WorkerCrash
 
 
-def sync_json(seq: int) -> dict:
-    return event_to_json(
-        SyncEvent(kind="taskwait", source_task=seq, target_task=seq + 1)
-    )
+def sync_json(seq: int) -> SyncEvent:
+    return SyncEvent(kind="taskwait", source_task=seq, target_task=seq + 1)
 
 
 class TestCrashConvergence:
@@ -161,7 +158,7 @@ class TestSharedIndex:
     def test_shared_index_survives_worker_restart(self):
         index = VariableIndex()
         worker = ShardWorker(0, variables=index)
-        worker.deliver(1, 0, event_to_json(TestForensicRanges().host_alloc()))
+        worker.deliver(1, 0, TestForensicRanges().host_alloc())
         worker.crash()
         worker.restart()
         assert worker.bus.variables is index
@@ -169,7 +166,7 @@ class TestSharedIndex:
 
     def test_private_index_is_rebuilt_from_the_journal(self):
         worker = ShardWorker(0)
-        worker.deliver(1, 0, event_to_json(TestForensicRanges().host_alloc()))
+        worker.deliver(1, 0, TestForensicRanges().host_alloc())
         before = worker.bus.variables
         worker.crash()
         worker.restart()
@@ -192,7 +189,7 @@ class TestSharedIndex:
         trace = record_trace(get(25))
         supervisor = Supervisor(n_shards=4)
         for seq, event in enumerate(trace):
-            supervisor.dispatch(25, seq, event_to_json(event))
+            supervisor.dispatch(25, seq, event)
         index = supervisor.variables
         probes = [
             (e.device_id, e.address + offset)

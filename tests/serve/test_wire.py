@@ -11,6 +11,7 @@ from repro.events.wire import (
     Frame,
     FrameDecoder,
     FrameKind,
+    TraceContext,
     encode_frame,
     event_frame,
     json_payload,
@@ -131,6 +132,16 @@ class TestTruncation:
         errors = decoder.eof()
         assert any("not zero-padded" in e.reason for e in errors)
         assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize(
+        "trace", [None, TraceContext(7, 3)], ids=["version-1", "version-2"]
+    )
+    def test_truncation_counts_payload_bytes_only(self, trace):
+        frame = Frame(FrameKind.EVENT, 7, 42, b'{"a":123}', trace)
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frame(frame)[:-3]) == []
+        (error,) = decoder.eof()
+        assert "declared 9 payload byte(s), got 6" in error.reason
 
     def test_truncated_header_rejected_at_eof(self):
         decoder = FrameDecoder()
