@@ -80,7 +80,9 @@ class ToolBus:
     access handlers — before any non-access publish, at
     :data:`~repro.events.columnar.BATCH_CAP`, on attach/detach and at
     program end — so tools see exactly the program's event order, just
-    blocked.  A tool class that must observe each access before the program
+    blocked.  Each access carries the stack captured when it was built, so
+    a flush after the publishing frame has exited still reports that
+    frame.  A tool class that must observe each access before the program
     reads the bytes (one that rewrites memory from ``on_access``) declares
     :attr:`~repro.tools.base.Tool.immediate_delivery`; while one is
     attached, every access is flushed as it is published.
@@ -234,10 +236,6 @@ class ToolBus:
         if self._immediate:
             self.flush_batch()
             return
-        # Pin the call stack now: the lazy provider only stays valid while
-        # the producing frame is live, and batch dispatch happens long after
-        # that frame has moved on.
-        access.stack
         if len(pending) >= BATCH_CAP:
             self.flush_batch()
 

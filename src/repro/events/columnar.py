@@ -3,9 +3,9 @@
 Handing every :class:`~repro.events.records.Access` to every subscribed
 tool one Python call at a time costs, for element-wise kernels, one
 interpreter round-trip *per element per tool*.  The bus instead parks
-accesses and flushes them as an :class:`EventBatch`
-— a list of the original records plus lazily-built structured numpy columns
-``(op, address, size, device, thread, source_id)`` — through the tools'
+accesses and flushes them as an :class:`EventBatch` — a list of the
+original records plus lazily-built numpy columns ``(device, thread,
+address, size, is_write, count, stride)`` — through the tools'
 ``on_batch`` protocol, so the VSM table lookups and FastTrack epoch
 comparisons in the hot path run as whole-array gather/scatter.
 
@@ -19,6 +19,7 @@ processing batches in first-occurrence passes (:func:`first_occurrence_passes`).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,7 +41,13 @@ MIN_BATCH = 64
 
 
 class BatchColumns:
-    """The structured-array view of one batch (one numpy column per field)."""
+    """The column view of one batch (one numpy array per field).
+
+    An :class:`~repro.events.records.Access` is a row, so the columns come
+    from one ``zip(*accesses)`` transpose: the seven fields tools read
+    become int64 (``is_write``: bool) arrays; ``origin`` and ``stack`` are
+    left on the records.
+    """
 
     __slots__ = (
         "device_ids",
@@ -50,46 +57,19 @@ class BatchColumns:
         "is_write",
         "counts",
         "strides",
-        "op_codes",
-        "source_ids",
     )
 
     def __init__(self, accesses: Sequence["Access"]):
-        n = len(accesses)
-        self.device_ids = np.fromiter(
-            (a.device_id for a in accesses), np.int64, count=n
-        )
-        self.thread_ids = np.fromiter(
-            (a.thread_id for a in accesses), np.int64, count=n
-        )
-        self.addresses = np.fromiter(
-            (a.address for a in accesses), np.int64, count=n
-        )
-        self.sizes = np.fromiter((a.size for a in accesses), np.int64, count=n)
-        self.is_write = np.fromiter(
-            (a.is_write for a in accesses), np.bool_, count=n
-        )
-        self.counts = np.fromiter((a.count for a in accesses), np.int64, count=n)
-        self.strides = np.fromiter(
-            (a.stride for a in accesses), np.int64, count=n
-        )
-        # VsmOp encoding of the access: (is_write << 1) | on_device, i.e.
-        # READ_HOST=0 / READ_TARGET=1 / WRITE_HOST=2 / WRITE_TARGET=3.
-        self.op_codes = (
-            (self.is_write.astype(np.int64) << 1)
-            | (self.device_ids != 0).astype(np.int64)
-        )
-        # Interned call stacks: events sharing a capture site share an id.
-        interned: dict[int, int] = {}
-        ids = np.empty(n, dtype=np.int64)
-        for i, a in enumerate(accesses):
-            stack = a.stack  # materialized at append time; see ToolBus
-            sid = interned.get(id(stack))
-            if sid is None:
-                sid = len(interned)
-                interned[id(stack)] = sid
-            ids[i] = sid
-        self.source_ids = ids
+        # zip(*[]) yields no columns, so an empty batch gets empty ones.
+        fields = tuple(islice(zip(*accesses), 7)) or ((),) * 7
+        devices, threads, addresses, sizes, writes, counts, strides = fields
+        self.device_ids = np.array(devices, dtype=np.int64)
+        self.thread_ids = np.array(threads, dtype=np.int64)
+        self.addresses = np.array(addresses, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.is_write = np.array(writes, dtype=np.bool_)
+        self.counts = np.array(counts, dtype=np.int64)
+        self.strides = np.array(strides, dtype=np.int64)
 
 
 class EventBatch:

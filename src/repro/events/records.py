@@ -15,12 +15,17 @@ Tools that model OMPT-less detectors (Valgrind/ASan/MSan in the paper's
 comparison) subscribe only to accesses and raw allocation events; the
 mapping semantics reach them solely as anonymous memcpys, which is the
 paper's explanation for their misses (§VI.C).
+
+Every record is immutable.  :class:`Access`, built once per instrumented
+access, is a :class:`~typing.NamedTuple` row; the rarer records are frozen
+slotted dataclasses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,22 +44,19 @@ class AccessOrigin(enum.Enum):
     RUNTIME = "runtime"
 
 
-@dataclass(frozen=True, slots=True)
-class Access:
+class Access(NamedTuple):
     """One instrumented memory access, possibly covering many elements.
 
     ``count`` elements of ``size`` bytes each, starting at ``address``, with
     consecutive element starts ``stride`` bytes apart.  A scalar access is
     ``count == 1``; a contiguous slice is ``stride == size``.
 
-    ``stack`` is a *deferred* capture: producers may pass either a
-    materialized frame tuple or any object with a ``snapshot()`` method
-    (a :class:`~repro.events.source.SourceStack`).  The tuple is built only
-    when :attr:`stack` is first read — for the overwhelming majority of
-    accesses no tool ever files a finding, so the capture never happens.
-    The provider form is only valid while the event is being dispatched;
-    tools that retain events past their turn (trace recorders) must touch
-    :attr:`stack` during the callback.
+    An access is a row, like the tuple the instrumentation pass hands the
+    sanitizer runtime: an immutable, hashable tuple whose fields follow the
+    EVENT codec's row order (:data:`~repro.events.codec.ROW_KINDS`).
+    ``stack`` is captured when the access is built — the producer passes
+    the machine's memoized :meth:`~repro.events.source.SourceStack.snapshot`,
+    so accesses between two position changes share one tuple.
     """
 
     device_id: int
@@ -65,31 +67,11 @@ class Access:
     count: int = 1
     stride: int = 0  # 0 means "== size" (contiguous)
     origin: AccessOrigin = AccessOrigin.PROGRAM
-    stack_ref: object = (UNKNOWN_LOCATION,)
-
-    @property
-    def stack(self) -> tuple[SourceLocation, ...]:
-        """The captured call stack, materializing a lazy provider once."""
-        ref = self.stack_ref
-        if type(ref) is tuple:
-            return ref
-        snap = ref.snapshot()  # type: ignore[attr-defined]
-        object.__setattr__(self, "stack_ref", snap)
-        return snap
+    stack: tuple[SourceLocation, ...] = (UNKNOWN_LOCATION,)
 
     @property
     def element_stride(self) -> int:
         return self.stride or self.size
-
-    @property
-    def op_code(self) -> int:
-        """The access as a :class:`~repro.core.states.VsmOp` value.
-
-        ``(is_write << 1) | on_device`` lands exactly on READ_HOST (0),
-        READ_TARGET (1), WRITE_HOST (2), WRITE_TARGET (3) — the row index
-        the batch path uses into the precomputed transition matrix.
-        """
-        return (int(self.is_write) << 1) | (self.device_id != 0)
 
     @property
     def nbytes(self) -> int:

@@ -4,8 +4,9 @@ Real ARBALEST reports carry the C source stack captured by the sanitizer
 runtime (Fig. 7 of the paper shows ``main.c:145:5`` frames).  Our benchmarks
 are Python functions standing in for C programs, so they annotate themselves
 with the *simulated* source position via :class:`SourceStack` — a context
-manager stack owned by the machine.  Tools snapshot the stack when they file
-a report, which is what makes the Fig-7-style output reproducible.
+manager stack owned by the machine.  Every event snapshots the stack when it
+is built, accesses included, and tools copy that snapshot into the reports
+they file, which is what makes the Fig-7-style output reproducible.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class SourceStack:
     def __init__(self) -> None:
         self._frames: list[SourceLocation] = []
         # Memoized snapshot(): all accesses between two position changes
-        # share one tuple, so the per-access capture cost is one attribute
-        # check in the hot loop of a kernel.
+        # share one tuple, so capturing the stack of each access costs one
+        # method call in the hot loop of a kernel.
         self._snapshot: tuple[SourceLocation, ...] | None = (UNKNOWN_LOCATION,)
 
     @contextmanager

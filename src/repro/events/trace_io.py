@@ -191,7 +191,7 @@ def event_from_json(data: dict) -> object:
             count=data["count"],
             stride=data["stride"],
             origin=AccessOrigin(data["origin"]),
-            stack_ref=stack_from_json(data["stack"]),
+            stack=stack_from_json(data["stack"]),
         )
     if tag == "data_op":
         check_int(tag, "ov", data["ov"], minimum=0)

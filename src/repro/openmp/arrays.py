@@ -3,9 +3,10 @@
 :class:`HostArray` is the host program's view of one variable (C-style flat
 array); :class:`KernelArray` is the device-side view a compute kernel gets
 for each mapped variable.  Both translate element indices to absolute
-simulated addresses, publish an :class:`~repro.events.records.Access` for
-every operation when any tool is listening, and then perform the operation
-on the raw storage.
+simulated addresses, publish an :class:`~repro.events.records.Access` row
+for every operation when any tool is listening — its call stack captured
+then, from the machine's memoized source snapshot — and then perform the
+operation on the raw storage.
 
 Design points:
 
@@ -82,17 +83,15 @@ class _ArrayView:
             return
         bus.publish_access(
             Access(
-                device_id=self._event_device_id(),
-                thread_id=machine.current_thread,
-                address=self._address(element),
-                size=self.itemsize,
-                is_write=is_write,
-                count=count,
-                stride=step * self.itemsize,
-                origin=AccessOrigin.PROGRAM,
-                # Deferred capture: the tuple is built only if a tool files
-                # a finding (or a recorder retains the event).
-                stack_ref=machine.source,
+                self._event_device_id(),
+                machine.current_thread,
+                self._address(element),
+                self.itemsize,
+                is_write,
+                count,
+                step * self.itemsize,
+                AccessOrigin.PROGRAM,
+                machine.source.snapshot(),
             )
         )
 

@@ -37,7 +37,6 @@ class TraceRecorder(Tool):
 
     def on_access(self, access: "Access") -> None:
         if self._record_accesses:
-            access.stack  # materialize the lazy capture while frames are live
             self.events.append(access)
 
     def on_data_op(self, op: "DataOp") -> None:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.events import Access, SyncEvent, ToolBus
+from repro.events import Access, SourceLocation, SyncEvent, ToolBus
 from repro.memory import BASE_ADDRESS
+from repro.openmp import TargetRuntime
 from repro.tools import Tool
+from tests.per_access import per_access
 
 
 class AccessOnly(Tool):
@@ -76,6 +78,28 @@ class TestDispatch:
         bus.publish_access(make_access())
         bus.flush_batch()
         assert all(len(t.seen) == 1 for t in tools)
+
+
+class TestStackCapture:
+    """An access carries the stack of the frame that published it."""
+
+    @pytest.mark.parametrize("tool_cls", [AccessOnly, per_access(AccessOnly)])
+    def test_stack_survives_the_frame_exiting_before_the_flush(self, tool_cls):
+        rt = TargetRuntime()
+        tool = tool_cls()
+        rt.machine.bus.attach(tool)
+        a = rt.array("a", 4)
+        with rt.machine.source.at("main.c", 10):
+            with rt.machine.source.at("kernel.c", 5, function="kern"):
+                a.write(1, 2.0)
+        assert len(tool.seen) == int(tool.immediate_delivery)
+        with rt.machine.source.at("main.c", 20):
+            rt.machine.bus.flush_batch()
+        (access,) = tool.seen
+        assert access.stack == (
+            SourceLocation("kernel.c", 5, function="kern"),
+            SourceLocation("main.c", 10),
+        )
 
 
 class Exploding(Tool):

@@ -221,35 +221,39 @@ class TestCrashIsolation:
 
 
 class TestBatchColumns:
+    COLUMNS = (
+        ("device_ids", "device_id"),
+        ("thread_ids", "thread_id"),
+        ("addresses", "address"),
+        ("sizes", "size"),
+        ("is_write", "is_write"),
+        ("counts", "count"),
+        ("strides", "stride"),
+    )
+
     def test_columns_match_records(self):
         accesses = [
-            make_access(i, device_id=i % 2, is_write=bool(i % 3))
-            for i in range(10)
-        ]
-        cols = EventBatch(accesses).columns
-        assert cols.addresses.tolist() == [a.address for a in accesses]
-        assert cols.device_ids.tolist() == [a.device_id for a in accesses]
-        assert cols.is_write.tolist() == [a.is_write for a in accesses]
-        assert cols.sizes.tolist() == [a.size for a in accesses]
-
-    def test_op_codes_encode_write_and_device(self):
-        combos = [
-            (0, False, 0),  # READ_HOST
-            (1, False, 1),  # READ_TARGET
-            (0, True, 2),  # WRITE_HOST
-            (1, True, 3),  # WRITE_TARGET
-        ]
-        accesses = [
-            make_access(i, device_id=d, is_write=w) for i, (d, w, _) in enumerate(combos)
+            Access(
+                device_id=i % 2,
+                thread_id=i % 3,
+                address=BASE_ADDRESS + 64 * i,
+                size=(4, 8)[i % 2],
+                is_write=bool(i % 3),
+                count=(1, 16, 4)[i % 3],  # scalar, bulk, strided
+                stride=(0, 0, 24)[i % 3],
+            )
+            for i in range(12)
         ]
         cols = BatchColumns(accesses)
-        assert cols.op_codes.tolist() == [c[2] for c in combos]
+        for column, field in self.COLUMNS:
+            values = getattr(cols, column).tolist()
+            assert values == [getattr(a, field) for a in accesses], column
+        assert cols.is_write.dtype == np.bool_
 
-    def test_source_ids_intern_shared_stacks(self):
-        a = make_access(0)
-        b = make_access(1)
-        cols = BatchColumns([a, a, b])
-        assert cols.source_ids[0] == cols.source_ids[1]
+    def test_empty_batch_has_empty_columns(self):
+        cols = BatchColumns([])
+        for column, _field in self.COLUMNS:
+            assert getattr(cols, column).shape == (0,), column
 
     def test_columns_are_lazy_and_cached(self):
         batch = EventBatch([make_access()])

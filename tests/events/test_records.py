@@ -1,9 +1,13 @@
 """Event records: access geometry and granule math."""
 
 import numpy as np
+import pytest
 
 from repro.events import Access, SourceLocation, SourceStack, UNKNOWN_LOCATION
+from repro.events.trace_io import event_from_json, event_to_json
 from repro.memory import BASE_ADDRESS, GRANULE
+from repro.openmp import TargetRuntime
+from repro.openmp.ompt import TraceRecorder
 
 A = BASE_ADDRESS  # granule-aligned by construction
 
@@ -71,6 +75,26 @@ class TestGranuleIndices:
     def test_indices_unique_and_sorted(self):
         g = access(size=8, count=16, stride=4).granule_indices()  # overlapping
         assert (np.diff(g) > 0).all()
+
+
+class TestRow:
+    def test_fields_cannot_be_assigned(self):
+        a = access()
+        for name in Access._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+
+    def test_live_access_round_trips_through_json(self):
+        rt = TargetRuntime()
+        recorder = TraceRecorder()
+        rt.machine.bus.attach(recorder)
+        a = rt.array("a", 8)
+        with rt.machine.source.at("main.c", 7, 3):
+            a.write(slice(0, 8, 2), 1.0)
+        rt.machine.bus.flush_batch()
+        (live,) = recorder.of_type(Access)
+        assert live.stack == (SourceLocation("main.c", 7, 3),)
+        assert event_from_json(event_to_json(live)) == live
 
 
 class TestSourceStack:

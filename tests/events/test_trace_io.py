@@ -44,7 +44,7 @@ SAMPLE_EVENTS = [
         count=16,
         stride=24,
         origin=AccessOrigin.PROGRAM,
-        stack_ref=STACK,
+        stack=STACK,
     ),
     DataOp(
         kind=DataOpKind.H2D,

@@ -27,7 +27,7 @@ def _access(count=1, line=1, fn="main"):
         size=8,
         is_write=False,
         count=count,
-        stack_ref=_site(fn, line),
+        stack=_site(fn, line),
     )
 
 
@@ -242,7 +242,7 @@ class TestContextAndExport:
         stack = (SourceLocation(file="a;b c.c", line=3, function="f g;h"),)
         a = Access(
             device_id=0, thread_id=0, address=0, size=8, is_write=True,
-            stack_ref=stack,
+            stack=stack,
         )
         p = Profiler(stride=1)
         p.batch_events([a], TOOLS)
