@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from ..observe import prof as _prof
 from ..telemetry import registry as _telemetry
 
 from .columnar import BATCH_CAP, MIN_BATCH, EventBatch
@@ -58,6 +57,7 @@ from .variables import VariableIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
+    from ..observe.prof import Profiler
     from ..tools.base import Tool
 
 
@@ -109,6 +109,9 @@ class ToolBus:
         self.variables = variables if variables is not None else VariableIndex()
         #: Optional fault injector perturbing the data-op callback stream.
         self.chaos: "FaultInjector | None" = None
+        #: Optional continuous profiler sampling this bus's flushed accesses
+        #: and kernel phases; ``None`` (the common case) costs one check.
+        self.profiler: "Profiler | None" = None
         #: Re-raise tool-handler exceptions instead of isolating them.
         self.strict = False
         #: Isolated handler failures, in occurrence order.
@@ -262,7 +265,7 @@ class ToolBus:
         if not pending:
             return
         self._batch_pending = []
-        profiler = _prof.ACTIVE
+        profiler = self.profiler
         if profiler is not None:
             # One ordinal per accessed element, whatever the batch size.
             profiler.batch_events(pending, self._access)
@@ -321,7 +324,7 @@ class ToolBus:
     def publish_kernel(self, event: KernelEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        profiler = _prof.ACTIVE
+        profiler = self.profiler
         if profiler is not None:
             profiler.kernel_event(
                 event.name if event.phase is KernelPhase.BEGIN else "host"

@@ -28,7 +28,6 @@ from typing import Iterable
 
 from ..observe.history import append_history, run_meta
 from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
-from ..observe.prof import scope as _prof_scope
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, Workload
 from .precision import TOOL_FACTORIES, TOOL_ORDER
@@ -174,7 +173,7 @@ def measure_one(
                     stride=DEFAULT_STRIDE, governor=Governor()
                 )
             profiler.set_context(benchmark=workload.name, phase="host")
-            run_scope = _prof_scope(profiler)
+            rt.machine.bus.profiler = profiler
         elif config == "arbalest-cert":
             from ..core.detector import Arbalest
             from ..staticlint import spec_certificates

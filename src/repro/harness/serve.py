@@ -39,8 +39,7 @@ from ..dracc.registry import (
     buggy_benchmarks,
     clean_benchmarks,
 )
-from ..events.bus import ToolBus
-from ..events.trace_io import TraceWriter, read_trace
+from ..events.trace_io import TraceWriter, read_trace, replay
 from ..events.wire import EVENTS_PER_FRAME
 from ..faults.plan import FaultKind, FaultPlan
 from ..forensics.report import SCHEMA, build_summary, finding_entry
@@ -102,13 +101,7 @@ def baseline_fingerprints(
     path.  No flight recorder is needed for that.
     """
     instances = {name: DEFAULT_TOOLS[name]() for name in tools}
-    bus = ToolBus()
-    for tool in instances.values():
-        bus.attach(tool)
-    dispatch = bus.dispatch
-    for event in events:
-        dispatch[type(event)](event)
-    bus.flush_batch()
+    replay(events, instances.values())
     return tuple(
         sorted(
             (name, finding.fingerprint())

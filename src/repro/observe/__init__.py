@@ -38,7 +38,6 @@ from .log import ObserveLog
 from .metrics import render_prometheus, service_snapshot
 from .observer import ServeObserver, histogram_quantile
 from .prof import Governor, Profiler
-from .prof import scope as prof_scope
 from .sentinel import (
     bootstrap_shift_ci,
     mann_whitney,
@@ -74,7 +73,6 @@ __all__ = [
     "metric_direction",
     "noise_thresholds",
     "parse_folded",
-    "prof_scope",
     "readyz",
     "render_flamegraph",
     "render_prometheus",

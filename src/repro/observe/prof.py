@@ -25,23 +25,21 @@ budget.  The governor trades determinism for boundedness — with it enabled
 the *stride schedule* depends on machine speed, so byte-identical output is
 only guaranteed in fixed-stride mode (``governor=None``, the default).
 
-Like telemetry and forensics, the disabled path is free: instrumentation
-sites load :data:`ACTIVE` once and skip on ``None`` — no allocation, no
-call (proven by tracemalloc in the test suite).
+The profiler is attached to the bus it samples
+(:attr:`~repro.events.bus.ToolBus.profiler`), its only reader.  The
+disabled path is free: the bus checks that attribute once per flush or
+kernel event and skips on ``None`` — no allocation, no call (proven by
+tracemalloc in the test suite).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.records import Access
     from ..tools.base import Tool
-
-#: The active profiler, or ``None`` (the common case: profiling disabled).
-ACTIVE: "Profiler | None" = None
 
 #: Default sampling stride (events per sample) before the governor adapts it.
 DEFAULT_STRIDE = 512
@@ -51,18 +49,6 @@ DEFAULT_BUDGET = 0.01
 
 #: Max trace-frame links retained per folded stack (profile↔span stitching).
 FRAME_LINKS = 4
-
-
-@contextmanager
-def scope(profiler: "Profiler | None") -> Iterator["Profiler | None"]:
-    """Install ``profiler`` as the process-wide :data:`ACTIVE` profiler."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = profiler
-    try:
-        yield profiler
-    finally:
-        ACTIVE = previous
 
 
 class Governor:

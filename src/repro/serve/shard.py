@@ -27,7 +27,6 @@ from typing import Callable, Iterable
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
 from ..events.variables import VariableIndex
-from ..observe import prof as _prof
 from ..telemetry import registry as _telemetry
 from ..tools.archer import ArcherTool
 from ..tools.asan import AsanTool
@@ -80,9 +79,9 @@ class ShardWorker:
         self._spanlog = (
             observer.shard_span_log(shard_id) if observer is not None else None
         )
-        #: The observer's continuous profiler, resolved once.  Activated
-        #: around each apply so ToolBus sampling attributes dispatch cost
-        #: to this shard's phase and the frame being applied.
+        #: The observer's continuous profiler, resolved once and set on
+        #: every bus this worker boots; each apply points it at this
+        #: shard's phase and the frame being applied.
         self._profiler = (
             getattr(observer, "profiler", None) if observer is not None else None
         )
@@ -124,6 +123,7 @@ class ShardWorker:
         # same names, keyed by base); a private index is rebuilt from the
         # journal like everything else.
         self.bus = ToolBus(self._shared_variables)
+        self.bus.profiler = self._profiler
         self.tools: dict[str, Tool] = {}
         for name in self.tool_names:
             tool = DEFAULT_TOOLS[name]()
@@ -211,18 +211,12 @@ class ShardWorker:
             self._dispatch[type(event)](event)
             self.applied += 1
             return
-        # Manual activate/restore (not the scope() contextmanager): this
-        # runs once per applied event, and a generator frame per event would
-        # be the kind of observability tax the governor exists to prevent.
         profiler.set_context(phase=self._prof_phase)
         if frame is not None:
             profiler.set_frame(frame[0], frame[1])
-        previous = _prof.ACTIVE
-        _prof.ACTIVE = profiler
         try:
             self._dispatch[type(event)](event)
         finally:
-            _prof.ACTIVE = previous
             profiler.clear_frame()
         self.applied += 1
 
@@ -279,16 +273,8 @@ class ShardWorker:
 
     def drain(self) -> None:
         """Flush any parked columnar batch (graceful-drain path)."""
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.set_context(phase=self._prof_phase)
-            previous = _prof.ACTIVE
-            _prof.ACTIVE = profiler
-            try:
-                self.bus.flush_batch()
-            finally:
-                _prof.ACTIVE = previous
-            return
+        if self._profiler is not None:
+            self._profiler.set_context(phase=self._prof_phase)
         self.bus.flush_batch()
 
     # -- results -----------------------------------------------------------

@@ -222,14 +222,40 @@ class TestDeclaredSizeValidation:
         with pytest.raises(ValueError):
             event_from_json(data)
 
+    #: Mistyped ids, flags and names, as ``(sample, override)``: each is
+    #: refused naming its JSON key, and skipped by a lenient load.
+    MISTYPED = [
+        (0, {"dev": "x"}),
+        (0, {"tid": None}),
+        (0, {"dev": -1}),
+        (0, {"w": 1}),
+        (1, {"tid": 1.5}),
+        (2, {"src_dev": "0"}),
+        (3, {"task": None}),
+        (3, {"nowait": 0}),
+        (3, {"name": 7}),
+        (4, {"free": "no"}),
+        (4, {"storage": None}),
+        (5, {"src": "3"}),
+        (5, {"kind": 1}),
+        (6, {"addr": -1}),
+        (6, {"n": "8"}),
+    ]
+
     def test_rejection_is_a_skipped_record_in_lenient_loads(self):
         import json as _json
 
-        bad = self._mangle(SAMPLE_EVENTS[0], size=0)
-        source = io.StringIO(_json.dumps(bad) + "\n")
+        bad = [self._mangle(SAMPLE_EVENTS[0], size=0)]
+        for sample, override in self.MISTYPED:
+            data = self._mangle(SAMPLE_EVENTS[sample], **override)
+            (key,) = override
+            with pytest.raises(ValueError, match=f"field '{key}'|declares {key}="):
+                event_from_json(data)
+            bad.append(data)
+        source = io.StringIO("".join(_json.dumps(data) + "\n" for data in bad))
         with pytest.warns(TraceWarning, match="malformed record"):
             result = load_trace(source)
-        assert result.records_skipped == 1
+        assert result.records_skipped == len(bad)
         assert result.events == []
 
 

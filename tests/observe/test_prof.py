@@ -7,9 +7,8 @@ import pytest
 from repro.core.detector import Arbalest
 from repro.events.records import Access
 from repro.events.source import SourceLocation
-from repro.observe import prof as prof_mod
 from repro.observe.flame import parse_folded, render_flamegraph
-from repro.observe.prof import DEFAULT_STRIDE, Governor, Profiler, scope
+from repro.observe.prof import DEFAULT_STRIDE, Governor, Profiler
 from repro.openmp import TargetRuntime
 from repro.specaccel import WORKLOADS
 from tests.per_access import per_access
@@ -97,9 +96,9 @@ class TestDeterminism:
             tool_cls().attach(rt.machine)
             p = Profiler(stride=512)
             p.set_context(benchmark=w.name)
-            with scope(p):
-                w.run(rt, "test")
-                rt.finalize()
+            rt.machine.bus.profiler = p
+            w.run(rt, "test")
+            rt.finalize()
             folded.append(p.folded())
         return "".join(folded)
 
@@ -121,11 +120,11 @@ class TestDeterminism:
 
 class TestDisabledPath:
     def test_disabled_profiler_never_allocates(self):
-        """ACTIVE is None: the bus hot path must not allocate in prof.py."""
-        assert prof_mod.ACTIVE is None
+        """No profiler on the bus: the hot path must not allocate in prof.py."""
 
         def run():
             rt = TargetRuntime(n_devices=1)
+            assert rt.machine.bus.profiler is None
             Arbalest().attach(rt.machine)
             WORKLOADS[0].run(rt, "test")
             rt.finalize()

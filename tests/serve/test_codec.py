@@ -70,7 +70,7 @@ class TestRoundTrip:
                 names = list(Access._fields)
             else:
                 names = [f.name for f in dataclasses.fields(cls)]
-            assert [name for name, _check in fields] == names, cls.__name__
+            assert [name for name, _key, _check in fields] == names, cls.__name__
 
     def test_legacy_payloads_decode_through_event_from_json(self, traces):
         records = traces[0][:3]
@@ -101,8 +101,9 @@ def put(at: int, value):
     return lambda row: row[:at] + [value] + row[at + 1 :]
 
 
-#: Damage to one access row (positions: 0 kind, 3 address, 4 size,
-#: 6 count, 8 origin, 9 stack index).  A frame has at most 64 stacks.
+#: Damage to one access row (positions: 0 kind, 1 device, 2 thread,
+#: 3 address, 4 size, 5 is_write, 6 count, 8 origin, 9 stack index), or a
+#: row of another kind in its place.  A frame has at most 64 stacks.
 MALFORMED = {
     "negative-addr": put(3, -8),
     "size-0": put(4, 0),
@@ -115,6 +116,15 @@ MALFORMED = {
     "stack-out-of-range": put(9, EVENTS_PER_FRAME),
     "extra-field": lambda row: row + [0],
     "missing-field": lambda row: row[:-1],
+    "str-device": put(1, "x"),
+    "null-thread": put(2, None),
+    "negative-device": put(1, -1),
+    "int-as-flag": put(5, 1),
+    "str-memcpy-device": lambda row: [2, 0, 0, "1", 64, 0, 128, 8, row[-1]],
+    "null-kernel-task": lambda row: [3, 0, None, 1, 0, False, "k", row[-1]],
+    "int-as-kernel-name": lambda row: [3, 0, 1, 1, 0, False, 7, row[-1]],
+    "str-sync-task": lambda row: [5, "taskwait", "1", 2, 0],
+    "negative-flush-address": lambda row: [6, 1, 0, -8, 0],
 }
 
 
