@@ -51,8 +51,9 @@ def test_lookup_cost(benchmark, cached):
 
 def test_cache_hit_rate_mechanism():
     """With the cache on, almost every device access is a cache hit —
-    alternating between two arrays still hits because each bulk/scalar
-    access re-checks the cached interval first.
+    the detector keeps the last two (block, mapping) pairs per access side,
+    so the sweep's alternating ``B[i]`` reads and ``A[i]`` writes both stay
+    cached.
 
     Per-access delivery: batched delivery resolves each mapping once per
     segment, so the cache only serves the per-access path."""
@@ -63,6 +64,9 @@ def test_cache_hit_rate_mechanism():
     hits, misses = det.mapping_lookup_stats()
     assert hits + misses > 2 * N
     assert hits / (hits + misses) > 0.5
+    # Two entries per side: only the first touch of each array misses
+    # (``fill`` on the host, the first sweep access on the device).
+    assert misses == 4
 
     rt2 = TargetRuntime(n_devices=1)
     det2 = Arbalest(race_detection=False).attach(rt2.machine)

@@ -162,13 +162,17 @@ class Arbalest(Tool):
         self.bug_reports: list[BugReport] = []
         self.quarantine_log: list[dict] = []
         self._alloc_info: dict[int, "AllocationEvent"] = {}
-        # Last-lookup caches, one per access side: ``(lo, hi, block, rec)``
-        # means "every address in [lo, hi) resolves to this (shadow block,
-        # mapping record) pair".  Kernels hammer one array, so these skip
-        # both interval-tree stabs on the hot path.  Invalidated on every
-        # alloc/free/map/unmap (see :meth:`_invalidate_lookup_caches`).
+        # Lookup caches holding the last two pairs per access side, most
+        # recent first: ``(lo, hi, block, rec)`` means "every address in
+        # [lo, hi) resolves to this (shadow block, mapping record) pair".
+        # Kernels hammer one or two arrays at a time (``A[i] = A[i] + B[i]``
+        # alternates), so these skip both interval-tree stabs on the hot
+        # path.  Invalidated on every alloc/free/map/unmap (see
+        # :meth:`_invalidate_lookup_caches`).
         self._lookup_host: tuple[int, int, object, MappingRecord | None] | None = None
+        self._lookup_host_prev: tuple[int, int, object, MappingRecord | None] | None = None
         self._lookup_device: tuple[int, int, object, MappingRecord] | None = None
+        self._lookup_device_prev: tuple[int, int, object, MappingRecord] | None = None
         self._lookup_cache_hits = 0
 
     # ------------------------------------------------------------------
@@ -176,8 +180,8 @@ class Arbalest(Tool):
     # ------------------------------------------------------------------
 
     def _invalidate_lookup_caches(self) -> None:
-        self._lookup_host = None
-        self._lookup_device = None
+        self._lookup_host = self._lookup_host_prev = None
+        self._lookup_device = self._lookup_device_prev = None
 
     def on_allocation(self, event: "AllocationEvent") -> None:
         self._invalidate_lookup_caches()
@@ -644,7 +648,14 @@ class Arbalest(Tool):
         """
         address = access.address
         cached = self._lookup_host
-        if cached is not None and cached[0] <= address < cached[1]:
+        if cached is None or not cached[0] <= address < cached[1]:
+            cached = self._lookup_host_prev
+            if cached is not None and cached[0] <= address < cached[1]:
+                # The older of the two pairs: it becomes the most recent.
+                self._lookup_host_prev, self._lookup_host = self._lookup_host, cached
+            else:
+                cached = None
+        if cached is not None:
             block, rec = cached[2], cached[3]
             self._lookup_cache_hits += 1
             if block is None:
@@ -658,7 +669,9 @@ class Arbalest(Tool):
                 if skipped is not None:
                     # Certified allocation (shadow creation was skipped):
                     # cache the whole range as a skip and bail out.
-                    self._lookup_host = (skipped[0], skipped[1], None, None)
+                    self._lookup_host_prev, self._lookup_host = (
+                        self._lookup_host, (skipped[0], skipped[1], None, None)
+                    )
                     self.cert_access_skips += 1
                     return True
                 return False  # freed or foreign memory: not a mapping question
@@ -670,11 +683,15 @@ class Arbalest(Tool):
                 # The pair is valid where the block and mapping intersect.
                 lo = max(lo, rec.cv_base)
                 hi = min(hi, rec.cv_end)
-                self._lookup_host = (lo, hi, block, rec)
+                self._lookup_host_prev, self._lookup_host = (
+                    self._lookup_host, (lo, hi, block, rec)
+                )
             elif not self.mappings.overlaps_cv(lo, hi):
                 # No CV interval touches this block at all: the "no mapping"
                 # answer holds for every address in it.
-                self._lookup_host = (lo, hi, block, None)
+                self._lookup_host_prev, self._lookup_host = (
+                    self._lookup_host, (lo, hi, block, None)
+                )
         if rec is not None and rec.unified:
             ops = (
                 (VsmOp.WRITE_HOST, VsmOp.UPDATE_TARGET)
@@ -696,7 +713,13 @@ class Arbalest(Tool):
         """
         address = access.address
         cached = self._lookup_device
-        if cached is not None and cached[0] <= address < cached[1]:
+        if cached is None or not cached[0] <= address < cached[1]:
+            cached = self._lookup_device_prev
+            if cached is not None and cached[0] <= address < cached[1]:
+                self._lookup_device_prev, self._lookup_device = self._lookup_device, cached
+            else:
+                cached = None
+        if cached is not None:
             block, rec = cached[2], cached[3]
             self._lookup_cache_hits += 1
         else:
@@ -710,13 +733,17 @@ class Arbalest(Tool):
                 # Certified mapping: no shadow lookup, no VSM.  Cache the
                 # CV range with a None block so repeat hits stay O(1).
                 block = None
-                self._lookup_device = (rec.cv_base, rec.cv_end, None, rec)
+                self._lookup_device_prev, self._lookup_device = (
+                    self._lookup_device, (rec.cv_base, rec.cv_end, None, rec)
+                )
             else:
                 block = self.shadows.find(
                     rec.ov_base if rec.unified else rec.to_ov(address)
                 )
                 if block is not None:
-                    self._lookup_device = (rec.cv_base, rec.cv_end, block, rec)
+                    self._lookup_device_prev, self._lookup_device = (
+                        self._lookup_device, (rec.cv_base, rec.cv_end, block, rec)
+                    )
         span = access.span
         in_bounds_span = min(span, rec.cv_end - address)
         if in_bounds_span < span:
@@ -948,7 +975,7 @@ class Arbalest(Tool):
     def mapping_lookup_stats(self) -> tuple[int, int]:
         """(fast-path hits, slow-path misses) over the whole lookup stack.
 
-        Hits count both the detector's last-lookup pair cache and the
+        Hits count both the detector's two-entry pair caches and the
         interval tree's own stab cache; misses are the tree descents.
         """
         hits, misses = self.mappings.lookup_stats

@@ -20,6 +20,15 @@ Design points:
   mapped section therefore produce device addresses outside the CV — the
   buffer-overflow class of data mapping issue — and are performed as *loose*
   accesses (deterministic undefined behaviour) rather than crashing.
+* **Kernel views bind their storage once per launch.**  A kernel's
+  mappings cannot change while it runs (every map or unmap is a non-access
+  event, and kernels never call the runtime), so a :class:`KernelArray`
+  resolves its device id, itemsize and the ndarray over its mapped section
+  when it is built.  An ``int`` index inside the section then publishes one
+  ``Access`` row and indexes that array — the instrumentation
+  pass's one small tuple per access, with no per-access buffer search.
+  Slices, other index types, out-of-section indices and views with no
+  single covering buffer take the generic path below.
 * **Peek/poke bypass instrumentation** so tests can assert on final memory
   without perturbing the tools under test.
 """
@@ -54,42 +63,43 @@ class _ArrayView:
     machine: "Machine"
     name: str
     dtype: np.dtype
+    itemsize: int
     length: int
-
-    @property
-    def itemsize(self) -> int:
-        return self.dtype.itemsize
+    #: Device id the access events carry (0 for the host).
+    device_id: int
+    #: Device whose buffers back the view.
+    storage: "Device"
+    #: The ndarray over a kernel view's mapped section, bound once per
+    #: launch; ``cv_base`` and ``section_start`` locate it (see
+    #: :class:`KernelArray`).  ``None`` means unbound: every access takes
+    #: the generic path.
+    _data: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
         return self.length * self.itemsize
 
-    # Subclasses provide address translation and storage resolution.
+    # Subclasses provide address translation.
     def _address(self, element: int) -> int:
-        raise NotImplementedError
-
-    def _storage_device(self) -> "Device":
-        raise NotImplementedError
-
-    def _event_device_id(self) -> int:
         raise NotImplementedError
 
     # -- event emission --------------------------------------------------
 
-    def _publish(self, element: int, count: int, step: int, is_write: bool) -> None:
+    def _publish(self, address: int, count: int, step: int, is_write: bool) -> None:
         machine = self.machine
         bus = machine.bus
         if not bus.wants_accesses:
             return
+        itemsize = self.itemsize
         bus.publish_access(
             Access(
-                self._event_device_id(),
+                self.device_id,
                 machine.current_thread,
-                self._address(element),
-                self.itemsize,
+                address,
+                itemsize,
                 is_write,
                 count,
-                step * self.itemsize,
+                step * itemsize,
                 AccessOrigin.PROGRAM,
                 machine.source.snapshot(),
             )
@@ -97,9 +107,8 @@ class _ArrayView:
 
     # -- raw data movement --------------------------------------------------
 
-    def _read_raw(self, element: int, count: int, step: int) -> np.ndarray:
-        device = self._storage_device()
-        address = self._address(element)
+    def _read_raw(self, address: int, count: int, step: int) -> np.ndarray:
+        device = self.storage
         span = ((count - 1) * step + 1) * self.itemsize if count else 0
         buf = device.buffer_containing(address)
         if buf is not None and buf.extent.contains(address, span):
@@ -108,9 +117,8 @@ class _ArrayView:
         raw = device.read_loose(address, span)
         return raw.view(self.dtype)[::step].copy()
 
-    def _write_raw(self, element: int, count: int, step: int, values: np.ndarray) -> None:
-        device = self._storage_device()
-        address = self._address(element)
+    def _write_raw(self, address: int, count: int, step: int, values: np.ndarray) -> None:
+        device = self.storage
         span = ((count - 1) * step + 1) * self.itemsize if count else 0
         buf = device.buffer_containing(address)
         if buf is not None and buf.extent.contains(address, span):
@@ -134,25 +142,40 @@ class _ArrayView:
 
     def read(self, index: Index) -> Union[float, int, np.ndarray]:
         """Instrumented read of one element or a slice."""
+        data = self._data
+        if data is not None and type(index) is int:
+            k = (index + self.length if index < 0 else index) - self.section_start
+            if 0 <= k < len(data):
+                self._publish(self.cv_base + k * self.itemsize, 1, 1, is_write=False)
+                return data[k]
         if isinstance(index, slice):
             start, step, count = _slice_bounds(index, self.length)
-            self._publish(start, count, step, is_write=False)
-            return self._read_raw(start, count, step)
-        i = self._normalize(index)
-        self._publish(i, 1, 1, is_write=False)
-        return self._read_raw(i, 1, 1)[0]
+            address = self._address(start)
+            self._publish(address, count, step, is_write=False)
+            return self._read_raw(address, count, step)
+        address = self._address(self._normalize(index))
+        self._publish(address, 1, 1, is_write=False)
+        return self._read_raw(address, 1, 1)[0]
 
     def write(self, index: Index, value) -> None:
         """Instrumented write of one element or a slice."""
+        data = self._data
+        if data is not None and type(index) is int:
+            k = (index + self.length if index < 0 else index) - self.section_start
+            if 0 <= k < len(data):
+                self._publish(self.cv_base + k * self.itemsize, 1, 1, is_write=True)
+                data[k] = value
+                return
         if isinstance(index, slice):
             start, step, count = _slice_bounds(index, self.length)
             values = np.broadcast_to(np.asarray(value, dtype=self.dtype), (count,))
-            self._publish(start, count, step, is_write=True)
-            self._write_raw(start, count, step, values)
+            address = self._address(start)
+            self._publish(address, count, step, is_write=True)
+            self._write_raw(address, count, step, values)
             return
-        i = self._normalize(index)
-        self._publish(i, 1, 1, is_write=True)
-        self._write_raw(i, 1, 1, np.asarray([value], dtype=self.dtype))
+        address = self._address(self._normalize(index))
+        self._publish(address, 1, 1, is_write=True)
+        self._write_raw(address, 1, 1, np.asarray([value], dtype=self.dtype))
 
     def _normalize(self, index: int) -> int:
         # Negative Python indices wrap like numpy; out-of-range positives are
@@ -189,7 +212,10 @@ class HostArray(_ArrayView):
         self.name = name
         self.buffer = buffer
         self.dtype = np.dtype(dtype)
+        self.itemsize = self.dtype.itemsize
         self.length = length
+        self.device_id = 0
+        self.storage = machine.host
 
     @property
     def base(self) -> int:
@@ -200,12 +226,6 @@ class HostArray(_ArrayView):
 
     def _address(self, element: int) -> int:
         return self.address_of(element)
-
-    def _storage_device(self) -> "Device":
-        return self.machine.host
-
-    def _event_device_id(self) -> int:
-        return 0
 
     # -- uninstrumented escape hatches for tests ---------------------------
 
@@ -244,22 +264,27 @@ class KernelArray(_ArrayView):
         self.machine = machine
         self.name = name
         self.device = device
+        self.device_id = device.device_id
         self.cv_base = cv_base
         self.section_start = section_start
         self.section_length = section_length
         self.dtype = np.dtype(dtype)
+        self.itemsize = self.dtype.itemsize
         # Kernels index against the declared variable, not the section.
         self.length = declared_length
+        # Bind the section's storage for this launch.  Unified devices back
+        # the CV with host storage.  A section no single live buffer covers
+        # (a stale nowait fallback whose CV was freed) stays unbound.
+        self.storage = machine.host if device.unified else device
+        nbytes = section_length * self.itemsize
+        buf = self.storage.buffer_containing(cv_base)
+        if nbytes and buf is not None and buf.extent.contains(cv_base, nbytes):
+            self._data = buf.as_array(
+                self.dtype, offset=cv_base - buf.base, count=section_length
+            )
 
     def _address(self, element: int) -> int:
         return self.cv_base + (element - self.section_start) * self.itemsize
-
-    def _storage_device(self) -> "Device":
-        # Unified devices back the CV with host storage.
-        return self.machine.host if self.device.unified else self.device
-
-    def _event_device_id(self) -> int:
-        return self.device.device_id
 
     @property
     def mapped_range(self) -> tuple[int, int]:
@@ -270,7 +295,7 @@ class KernelArray(_ArrayView):
         lo, hi = self.mapped_range
         return (
             f"KernelArray({self.name!r}, section=[{lo}:{hi}], "
-            f"device={self.device.device_id})"
+            f"device={self.device_id})"
         )
 
 

@@ -151,6 +151,8 @@ class Device:
         number of bytes restored.
         """
         restored = 0
+        # In place: kernel views bind ``buf.data`` once per launch, so a
+        # buffer's array must never be rebound.
         for buf in self.buffers.values():
             checkpoint = buf.data.copy()
             buf.data[:] = GARBAGE_BYTE

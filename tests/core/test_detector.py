@@ -417,6 +417,41 @@ class TestLookupCacheInvalidation:
         assert det._lookup_device[3] is rec2
 
 
+    def test_two_alternating_mappings_both_stay_cached(self):
+        from repro.events import Access, AllocationEvent, DataOp, DataOpKind
+
+        det = self.detector()
+        for k in range(2):
+            det.on_allocation(
+                AllocationEvent(
+                    device_id=0, thread_id=0, address=self.OV + 64 * k,
+                    nbytes=64, is_free=False, label=f"v{k}",
+                )
+            )
+            det.on_data_op(
+                DataOp(
+                    kind=DataOpKind.ALLOC, device_id=1, thread_id=0,
+                    ov_address=self.OV + 64 * k, cv_address=self.CV + 64 * k,
+                    nbytes=64,
+                )
+            )
+        for i in range(8):  # A[i] = A[i] + B[i] on the device
+            for k, is_write in ((0, False), (1, False), (0, True)):
+                det.on_access(
+                    Access(
+                        device_id=1, thread_id=0,
+                        address=self.CV + 64 * k + 8 * i, size=8,
+                        is_write=is_write,
+                    )
+                )
+        hits, misses = det.mapping_lookup_stats()
+        assert (hits, misses) == (22, 2)  # only each array's first touch misses
+        assert det._lookup_device[3] is det.mappings.find(self.CV)
+        assert det._lookup_device_prev[3] is det.mappings.find(self.CV + 64)
+        self.unmap(det)
+        assert det._lookup_device is None and det._lookup_device_prev is None
+
+
 class TestDoubleDelete:
     OV = 1 << 32
     CV = 1 << 33

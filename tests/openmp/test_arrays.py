@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.events import Access
+from repro.events import Access, AccessOrigin
 from repro.memory import NotMappedError
-from repro.openmp import TargetRuntime, TraceRecorder, to, tofrom
+from repro.openmp import Schedule, TargetRuntime, TraceRecorder, to, tofrom
 
 
 def runtime():
@@ -180,3 +180,195 @@ class TestKernelArray:
 
         rt.target(k, maps=[tofrom(a)])
         assert (a.peek() == 3.0).all()
+
+    # -- the bound branch: an in-section int index on a bound view ----------
+
+    def run_kernel(self, rt, trace, maps, body, region=None, **kwargs):
+        """Run ``body(A)`` in a kernel, inside a ``target data`` region when
+        ``region`` lists its maps.  Returns what the kernel saw (its view
+        ``A``, thread, stack and ``body``'s result) and the accesses it
+        published."""
+        out = {}
+
+        def kernel(ctx):
+            out["view"] = ctx["a"]
+            out["tid"] = rt.machine.current_thread
+            out["stack"] = rt.machine.source.snapshot()
+            out["result"] = body(ctx["a"])
+
+        rt.machine.bus.flush_batch()
+        before = len(trace.accesses())
+        if region is None:
+            rt.target(kernel, maps=maps, **kwargs)
+        else:
+            with rt.target_data(region):
+                rt.target(kernel, maps=maps, **kwargs)
+        rt.finalize()
+        rt.machine.bus.flush_batch()
+        return out, trace.accesses()[before:]
+
+    def row(self, out, address, is_write, size=8):
+        return Access(
+            1, out["tid"], address, size, is_write, 1, size,
+            AccessOrigin.PROGRAM, out["stack"],
+        )
+
+    def test_bound_partial_section_first_and_last(self):
+        rt, trace = runtime()
+        a = rt.array("a", 64, init=[float(i) for i in range(64)])
+
+        def body(A):
+            first, last = A[16], A[47]
+            A[16] = -1.0
+            A[47] = -2.0
+            return first, last
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a, 16, 32)], body)
+        view = out["view"]
+        assert view._data is not None and len(view._data) == 32
+        assert out["result"] == (16.0, 47.0)
+        assert a.peek()[16] == -1.0 and a.peek()[47] == -2.0
+        cv = view.cv_base
+        assert accesses == [
+            self.row(out, cv, False),
+            self.row(out, cv + 31 * 8, False),
+            self.row(out, cv, True),
+            self.row(out, cv + 31 * 8, True),
+        ]
+
+    def test_bound_negative_index(self):
+        rt, trace = runtime()
+        a = rt.array("a", 8, init=[float(i) for i in range(8)])
+
+        def body(A):
+            A[-2] = 60.0
+            return A[-1]
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a)], body)
+        assert out["view"]._data is not None
+        assert out["result"] == 7.0
+        assert a.peek()[6] == 60.0
+        cv = out["view"].cv_base
+        assert accesses == [self.row(out, cv + 6 * 8, True), self.row(out, cv + 7 * 8, False)]
+
+    def test_just_outside_the_section_stays_loose(self):
+        rt, trace = runtime()
+        a = rt.array("a", 64, init=[float(i) for i in range(64)])
+
+        def body(A):
+            before, past = A[15], A[48]
+            A[15] = 5.0
+            A[48] = 5.0
+            return before, past
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a, 16, 32)], body)
+        # Neither neighbour is backed on the device: both read the garbage
+        # pattern, and the stores vanish instead of reaching the host.
+        garbage = np.frombuffer(b"\xcb" * 8, dtype="f8")[0]
+        assert out["result"] == (garbage, garbage)
+        assert a.peek()[15] == 15.0 and a.peek()[48] == 48.0
+        cv = out["view"].cv_base
+        assert accesses == [
+            self.row(out, cv - 8, False),
+            self.row(out, cv + 32 * 8, False),
+            self.row(out, cv - 8, True),
+            self.row(out, cv + 32 * 8, True),
+        ]
+
+    def test_bound_on_unified_device(self):
+        rt = TargetRuntime(n_devices=1, unified=True)
+        trace = TraceRecorder().attach(rt.machine)
+        a = rt.array("a", 8, init=[float(i) for i in range(8)])
+
+        def body(A):
+            A[3] = 30.0
+            return A[4]
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a, 2, 4)], body)
+        view = out["view"]
+        # Unified: the CV is the OV, and the view indexes host storage.
+        assert view._data is not None and view.cv_base == a.address_of(2)
+        assert out["result"] == 4.0 and a.peek()[3] == 30.0
+        assert accesses == [
+            self.row(out, a.address_of(3), True),
+            self.row(out, a.address_of(4), False),
+        ]
+
+    def test_stale_nowait_fallback_stays_unbound(self):
+        # The exit mapping runs before the deferred kernel, so the kernel
+        # resolves ``a`` through the freed CV: the view cannot bind.
+        rt = TargetRuntime(n_devices=1, schedule=Schedule.DEFER_HOST_FIRST)
+        trace = TraceRecorder().attach(rt.machine)
+        a = rt.array("a", 4, init=[1.0] * 4)
+
+        def body(A):
+            A[1] = 9.0
+            return A[1]
+
+        out, accesses = self.run_kernel(
+            rt, trace, (), body, region=[tofrom(a)], nowait=True
+        )
+        view = out["view"]
+        assert view._data is None
+        # The store to freed memory vanished; the read sees the garbage.
+        garbage = np.frombuffer(b"\xcb" * 8, dtype="f8")[0]
+        assert out["result"] == garbage
+        assert a.peek().tolist() == [1.0] * 4
+        cv = view.cv_base
+        assert accesses == [self.row(out, cv + 8, True), self.row(out, cv + 8, False)]
+
+    def test_numpy_int_index_matches_int_index(self):
+        rt, trace = runtime()
+        a = rt.array("a", 8, init=[float(i) for i in range(8)])
+
+        def body(A):
+            A[np.int64(2)] = 20.0
+            return A[np.int64(2)], A[2]
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a)], body)
+        assert out["result"] == (20.0, 20.0) and a.peek()[2] == 20.0
+        cv = out["view"].cv_base
+        assert accesses == [
+            self.row(out, cv + 16, True),
+            self.row(out, cv + 16, False),
+            self.row(out, cv + 16, False),
+        ]
+
+    def test_float_store_into_int_array_truncates(self):
+        rt, trace = runtime()
+        a = rt.array("a", 4, "i8", init=[0] * 4)
+
+        def body(A):
+            A[1] = 2.9  # bound branch
+            A[5] = 7.9  # loose: past the declared array, never stored
+            A[2] = -2.9
+            return A[1], A[2]
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a)], body)
+        assert out["result"] == (2, -2)
+        assert a.peek().tolist() == [0, 2, -2, 0]
+        cv = out["view"].cv_base
+        assert accesses == [
+            self.row(out, cv + 8, True),
+            self.row(out, cv + 40, True),
+            self.row(out, cv + 16, True),
+            self.row(out, cv + 8, False),
+            self.row(out, cv + 16, False),
+        ]
+
+    @pytest.mark.parametrize("index", [1, 6], ids=["bound", "loose"])
+    def test_u1_overflow_raises_after_publishing(self, index):
+        rt, trace = runtime()
+        a = rt.array("a", 8, "u1", init=[0] * 8)
+        raised = []
+
+        def body(A):
+            with pytest.raises(OverflowError):
+                A[index] = 256
+            raised.append(True)
+
+        out, accesses = self.run_kernel(rt, trace, [tofrom(a, 0, 4)], body)
+        assert raised == [True]
+        assert a.peek().tolist() == [0] * 8
+        cv = out["view"].cv_base
+        assert accesses == [self.row(out, cv + index, True, size=1)]
