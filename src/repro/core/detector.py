@@ -36,6 +36,7 @@ overflow, and only the in-bounds part drives the VSM.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,6 +46,7 @@ from ..forensics import recorder as _forensics
 from ..memory.layout import GRANULE
 from ..telemetry import registry as _telemetry
 from ..events.columnar import first_occurrence_passes
+from ..events.records import ACCESS_KINDS
 from ..tools.archer import RaceEngine
 from ..tools.base import Tool
 from ..tools.findings import Finding, FindingKind
@@ -72,7 +74,9 @@ _DATA_OP_EVENT_KINDS = {
 }
 
 #: VSM state names by state code (flight-recorder timelines).
-_STATE_NAMES = [VsmState(code).name for code in range(4)]
+_STATE_LABELS = np.array([VsmState(code).name for code in range(4)], dtype=object)
+#: Access kinds, gathered by ``(device_id != 0) * 2 + is_write`` arrays.
+_ACCESS_KINDS = np.array(ACCESS_KINDS, dtype=object)
 
 
 class Arbalest(Tool):
@@ -380,25 +384,31 @@ class Arbalest(Tool):
         block.apply(idx, vsm_op, op.device_id)
         after = block.state_label(first) if first is not None else ""
         self._record(
-            recorder, block, _DATA_OP_EVENT_KINDS[op.kind.value], op,
-            before, after, detail=f"{nbytes}B",
+            recorder, block, _DATA_OP_EVENT_KINDS[op.kind.value], op.device_id,
+            op.stack, before, after, detail=f"{nbytes}B",
         )
 
     @staticmethod
     def _record(
-        recorder, block, kind: str, event, before: str, after: str, detail: str = ""
+        recorder,
+        block,
+        kind: str,
+        device_id: int,
+        stack: tuple,
+        before: str,
+        after: str,
+        detail: str = "",
     ) -> None:
         """Append one VSM transition of ``block`` to the flight recorder.
 
-        ``event`` is the access or data op that caused it (device and
-        source location).  Access sites call this only for transitions and
-        illegal accesses: steady-state accesses carry no causal information.
+        ``device_id`` and ``stack`` are those of the access or data op that
+        caused it.  Access sites call this only for transitions and illegal
+        accesses: steady-state accesses carry no causal information.
         """
-        stack = event.stack
         recorder.record(
             block.label,
             kind,
-            device_id=event.device_id,
+            device_id=device_id,
             location=stack[0] if stack else UNKNOWN_LOCATION,
             state_before=before,
             state_after=after,
@@ -465,7 +475,7 @@ class Arbalest(Tool):
         """
         accesses = batch.accesses
         cols = batch.columns
-        n = len(accesses)
+        n = len(batch)
         addr = cols.addresses
         sizes = cols.sizes
 
@@ -540,16 +550,21 @@ class Arbalest(Tool):
         start = 0
         for s in np.flatnonzero(cat == 0).tolist():
             if s > start:
-                self._batch_segment(accesses, cols, cat, ri, bi, gran, recs, blocks, start, s)
+                self._batch_segment(batch, cat, ri, bi, gran, recs, blocks, start, s)
             on_access(accesses[s])
             start = s + 1
         if start < n:
-            self._batch_segment(accesses, cols, cat, ri, bi, gran, recs, blocks, start, n)
+            self._batch_segment(batch, cat, ri, bi, gran, recs, blocks, start, n)
 
     def _batch_segment(
-        self, accesses, cols, cat, ri, bi, gran, recs, blocks, start, stop
+        self, batch, cat, ri, bi, gran, recs, blocks, start, stop
     ) -> None:
-        """Vector-process one run of fast-path-eligible device accesses."""
+        """Vector-process one run of fast-path-eligible device accesses.
+
+        Rows are built only for findings: a recorded transition reads its
+        device, write bit and stack from the columns and the batch.
+        """
+        cols = batch.columns
         telemetry = _telemetry.ACTIVE
         if telemetry is not None:
             telemetry.count("detector.accesses.device", stop - start)
@@ -594,16 +609,22 @@ class Arbalest(Tool):
                     illegal, uninit = block.apply_ops(g, ops)
                     if recorder is not None:
                         after = block.states(g)
-                        for h in np.flatnonzero((after != before) | illegal).tolist():
-                            labels = (_STATE_NAMES[before[h]], _STATE_NAMES[after[h]])
-                            found.append((int(pos[h]), 0, labels))
+                        hit = np.flatnonzero((after != before) | illegal)
+                        found += zip(
+                            pos[hit].tolist(),
+                            repeat(0),
+                            zip(
+                                _STATE_LABELS[before[hit]].tolist(),
+                                _STATE_LABELS[after[hit]].tolist(),
+                            ),
+                        )
                     for h in np.flatnonzero(illegal & ~is_write[pos]).tolist():
                         found.append((int(pos[h]), 1, bool(uninit[h])))
                 for r in remainder.tolist():
                     p_abs = int(sel[r])
-                    access = accesses[p_abs]
+                    write = bool(is_write[p_abs])
                     g = int(gran[p_abs])
-                    op = VsmOp.WRITE_TARGET if access.is_write else VsmOp.READ_TARGET
+                    op = VsmOp.WRITE_TARGET if write else VsmOp.READ_TARGET
                     if recorder is not None:
                         before = block.state_label(g)
                     ill, uni = block.apply_scalar(g, op, recs[int(ri[p_abs])].device_id)
@@ -611,7 +632,7 @@ class Arbalest(Tool):
                         after = block.state_label(g)
                         if ill or after != before:
                             found.append((p_abs, 0, (before, after)))
-                    if ill and not access.is_write:
+                    if ill and not write:
                         found.append((p_abs, 1, bool(uni)))
         if self.race_engine is not None:
             race_pos = seg[c != 1]  # cat 2 and 3: everything not cert-skipped
@@ -625,18 +646,26 @@ class Arbalest(Tool):
                 )
                 for p in racy:
                     found.append((int(race_pos[p]), 2, None))
-        for p_abs, phase, arg in sorted(found, key=lambda t: (t[0], t[1])):
-            access = accesses[p_abs]
+        if not found:
+            return
+        # (position, phase) pairs are unique, so tuples sort on them alone.
+        found.sort()
+        at = [f[0] for f in found]
+        devices = cols.device_ids[at]
+        kinds = _ACCESS_KINDS[(devices != 0) * 2 + is_write[at]].tolist()
+        accesses = batch.accesses
+        stack_at = batch.stack_at
+        for (p_abs, phase, arg), device, kind, blk in zip(
+            found, devices.tolist(), kinds, bi[at].tolist()
+        ):
             if phase == 0:
-                self._record(
-                    recorder, blocks[int(bi[p_abs])], access.kind_label, access, *arg
-                )
+                self._record(recorder, blocks[blk], kind, device, stack_at(p_abs), *arg)
             elif phase == 1:
                 self._report_issue(
-                    access, blocks[int(bi[p_abs])], recs[int(ri[p_abs])], arg
+                    accesses[p_abs], blocks[blk], recs[int(ri[p_abs])], arg
                 )
             else:
-                self._report_race_finding(access)
+                self._report_race_finding(accesses[p_abs])
 
     # -- host side ----------------------------------------------------------
 
@@ -814,7 +843,8 @@ class Arbalest(Tool):
                     after = block.state_label(lo)
                     if illegal or after != before:
                         self._record(
-                            recorder, block, access.kind_label, access, before, after
+                            recorder, block, access.kind_label, access.device_id,
+                            access.stack, before, after,
                         )
                 if not access.is_write and illegal:
                     self._report_issue(access, block, rec, uninit)
@@ -857,8 +887,8 @@ class Arbalest(Tool):
             if after != before or bool(illegal.any()):
                 n = (idx.stop - idx.start) if type(idx) is slice else len(idx)
                 self._record(
-                    recorder, block, access.kind_label, access, before, after,
-                    detail=f"{n} granule(s)",
+                    recorder, block, access.kind_label, access.device_id,
+                    access.stack, before, after, detail=f"{n} granule(s)",
                 )
         if not access.is_write and illegal.any():
             self._report_issue(access, block, rec, bool(uninit[illegal].all()))

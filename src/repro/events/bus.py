@@ -42,7 +42,15 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..telemetry import registry as _telemetry
 
-from .columnar import BATCH_CAP, MIN_BATCH, EventBatch
+from .columnar import (
+    BATCH_CAP,
+    MIN_BATCH,
+    EventBatch,
+    LaneSlot,
+    Pending,
+    decode_rows,
+    lane_of,
+)
 from .records import (
     Access,
     AllocationEvent,
@@ -82,7 +90,11 @@ class ToolBus:
     program end — so tools see exactly the program's event order, just
     blocked.  Each access carries the stack captured when it was built, so
     a flush after the publishing frame has exited still reports that
-    frame.  A tool class that must observe each access before the program
+    frame.  A pending access is a row or a lane code (one int, see
+    :mod:`~repro.events.columnar`) naming a slot this bus interned with
+    :meth:`intern_lane`; the slot table is reset at every flush, and
+    :attr:`lane_epoch` tells a view when its interned lane went stale.  A
+    tool class that must observe each access before the program
     reads the bytes (one that rewrites memory from ``on_access``) declares
     :attr:`~repro.tools.base.Tool.immediate_delivery`; while one is
     attached, every access is flushed as it is published.
@@ -94,7 +106,17 @@ class ToolBus:
     """
 
     def __init__(self, variables: VariableIndex | None = None) -> None:
-        self._batch_pending: list[Access] = []
+        self._batch_pending: list[Pending] = []
+        #: The pending batch's lane slots, indexed by its lane codes.
+        self._lane_slots: list[LaneSlot] = []
+        #: Bumped whenever an interned lane goes stale: at a flush that
+        #: resets the slot table, at a thread switch and at a source
+        #: position change.  A view re-interns when its epoch differs.
+        self.lane_epoch = 0
+        #: Whether any attached tool observes memory accesses.
+        #: Instrumented array views consult this before even building an
+        #: access, so native runs skip the event layer entirely.
+        self.wants_accesses = False
         self._immediate = False
         self._tools: list["Tool"] = []
         self._access: tuple["Tool", ...] = ()
@@ -158,6 +180,7 @@ class ToolBus:
             )
 
         self._access = overriding("on_access")
+        self.wants_accesses = bool(self._access)
         # Tools without a vectorized ``on_batch`` are served per access by
         # the bus itself, so one failing access never hides the rest.
         self._batched = tuple(t for t in overriding("on_batch") if t in self._access)
@@ -172,15 +195,6 @@ class ToolBus:
     @property
     def tools(self) -> tuple["Tool", ...]:
         return tuple(self._tools)
-
-    @property
-    def wants_accesses(self) -> bool:
-        """Whether any attached tool observes memory accesses.
-
-        Instrumented array views consult this before even *constructing* an
-        :class:`Access` record, so native runs skip the event layer entirely.
-        """
-        return bool(self._access)
 
     # -- crash isolation ---------------------------------------------------
 
@@ -233,7 +247,18 @@ class ToolBus:
                 except Exception as exc:
                     self._tool_error(tool, handler, exc)
 
-    def publish_access(self, access: Access) -> None:
+    def intern_lane(self, slot: LaneSlot) -> int:
+        """Add ``(device, thread, cv_base, itemsize, stack)`` to the slot
+        table; returns its read lane, valid until :attr:`lane_epoch` moves."""
+        slots = self._lane_slots
+        slots.append(slot)
+        return lane_of(len(slots) - 1)
+
+    def invalidate_lanes(self) -> None:
+        """Make every interned lane stale (a thread or source change)."""
+        self.lane_epoch += 1
+
+    def publish_access(self, access: Pending) -> None:
         pending = self._batch_pending
         pending.append(access)
         if self._immediate:
@@ -265,10 +290,11 @@ class ToolBus:
         if not pending:
             return
         self._batch_pending = []
+        slots = self._lane_slots
+        if slots:
+            self._lane_slots = []
+            self.lane_epoch += 1
         profiler = self.profiler
-        if profiler is not None:
-            # One ordinal per accessed element, whatever the batch size.
-            profiler.batch_events(pending, self._access)
         telemetry = _telemetry.ACTIVE
         if telemetry is not None:
             telemetry.count("bus.batches")
@@ -278,14 +304,20 @@ class ToolBus:
             # Bulk-kernel traffic: a few large accesses per window.  The
             # vectorized setup cost dwarfs per-event dispatch here, so hand
             # the run to the per-access handlers (semantically identical).
+            rows = decode_rows(pending, slots)
+            if profiler is not None:
+                # One ordinal per accessed element, whatever the batch size.
+                profiler.batch_events(rows, self._access)
             for tool in self._access:
-                self._deliver_each(tool, pending)
+                self._deliver_each(tool, rows)
             return
-        batch = EventBatch(pending)
+        batch = EventBatch(pending, slots)
+        if profiler is not None:
+            profiler.batch_events(batch, self._access)
         batched = self._batched
         for tool in self._access:
             if tool not in batched:
-                self._deliver_each(tool, pending)
+                self._deliver_each(tool, batch.rows())
                 continue
             try:
                 tool.on_batch(batch)

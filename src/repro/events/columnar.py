@@ -3,11 +3,23 @@
 Handing every :class:`~repro.events.records.Access` to every subscribed
 tool one Python call at a time costs, for element-wise kernels, one
 interpreter round-trip *per element per tool*.  The bus instead parks
-accesses and flushes them as an :class:`EventBatch` — a list of the
-original records plus lazily-built numpy columns ``(device, thread,
+accesses and flushes them as an :class:`EventBatch` — the ordered run of
+pending accesses plus lazily-built numpy columns ``(device, thread,
 address, size, is_write, count, stride)`` — through the tools'
 ``on_batch`` protocol, so the VSM table lookups and FastTrack epoch
 comparisons in the hot path run as whole-array gather/scatter.
+
+A pending access is either an ``Access`` row or a **lane code**: the one
+int a bound kernel view publishes per in-section scalar access,
+``offset << LANE_SHIFT | slot << 1 | is_write``.  The slot indexes the
+bus's per-batch slot table of ``(device, thread, cv_base, itemsize,
+stack)`` tuples, so the code names the access completely: its address is
+``cv_base + offset * itemsize``.  This module is the only one that knows
+the layout.  :class:`BatchColumns` decodes a batch's codes with one
+``np.fromiter`` plus shifts and gathers, and a row is built only when a
+tool asks :attr:`EventBatch.accesses` for one (a finding, an ``on_access``
+replay, a per-access tool).  A batch of rows only keeps the one
+``zip(*accesses)`` transpose.
 
 Ordering contract (see EXPERIMENTS.md §N): a batch only ever spans a window
 in which mappings, shadow blocks, and thread clocks are frozen, because the
@@ -20,12 +32,11 @@ processing batches in first-occurrence passes (:func:`first_occurrence_passes`).
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .records import Access
+from .records import Access, AccessOrigin
 
 #: Flush threshold: bounds both memory held by a pending batch and the
 #: latency between an access occurring and a tool observing it.
@@ -39,14 +50,57 @@ BATCH_CAP = 65536
 #: is pure overhead.
 MIN_BATCH = 64
 
+#: Lane-code layout: the element offset sits above ``LANE_SHIFT - 1`` slot
+#: bits and the write bit.  A slot table never outgrows the slot bits: it
+#: is reset at every flush, and a batch holds at most ``BATCH_CAP`` codes.
+LANE_SHIFT = 21
+_SLOT_MASK = (1 << (LANE_SHIFT - 1)) - 1
+#: OR-ed into a read lane to make the write lane of the same slot.
+WRITE_LANE = 1
+
+#: One slot: ``(device_id, thread_id, cv_base, itemsize, stack)``.
+LaneSlot = tuple[int, int, int, int, tuple]
+#: What a pending batch holds: rows and lane codes, in publish order.
+Pending = Union[Access, int]
+
+
+def lane_of(slot: int) -> int:
+    """The read lane of slot number ``slot`` (``| WRITE_LANE`` for writes)."""
+    return slot << 1
+
+
+def decode_lane(code: int, slots: Sequence[LaneSlot]) -> Access:
+    """The ``Access`` row a lane code stands for."""
+    device, thread, base, size, stack = slots[code >> 1 & _SLOT_MASK]
+    return Access(
+        device,
+        thread,
+        base + (code >> LANE_SHIFT) * size,
+        size,
+        bool(code & 1),
+        1,
+        size,
+        AccessOrigin.PROGRAM,
+        stack,
+    )
+
+
+def decode_rows(items: list[Pending], slots: Sequence[LaneSlot]) -> list[Access]:
+    """Replace every lane code in ``items`` by its row, in place; return it."""
+    if slots:
+        for pos, item in enumerate(items):
+            if type(item) is int:
+                items[pos] = decode_lane(item, slots)
+    return items  # type: ignore[return-value]
+
 
 class BatchColumns:
     """The column view of one batch (one numpy array per field).
 
-    An :class:`~repro.events.records.Access` is a row, so the columns come
-    from one ``zip(*accesses)`` transpose: the seven fields tools read
-    become int64 (``is_write``: bool) arrays; ``origin`` and ``stack`` are
-    left on the records.
+    The seven fields tools read become int64 (``is_write``: bool) arrays;
+    ``origin`` and ``stack`` are left on the rows and the slot table.
+    Rows come from one ``zip(*rows)`` transpose; lane codes decode with
+    shifts and one gather per slot field, the slot table being small.
     """
 
     __slots__ = (
@@ -59,7 +113,12 @@ class BatchColumns:
         "strides",
     )
 
-    def __init__(self, accesses: Sequence["Access"]):
+    def __init__(
+        self, accesses: Sequence[Pending], slots: Sequence[LaneSlot] = ()
+    ):
+        if slots:
+            self._decode(accesses, slots)
+            return
         # zip(*[]) yields no columns, so an empty batch gets empty ones.
         fields = tuple(islice(zip(*accesses), 7)) or ((),) * 7
         devices, threads, addresses, sizes, writes, counts, strides = fields
@@ -71,24 +130,108 @@ class BatchColumns:
         self.counts = np.array(counts, dtype=np.int64)
         self.strides = np.array(strides, dtype=np.int64)
 
+    def _decode(self, items: Sequence[Pending], slots: Sequence[LaneSlot]) -> None:
+        n = len(items)
+        row_pos: list[int] = []
+        try:
+            codes = np.fromiter(items, dtype=np.int64, count=n)
+        except TypeError:  # rows among the codes: decode those apart
+            row_pos = [pos for pos, item in enumerate(items) if type(item) is not int]
+            codes = np.fromiter(
+                (item if type(item) is int else 0 for item in items),
+                dtype=np.int64,
+                count=n,
+            )
+        table = np.array([slot[:4] for slot in slots], dtype=np.int64)
+        slot = codes >> 1 & _SLOT_MASK
+        sizes = table[:, 3][slot]
+        self.device_ids = table[:, 0][slot]
+        self.thread_ids = table[:, 1][slot]
+        self.addresses = table[:, 2][slot] + (codes >> LANE_SHIFT) * sizes
+        self.sizes = sizes
+        self.is_write = (codes & 1).astype(np.bool_)
+        self.counts = np.ones(n, dtype=np.int64)
+        self.strides = sizes.copy()
+        if row_pos:
+            rows = BatchColumns([items[pos] for pos in row_pos])
+            for field in self.__slots__:
+                getattr(self, field)[row_pos] = getattr(rows, field)
 
-class EventBatch:
-    """An ordered run of accesses plus their lazily-built columns."""
 
-    __slots__ = ("accesses", "_columns")
+class BatchRows:
+    """A batch's accesses as a sequence of rows, each built on first use.
 
-    def __init__(self, accesses: Sequence["Access"]):
-        self.accesses = list(accesses)
-        self._columns: BatchColumns | None = None
+    Indexing a lane code decodes it and keeps the row in its place, so a
+    row is built at most once however many tools ask for it.
+    """
+
+    __slots__ = ("_items", "_slots")
+
+    def __init__(self, items: list[Pending], slots: Sequence[LaneSlot]):
+        self._items = items
+        self._slots = slots
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self._items)
+
+    def __getitem__(self, pos):
+        if type(pos) is slice:
+            return [self[i] for i in range(*pos.indices(len(self._items)))]
+        item = self._items[pos]
+        if type(item) is int:
+            item = self._items[pos] = decode_lane(item, self._slots)
+        return item
+
+    def __iter__(self):
+        return iter(decode_rows(self._items, self._slots))
+
+
+class EventBatch:
+    """An ordered run of pending accesses plus their lazily-built columns.
+
+    ``accesses`` is the pending list the batch takes over (rows and lane
+    codes) and ``slots`` the slot table its codes index.
+    """
+
+    __slots__ = ("_items", "_slots", "_columns", "_rows")
+
+    def __init__(
+        self, accesses: Sequence[Pending], slots: Sequence[LaneSlot] = ()
+    ):
+        self._items = accesses if type(accesses) is list else list(accesses)
+        self._slots = slots
+        self._columns: BatchColumns | None = None
+        self._rows: BatchRows | None = None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    @property
+    def accesses(self) -> Sequence[Access]:
+        """The batch as rows; a lane code becomes a row when indexed."""
+        if not self._slots:
+            return self._items  # type: ignore[return-value]
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = BatchRows(self._items, self._slots)
+        return rows
+
+    def rows(self) -> list[Access]:
+        """Every access as a row (decodes the whole batch once)."""
+        return decode_rows(self._items, self._slots)
+
+    def stack_at(self, pos: int):
+        """The stack of access ``pos``, read without building its row."""
+        item = self._items[pos]
+        if type(item) is int:
+            return self._slots[item >> 1 & _SLOT_MASK][4]
+        return item.stack
 
     @property
     def columns(self) -> BatchColumns:
         cols = self._columns
         if cols is None:
-            cols = self._columns = BatchColumns(self.accesses)
+            cols = self._columns = BatchColumns(self._items, self._slots)
         return cols
 
 

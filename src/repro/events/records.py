@@ -16,9 +16,12 @@ comparison) subscribe only to accesses and raw allocation events; the
 mapping semantics reach them solely as anonymous memcpys, which is the
 paper's explanation for their misses (§VI.C).
 
-Every record is immutable.  :class:`Access`, built once per instrumented
-access, is a :class:`~typing.NamedTuple` row; the rarer records are frozen
-slotted dataclasses.
+Every record is immutable.  :class:`Access` is a
+:class:`~typing.NamedTuple` row: host views, slices and other generic
+accesses publish one, and a bound kernel view's scalar access is published
+as a lane code and becomes a row only when a tool asks for it
+(:mod:`~repro.events.columnar`).  The rarer records are frozen slotted
+dataclasses.
 """
 
 from __future__ import annotations
@@ -92,8 +95,7 @@ class Access(NamedTuple):
     @property
     def kind_label(self) -> str:
         """Flight-recorder event kind, e.g. ``host-read`` / ``device-write``."""
-        side = "device" if self.device_id else "host"
-        return f"{side}-write" if self.is_write else f"{side}-read"
+        return access_kind_label(self.device_id, self.is_write)
 
     def element_addresses(self) -> np.ndarray:
         """Start address of every element, as an int64 array."""
@@ -121,6 +123,15 @@ class Access(NamedTuple):
             for s in starts.tolist()
         ]
         return np.unique(np.concatenate(spans))
+
+
+#: Flight-recorder access kinds, indexed by ``(device_id != 0) * 2 + is_write``.
+ACCESS_KINDS = ("host-read", "host-write", "device-read", "device-write")
+
+
+def access_kind_label(device_id: int, is_write: bool) -> str:
+    """The flight-recorder kind of an access by ``device_id``."""
+    return ACCESS_KINDS[(device_id != 0) * 2 + bool(is_write)]
 
 
 class DataOpKind(enum.Enum):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,14 +39,16 @@ class SourceStack:
 
     Pushed frames nest, so a report taken inside nested ``at()`` blocks shows
     the full simulated call chain, innermost first (sanitizer convention).
+    ``on_change`` is called after every push and pop.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[], None] | None = None) -> None:
         self._frames: list[SourceLocation] = []
         # Memoized snapshot(): all accesses between two position changes
         # share one tuple, so capturing the stack of each access costs one
         # method call in the hot loop of a kernel.
         self._snapshot: tuple[SourceLocation, ...] | None = (UNKNOWN_LOCATION,)
+        self._on_change = on_change
 
     @contextmanager
     def at(
@@ -54,13 +56,18 @@ class SourceStack:
     ) -> Iterator[SourceLocation]:
         """Enter a simulated source position for the duration of the block."""
         frame = SourceLocation(file=file, line=line, column=column, function=function)
+        on_change = self._on_change
         self._frames.append(frame)
         self._snapshot = None
+        if on_change is not None:
+            on_change()
         try:
             yield frame
         finally:
             self._frames.pop()
             self._snapshot = None
+            if on_change is not None:
+                on_change()
 
     @property
     def current(self) -> SourceLocation:

@@ -69,7 +69,6 @@ class RecordedEvent:
 
     def __init__(
         self,
-        *,
         ordinal: int,
         kind: str,
         device_id: int,
@@ -193,15 +192,10 @@ class FlightRecorder:
         ring = self.rings.get(variable)
         if ring is None:
             ring = self.rings[variable] = VariableRing(self.capacity)
+        # Positional: the SPEC twins record tens of thousands of transitions.
         event = RecordedEvent(
-            ordinal=self.tick(),
-            kind=kind,
-            device_id=device_id,
-            variable=variable,
-            state_before=state_before,
-            state_after=state_after,
-            location=location,
-            detail=detail,
+            self.tick(), kind, device_id, variable, state_before, state_after,
+            location, detail,
         )
         ring.append(event)
         self.records += 1

@@ -35,7 +35,11 @@ tracemalloc in the test suite).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, Union
+
+import numpy as np
+
+from ..events.columnar import EventBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.records import Access
@@ -146,8 +150,9 @@ class Profiler:
 
     The hot-path entry point is :meth:`batch_events`, one call per flushed
     access batch.  It advances one ordinal per accessed element, so a given
-    trace yields identical sample ordinals whatever the batch sizes — a
-    differential invariant the test suite checks.
+    trace yields identical sample ordinals whatever the batch sizes, and
+    whether it arrives as rows or as an :class:`EventBatch` of lane codes —
+    differential invariants the test suite checks.
 
     Context is cheap mutable state: :meth:`set_context` names the current
     ``benchmark``/``phase`` (the serve layer points these at the session and
@@ -202,12 +207,21 @@ class Profiler:
 
     # -- hot path --------------------------------------------------------
 
-    def batch_events(self, accesses: Sequence["Access"], tools: Sequence["Tool"]) -> None:
+    def batch_events(
+        self,
+        accesses: Union[Sequence["Access"], EventBatch],
+        tools: Sequence["Tool"],
+    ) -> None:
         """Advance one ordinal per element of the batch; maybe sample.
 
         Samples land on exactly the accesses a per-access countdown would
-        have picked, including governor stride changes mid-batch.
+        have picked, including governor stride changes mid-batch.  An
+        :class:`EventBatch` is walked on its ``counts`` column, so it
+        builds no row: a sample reads only the sampled access's stack.
         """
+        if type(accesses) is EventBatch:
+            self._walk_counts(accesses, tools)
+            return
         total = sum(access.count for access in accesses)
         self.events += total
         if total < self._countdown:
@@ -218,9 +232,33 @@ class Profiler:
         for access in accesses:
             countdown -= access.count
             if countdown <= 0:
-                self._sample(access, tools, reset - countdown)
+                self._sample(access.stack, tools, reset - countdown)
                 reset = countdown = self.stride
         self._countdown = countdown
+        self._reset = reset
+
+    def _walk_counts(self, batch: EventBatch, tools: Sequence["Tool"]) -> None:
+        """The per-access countdown over a batch's cumulative counts: one
+        ``searchsorted`` finds each sampled position."""
+        cum = np.cumsum(batch.columns.counts)
+        total = int(cum[-1]) if len(cum) else 0
+        self.events += total
+        countdown = self._countdown
+        if total < countdown:
+            self._countdown = countdown - total
+            return
+        reset = self._reset
+        n = len(cum)
+        base = 0  # ordinals consumed through the last sampled position
+        while True:
+            pos = int(cum.searchsorted(base + countdown))
+            if pos >= n:
+                break
+            reached = int(cum[pos])
+            self._sample(batch.stack_at(pos), tools, reset - countdown + reached - base)
+            reset = countdown = self.stride
+            base = reached
+        self._countdown = countdown - (total - base)
         self._reset = reset
 
     def kernel_event(self, name: str) -> None:
@@ -228,15 +266,12 @@ class Profiler:
         if self.track_kernel_phase:
             self._phase = name
 
-    def _sample(
-        self, access: "Access", tools: Sequence["Tool"], weight: int
-    ) -> None:
+    def _sample(self, stack: tuple, tools: Sequence["Tool"], weight: int) -> None:
         governor = self.governor
         t0 = governor.timer() if governor is not None else 0.0
         self.samples += 1
         bench = self._benchmark
         phase = self._phase
-        stack = access.stack
         frame = self._frame
         counts = self._counts
         weights = self._weights

@@ -3,10 +3,9 @@
 :class:`HostArray` is the host program's view of one variable (C-style flat
 array); :class:`KernelArray` is the device-side view a compute kernel gets
 for each mapped variable.  Both translate element indices to absolute
-simulated addresses, publish an :class:`~repro.events.records.Access` row
-for every operation when any tool is listening — its call stack captured
-then, from the machine's memoized source snapshot — and then perform the
-operation on the raw storage.
+simulated addresses, publish one access for every operation when any tool
+is listening — its call stack captured then, from the machine's memoized
+source snapshot — and then perform the operation on the raw storage.
 
 Design points:
 
@@ -24,11 +23,20 @@ Design points:
   mappings cannot change while it runs (every map or unmap is a non-access
   event, and kernels never call the runtime), so a :class:`KernelArray`
   resolves its device id, itemsize and the ndarray over its mapped section
-  when it is built.  An ``int`` index inside the section then publishes one
-  ``Access`` row and indexes that array — the instrumentation
-  pass's one small tuple per access, with no per-access buffer search.
-  Slices, other index types, out-of-section indices and views with no
-  single covering buffer take the generic path below.
+  when it is built.  An ``int`` index inside the section then indexes that
+  array, with no per-access buffer search.
+* **A bound scalar access publishes one int.**  Everything an in-section
+  scalar access carries but its element offset and write bit is fixed
+  between a flush, a thread switch and a source-position change: device,
+  thread, section base, itemsize and stack.  The view interns that tuple
+  as a slot of the bus's per-batch table once per such window (one epoch
+  compare per access tells it when) and publishes the lane code
+  ``offset << LANE_SHIFT | lane`` — the instrumentation pass's compact
+  record, with no row built (:mod:`repro.events.columnar` owns the
+  layout and builds rows on demand).  Slices, other index types,
+  out-of-section indices, views with no single covering buffer and
+  :class:`HostArray` publish an ``Access`` row through the generic path
+  below.
 * **Peek/poke bypass instrumentation** so tests can assert on final memory
   without perturbing the tools under test.
 """
@@ -39,6 +47,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
+from ..events.columnar import LANE_SHIFT, WRITE_LANE
 from ..events.records import Access, AccessOrigin
 from ..memory.buffer import RawBuffer
 
@@ -69,11 +78,6 @@ class _ArrayView:
     device_id: int
     #: Device whose buffers back the view.
     storage: "Device"
-    #: The ndarray over a kernel view's mapped section, bound once per
-    #: launch; ``cv_base`` and ``section_start`` locate it (see
-    #: :class:`KernelArray`).  ``None`` means unbound: every access takes
-    #: the generic path.
-    _data: np.ndarray | None = None
 
     @property
     def nbytes(self) -> int:
@@ -142,12 +146,6 @@ class _ArrayView:
 
     def read(self, index: Index) -> Union[float, int, np.ndarray]:
         """Instrumented read of one element or a slice."""
-        data = self._data
-        if data is not None and type(index) is int:
-            k = (index + self.length if index < 0 else index) - self.section_start
-            if 0 <= k < len(data):
-                self._publish(self.cv_base + k * self.itemsize, 1, 1, is_write=False)
-                return data[k]
         if isinstance(index, slice):
             start, step, count = _slice_bounds(index, self.length)
             address = self._address(start)
@@ -159,13 +157,6 @@ class _ArrayView:
 
     def write(self, index: Index, value) -> None:
         """Instrumented write of one element or a slice."""
-        data = self._data
-        if data is not None and type(index) is int:
-            k = (index + self.length if index < 0 else index) - self.section_start
-            if 0 <= k < len(data):
-                self._publish(self.cv_base + k * self.itemsize, 1, 1, is_write=True)
-                data[k] = value
-                return
         if isinstance(index, slice):
             start, step, count = _slice_bounds(index, self.length)
             values = np.broadcast_to(np.asarray(value, dtype=self.dtype), (count,))
@@ -250,6 +241,12 @@ class KernelArray(_ArrayView):
     ``cv_base + (i - section_start) * itemsize``.
     """
 
+    #: The ndarray over the mapped section, bound once per launch.  ``None``
+    #: means unbound: every access takes the generic path.
+    _data: np.ndarray | None = None
+    #: The bus epoch the interned lanes belong to (-1: none interned yet).
+    _epoch = -1
+
     def __init__(
         self,
         machine: "Machine",
@@ -276,6 +273,7 @@ class KernelArray(_ArrayView):
         # the CV with host storage.  A section no single live buffer covers
         # (a stale nowait fallback whose CV was freed) stays unbound.
         self.storage = machine.host if device.unified else device
+        self._bus = machine.bus
         nbytes = section_length * self.itemsize
         buf = self.storage.buffer_containing(cv_base)
         if nbytes and buf is not None and buf.extent.contains(cv_base, nbytes):
@@ -285,6 +283,55 @@ class KernelArray(_ArrayView):
 
     def _address(self, element: int) -> int:
         return self.cv_base + (element - self.section_start) * self.itemsize
+
+    def _intern(self) -> None:
+        """Intern this view's current slot on the bus (a new epoch began)."""
+        bus = self._bus
+        machine = self.machine
+        lane = bus.intern_lane(
+            (
+                self.device_id,
+                machine.current_thread,
+                self.cv_base,
+                self.itemsize,
+                machine.source.snapshot(),
+            )
+        )
+        self._read_lane = lane
+        self._write_lane = lane | WRITE_LANE
+        self._epoch = bus.lane_epoch
+
+    def read(self, index: Index) -> Union[float, int, np.ndarray]:
+        """Instrumented read of one element or a slice."""
+        data = self._data
+        if data is not None and type(index) is int:
+            k = (index + self.length if index < 0 else index) - self.section_start
+            if 0 <= k < self.section_length:
+                bus = self._bus
+                if bus.wants_accesses:
+                    if self._epoch != bus.lane_epoch:
+                        self._intern()
+                    bus.publish_access(k << LANE_SHIFT | self._read_lane)
+                return data[k]
+        return _ArrayView.read(self, index)
+
+    def write(self, index: Index, value) -> None:
+        """Instrumented write of one element or a slice."""
+        data = self._data
+        if data is not None and type(index) is int:
+            k = (index + self.length if index < 0 else index) - self.section_start
+            if 0 <= k < self.section_length:
+                bus = self._bus
+                if bus.wants_accesses:
+                    if self._epoch != bus.lane_epoch:
+                        self._intern()
+                    bus.publish_access(k << LANE_SHIFT | self._write_lane)
+                data[k] = value
+                return
+        _ArrayView.write(self, index, value)
+
+    __getitem__ = read
+    __setitem__ = write
 
     @property
     def mapped_range(self) -> tuple[int, int]:

@@ -99,7 +99,8 @@ class Machine:
         self.bus = ToolBus()
         self.faults = faults
         self.bus.chaos = faults
-        self.source = SourceStack()
+        # A source-position change makes every interned kernel lane stale.
+        self.source = SourceStack(on_change=self.bus.invalidate_lanes)
         self.host = HostDevice(0, self)
         self.devices: dict[int, Device] = {0: self.host}
         cls = UnifiedDevice if unified else Device
@@ -139,13 +140,16 @@ class Machine:
             self.bus.publish_sync(SyncEvent("fork", parent, tid, parent))
         # Contiguous chunking, like static scheduling of a parallel for.
         bounds = np.linspace(0, n, k + 1).astype(int)
+        bus = self.bus
         try:
             for w, tid in enumerate(tids):
                 self.current_thread = tid
+                bus.invalidate_lanes()  # a lane slot names its thread
                 for i in range(bounds[w], bounds[w + 1]):
                     body(i)
         finally:
             self.current_thread = parent
+            bus.invalidate_lanes()
         for tid in tids:
             self.bus.publish_sync(SyncEvent("join", tid, parent, parent))
 

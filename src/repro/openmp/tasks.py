@@ -178,10 +178,12 @@ class TaskGraph:
             )
         caller = machine.current_thread
         machine.current_thread = task.task_id
+        machine.bus.invalidate_lanes()  # a lane slot names its thread
         try:
             task.body()
         finally:
             machine.current_thread = caller
+            machine.bus.invalidate_lanes()
         task.state = TaskState.DONE
         self.completed_count += 1
         self._unjoined.append(task)

@@ -1,10 +1,16 @@
-"""Batched access delivery: batching, columns, flush ordering, pass splitting."""
+"""Batched access delivery: batching, columns, lane codes, flush ordering,
+pass splitting."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events import Access, DataOp, DataOpKind, SyncEvent, ToolBus
 from repro.events.columnar import (
+    _SLOT_MASK,
     BATCH_CAP,
     MIN_BATCH,
     BatchColumns,
@@ -12,6 +18,8 @@ from repro.events.columnar import (
     first_occurrence_passes,
 )
 from repro.memory import BASE_ADDRESS
+from repro.openmp import Schedule, TargetRuntime, delete, to, tofrom
+from repro.openmp.arrays import KernelArray, _ArrayView
 from repro.tools import Tool
 from tests.per_access import per_access
 
@@ -302,3 +310,180 @@ class TestFirstOccurrencePasses:
             seen.setdefault(int(keys[pos]), []).append(pos)
         for key, positions in seen.items():
             assert positions == sorted(positions), key
+
+
+# Lane-code programs: kernels mixing bound reads and writes, out-of-section,
+# negative and np.int64 indices, slices, bursts past BATCH_CAP, rt.at
+# changes and parallel_for thread switches, with host code in between.
+_NAME = st.sampled_from(["a", "b"])
+_LEAF = st.one_of(
+    st.tuples(st.just("r"), _NAME, st.integers(-24, 40)),
+    st.tuples(st.just("w"), _NAME, st.integers(-24, 40)),
+    st.tuples(st.just("r64"), _NAME, st.integers(0, 15)),
+    st.tuples(st.just("sr"), _NAME, st.integers(0, 16), st.integers(0, 16)),
+    st.tuples(st.just("sw"), _NAME, st.integers(0, 16), st.integers(0, 16)),
+    st.tuples(st.just("burst"), _NAME, st.integers(1, 160)),
+)
+_LEAVES = st.lists(_LEAF, max_size=4)
+_KERNEL_OP = st.one_of(
+    _LEAF,
+    st.tuples(st.just("at"), st.integers(1, 99), _LEAVES),
+    st.tuples(st.just("pfor"), st.integers(1, 6), st.integers(1, 3), _LEAVES),
+)
+_HOST_OP = st.one_of(
+    st.tuples(st.just("r"), _NAME, st.integers(0, 15)),
+    st.tuples(st.just("w"), _NAME, st.integers(0, 15)),
+    st.tuples(st.just("sr"), _NAME, st.integers(0, 16), st.integers(0, 16)),
+)
+_KERNEL = st.tuples(
+    st.booleans(),  # nowait (deferred: the schedule runs it at taskwait)
+    st.lists(_KERNEL_OP, min_size=1, max_size=6),
+    st.lists(_HOST_OP, max_size=3),  # host code before the taskwait
+)
+PROGRAMS = st.tuples(
+    st.lists(_KERNEL, min_size=1, max_size=3),
+    st.booleans(),  # an immediate-delivery tool attached
+    st.booleans(),  # a stale nowait kernel (its CV freed before it runs)
+)
+
+
+class Capture(Tool):
+    """Checks every delivered batch's lane decoding and keeps its rows."""
+
+    name = "capture"
+
+    def __init__(self, bus):
+        super().__init__()
+        self.bus = bus
+        self.rows = []
+
+    def on_access(self, access):
+        assert not self.bus._lane_slots  # the flush took the slot table
+        self.rows.append(access)
+
+    def on_batch(self, batch):
+        assert not self.bus._lane_slots
+        codes = [item for item in batch._items if type(item) is int]
+        # The batch's slot table holds exactly the slots its codes name.
+        assert {code >> 1 & _SLOT_MASK for code in codes} == set(
+            range(len(batch._slots))
+        )
+        decoded = batch.columns
+        rows = list(batch.accesses)
+        reference = BatchColumns(rows)
+        for field in BatchColumns.__slots__:
+            got, want = getattr(decoded, field), getattr(reference, field)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), field
+        self.rows.extend(rows)
+
+
+class TestLaneCodes:
+    """Bound kernel scalar accesses publish lane codes; every row a tool
+    builds from one equals the row the generic view path publishes."""
+
+    N_A, N_B = 24, 16
+    SECTION = (4, 12)  # a[4:16] is mapped
+
+    def _ops(self, rt, ctx, ops, shift=0):
+        for op in ops:
+            kind = op[0]
+            if kind == "r":
+                ctx[op[1]][op[2] + shift]
+            elif kind == "w":
+                ctx[op[1]][op[2] + shift] = float(op[2])
+            elif kind == "r64":
+                ctx[op[1]][np.int64(op[2])]
+            elif kind == "sr":
+                ctx[op[1]][op[2] : op[3]]
+            elif kind == "sw":
+                ctx[op[1]][op[2] : op[3]] = 2.0
+            elif kind == "burst":  # long enough to cross BATCH_CAP
+                view = ctx[op[1]]
+                lo, hi = view.mapped_range
+                for j in range(op[2]):
+                    if j % 3:
+                        view[lo + j % (hi - lo)]
+                    else:
+                        view[lo + j % (hi - lo)] = 1.0
+            elif kind == "at":
+                with rt.at("kernel.c", op[1], function="k"):
+                    self._ops(rt, ctx, op[2], shift)
+            else:  # parallel_for: a thread switch per worker
+                _, n, threads, body = op
+                ctx.parallel_for(
+                    n, lambda i: self._ops(rt, ctx, body, shift + i), num_threads=threads
+                )
+
+    def _run(self, program):
+        kernels, immediate, stale = program
+        rt = TargetRuntime(n_devices=1, schedule=Schedule.DEFER_KERNEL_FIRST)
+        bus = rt.machine.bus
+        a = rt.array("a", self.N_A, "f8", init=[float(i) for i in range(self.N_A)])
+        b = rt.array("b", self.N_B, "f4", init=[float(i) for i in range(self.N_B)])
+        capture = Capture(bus).attach(rt.machine)
+        if immediate:
+            per_access(Recorder)().attach(rt.machine)
+        arrays = {"a": a, "b": b}
+        for nowait, body, host in kernels:
+            with rt.at("main.c", 10):
+                rt.target(
+                    lambda ctx, body=body: self._ops(rt, ctx, body),
+                    maps=[tofrom(a, *self.SECTION), tofrom(b)],
+                    nowait=nowait,
+                )
+            for op in host:
+                if op[0] == "r":
+                    arrays[op[1]][op[2]]
+                elif op[0] == "w":
+                    arrays[op[1]][op[2]] = -1.0
+                else:
+                    arrays[op[1]][op[2] : op[3]]
+            rt.taskwait()
+        if stale:
+            rt.target_enter_data([to(b)])
+            rt.target(lambda ctx: self._ops(rt, ctx, [("burst", "b", 20)]), nowait=True)
+            rt.target_exit_data([delete(b)])
+        rt.finalize()
+        assert not bus._lane_slots and not bus._batch_pending
+        return capture.rows, a.peek().tolist(), b.peek().tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(PROGRAMS)
+    def test_lanes_decode_to_the_generic_rows(self, program):
+        self._check(program)
+
+    def _check(self, program):
+        with mock.patch("repro.events.bus.BATCH_CAP", 97):
+            lanes = self._run(program)
+            # The reference: every kernel access takes the generic row path.
+            with mock.patch.multiple(
+                KernelArray,
+                read=_ArrayView.read,
+                write=_ArrayView.write,
+                __getitem__=_ArrayView.read,
+                __setitem__=_ArrayView.write,
+            ):
+                generic = self._run(program)
+        assert lanes == generic
+
+    def test_mixed_batch_decodes_its_rows_apart(self):
+        """One kernel batch holding lane codes, slices, ``np.int64`` and
+        out-of-section rows decodes to the generic path's columns."""
+        kernel = [
+            ("burst", "a", 70),
+            ("sr", "a", 2, 9),
+            ("r64", "b", 3),
+            ("at", 7, [("w", "b", 2), ("r", "a", 30)]),
+            ("pfor", 4, 2, [("r", "a", 4), ("w", "b", 0)]),
+            ("burst", "b", 30),
+        ]
+        batches = []
+        on_batch = Capture.on_batch
+
+        def spy(tool, batch):
+            batches.append({type(item) is int for item in batch._items})
+            on_batch(tool, batch)
+
+        with mock.patch.object(Capture, "on_batch", spy):
+            self._check(([(False, kernel, [])], False, False))
+        assert {True, False} in batches  # codes and rows in one batch

@@ -1,10 +1,18 @@
 """The continuous profiler: determinism, batch-size equivalence, governor, tax."""
 
+import random
 import tracemalloc
 
 import pytest
 
 from repro.core.detector import Arbalest
+from repro.events.columnar import (
+    LANE_SHIFT,
+    WRITE_LANE,
+    EventBatch,
+    decode_rows,
+    lane_of,
+)
 from repro.events.records import Access
 from repro.events.source import SourceLocation
 from repro.observe.flame import parse_folded, render_flamegraph
@@ -261,3 +269,66 @@ class TestContextAndExport:
         assert stats["governor"]["budget"] == gov.budget
         snap = p.snapshot(limit=3)
         assert snap["hot"] and snap["hot"][0]["weight"] >= 2
+
+
+class TestLaneBatches:
+    """A batch of lane codes samples exactly what its rows would."""
+
+    def _trace(self, seed):
+        """Pending items (lane codes and bulk rows), their slot tables and
+        the equivalent rows, cut into batches of varying size."""
+        rng = random.Random(seed)
+        batches = []
+        for _ in range(12):
+            slots = [
+                (1, rng.randrange(3), 0x10000 * (s + 1), 8, _site("k", s))
+                for s in range(rng.randrange(1, 5))
+            ]
+            items = []
+            for _ in range(rng.randrange(64, 300)):
+                if rng.random() < 0.1:
+                    items.append(_access(count=rng.choice((3, 40)), line=99))
+                else:
+                    lane = lane_of(rng.randrange(len(slots)))
+                    if rng.random() < 0.5:
+                        lane |= WRITE_LANE
+                    items.append(rng.randrange(100) << LANE_SHIFT | lane)
+            batches.append((items, slots, decode_rows(list(items), slots)))
+        return batches
+
+    def _recording(self, stride):
+        samples = []
+        p = Profiler(stride=stride)
+        sample = p._sample
+
+        def spy(stack, tools, weight):
+            samples.append((stack, weight))
+            sample(stack, tools, weight)
+
+        p._sample = spy
+        return p, samples
+
+    @pytest.mark.parametrize("stride", [1, 7, 64, 512])
+    def test_same_ordinals_and_folded_as_rows(self, stride):
+        lanes, lane_samples = self._recording(stride)
+        rows, row_samples = self._recording(stride)
+        for items, slots, expected in self._trace(stride):
+            lanes.batch_events(EventBatch(list(items), slots), TOOLS)
+            rows.batch_events(expected, TOOLS)
+        # Each sample's weight is the ordinals since the previous one, so
+        # equal (stack, weight) sequences mean equal sample ordinals.
+        assert lane_samples == row_samples and lane_samples
+        assert lanes.events == rows.events
+        assert lanes.folded() == rows.folded()
+
+    def test_lane_batch_builds_no_row(self):
+        p = Profiler(stride=5)
+        for items, slots, _expected in self._trace(3):
+            batch = EventBatch(list(items), slots)
+            p.batch_events(batch, TOOLS)
+            # A sample reads the sampled access's stack from the slot table:
+            # every lane code is still a code.
+            assert [type(x) is int for x in batch._items] == [
+                type(x) is int for x in items
+            ]
+        assert p.samples
