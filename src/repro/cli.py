@@ -20,12 +20,10 @@
     python -m repro serve --bench          # server throughput -> BENCH_serve.json
     python -m repro serve --socket         # long-lived TCP front end (SIGTERM drains)
     python -m repro serve --socket --log-file serve.jsonl  # + structured JSONL log
-    python -m repro top --port 9000 --once # live per-shard table off /metrics
     python -m repro profile --suite dracc --benchmark 22   # telemetry -> trace.json
     python -m repro report [--suite buggy] # findings + provenance -> report.jsonl
-    python -m repro diff old.jsonl new.jsonl  # cross-run regression gate
-    python -m repro diff --history BENCH_history.jsonl old.json new.json
-    python -m repro sentinel               # statistical verdicts over the ledger
+    python -m repro diff old.jsonl new.jsonl  # report / synth-bench regression gate
+    python -m repro sentinel               # the gate for timed (bench) artifacts
     python -m repro sentinel --seed-from BENCH_fig8.json  # migrate old artifacts
     python -m repro list [--json]          # inventory
 
@@ -572,10 +570,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{profile['events']} events (final stride {profile['stride']})"
             )
         print(f"  delivery verified: {'yes' if payload['delivery_ok'] else 'NO'}")
+        # A run that ended in violation of its own SLOs published numbers
+        # measured while degraded.
+        burning = payload["observability"].get("watchdog", {}).get("burning", [])
+        if burning:
+            print(f"  SLOs still burning at the end: {', '.join(burning)}")
         print(f"wrote {output}")
         if history:
             print(f"appended to ledger {history}")
-        return 0 if payload["delivery_ok"] else 1
+        return 0 if payload["delivery_ok"] and not burning else 1
 
     # Default: the loopback equivalence run (the serve self-test).
     from .harness import run_serve_suite
@@ -618,26 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         print(f"wrote {args.report}")
     return 0 if payload["ok"] else 1
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .observe.top import run_top
-
-    try:
-        return run_top(
-            args.host,
-            args.port,
-            interval=args.interval,
-            iterations=args.iterations,
-            once=args.once,
-            json_output=args.json,
-            out=sys.stdout,
-        )
-    except KeyboardInterrupt:
-        return 0
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"repro top: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -740,9 +723,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from .forensics.diff import diff_artifacts, render_diff
 
     try:
-        result = diff_artifacts(
-            args.old, args.new, threshold=args.threshold, history=args.history
-        )
+        result = diff_artifacts(args.old, args.new)
     except (OSError, ValueError) as exc:
         print(f"repro diff: error: {exc}", file=sys.stderr)
         return 2
@@ -1078,36 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.set_defaults(fn=_cmd_serve)
 
-    pt = sub.add_parser(
-        "top",
-        help="live per-shard view of a serving repro serve --socket process",
-    )
-    pt.add_argument("--host", default="127.0.0.1")
-    pt.add_argument("--port", type=int, required=True)
-    pt.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="seconds between scrapes (default: 1.0)",
-    )
-    pt.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="stop after N scrapes (default: until interrupted)",
-    )
-    pt.add_argument(
-        "--once",
-        action="store_true",
-        help="scrape once, print, exit (rates shown as '-')",
-    )
-    pt.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of the table",
-    )
-    pt.set_defaults(fn=_cmd_top)
-
     pp = sub.add_parser(
         "profile", help="one workload with full telemetry -> trace.json"
     )
@@ -1150,23 +1101,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_report)
 
     pf = sub.add_parser(
-        "diff", help="compare two report/bench artifacts; exit 1 on regression"
+        "diff",
+        help="compare two report/synth-bench artifacts; exit 1 on regression "
+        "(timed artifacts: see sentinel)",
     )
-    pf.add_argument("old", help="baseline artifact (report JSONL or bench JSON)")
+    pf.add_argument(
+        "old", help="baseline artifact (report JSONL or synth-bench JSON)"
+    )
     pf.add_argument("new", help="candidate artifact of the same type")
-    pf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="relative slowdown growth tolerated in bench diffs (default 5%%)",
-    )
-    pf.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="bench-history ledger: calibrate per-metric thresholds from "
-        "this machine's historical noise instead of the flat --threshold",
-    )
     pf.set_defaults(fn=_cmd_diff)
 
     pn = sub.add_parser(

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..events.source import UNKNOWN_LOCATION
-from ..forensics import recorder as _forensics
 from ..memory.layout import GRANULE
 from ..telemetry import registry as _telemetry
 from ..events.columnar import first_occurrence_passes
@@ -373,7 +372,7 @@ class Arbalest(Tool):
         if block is None:
             return
         idx = block.index_range(ov_address, nbytes)
-        recorder = _forensics.ACTIVE
+        recorder = self.recorder
         if recorder is None:
             block.apply(idx, vsm_op, op.device_id)
             return
@@ -582,7 +581,7 @@ class Arbalest(Tool):
             if telemetry is not None:
                 telemetry.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
-        recorder = _forensics.ACTIVE
+        recorder = self.recorder
         # (position, phase, arg) — phase 0 = recorded transition (arg: the
         # state labels before/after), 1 = VSM issue (arg: uninitialized),
         # 2 = race; sorted at the end to reproduce per-access order.
@@ -830,7 +829,7 @@ class Arbalest(Tool):
             ):
                 # Scalar fast path: the whole access lives in one granule
                 # (the overwhelmingly common case), so skip numpy entirely.
-                recorder = _forensics.ACTIVE
+                recorder = self.recorder
                 before = block.state_label(lo) if recorder is not None else ""
                 illegal = uninit = False
                 first = True
@@ -864,7 +863,7 @@ class Arbalest(Tool):
                 local = np.unique(np.concatenate([first, last]))
             local = local[(local >= 0) & (local < block.n_granules)]
             idx = local
-        recorder = _forensics.ACTIVE
+        recorder = self.recorder
         rec_first: int | None = None
         before = ""
         if recorder is not None:

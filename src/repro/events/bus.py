@@ -13,7 +13,10 @@ corresponding handler, so that
 The bus also owns the run's :class:`~repro.events.variables.VariableIndex`:
 every allocation and data op feeds it before fan-out (and before chaos
 perturbation, so names follow the program), and every attached tool names
-its address-only findings through it.
+its address-only findings through it.  It carries the run's optional
+flight recorder and profiler too (:attr:`ToolBus.recorder`,
+:attr:`ToolBus.profiler`); each is ``None`` unless a harness sets it, and
+the runtime and tools reach the recorder only through the bus.
 
 Two robustness roles ride on top of dispatch:
 
@@ -65,7 +68,9 @@ from .variables import VariableIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
+    from ..forensics.recorder import FlightRecorder
     from ..observe.prof import Profiler
+    from ..telemetry.registry import Telemetry
     from ..tools.base import Tool
 
 
@@ -102,7 +107,9 @@ class ToolBus:
     :attr:`dispatch` maps each event record type to its ``publish_*``
     method, for replaying a recorded stream.  ``variables`` shares one
     address-to-variable index between several buses (the serve shards);
-    by default each bus builds its own.
+    by default each bus builds its own.  Attached tools get the index and
+    the :attr:`recorder` from the bus, the recorder also when it is set
+    after they attach.
     """
 
     def __init__(self, variables: VariableIndex | None = None) -> None:
@@ -134,6 +141,7 @@ class ToolBus:
         #: Optional continuous profiler sampling this bus's flushed accesses
         #: and kernel phases; ``None`` (the common case) costs one check.
         self.profiler: "Profiler | None" = None
+        self._recorder: "FlightRecorder | None" = None
         #: Re-raise tool-handler exceptions instead of isolating them.
         self.strict = False
         #: Isolated handler failures, in occurrence order.
@@ -156,7 +164,22 @@ class ToolBus:
             self.flush_batch()  # pending events predate the newcomer
         self._tools.append(tool)
         tool.variables = self.variables
+        tool.recorder = self._recorder
         self._rebuild()
+
+    @property
+    def recorder(self) -> "FlightRecorder | None":
+        """Optional flight recorder this bus's runtime and tools write
+        timelines to; ``None`` (the common case) costs one check."""
+        return self._recorder
+
+    @recorder.setter
+    def recorder(self, recorder: "FlightRecorder | None") -> None:
+        if self._batch_pending:
+            self.flush_batch()  # pending accesses predate the recorder
+        self._recorder = recorder
+        for tool in self._tools:
+            tool.recorder = recorder
 
     def detach(self, tool: "Tool") -> None:
         if self._batch_pending:
@@ -233,10 +256,13 @@ class ToolBus:
     # -- dispatch -----------------------------------------------------------
 
     def _publish_instrumented(
-        self, tools: tuple["Tool", ...], handler: str, event
+        self,
+        telemetry: "Telemetry",
+        tools: tuple["Tool", ...],
+        handler: str,
+        event,
     ) -> None:
         """Telemetry-enabled fan-out: one ``bus`` span per tool handler."""
-        telemetry = _telemetry.ACTIVE
         telemetry.count(f"bus.events.{handler}")
         tid = getattr(event, "thread_id", 0)
         for tool in tools:
@@ -335,8 +361,9 @@ class ToolBus:
             self._fan_out_data_op(op)
 
     def _fan_out_data_op(self, op: DataOp) -> None:
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._data_op, "on_data_op", op)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(telemetry, self._data_op, "on_data_op", op)
             return
         for tool in self._data_op:
             try:
@@ -361,8 +388,9 @@ class ToolBus:
             profiler.kernel_event(
                 event.name if event.phase is KernelPhase.BEGIN else "host"
             )
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._kernel, "on_kernel", event)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(telemetry, self._kernel, "on_kernel", event)
             return
         for tool in self._kernel:
             try:
@@ -374,8 +402,11 @@ class ToolBus:
         if self._batch_pending:
             self.flush_batch()
         self.variables.observe(event)
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._allocation, "on_allocation", event)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(
+                telemetry, self._allocation, "on_allocation", event
+            )
             return
         for tool in self._allocation:
             try:
@@ -386,8 +417,9 @@ class ToolBus:
     def publish_sync(self, event: SyncEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._sync, "on_sync", event)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(telemetry, self._sync, "on_sync", event)
             return
         for tool in self._sync:
             try:
@@ -398,8 +430,9 @@ class ToolBus:
     def publish_flush(self, event: FlushEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._flush, "on_flush", event)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(telemetry, self._flush, "on_flush", event)
             return
         for tool in self._flush:
             try:
@@ -410,8 +443,9 @@ class ToolBus:
     def publish_memcpy(self, event: MemcpyEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        if _telemetry.ACTIVE is not None:
-            self._publish_instrumented(self._memcpy, "on_memcpy", event)
+        telemetry = _telemetry.ACTIVE
+        if telemetry is not None:
+            self._publish_instrumented(telemetry, self._memcpy, "on_memcpy", event)
             return
         for tool in self._memcpy:
             try:

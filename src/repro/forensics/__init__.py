@@ -1,27 +1,17 @@
 """Finding forensics: flight recorder, provenance, reports, and diffing.
 
-Only the recorder is imported eagerly — :mod:`repro.tools.base` loads this
-package on the instrumented path, and the recorder depends on nothing but
-the event/source and telemetry layers.  The provenance/report/diff modules
-import the tools layer and are loaded lazily on first attribute access.
+Only the recorder is imported eagerly; it depends on nothing but the
+event/source layer.  The provenance/report/diff modules import the tools
+layer and are loaded lazily on first attribute access.
 """
 
-from .recorder import (
-    ACTIVE,
-    DEFAULT_CAPACITY,
-    FlightRecorder,
-    RecordedEvent,
-    VariableRing,
-    scope,
-)
+from .recorder import DEFAULT_CAPACITY, FlightRecorder, RecordedEvent, VariableRing
 
 __all__ = [
-    "ACTIVE",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
     "RecordedEvent",
     "VariableRing",
-    "scope",
     "Provenance",
     "build_provenance",
     "explain",

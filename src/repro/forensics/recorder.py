@@ -2,12 +2,14 @@
 
 ARBALEST's findings say *what* broke; the flight recorder keeps enough
 history to say *how it got there*.  While a :class:`FlightRecorder` is
-active, the runtime and the detector append one :class:`RecordedEvent` per
-semantic event touching a mapped variable — map/unmap, ``target update``
-transfers, kernel launches over the variable, and every access that moved
-the variable's VSM state (steady-state accesses that do not change the
-state are deliberately *not* recorded; they carry no causal information
-and recording them would wreck the hot path).
+set on a machine's bus (:attr:`ToolBus.recorder
+<repro.events.bus.ToolBus.recorder>`), the runtime and the detector
+append one :class:`RecordedEvent` per semantic event touching a mapped
+variable — map/unmap, ``target update`` transfers, kernel launches over
+the variable, and every access that moved the variable's VSM state
+(steady-state accesses that do not change the state are deliberately
+*not* recorded; they carry no causal information and recording them
+would wreck the hot path).
 
 The recorder holds timelines only: naming the variable behind a finding
 is the bus's job (:class:`~repro.events.variables.VariableIndex`), done in
@@ -20,32 +22,23 @@ Each variable gets its own bounded ring buffer (:class:`VariableRing`):
 memory stays bounded no matter how long the run is, and eviction is
 per-variable so a chatty array cannot push a quiet one's history out.
 
-Timestamps are **event ordinals**.  When a telemetry registry is active
-the recorder shares its ordinal clock (so provenance interleaves correctly
-with spans); otherwise it advances a private counter.  Either way two runs
-of a deterministic program produce byte-identical timelines.
+Timestamps are **event ordinals** on the recorder's own counter, so two
+runs of a deterministic program produce byte-identical timelines.
 
-Scoping mirrors :mod:`repro.telemetry.registry` exactly: the module
-attribute :data:`ACTIVE` is ``None`` by default and every instrumentation
-site guards with a single attribute load — the disabled fast path performs
-no allocation at all (asserted by a tracemalloc test, like telemetry's).
+A bus without a recorder holds ``None``: every instrumentation site
+guards with that one check, and the disabled path performs no
+allocation at all (asserted by a tracemalloc test).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from collections import deque
+from typing import TYPE_CHECKING
 
 from ..events.source import SourceLocation, UNKNOWN_LOCATION
-from ..telemetry import registry as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tools.findings import Finding
-
-#: The currently active recorder, or ``None`` (forensics disabled).
-#: Instrumentation sites read this attribute directly; only :func:`scope`
-#: (and tests) should write it.
-ACTIVE: "FlightRecorder | None" = None
 
 #: Default per-variable ring capacity.  Sixty-four events comfortably hold
 #: every semantic event of the DRACC benchmarks and the interesting suffix
@@ -120,7 +113,7 @@ class RecordedEvent:
 class VariableRing:
     """A bounded ring of :class:`RecordedEvent`; oldest events are evicted."""
 
-    __slots__ = ("capacity", "dropped", "_items", "_start")
+    __slots__ = ("capacity", "dropped", "_items")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -129,20 +122,16 @@ class VariableRing:
         #: How many events eviction has discarded (reported in provenance
         #: so a truncated timeline is never mistaken for a complete one).
         self.dropped = 0
-        self._items: list[RecordedEvent] = []
-        self._start = 0
+        self._items: deque[RecordedEvent] = deque(maxlen=capacity)
 
     def append(self, event: RecordedEvent) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(event)
-        else:
-            self._items[self._start] = event
-            self._start = (self._start + 1) % self.capacity
+        if len(self._items) == self.capacity:
             self.dropped += 1
+        self._items.append(event)
 
     def events(self) -> tuple[RecordedEvent, ...]:
         """The retained events, oldest first."""
-        return tuple(self._items[self._start :] + self._items[: self._start])
+        return tuple(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -160,7 +149,7 @@ class FlightRecorder:
             raise ValueError(f"recorder capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.rings: dict[str, VariableRing] = {}
-        #: Private ordinal clock, used only when no telemetry is active.
+        #: The ordinal clock: the last ordinal handed out.
         self.ordinal = 0
         #: Total events recorded (rings may have evicted some of them).
         self.records = 0
@@ -168,10 +157,7 @@ class FlightRecorder:
     # -- clock -------------------------------------------------------------
 
     def tick(self) -> int:
-        """The next event ordinal, shared with telemetry when active."""
-        t = _telemetry.ACTIVE
-        if t is not None:
-            return t.tick()
+        """The next event ordinal."""
         self.ordinal += 1
         return self.ordinal
 
@@ -224,14 +210,3 @@ class FlightRecorder:
         retained = sum(len(ring) for ring in self.rings.values())
         return retained * per_event
 
-
-@contextmanager
-def scope(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Activate ``recorder`` for the dynamic extent of the block (re-entrant)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = recorder
-    try:
-        yield recorder
-    finally:
-        ACTIVE = previous

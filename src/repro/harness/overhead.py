@@ -22,7 +22,6 @@ import gc
 import json
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -160,7 +159,6 @@ def measure_one(
         rt = TargetRuntime(n_devices=1)
         tool = None
         recorder = None
-        run_scope = nullcontext()
         if config == "arbalest-prof":
             from ..core.detector import Arbalest
 
@@ -185,11 +183,9 @@ def measure_one(
         elif config == "arbalest-rec":
             from ..core.detector import Arbalest
             from ..forensics import FlightRecorder
-            from ..forensics import recorder as _forensics
 
             tool = Arbalest().attach(rt.machine)
-            recorder = FlightRecorder()
-            run_scope = _forensics.scope(recorder)
+            recorder = rt.machine.bus.recorder = FlightRecorder()
         elif config != "native":
             tool = TOOL_FACTORIES[config]().attach(rt.machine)
         # Collector pauses are the dominant run-to-run jitter at these
@@ -200,9 +196,8 @@ def measure_one(
         gc.disable()
         try:
             start = time.perf_counter()
-            with run_scope:
-                checksum = workload.run(rt, preset)
-                rt.finalize()
+            checksum = workload.run(rt, preset)
+            rt.finalize()
             elapsed = time.perf_counter() - start
         finally:
             if gc_was_enabled:

@@ -1,6 +1,6 @@
 """The forensics report harness: DRACC suites under the flight recorder.
 
-``repro report`` runs a DRACC suite with a :class:`FlightRecorder` active
+``repro report`` runs a DRACC suite with a :class:`FlightRecorder` on the bus
 and the requested tools attached, then assembles the deduped findings —
 each carrying its provenance timeline and natural-language explanation —
 into the ``repro-report/1`` payload that :mod:`repro.forensics.report`
@@ -23,7 +23,6 @@ from ..dracc.registry import (
     clean_benchmarks,
 )
 from ..forensics import DEFAULT_CAPACITY, FlightRecorder
-from ..forensics import recorder as _recorder
 from ..forensics.report import SCHEMA, build_summary, finding_entry
 from ..openmp.runtime import TargetRuntime
 from .precision import TOOL_FACTORIES
@@ -66,13 +65,12 @@ def run_report(
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
     findings: list[dict] = []
     for bench in benches:
-        recorder = FlightRecorder(capacity)
         rt = TargetRuntime(n_devices=2)
+        rt.machine.bus.recorder = FlightRecorder(capacity)
         attached = {
             name: TOOL_FACTORIES[name]().attach(rt.machine) for name in tools
         }
-        with _recorder.scope(recorder):
-            bench.run(rt)
+        bench.run(rt)
         for name in tools:
             for finding, count in attached[name].findings_with_counts():
                 findings.append(

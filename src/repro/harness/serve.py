@@ -14,8 +14,9 @@ over the loopback transport):
   carry variables, fingerprints and counts but no timelines.
 * :func:`run_serve_bench` — the throughput run.  Events/sec and frame
   latency percentiles over the streamed suite, written to the tracked
-  ``BENCH_serve.json`` (``serve-bench/1`` shape, understood by
-  ``repro diff --threshold``).
+  ``BENCH_serve.json`` (``serve-bench/1`` shape) and appended to the
+  bench-history ledger, which ``repro sentinel --kind serve-bench``
+  gates.
 * :func:`run_serve_chaos_campaign` — the certification run.  Seeded
   schedules of serve faults (worker kills, frame drop/dup/reorder) are
   injected while streaming; the campaign asserts **zero crashes** and
@@ -251,7 +252,8 @@ def run_serve_bench(
     ``observe=True`` (the default, matching production) runs the bench
     with the live observer attached — metrics, latency histograms, SLO
     watchdog — so the published number *includes* the observability tax
-    and the artifact records the watchdog's verdicts for ``repro diff``.
+    and the artifact records the watchdog's verdicts; ``repro serve
+    --bench`` fails a run that ends with an SLO still burning.
     Span tracing stays off: it is a debugging mode, not a serving mode.
     """
     from ..observe import DEFAULT_SLOS, ServeObserver

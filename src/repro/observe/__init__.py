@@ -14,12 +14,14 @@ package watches a *service* while it is up:
   watchdog behind ``/healthz``;
 * :mod:`~repro.observe.observer` — the per-server bundle wiring all of
   the above into the serve hot path;
-* :mod:`~repro.observe.metrics` — service-level snapshots and the
-  Prometheus text exposition served at ``/metrics``;
+* :mod:`~repro.observe.metrics` — service-level snapshots, the
+  Prometheus text exposition served at ``/metrics``, and the strict
+  parser that checks it;
 * :mod:`~repro.observe.health` — the ``/healthz`` and ``/readyz``
-  documents;
-* :mod:`~repro.observe.top` — the ``repro top`` scrape-and-render
-  client.
+  documents.
+
+Any HTTP client scrapes those endpoints; the repository ships none of its
+own.
 """
 
 from .flame import parse_folded, render_flamegraph, write_flamegraph
@@ -42,13 +44,11 @@ from .sentinel import (
     bootstrap_shift_ci,
     mann_whitney,
     metric_direction,
-    noise_thresholds,
     render_sentinel,
     run_sentinel,
 )
 from .slo import CHAOS_SLOS, DEFAULT_SLOS, SLOSpec, SLOWatchdog
 from .spans import SpanLog, spans_by_frame, stitch_traces, write_stitched_trace
-from .top import run_top
 
 __all__ = [
     "CHAOS_SLOS",
@@ -71,7 +71,6 @@ __all__ = [
     "load_history",
     "mann_whitney",
     "metric_direction",
-    "noise_thresholds",
     "parse_folded",
     "readyz",
     "render_flamegraph",
@@ -79,7 +78,6 @@ __all__ = [
     "render_sentinel",
     "run_meta",
     "run_sentinel",
-    "run_top",
     "seed_history",
     "service_snapshot",
     "spans_by_frame",

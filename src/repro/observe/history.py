@@ -40,7 +40,8 @@ HISTORY_SCHEMA = "bench-history/1"
 #: Default ledger path, tracked in-repo so history survives checkouts.
 DEFAULT_HISTORY = "BENCH_history.jsonl"
 
-#: Artifact kinds the ledger accepts (mirrors ``forensics.diff`` sniffing).
+#: Artifact kinds the ledger accepts (``repro diff`` sniffs with the same
+#: :func:`artifact_kind`).
 HISTORY_KINDS = ("bench", "serve-bench", "synth-bench")
 
 
@@ -114,7 +115,7 @@ def _synth_metrics(payload: dict) -> dict:
 
 
 def artifact_kind(payload: dict) -> str:
-    """Classify a bench payload the same way ``forensics.diff`` sniffs it."""
+    """Classify a bench payload: ``bench``, ``serve-bench`` or ``synth-bench``."""
     artifact = payload.get("artifact")
     if artifact == "serve-bench/1":
         return "serve-bench"
@@ -123,7 +124,8 @@ def artifact_kind(payload: dict) -> str:
     if "workloads" in payload and "summary" in payload:
         return "bench"
     raise ValueError(
-        "cannot classify artifact for the history ledger: "
+        "cannot classify artifact (not a bench, serve-bench or synth-bench "
+        "payload): "
         f"artifact={artifact!r}, keys={sorted(payload)[:8]}"
     )
 

@@ -5,10 +5,11 @@ ordering stats live on :class:`~repro.serve.server._Session`, per-shard
 detector stats on :class:`~repro.serve.shard.ShardWorker`, journal depth
 on :class:`~repro.serve.journal.ShardJournal` — but each count lives
 where it is produced.  :func:`service_snapshot` walks the whole tree once
-and aggregates it into one JSON document (the shape ``repro top --json``
-prints and the bench artifact embeds), and :func:`render_prometheus`
-lowers that document to the Prometheus text exposition format served at
-``/metrics``.
+and aggregates it into one JSON document (the shape the bench artifact
+embeds), and :func:`render_prometheus` lowers that document to the
+Prometheus text exposition format served at ``/metrics``.
+:func:`parse_exposition` reads that format back strictly: it is the
+oracle the tests and the CI scrape check ``/metrics`` against.
 
 Both are read-only over live server state: scraping never perturbs the
 hot path, and two scrapes of an idle server render byte-identical text
@@ -22,7 +23,13 @@ is exactly what ``histogram_quantile()`` in PromQL expects.
 
 from __future__ import annotations
 
-__all__ = ["service_snapshot", "render_prometheus", "METRICS_SCHEMA"]
+__all__ = [
+    "service_snapshot",
+    "render_prometheus",
+    "parse_exposition",
+    "metric_value",
+    "METRICS_SCHEMA",
+]
 
 METRICS_SCHEMA = "serve-metrics/1"
 
@@ -435,3 +442,96 @@ def render_prometheus(snapshot: dict) -> str:
                 )
 
     return exp.render()
+
+
+def _parse_label_body(body: str) -> dict:
+    """Parse ``key="value",...`` honoring the exposition escape rules.
+
+    Values may contain commas, quotes, backslashes and newlines — escaped
+    as ``\\\\``, ``\\"`` and ``\\n`` — so a naive split on ``,`` is wrong.
+    This is a small state machine: scan each key up to ``=``, then consume
+    the quoted value unescaping as we go.
+    """
+    labels: dict = {}
+    i, n = 0, len(body)
+    while i < n:
+        eq = body.find("=", i)
+        if eq < 0:
+            raise ValueError(f"malformed label body (no '='): {body[i:]!r}")
+        key = body[i:eq]
+        if not key or not key.replace("_", "").isalnum():
+            raise ValueError(f"malformed label name: {key!r}")
+        if eq + 1 >= n or body[eq + 1] != '"':
+            raise ValueError(f"label value for {key!r} is not quoted")
+        value_chars: list[str] = []
+        i = eq + 2
+        while True:
+            if i >= n:
+                raise ValueError(f"unterminated label value for {key!r}")
+            ch = body[i]
+            if ch == "\\":
+                if i + 1 >= n:
+                    raise ValueError(f"dangling escape in label value for {key!r}")
+                esc = body[i + 1]
+                if esc == "n":
+                    value_chars.append("\n")
+                elif esc in ('"', "\\"):
+                    value_chars.append(esc)
+                else:
+                    raise ValueError(f"unknown escape \\{esc} in value for {key!r}")
+                i += 2
+                continue
+            if ch == '"':
+                i += 1
+                break
+            value_chars.append(ch)
+            i += 1
+        labels[key] = "".join(value_chars)
+        if i < n:
+            if body[i] != ",":
+                raise ValueError(f"expected ',' between label pairs at {body[i:]!r}")
+            i += 1
+    return labels
+
+
+def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
+    """Parse Prometheus text exposition into ``name -> [(labels, value)]``.
+
+    Strict enough to double as a validity check: every sample line must
+    be ``name[{labels}] value`` with a float-parseable value, and label
+    bodies must be escape-aware ``key="value"`` pairs.  Raises
+    ``ValueError`` on anything else — the CI job feeds the live
+    ``/metrics`` body through this parser as its exposition-validity gate.
+    """
+    families: dict[str, list[tuple[dict, float]]] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name_part, _, value_part = line.rpartition(" ")
+        if not name_part:
+            raise ValueError(f"malformed exposition line: {line!r}")
+        if value_part == "+Inf":
+            value = float("inf")
+        else:
+            value = float(value_part)  # raises ValueError on junk
+        labels: dict = {}
+        if name_part.endswith("}"):
+            name, _, label_body = name_part.partition("{")
+            labels = _parse_label_body(label_body[:-1])
+        else:
+            name = name_part
+        if not name.replace("_", "").replace(":", "").isalnum():
+            raise ValueError(f"malformed metric name: {name!r}")
+        families.setdefault(name, []).append((labels, value))
+    return families
+
+
+def metric_value(
+    families: dict[str, list[tuple[dict, float]]], name: str, **labels
+) -> float | None:
+    """The sample value matching ``labels`` exactly, or ``None``."""
+    for sample_labels, value in families.get(name, []):
+        if sample_labels == labels:
+            return value
+    return None

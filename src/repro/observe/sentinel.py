@@ -304,52 +304,6 @@ def run_sentinel(
     return payload
 
 
-def noise_thresholds(
-    history: str | list[dict],
-    *,
-    kind: str = "bench",
-    floor: float = 0.01,
-    seed: int | str = DEFAULT_SEED,
-    resamples: int = 500,
-    quantile: float = 0.95,
-    confidence: float = 0.95,
-) -> dict[str, float]:
-    """Per-summary-metric noise gates for ``repro diff --history``.
-
-    For each summary geomean series in the ledger, bootstrap the
-    ``quantile`` of the absolute run-to-run relative deltas and take the
-    upper ``confidence`` bound: a two-artifact diff then only flags a
-    metric when it moved more than that machine's own historical noise,
-    never less than ``floor``.  Seeded and deterministic, like the
-    sentinel itself.
-    """
-    entries = load_history(history, kind=kind) if isinstance(history, str) else [
-        entry for entry in history if entry.get("kind") == kind
-    ]
-    out: dict[str, float] = {}
-    for (workload, config, metric), values in sorted(extract_series(entries).items()):
-        if workload != "summary" or config != "geomean" or len(values) < 4:
-            continue
-        deltas = [
-            abs((values[i + 1] - values[i]) / values[i])
-            for i in range(len(values) - 1)
-            if values[i]
-        ]
-        if not deltas:
-            continue
-        rng = random.Random(f"noise:{seed}:{metric}")
-        stats = []
-        for _ in range(resamples):
-            sample = sorted(
-                deltas[rng.randrange(len(deltas))] for _ in range(len(deltas))
-            )
-            stats.append(sample[min(len(sample) - 1, int(quantile * len(sample)))])
-        stats.sort()
-        upper = stats[min(len(stats) - 1, int(confidence * len(stats)))]
-        out[metric] = max(floor, round(upper, 4))
-    return out
-
-
 def render_sentinel(payload: dict) -> str:
     """Human-readable sentinel report."""
     lines = [

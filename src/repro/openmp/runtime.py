@@ -44,7 +44,6 @@ from ..events.records import (
     SyncEvent,
 )
 from ..events.source import UNKNOWN_LOCATION, SourceStack
-from ..forensics import recorder as _forensics
 from ..memory.buffer import RawBuffer
 from ..telemetry import registry as _telemetry
 from ..memory.errors import (
@@ -213,7 +212,7 @@ class TargetRuntime:
         )
         arr = HostArray(self.machine, name, buf, dt, length)
         self._arrays[name] = arr
-        recorder = _forensics.ACTIVE
+        recorder = self.machine.bus.recorder
         if recorder is not None:
             stack = self.machine.source.snapshot()
             recorder.record(
@@ -276,7 +275,7 @@ class TargetRuntime:
         # Record after the free publishes (and so flushes the accesses the
         # bus still holds): the timeline keeps program order.
         self.machine.host.free(array.base)
-        recorder = _forensics.ACTIVE
+        recorder = self.machine.bus.recorder
         if recorder is not None:
             stack = self.machine.source.snapshot()
             recorder.record(
@@ -332,7 +331,7 @@ class TargetRuntime:
                     telemetry.count("runtime.reset_recoveries")
             for spec in maps:
                 self._map_entry(dev, spec)
-            recorder = _forensics.ACTIVE
+            recorder = machine.bus.recorder
             if recorder is not None:
                 # One launch event per mapped variable: the timeline of each
                 # variable shows which kernels could have touched it.
@@ -768,7 +767,7 @@ class TargetRuntime:
         )
         # Recorded after the publish, which flushes the accesses the bus
         # still holds, so the accesses a transfer carries come first.
-        recorder = _forensics.ACTIVE
+        recorder = machine.bus.recorder
         if recorder is not None:
             recorder.record(
                 entry.name,

@@ -152,15 +152,6 @@ class Telemetry:
     def ordinal(self) -> int:
         return self.span_log.ordinal
 
-    def tick(self) -> int:
-        """Advance the event-ordinal clock by one and return the new value.
-
-        Span boundaries advance the clock inline; out-of-band consumers
-        (the forensics flight recorder) share the same clock through this
-        method so their timestamps interleave deterministically with spans.
-        """
-        return self.span_log.tick()
-
     # -- spans -------------------------------------------------------------
 
     def span(self, cat: str, name: str, *, tid: int = 0, **args):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..forensics import recorder as _forensics
 from ..telemetry import registry as _telemetry
 from .findings import Finding, FindingKind, MAPPING_ISSUE_KINDS
 
@@ -40,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         SyncEvent,
     )
     from ..events.variables import VariableIndex
+    from ..forensics.recorder import FlightRecorder
     from ..openmp.runtime import Machine
 
 
@@ -57,6 +57,10 @@ class Tool:
     #: The bus's address-to-variable index, handed over by
     #: :meth:`ToolBus.attach <repro.events.bus.ToolBus.attach>`.
     variables: "VariableIndex | None" = None
+
+    #: The bus's flight recorder, or ``None``; handed over like
+    #: :attr:`variables`, and again whenever the bus's recorder changes.
+    recorder: "FlightRecorder | None" = None
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
@@ -86,9 +90,9 @@ class Tool:
         Returns whether the finding was new.  An empty ``variable`` is
         resolved through the bus's address-to-variable index in every run
         (*before* the dedup key is computed, so naming cannot split one
-        site into two).  While a flight recorder is active, new findings
-        also get a :class:`Provenance` timeline attached.  Duplicates only
-        bump the per-site count.
+        site into two).  While the bus carries a flight recorder, new
+        findings also get a :class:`Provenance` timeline attached.
+        Duplicates only bump the per-site count.
         """
         if self.variables is not None:
             finding = self.variables.resolve_variable(finding)
@@ -103,9 +107,8 @@ class Tool:
         if key in self._seen:
             return False
         self._seen.add(key)
-        recorder = _forensics.ACTIVE
-        if recorder is not None:
-            finding = recorder.attach_provenance(finding)
+        if self.recorder is not None:
+            finding = self.recorder.attach_provenance(finding)
         self.findings.append(finding)
         return True
 

@@ -11,24 +11,24 @@ from repro.forensics import (
     FlightRecorder,
     RecordedEvent,
     VariableRing,
-    scope,
 )
 from repro.events.records import AllocationEvent, DataOp, DataOpKind
 from repro.events.variables import RETIRED_RANGES, VariableIndex
-from repro.forensics import recorder as forensics_recorder
-from repro.harness.chaos import run_chaos_campaign
+from repro.faults import FaultInjector, FaultPlan
+from repro.harness.chaos import _plan_seed
 from repro.openmp.runtime import TargetRuntime
-from repro.telemetry import Telemetry
-from repro.telemetry import scope as telemetry_scope
 
 
 def _event(ordinal: int, kind: str = "map") -> RecordedEvent:
     return RecordedEvent(ordinal=ordinal, kind=kind, device_id=0, variable="a")
 
 
-def _run_dracc(number: int) -> Arbalest:
+def _run_dracc(
+    number: int, recorder: FlightRecorder | None = None, faults=None
+) -> Arbalest:
     bench = dracc_get(number)
-    rt = TargetRuntime(n_devices=2)
+    rt = TargetRuntime(n_devices=2, faults=faults)
+    rt.machine.bus.recorder = recorder
     detector = Arbalest().attach(rt.machine)
     bench.run(rt)
     return detector
@@ -65,16 +65,6 @@ class TestClock:
     def test_private_clock_without_telemetry(self):
         rec = FlightRecorder()
         assert [rec.tick(), rec.tick(), rec.tick()] == [1, 2, 3]
-
-    def test_shares_telemetry_ordinal_when_active(self):
-        rec = FlightRecorder()
-        t = Telemetry()
-        with telemetry_scope(t):
-            t.tick()  # telemetry at 1
-            assert rec.tick() == 2  # the shared clock, not a private 1
-            assert t.ordinal == 2
-        # Telemetry gone: back on the private clock.
-        assert rec.tick() == 1
 
     def test_record_stamps_monotonic_ordinals(self):
         rec = FlightRecorder()
@@ -185,23 +175,37 @@ class TestAddressIndex:
 
 
 class TestDisabledPath:
-    def test_scope_restores_previous(self):
-        outer, inner = FlightRecorder(), FlightRecorder()
-        with scope(outer):
-            with scope(inner):
-                assert forensics_recorder.ACTIVE is inner
-            assert forensics_recorder.ACTIVE is outer
-        assert forensics_recorder.ACTIVE is None
+    def test_recorder_stays_on_its_own_bus(self):
+        recorder = FlightRecorder()
+        recorded = _run_dracc(22, recorder)
+        assert recorded.recorder is recorder
+        assert recorded.findings[0].provenance is not None
+        records = recorder.records
+        assert records
+
+        # A second runtime in the same process has a bus of its own.
+        other = _run_dracc(22)
+        assert other.recorder is None
+        assert other.findings and other.findings[0].provenance is None
+        assert recorder.records == records
+
+    def test_recorder_set_after_attach_reaches_the_tools(self):
+        rt = TargetRuntime(n_devices=2)
+        detector = Arbalest().attach(rt.machine)
+        recorder = rt.machine.bus.recorder = FlightRecorder()
+        dracc_get(22).run(rt)
+        assert detector.recorder is recorder
+        assert detector.findings[0].provenance is not None
 
     def test_zero_forensics_allocations_when_disabled(self):
-        assert forensics_recorder.ACTIVE is None
-        _run_dracc(22)  # warm every code path first
+        assert _run_dracc(22).recorder is None  # warm every code path first
         tracemalloc.start()
         try:
-            _run_dracc(22)
+            detector = _run_dracc(22)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
+        assert detector.recorder is None
         forensics_allocs = snapshot.filter_traces(
             [tracemalloc.Filter(True, "*repro/forensics/*")]
         ).statistics("filename")
@@ -232,12 +236,10 @@ class TestBatchPath:
         # processed: batches of MIN_BATCH or more stay vectorized.
         def calls(recording: bool) -> dict:
             rt = TargetRuntime(n_devices=2)
-            detector = _CountingArbalest().attach(rt.machine)
             if recording:
-                with scope(FlightRecorder()):
-                    dracc_get(8).run(rt)
-            else:
-                dracc_get(8).run(rt)
+                rt.machine.bus.recorder = FlightRecorder()
+            detector = _CountingArbalest().attach(rt.machine)
+            dracc_get(8).run(rt)
             return detector.calls
 
         plain = calls(False)
@@ -250,18 +252,21 @@ class TestBoundedMemory:
         # DRACC 22 reports the same site 256 times; a tiny ring must not
         # grow past its capacity and must report what it evicted.
         rec = FlightRecorder(capacity=8)
-        with scope(rec):
-            _run_dracc(22)
+        _run_dracc(22, rec)
         assert rec.rings
         assert all(len(ring) <= 8 for ring in rec.rings.values())
 
     def test_recorder_bounded_under_chaos_campaign(self):
+        # One recorder across the faulted runs of a one-schedule campaign
+        # (seed 1) over four buggy benchmarks, with the campaign's plans.
         rec = FlightRecorder(capacity=16)
-        with scope(rec):
-            payload = run_chaos_campaign(
-                seed=1, schedules=1, benchmarks=buggy_benchmarks()[:4]
-            )
-        assert payload["crashes"] == []
+        injected = 0
+        for bench in buggy_benchmarks()[:4]:
+            plan = FaultPlan.generate(_plan_seed(1, 0, bench.number), n_faults=6)
+            injector = FaultInjector(plan)
+            _run_dracc(bench.number, rec, injector)
+            injected += len(injector.log)
+        assert injected > 0
         assert all(len(ring) <= 16 for ring in rec.rings.values())
         # Rough live footprint stays small even across many faulted runs.
         assert rec.shadow_bytes() < 1_000_000

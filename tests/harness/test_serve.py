@@ -38,15 +38,15 @@ class TestServeSuite:
         drift, `repro diff` against the golden report regresses — this
         is the unit-sized version.
         """
-        from repro.forensics.recorder import FlightRecorder, scope
+        from repro.forensics.recorder import FlightRecorder
         from repro.harness.precision import TOOL_FACTORIES
         from repro.openmp.runtime import TargetRuntime
 
         bench = get(23)
         rt = TargetRuntime(n_devices=2)
+        rt.machine.bus.recorder = FlightRecorder()
         tool = TOOL_FACTORIES["arbalest"]().attach(rt.machine)
-        with scope(FlightRecorder()):
-            bench.run(rt)
+        bench.run(rt)
         live = sorted(
             (f.fingerprint(), f.variable) for f in tool.findings
         )
@@ -81,15 +81,6 @@ class TestServeBench:
         )
         on_disk = json.loads(out.read_text())
         assert on_disk == payload
-
-    def test_bench_artifact_diffs_against_itself_clean(self, tmp_path):
-        from repro.forensics.diff import diff_artifacts
-
-        out = tmp_path / "BENCH_serve.json"
-        run_serve_bench(benchmarks=SUBSET, output=str(out))
-        d = diff_artifacts(str(out), str(out))
-        assert d["type"] == "serve-bench"
-        assert not d["regression"]
 
 
 class TestServeChaos:

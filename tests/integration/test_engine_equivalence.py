@@ -22,7 +22,6 @@ import pytest
 from repro.core.detector import Arbalest
 from repro.dracc import all_benchmarks
 from repro.forensics import FlightRecorder
-from repro.forensics import recorder as _recorder
 from repro.harness.precision import TOOL_FACTORIES, TOOL_ORDER
 from repro.openmp import alloc, to
 from repro.openmp.runtime import TargetRuntime
@@ -131,9 +130,9 @@ def _timelines(run, delivery):
     """Run ``run(rt)`` with the detector alone under a flight recorder."""
     recorder = FlightRecorder()
     rt = TargetRuntime(n_devices=2)
+    rt.machine.bus.recorder = recorder
     tool = _factory(Arbalest, delivery)().attach(rt.machine)
-    with _recorder.scope(recorder):
-        run(rt)
+    run(rt)
     return {
         "rings": {
             name: ([e.render() for e in ring.events()], ring.dropped)

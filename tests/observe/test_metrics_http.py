@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.dracc import get
 from repro.harness.serve import record_trace
 from repro.observe import (
@@ -12,8 +14,8 @@ from repro.observe import (
     render_prometheus,
     service_snapshot,
 )
+from repro.observe.metrics import metric_value, parse_exposition
 from repro.observe.slo import CHAOS_SLOS
-from repro.observe.top import metric_value, parse_exposition
 from repro.serve import (
     AnalysisServer,
     LoopbackTransport,
@@ -260,8 +262,6 @@ class TestLabelEscaping:
         assert _escape_label_value('\\"') == '\\\\\\"'
 
     def test_parser_rejects_malformed_label_bodies(self):
-        import pytest
-
         for text in (
             'm{k="unterminated} 1',
             'm{k="dangling\\} 1',
@@ -340,3 +340,38 @@ class TestProfileEndpoint:
         shards = {labels["shard"] for labels, _ in per_shard}
         assert shards and shards <= {"shard-0", "shard-1"}
         assert sum(v for _, v in per_shard) > 0
+
+
+class TestParseExposition:
+    def test_parses_names_labels_and_values(self):
+        families = parse_exposition(
+            "# HELP x help\n# TYPE x counter\n"
+            'x 3\nx_bucket{le="+Inf",stage="decode"} 7\n'
+        )
+        assert families["x"] == [({}, 3.0)]
+        assert families["x_bucket"] == [
+            ({"le": "+Inf", "stage": "decode"}, 7.0)
+        ]
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        assert parse_exposition("\n# just a comment\n\n") == {}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lonely",  # no value separator yields empty name
+            "x notanumber",  # junk value
+            'x{le=3} 1',  # unquoted label value
+            'x{le"3"} 1',  # no equals sign
+            "we ird{} 1 2 3",  # junk tail
+        ],
+    )
+    def test_malformed_lines_raise(self, line):
+        with pytest.raises(ValueError):
+            parse_exposition(line)
+
+    def test_metric_value_requires_exact_label_match(self):
+        families = parse_exposition('x{a="1",b="2"} 5\n')
+        assert metric_value(families, "x", a="1", b="2") == 5.0
+        assert metric_value(families, "x", a="1") is None
+        assert metric_value(families, "x") is None

@@ -8,7 +8,6 @@ from repro.observe.sentinel import (
     bootstrap_shift_ci,
     mann_whitney,
     metric_direction,
-    noise_thresholds,
     render_sentinel,
     run_sentinel,
 )
@@ -138,7 +137,6 @@ class TestVerdicts:
         calm = run_sentinel(flat)
         assert calm["ok"]
         assert all(v["verdict"] != "insufficient-history" for v in calm["verdicts"])
-        assert noise_thresholds(flat) == noise_thresholds(_entries(20))
 
     def test_window_must_allow_a_candidate_population(self):
         with pytest.raises(ValueError):
@@ -148,27 +146,3 @@ class TestVerdicts:
         payload = run_sentinel([])
         assert payload["ok"]
         assert "NO HISTORY" in render_sentinel(payload)
-
-
-class TestNoiseThresholds:
-    def test_thresholds_track_historical_noise(self):
-        quiet = noise_thresholds(_entries(20, seed=3))
-        assert "arbalest_slowdown_geomean" in quiet
-        assert quiet["arbalest_slowdown_geomean"] >= 0.01
-
-        # A noisier machine earns a wider gate.
-        noisy_entries = _entries(20, seed=3)
-        rng = random.Random(9)
-        for e in noisy_entries:
-            s = e["metrics"]["summary"]
-            s["arbalest_slowdown_geomean"] *= rng.uniform(0.85, 1.15)
-        noisy = noise_thresholds(noisy_entries)
-        assert (
-            noisy["arbalest_slowdown_geomean"]
-            > quiet["arbalest_slowdown_geomean"]
-        )
-
-    def test_deterministic_and_empty_on_no_history(self):
-        entries = _entries(20)
-        assert noise_thresholds(entries) == noise_thresholds(entries)
-        assert noise_thresholds([]) == {}

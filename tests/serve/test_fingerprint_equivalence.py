@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.detector import Arbalest
 from repro.dracc.registry import all_benchmarks
-from repro.forensics import recorder as forensics_recorder
 from repro.harness.serve import baseline_fingerprints, record_trace
 from repro.openmp.runtime import TargetRuntime
 from repro.serve import (
@@ -35,10 +34,10 @@ def test_suite_is_the_full_dracc_set():
 
 
 def test_live_run_without_recorder_matches_baseline(traces):
-    assert forensics_recorder.ACTIVE is None
     mismatched = []
     for bench in BENCHMARKS:
         rt = TargetRuntime(n_devices=2)
+        assert rt.machine.bus.recorder is None
         tool = Arbalest().attach(rt.machine)
         bench.run(rt)
         rt.machine.bus.flush_batch()

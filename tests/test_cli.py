@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -205,6 +207,30 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "unknown tool(s) ghidra" in err
+
+    @pytest.mark.parametrize("burning", [[], ["redelivery-rate"]])
+    def test_serve_bench_exits_1_while_an_slo_burns(
+        self, capsys, tmp_path, monkeypatch, burning
+    ):
+        import json
+
+        import repro.harness
+
+        # The committed artifact, as if its watchdog ended the run burning.
+        root = Path(__file__).resolve().parents[1]
+        payload = json.loads((root / "BENCH_serve.json").read_text())
+        payload["observability"]["watchdog"]["burning"] = burning
+        monkeypatch.setattr(repro.harness, "run_serve_bench", lambda **kw: payload)
+        output = str(tmp_path / "b.json")
+        code = main(["serve", "--bench", "--no-history", "--output", output])
+        out = capsys.readouterr().out
+        assert payload["delivery_ok"]
+        if burning:
+            assert code == 1
+            assert "SLOs still burning at the end: redelivery-rate" in out
+        else:
+            assert code == 0
+            assert "still burning" not in out
 
     def test_chaos_campaign(self, capsys, tmp_path):
         import json
@@ -458,24 +484,18 @@ class TestDiffCommand:
         assert err.count("\n") == 1
         assert "repro diff: error" in err
 
-    def test_bench_threshold_gate(self, capsys, tmp_path):
-        import json
-
-        old_payload = {
-            "workloads": {"pcg": {"arbalest": {"slowdown": 2.0}}},
-            "summary": {"arbalest_slowdown_geomean": 2.0},
-        }
-        new_payload = json.loads(json.dumps(old_payload))
-        new_payload["summary"]["arbalest_slowdown_geomean"] = 2.3
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(old_payload, indent=2))
-        new.write_text(json.dumps(new_payload, indent=2))
-        assert main(["diff", str(old), str(new)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert main(
-            ["diff", str(old), str(new), "--threshold", "0.2"]
-        ) == 0
+    @pytest.mark.parametrize(
+        "artifact, kind",
+        [("BENCH_fig8.json", "bench"), ("BENCH_serve.json", "serve-bench")],
+    )
+    def test_timed_artifacts_exit_2_naming_the_sentinel(
+        self, capsys, artifact, kind
+    ):
+        path = str(Path(__file__).resolve().parents[1] / artifact)
+        assert main(["diff", path, path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"repro sentinel --kind {kind}" in err
 
 
 class TestSentinelCommand:
