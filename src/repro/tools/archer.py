@@ -10,8 +10,9 @@ machine's logical threads:
 * ``fork``/``join``/``depend`` sync events release the source thread's
   clock into the target and tick the source (release semantics);
 * per 8-byte granule the engine keeps a last-write epoch and last-read
-  epoch, escalating reads to a full read vector when reads of the same
-  granule are mutually concurrent (the FastTrack read-share case);
+  epoch, escalating reads to a read vector when reads of the same granule
+  are mutually concurrent (the FastTrack read-share case); a block keeps
+  its read vectors as the rows of one clock matrix;
 * a race is a write not ordered after every previous access, or a read not
   ordered after the previous write.
 
@@ -20,14 +21,22 @@ The engine is shared: :class:`ArcherTool` wraps it as a standalone tool
 the DRACC mapping issues), and ARBALEST embeds the same engine, which is
 why the paper finds their runtime overheads nearly identical (Fig 8).
 
-Checks are vectorized: for a bulk access the epoch arrays of the covered
-granule range are compared against the acting thread's clock with numpy,
-giving amortized O(1) per element like the real shadow-cell implementation.
+Checks are vectorized, giving amortized O(1) per element like the real
+shadow-cell implementation.  A sync-free batch of scalar accesses
+(:meth:`RaceEngine.check_batch`) sees every thread's clock frozen, so an
+access that repeats its granule's previous thread and kind is a
+same-epoch no-op and drops out; the rest are checked with one numpy
+gather-and-compare per first-occurrence pass and block, whatever threads
+and kinds the pass mixes.  Bulk ranges and strided accesses run the same
+row kernel for one thread.  Every path applies the one-granule rules of
+:meth:`RaceEngine._check_one`, which stays on plain Python ints.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,20 +53,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _CLOCK_MASK = np.uint64(MAX_CLOCK)
 _CLOCK_SHIFT = np.uint64(CLOCK_BITS)
+#: A block's read-share matrix before its first escalation.
+_NO_SHARE = np.zeros((0, 0), dtype=np.uint64)
+#: Occurrences of one granule a batch checks in vectorized passes; later
+#: ones replay one at a time, so a granule hit by alternating threads (a
+#: reduction variable) costs linear time, not one pass per access.
+_MAX_PASSES = 8
+#: Bits of a batch key's granule part: ``block << _KEY_SHIFT | granule``.
+_KEY_SHIFT = 40
+_GRANULE_MASK = (1 << _KEY_SHIFT) - 1
 
 
 class _RaceBlock:
     """Race-detection shadow for one allocation: epochs per granule.
+
+    ``write``/``read`` hold each granule's last-write and last-read epoch.
+    A read-shared granule (FastTrack's read vector) owns a row of
+    ``share``, one ``uint64`` clock matrix per block whose column ``t``
+    is thread ``t``'s last read clock; ``share_row[g]`` is granule ``g``'s
+    row, -1 when it is not shared.  Both appear at the block's first
+    escalation, columns grow when a new thread id escalates, and a write
+    releases the granule's row (released rows are reclaimed the next time
+    the matrix is reallocated).
 
     ``uniform`` is the same trick as the VSM shadow's uniform-word summary:
     while every granule stores the same ``(write, read)`` epoch pair — true
     at birth and preserved by the whole-array installs bulk kernels perform
     — the pair lives here and the epoch arrays are stale.  Any per-granule
     operation (or any racy/escalating outcome, so ``races`` entries match
-    the materialized path exactly) calls :meth:`materialize` first.
+    the materialized path exactly) calls :meth:`materialize` first.  A
+    uniform block has no shared granule.
     """
 
-    __slots__ = ("base", "nbytes", "write", "read", "shared", "uniform")
+    __slots__ = (
+        "base",
+        "nbytes",
+        "write",
+        "read",
+        "uniform",
+        "share_row",
+        "share",
+        "n_rows",
+        "n_shared",
+    )
 
     def __init__(self, base: int, nbytes: int):
         self.base = base
@@ -65,10 +103,11 @@ class _RaceBlock:
         n = -(-nbytes // GRANULE)
         self.write = np.zeros(n, dtype=np.uint64)
         self.read = np.zeros(n, dtype=np.uint64)
-        # Read-shared granules: local index -> np.uint64 clock vector
-        # (component i = last read clock of thread i).
-        self.shared: dict[int, np.ndarray] = {}
         self.uniform: tuple[int, int] | None = (0, 0)
+        self.share_row: np.ndarray | None = None
+        self.share = _NO_SHARE
+        self.n_rows = 0  # rows handed out, live or released
+        self.n_shared = 0  # live rows: the read-shared granules
 
     def materialize(self) -> None:
         u = self.uniform
@@ -79,7 +118,55 @@ class _RaceBlock:
 
     @property
     def shadow_nbytes(self) -> int:
-        return self.write.nbytes + self.read.nbytes + 16 * len(self.shared)
+        return self.write.nbytes + self.read.nbytes + 16 * self.n_shared
+
+    def unshare(self, g) -> None:
+        """Release the rows of the shared granules ``g``."""
+        self.share_row[g] = -1
+        self.n_shared -= len(g)
+
+    def escalate(
+        self, g: np.ndarray, prev: np.ndarray, tids: np.ndarray, clocks: np.ndarray
+    ) -> None:
+        """Enter reads ``tids@clocks`` of granules ``g`` in their read vectors.
+
+        ``g`` are distinct; a granule not yet shared gets a zeroed row
+        seeded with its previous read epoch ``prev``.
+        """
+        if self.share_row is None:
+            self.share_row = np.full(len(self.write), -1, dtype=np.intp)
+        rows = self.share_row[g]
+        new = rows < 0
+        n_new = int(np.count_nonzero(new))
+        prev_tids = (prev[new] >> _CLOCK_SHIFT).astype(np.intp)
+        width = int(tids.max()) + 1
+        if n_new:
+            width = max(width, int(prev_tids.max()) + 1)
+        if self.n_rows + n_new > len(self.share) or width > self.share.shape[1]:
+            self._reallocate(n_new, width)
+            rows = self.share_row[g]
+        if n_new:
+            fresh = np.arange(self.n_rows, self.n_rows + n_new)
+            self.n_rows += n_new
+            self.n_shared += n_new
+            rows[new] = fresh
+            self.share_row[g[new]] = fresh
+            self.share[fresh, prev_tids] = prev[new] & _CLOCK_MASK
+        self.share[rows, tids] = clocks
+
+    def _reallocate(self, extra_rows: int, width: int) -> None:
+        """Compact the live rows into a zeroed matrix with room for
+        ``extra_rows`` more and at least ``width`` columns."""
+        live = np.flatnonzero(self.share_row >= 0)
+        old = self.share
+        share = np.zeros(
+            (max(2 * (len(live) + extra_rows), 16), max(width, old.shape[1])),
+            dtype=np.uint64,
+        )
+        share[: len(live), : old.shape[1]] = old[self.share_row[live]]
+        self.share_row[live] = np.arange(len(live))
+        self.share = share
+        self.n_rows = len(live)
 
 
 class RaceEngine:
@@ -87,6 +174,9 @@ class RaceEngine:
 
     def __init__(self) -> None:
         self._clocks: dict[int, VectorClock] = {}
+        # Highest thread id seen + 1: no clock, stored epoch or read-vector
+        # column names a thread beyond it.
+        self._n_threads = 0
         # Blocks are keyed by base address alone: device windows are
         # globally disjoint, and a unified-memory device access arrives
         # with a *host-window* address — address-keying makes host and
@@ -94,7 +184,10 @@ class RaceEngine:
         # exactly as TSan sees one process address space.
         self._blocks: dict[int, _RaceBlock] = {}
         self._bases: list[int] = []
-        self._sizes: dict[int, int] = {}
+        # The blocks in address order, and check_batch's arrays of their
+        # bases, ends and granule counts (built on demand after a track).
+        self._sorted_blocks: list[_RaceBlock] = []
+        self._bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Dense-array snapshots of thread clocks for vectorized compares.
         # A thread's clock only changes at synchronization events, so the
         # snapshot is valid between syncs — the common case is thousands of
@@ -117,6 +210,7 @@ class RaceEngine:
             clock = VectorClock()
             clock.set(tid, 1)
             self._clocks[tid] = clock
+            self._n_threads = max(self._n_threads, tid + 1)
         return clock
 
     def _clock_array(self, tid: int) -> np.ndarray:
@@ -128,6 +222,15 @@ class RaceEngine:
         arr = np.fromiter(clock, count=len(clock), dtype=np.uint64)
         self._clock_arrays[tid] = arr
         return arr
+
+    def _clock_matrix(self, tids: list[int]) -> np.ndarray:
+        """The clocks of ``tids`` as the rows of one matrix, zero-padded to
+        every thread id, so any stored epoch's thread indexes a column."""
+        arrays = [self._clock_array(t) for t in tids]
+        matrix = np.zeros((len(arrays), self._n_threads), dtype=np.uint64)
+        for row, arr in zip(matrix, arrays):
+            row[: len(arr)] = arr
+        return matrix
 
     def _current_epoch(self, tid: int) -> int:
         """The thread's packed epoch ``tid@C_t[tid]`` as a plain int."""
@@ -154,10 +257,15 @@ class RaceEngine:
         """Start tracking an allocation; address reuse resets its shadow."""
         if nbytes <= 0:
             return
-        if base not in self._blocks:
-            insort(self._bases, base)
-        self._blocks[base] = _RaceBlock(base, nbytes)
-        self._sizes[base] = nbytes
+        block = _RaceBlock(base, nbytes)
+        i = bisect_left(self._bases, base)
+        if base in self._blocks:
+            self._sorted_blocks[i] = block
+        else:
+            self._bases.insert(i, base)
+            self._sorted_blocks.insert(i, block)
+        self._blocks[base] = block
+        self._bounds = None
         self._last_block = None
 
     def untrack(self, device_id: int, base: int) -> None:
@@ -175,9 +283,8 @@ class RaceEngine:
         i = bisect_right(self._bases, address)
         if not i:
             return None
-        base = self._bases[i - 1]
-        if address < base + self._sizes[base]:
-            block = self._blocks[base]
+        block = self._sorted_blocks[i - 1]
+        if address < block.base + block.nbytes:
             self._last_block = block
             return block
         return None
@@ -215,7 +322,15 @@ class RaceEngine:
             if len(local) and bool(
                 (local[0] >= 0) & (local[-1] < len(block.write))
             ):
-                return self._check_granule_array(
+                if len(local) == 1:
+                    return self._check_one(
+                        block,
+                        access.device_id,
+                        access.thread_id,
+                        int(local[0]),
+                        access.is_write,
+                    )
+                return self._check_granules(
                     block,
                     access.device_id,
                     access.thread_id,
@@ -268,7 +383,8 @@ class RaceEngine:
         real FastTrack): if the stored write (read) epoch already equals the
         acting thread's current epoch, every check already ran when that
         epoch was installed, so return without building any clock array or
-        numpy temporary.
+        numpy temporary.  Every other path applies the same rule per
+        granule (see :meth:`_check_rows`).
         """
         my_epoch = self._current_epoch(tid)
         u = block.uniform
@@ -288,11 +404,13 @@ class RaceEngine:
             if not racy:
                 re = int(block.read[g])
                 racy = re != 0 and (re & MAX_CLOCK) > clock.get(re >> CLOCK_BITS)
-            vec = block.shared.pop(g, None)  # the write resets sharing
-            if vec is not None and not racy:
-                clock_vec = self._clock_array(tid)
-                k = min(len(vec), len(clock_vec))
-                racy = bool(np.any(vec[:k] > clock_vec[:k]) or np.any(vec[k:] > 0))
+            if block.n_shared and block.share_row[g] >= 0:
+                if not racy:
+                    vec = block.share[block.share_row[g]]
+                    clock_vec = self._clock_array(tid)
+                    k = min(len(vec), len(clock_vec))
+                    racy = bool(np.any(vec[:k] > clock_vec[:k]) or np.any(vec[k:] > 0))
+                block.unshare([g])  # the write resets sharing
             block.write[g] = my_epoch
             block.read[g] = 0
         else:
@@ -303,40 +421,84 @@ class RaceEngine:
             racy = we != 0 and (we & MAX_CLOCK) > clock.get(we >> CLOCK_BITS)
             if re != 0 and (re & MAX_CLOCK) > clock.get(re >> CLOCK_BITS):
                 # Previous read is concurrent: escalate to a read vector.
-                vec = block.shared.get(g)
-                if vec is None:
-                    vec = np.zeros(
-                        max((re >> CLOCK_BITS) + 1, tid + 1), dtype=np.uint64
-                    )
-                    vec[re >> CLOCK_BITS] = re & MAX_CLOCK
-                    block.shared[g] = vec
-                if len(vec) <= tid:
-                    vec = np.concatenate(
-                        [vec, np.zeros(tid + 1 - len(vec), dtype=np.uint64)]
-                    )
-                    block.shared[g] = vec
-                vec[tid] = my_epoch & MAX_CLOCK
+                block.escalate(
+                    np.array([g]),
+                    np.array([re], dtype=np.uint64),
+                    np.array([tid]),
+                    np.array([my_epoch & MAX_CLOCK], dtype=np.uint64),
+                )
             block.read[g] = my_epoch
         if not racy:
             return []
-        self.races.append(
-            {
-                "device_id": device_id,
-                "address": block.base + g * GRANULE,
-                "tid": tid,
-                "is_write": is_write,
-            }
-        )
+        self._record(block, [g], [device_id], [tid], [is_write])
         return [g]
 
-    def _ordered(self, epochs: np.ndarray, clock_vec: np.ndarray) -> np.ndarray:
-        """epoch <= C_t, vectorized; the empty epoch is always ordered."""
-        tids = (epochs >> _CLOCK_SHIFT).astype(np.intp)
-        clocks = epochs & _CLOCK_MASK
-        known = np.zeros(len(epochs), dtype=np.uint64)
-        in_range = tids < len(clock_vec)
-        known[in_range] = clock_vec[tids[in_range]]
-        return clocks <= known
+    @staticmethod
+    def _ordered(epochs: np.ndarray, clocks: np.ndarray, ti: np.ndarray) -> np.ndarray:
+        """``epochs[i] <= C_t`` where ``C_t`` is row ``ti[i]`` of ``clocks``
+        (see :meth:`_clock_matrix`); the empty epoch is always ordered."""
+        return (epochs & _CLOCK_MASK) <= clocks[ti, epochs >> _CLOCK_SHIFT]
+
+    def _check_rows(
+        self,
+        block: _RaceBlock,
+        g: np.ndarray,
+        is_write: np.ndarray,
+        my: np.ndarray,
+        clocks: np.ndarray,
+        ti: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized FastTrack over the distinct granules ``g`` of ``block``.
+
+        Row ``i`` is an access to ``g[i]`` by the thread whose current
+        epoch is ``my[i]`` and whose clock is row ``ti[i]`` of ``clocks``;
+        the granules being distinct, the rows are independent and may mix
+        threads and kinds.  Each row follows :meth:`_check_one`'s rules,
+        same-epoch no-op included.  Returns the indices of the racy rows.
+        """
+        u = block.uniform
+        if u is not None:
+            summary = np.where(is_write, np.uint64(u[0]), np.uint64(u[1]))
+            if bool((summary == my).all()):
+                return np.zeros(0, dtype=np.intp)
+            block.materialize()
+        w = block.write[g]
+        r = block.read[g]
+        live = None
+        noop = np.where(is_write, w, r) == my
+        if noop.any():
+            live = np.flatnonzero(~noop)
+            g, is_write, my, ti, w, r = (
+                g[live], is_write[live], my[live], ti[live], w[live], r[live]
+            )
+        r_ordered = self._ordered(r, clocks, ti)
+        racy = ~self._ordered(w, clocks, ti) | (is_write & ~r_ordered)
+        if block.n_shared:
+            # Writes to shared granules: one gather of their read vectors,
+            # one compare against the acting clocks; the write resets sharing.
+            shared = np.flatnonzero(is_write & (block.share_row[g] >= 0))
+            if len(shared):
+                vecs = block.share[block.share_row[g[shared]]]
+                acting = clocks[ti[shared], : vecs.shape[1]]
+                racy[shared] |= (vecs > acting).any(axis=1)
+                block.unshare(g[shared])
+        # Reads whose previous read is concurrent escalate to read vectors.
+        escalating = np.flatnonzero(~is_write & ~r_ordered)
+        if len(escalating):
+            mine = my[escalating]
+            block.escalate(
+                g[escalating],
+                r[escalating],
+                (mine >> _CLOCK_SHIFT).astype(np.intp),
+                mine & _CLOCK_MASK,
+            )
+        writes = g[is_write]
+        block.write[writes] = my[is_write]
+        block.read[writes] = 0
+        reads = ~is_write
+        block.read[g[reads]] = my[reads]
+        hit = np.flatnonzero(racy)
+        return hit if live is None else live[hit]
 
     def _check_span(
         self, block: _RaceBlock, device_id: int, tid: int, lo: int, hi: int,
@@ -372,85 +534,34 @@ class RaceEngine:
                         block.read[sel] = np.uint64(my_epoch_int)
                 return []
             block.materialize()
-        my_epoch = np.uint64(my_epoch_int)
-        # Range-level same-epoch shortcut: if this thread already installed
-        # its current epoch on every granule, all checks already ran.
-        if is_write:
-            if not block.shared and bool((block.write[sel] == my_epoch).all()):
-                return []
-        elif bool((block.read[sel] == my_epoch).all()):
-            return []
         # Uniform-epoch fast path: a kernel installs one epoch across the
         # whole array, so the span usually stores a single (write, read)
-        # epoch pair — two scalar ordering checks replace the vectorized
-        # clock-vector gathers.  Races and read-share escalation fall
-        # through to the general path below.
-        if not block.shared:
+        # epoch pair — two scalar checks replace the vectorized gathers.
+        # Races and read-share escalation fall through to the general path.
+        if not block.n_shared:
             wsel = block.write[sel]
             rsel = block.read[sel]
-            w0 = wsel[0]
-            r0 = rsel[0]
-            if bool((wsel == w0).all()) and bool((rsel == r0).all()):
-                w0i = int(w0)
-                r0i = int(r0)
+            w0 = int(wsel[0])
+            r0 = int(rsel[0])
+            if bool((wsel == wsel[0]).all()) and bool((rsel == rsel[0]).all()):
+                if (w0 if is_write else r0) == my_epoch_int:
+                    return []  # the same-epoch rule, on every granule
                 clock = self.clock_of(tid)
-                w_ord = w0i == 0 or (w0i & MAX_CLOCK) <= clock.get(w0i >> CLOCK_BITS)
-                r_ord = r0i == 0 or (r0i & MAX_CLOCK) <= clock.get(r0i >> CLOCK_BITS)
+                w_ord = w0 == 0 or (w0 & MAX_CLOCK) <= clock.get(w0 >> CLOCK_BITS)
+                r_ord = r0 == 0 or (r0 & MAX_CLOCK) <= clock.get(r0 >> CLOCK_BITS)
                 if w_ord and r_ord:
+                    my_epoch = np.uint64(my_epoch_int)
                     if is_write:
                         block.write[sel] = my_epoch
                         block.read[sel] = 0
                     else:
                         block.read[sel] = my_epoch
                     return []
-        clock_vec = self._clock_array(tid)
-        my_clock = np.uint64(my_epoch_int & MAX_CLOCK)
+        return self._check_granules(
+            block, device_id, tid, np.arange(lo, hi), is_write
+        )
 
-        racy = ~self._ordered(block.write[sel], clock_vec)
-        if is_write:
-            racy |= ~self._ordered(block.read[sel], clock_vec)
-            # Shared-read granules need their whole vector checked.
-            if block.shared:
-                for g, vec in list(block.shared.items()):
-                    if lo <= g < hi:
-                        k = min(len(vec), len(clock_vec))
-                        bad = np.any(vec[:k] > clock_vec[:k]) or np.any(vec[k:] > 0)
-                        if bad:
-                            racy[g - lo] = True
-                        block.shared.pop(g)  # the write resets sharing
-            block.write[sel] = my_epoch
-            block.read[sel] = 0
-        else:
-            # Read: escalate to shared where the previous read is concurrent.
-            prev = block.read[sel]
-            conc = (~self._ordered(prev, clock_vec)) & (prev != 0)
-            if conc.any():
-                for off in np.nonzero(conc)[0]:
-                    g = lo + int(off)
-                    vec = block.shared.get(g)
-                    if vec is None:
-                        old = int(prev[off])
-                        vec = np.zeros(max((old >> CLOCK_BITS) + 1, tid + 1), dtype=np.uint64)
-                        vec[old >> CLOCK_BITS] = old & MAX_CLOCK
-                        block.shared[g] = vec
-                    if len(vec) <= tid:
-                        vec = np.concatenate([vec, np.zeros(tid + 1 - len(vec), dtype=np.uint64)])
-                        block.shared[g] = vec
-                    vec[tid] = my_clock
-            block.read[sel] = my_epoch
-        racy_local = (np.nonzero(racy)[0] + lo).tolist()
-        for g in racy_local:
-            self.races.append(
-                {
-                    "device_id": device_id,
-                    "address": block.base + g * GRANULE,
-                    "tid": tid,
-                    "is_write": is_write,
-                }
-            )
-        return racy_local
-
-    def _check_granule_array(
+    def _check_granules(
         self,
         block: _RaceBlock,
         device_id: int,
@@ -458,70 +569,45 @@ class RaceEngine:
         local: np.ndarray,
         is_write: bool,
     ) -> list[int]:
-        """Vectorized FastTrack over a sorted array of local granule indices
-        (the strided-access path — same algorithm as :meth:`_check_span`,
-        fancy indexing instead of a slice)."""
-        if len(local) == 0:
-            return []
-        if len(local) == 1:
-            return self._check_one(block, device_id, tid, int(local[0]), is_write)
-        my_epoch_int = self._current_epoch(tid)
-        u = block.uniform
-        if u is not None:
-            if (u[0] if is_write else u[1]) == my_epoch_int:
-                return []
-            block.materialize()
-        my_epoch = np.uint64(my_epoch_int)
-        if is_write:
-            if not block.shared and bool((block.write[local] == my_epoch).all()):
-                return []
-        elif bool((block.read[local] == my_epoch).all()):
-            return []
-        clock_vec = self._clock_array(tid)
-        my_clock = np.uint64(my_epoch_int & MAX_CLOCK)
-
-        racy = ~self._ordered(block.write[local], clock_vec)
-        if is_write:
-            racy |= ~self._ordered(block.read[local], clock_vec)
-            if block.shared:
-                touched = set(local.tolist())
-                for g, vec in list(block.shared.items()):
-                    if g in touched:
-                        k = min(len(vec), len(clock_vec))
-                        bad = np.any(vec[:k] > clock_vec[:k]) or np.any(vec[k:] > 0)
-                        if bad:
-                            racy[np.searchsorted(local, g)] = True
-                        block.shared.pop(g)
-            block.write[local] = my_epoch
-            block.read[local] = 0
-        else:
-            prev = block.read[local]
-            conc = (~self._ordered(prev, clock_vec)) & (prev != 0)
-            if conc.any():
-                for off in np.nonzero(conc)[0]:
-                    g = int(local[off])
-                    vec = block.shared.get(g)
-                    if vec is None:
-                        old = int(prev[off])
-                        vec = np.zeros(max((old >> CLOCK_BITS) + 1, tid + 1), dtype=np.uint64)
-                        vec[old >> CLOCK_BITS] = old & MAX_CLOCK
-                        block.shared[g] = vec
-                    if len(vec) <= tid:
-                        vec = np.concatenate([vec, np.zeros(tid + 1 - len(vec), dtype=np.uint64)])
-                        block.shared[g] = vec
-                    vec[tid] = my_clock
-            block.read[local] = my_epoch
-        racy_local = local[racy].tolist()
-        for g in racy_local:
-            self.races.append(
-                {
-                    "device_id": device_id,
-                    "address": block.base + g * GRANULE,
-                    "tid": tid,
-                    "is_write": is_write,
-                }
+        """One thread's access to the distinct granules ``local``: the
+        general span and strided path, one :meth:`_check_rows` call."""
+        n = len(local)
+        racy_g = local[
+            self._check_rows(
+                block,
+                local,
+                np.full(n, is_write),
+                np.full(n, self._current_epoch(tid), dtype=np.uint64),
+                self._clock_matrix([tid]),
+                np.zeros(n, dtype=np.intp),
             )
-        return racy_local
+        ].tolist()
+        self._record(block, racy_g, repeat(device_id), repeat(tid), repeat(is_write))
+        return racy_g
+
+    def _record(
+        self,
+        block: _RaceBlock,
+        granules: list[int],
+        device_ids: Iterable[int],
+        tids: Iterable[int],
+        is_writes: Iterable[bool],
+    ) -> None:
+        """Append one ``races`` entry per racy granule, each with its own
+        row's device (a block is reachable through host and device
+        addresses)."""
+        base = block.base
+        self.races += [
+            {
+                "device_id": device_id,
+                "address": base + g * GRANULE,
+                "tid": tid,
+                "is_write": is_write,
+            }
+            for g, device_id, tid, is_write in zip(
+                granules, device_ids, tids, is_writes
+            )
+        ]
 
     # -- columnar entry point ---------------------------------------------------
 
@@ -537,85 +623,117 @@ class RaceEngine:
 
         The columns describe ``count == 1`` accesses, and the run must not
         span a sync event (thread clocks are frozen across it — the bus's
-        batch-flush ordering guarantees this).  Per-granule program order is
-        preserved by splitting each run into first-occurrence passes;
-        accesses that miss every tracked block, straddle a granule, or
-        overrun their block are replayed through :meth:`check_range` in
-        place.  Returns the run positions whose access raced (unordered).
+        batch-flush ordering guarantees this).  Each access becomes one row
+        per granule it covers in the block holding its address, clipped to
+        that block as :meth:`check_range` clips; an access that misses
+        every block has none.  Because the clocks are frozen, a row whose
+        previous row on the same granule has the same thread and kind is a
+        same-epoch no-op, and is dropped.  The rest split into passes, pass
+        ``k`` holding each granule's ``k``-th row: one :meth:`_check_rows`
+        call per pass and block keeps every granule's program order, and
+        rows past :data:`_MAX_PASSES` replay one at a time, in order.
+        Returns the sorted run positions whose access raced.
         """
-        from ..events.columnar import first_occurrence_passes
-
         n = len(addresses)
         if n == 0 or not self._bases:
             return []
-        bases = np.array(self._bases, dtype=np.int64)
-        ends = bases + np.fromiter(
-            (self._sizes[b] for b in self._bases), np.int64, count=len(bases)
-        )
+        if self._bounds is None:
+            blocks = self._sorted_blocks
+            self._bounds = (
+                np.array(self._bases, dtype=np.int64),
+                np.array([b.base + b.nbytes for b in blocks], dtype=np.int64),
+                np.array([len(b.write) for b in blocks], dtype=np.int64),
+            )
+        bases, ends, granules = self._bounds
         bi = np.searchsorted(bases, addresses, side="right") - 1
         safe = np.maximum(bi, 0)
         base_of = bases[safe]
-        in_block = (bi >= 0) & (addresses + sizes <= ends[safe])
-        g = (addresses - base_of) // GRANULE
-        g_last = (addresses + sizes - 1 - base_of) // GRANULE
-        eligible = in_block & (g == g_last)
-
-        racy_positions: list[int] = []
-
-        def replay(pos: int) -> None:
-            racy = self.check_range(
-                int(device_ids[pos]),
-                int(tids[pos]),
-                int(addresses[pos]),
-                int(sizes[pos]),
-                bool(is_writes[pos]),
+        first = (addresses - base_of) // GRANULE
+        stop = np.minimum(granules[safe], -((base_of - addresses - sizes) // GRANULE))
+        count = np.where(
+            (bi >= 0) & (addresses < ends[safe]) & (sizes > 0),
+            stop - first,
+            0,
+        )
+        if bool((count == 1).all()):
+            pos = None
+            g, blk, row_devices, row_tids, row_writes = (
+                first, bi, device_ids, tids, is_writes
             )
-            if racy:
-                racy_positions.append(pos)
-
-        def vector_segment(seg: np.ndarray) -> None:
-            keys = bi[seg] * np.int64(1 << 40) + g[seg]
-            passes, remainder = first_occurrence_passes(keys)
-            tid_span = int(tids[seg].max()) + 1
-            for p in passes:
-                idxs = seg[p]
-                gk = (
-                    (bi[idxs] * tid_span + tids[idxs]) * 64 + device_ids[idxs]
-                ) * 2 + is_writes[idxs]
-                for key in np.unique(gk).tolist():
-                    sel = idxs[gk == key]
-                    block = self._blocks[int(base_of[sel[0]])]
-                    srt = np.argsort(g[sel])
-                    loc_sorted = g[sel][srt].astype(np.intp)
-                    pos_sorted = sel[srt]
-                    racy_g = self._check_granule_array(
+        else:
+            pos = np.repeat(np.arange(n), count)
+            if not len(pos):
+                return []
+            g = first[pos] + np.arange(len(pos)) - (np.cumsum(count) - count)[pos]
+            blk, row_devices, row_tids, row_writes = (
+                bi[pos], device_ids[pos], tids[pos], is_writes[pos]
+            )
+        # Each granule's rows in program order: a stable sort on the key.
+        key = blk << _KEY_SHIFT | g
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        tid_s = row_tids[order]
+        write_s = row_writes[order]
+        same = key[1:] == key[:-1]
+        redundant = same & (tid_s[1:] == tid_s[:-1]) & (write_s[1:] == write_s[:-1])
+        if redundant.any():
+            keep = np.concatenate(([True], ~redundant))
+            order, key = order[keep], key[keep]
+            tid_s, write_s = tid_s[keep], write_s[keep]
+            same = key[1:] == key[:-1]
+        # The acting threads' clocks as matrix rows; ti = each row's.
+        present = np.bincount(tid_s)
+        acting = np.flatnonzero(present)
+        slot = np.zeros(len(present), dtype=np.intp)
+        slot[acting] = np.arange(len(acting))
+        ti = slot[tid_s]
+        acting = acting.tolist()
+        clocks = self._clock_matrix(acting)
+        my = np.array([self._current_epoch(t) for t in acting], dtype=np.uint64)[ti]
+        passes: list = [slice(None)]
+        late: list[int] = []
+        if same.any():
+            # rank = the row's index among its granule's rows.
+            head = np.concatenate(([True], ~same))
+            idx = np.arange(len(key))
+            rank = idx - np.maximum.accumulate(np.where(head, idx, 0))
+            passes = [rank == k for k in range(min(int(rank.max()) + 1, _MAX_PASSES))]
+            late = np.sort(order[rank >= _MAX_PASSES]).tolist()
+        racy_rows: list[np.ndarray] = []
+        for sel in passes:
+            p_key, p_rows = key[sel], order[sel]
+            p_write, p_my, p_ti = write_s[sel], my[sel], ti[sel]
+            p_blk = p_key >> _KEY_SHIFT
+            cuts = (np.flatnonzero(p_blk[1:] != p_blk[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(p_key)]):
+                block = self._sorted_blocks[int(p_blk[lo])]
+                p_g = p_key[lo:hi] & _GRANULE_MASK
+                hit = self._check_rows(
+                    block, p_g, p_write[lo:hi], p_my[lo:hi], clocks, p_ti[lo:hi]
+                )
+                if len(hit):
+                    rows = p_rows[lo:hi][hit]
+                    racy_rows.append(rows)
+                    self._record(
                         block,
-                        int(device_ids[sel[0]]),
-                        int(tids[sel[0]]),
-                        loc_sorted,
-                        bool(is_writes[sel[0]]),
+                        p_g[hit].tolist(),
+                        row_devices[rows].tolist(),
+                        row_tids[rows].tolist(),
+                        row_writes[rows].tolist(),
                     )
-                    for rg in racy_g:
-                        racy_positions.append(
-                            int(pos_sorted[np.searchsorted(loc_sorted, rg)])
-                        )
-            # High-multiplicity granules past the pass cap: ordered replay.
-            for ridx in remainder.tolist():
-                replay(int(seg[ridx]))
-
-        # Order-preserving segmentation: vector-process maximal eligible
-        # runs, replaying each straggler at its original position.
-        stragglers = np.flatnonzero(~eligible)
-        order = np.arange(n, dtype=np.intp)
-        start = 0
-        for b in stragglers.tolist():
-            if b > start:
-                vector_segment(order[start:b])
-            replay(b)
-            start = b + 1
-        if start < n:
-            vector_segment(order[start:n])
-        return racy_positions
+        for row in late:
+            if self._check_one(
+                self._sorted_blocks[int(blk[row])],
+                int(row_devices[row]),
+                int(row_tids[row]),
+                int(g[row]),
+                bool(row_writes[row]),
+            ):
+                racy_rows.append(np.array([row]))
+        if not racy_rows:
+            return []
+        racy = np.concatenate(racy_rows)
+        return np.unique(racy if pos is None else pos[racy]).tolist()
 
 
 class ArcherTool(Tool):

@@ -8,13 +8,15 @@ the other in the transitive closure of {program order within a thread} ∪
 
 FastTrack must agree with the oracle on *which granules ever raced* —
 including the read-share escalation cases single-epoch read tracking gets
-wrong.
+wrong.  The batch kernel must in turn agree with one-access-at-a-time
+delivery on everything it leaves behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +134,131 @@ def test_fasttrack_agrees_with_oracle(events):
         f"fasttrack={sorted(detected)} oracle={sorted(expected)} "
         f"events={events}"
     )
+
+
+# -- the batch kernel versus per-access delivery ------------------------------
+
+#: Two adjacent blocks: an access near the end of the first runs past it.
+BLOCK_GRANULES = 3
+BLOCK_BASES = (BASE, BASE + 8 * BLOCK_GRANULES)
+HOT = BASE + 8
+
+
+@dataclass(frozen=True)
+class Scalar:
+    """One ``count == 1`` access; unaligned ones straddle two granules."""
+
+    device: int
+    tid: int
+    address: int
+    size: int
+    is_write: bool
+
+
+scalar_strategy = st.builds(
+    Scalar,
+    device=st.integers(0, 1),
+    tid=st.integers(0, N_THREADS - 1),
+    address=st.one_of(
+        st.just(HOT), st.integers(BASE - 8, BASE + 16 * BLOCK_GRANULES + 8)
+    ),
+    size=st.sampled_from((1, 4, 8, 12, 16)),
+    is_write=st.booleans(),
+)
+#: Nine or more back-to-back accesses to one granule by mixed threads.
+burst_strategy = st.lists(
+    st.builds(
+        Scalar,
+        device=st.just(1),
+        tid=st.integers(0, N_THREADS - 1),
+        address=st.just(HOT),
+        size=st.just(8),
+        is_write=st.booleans(),
+    ),
+    min_size=9,
+    max_size=20,
+)
+#: One thread's loop over consecutive granules, as a kernel issues it.
+sweep_strategy = st.builds(
+    lambda tid, is_write, first, length: [
+        Scalar(1, tid, BASE + 8 * g, 8, is_write) for g in range(first, first + length)
+    ],
+    tid=st.integers(0, N_THREADS - 1),
+    is_write=st.booleans(),
+    first=st.integers(0, BLOCK_GRANULES),
+    length=st.integers(2, BLOCK_GRANULES + 1),
+)
+batch_trace_strategy = st.lists(
+    st.one_of(
+        st.builds(
+            Sync,
+            source=st.integers(0, N_THREADS - 1),
+            target=st.integers(0, N_THREADS - 1),
+        ),
+        scalar_strategy,
+        burst_strategy,
+        sweep_strategy,
+    ),
+    max_size=40,
+)
+
+
+def shadow_state(engine: RaceEngine) -> dict:
+    """Every block's final write/read epochs and read-share clocks."""
+    state = {}
+    for base, block in sorted(engine._blocks.items()):
+        block.materialize()
+        shared = {}
+        if block.share_row is not None:
+            for g in np.flatnonzero(block.share_row >= 0).tolist():
+                clocks = block.share[block.share_row[g]].tolist()
+                while clocks and clocks[-1] == 0:
+                    clocks.pop()
+                shared[g] = clocks
+        state[base] = (block.write.tolist(), block.read.tolist(), shared)
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_trace_strategy)
+def test_batch_kernel_matches_per_access_delivery(trace):
+    batched, single = RaceEngine(), RaceEngine()
+    for engine in (batched, single):
+        for base in BLOCK_BASES:
+            engine.track(0, base, 8 * BLOCK_GRANULES)
+    run: list[Scalar] = []
+
+    def deliver() -> None:
+        if not run:
+            return
+        got = batched.check_batch(
+            np.array([a.device for a in run], dtype=np.int64),
+            np.array([a.tid for a in run], dtype=np.int64),
+            np.array([a.address for a in run], dtype=np.int64),
+            np.array([a.size for a in run], dtype=np.int64),
+            np.array([a.is_write for a in run], dtype=np.bool_),
+        )
+        want = [
+            i
+            for i, a in enumerate(run)
+            if single.check_range(a.device, a.tid, a.address, a.size, a.is_write)
+        ]
+        assert got == want, f"run={run}"
+        run.clear()
+
+    for ev in trace:
+        if isinstance(ev, Sync):
+            deliver()
+            if ev.source != ev.target:
+                for engine in (batched, single):
+                    engine.handle_sync("edge", ev.source, ev.target)
+        else:
+            run.extend(ev if isinstance(ev, list) else [ev])
+    deliver()
+
+    def races(engine: RaceEngine) -> list:
+        return sorted(tuple(sorted(race.items())) for race in engine.races)
+
+    assert races(batched) == races(single)
+    assert batched.shadow_bytes == single.shadow_bytes
+    assert shadow_state(batched) == shadow_state(single)

@@ -1,5 +1,6 @@
 """Archer model: FastTrack race detection over logical threads."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,41 @@ class TestEngineDirect:
         e.check_range(0, 1, self.BASE, 8, True)
         assert e.check_range(0, 2, self.BASE, 8, True)
         assert e.check_range(0, 1, self.BASE, 8, True)
+
+    def test_same_epoch_write_is_a_noop_on_every_path(self):
+        # Readers 2 and 3 race with thread 1's writes and leave both
+        # granules read-shared; thread 1's repeated writes (no sync, so
+        # its epoch has not moved) are same-epoch no-ops.  Batched and
+        # range deliveries must apply that rule as the one-granule path
+        # does, read-shared granules or not.
+        seq = [
+            (1, 0, True), (1, 1, True), (2, 0, False), (2, 1, False),
+            (3, 0, False), (3, 1, False), (1, 0, True), (1, 1, True),
+        ]
+        e = self.engine()
+        per_access = [
+            i
+            for i, (tid, g, write) in enumerate(seq)
+            if e.check_range(0, tid, self.BASE + 8 * g, 8, write)
+        ]
+        assert per_access == [2, 3, 4, 5]
+        e = self.engine()
+        batched = e.check_batch(
+            np.zeros(len(seq), dtype=np.int64),
+            np.array([tid for tid, _g, _w in seq]),
+            np.array([self.BASE + 8 * g for _t, g, _w in seq]),
+            np.full(len(seq), 8),
+            np.array([write for _t, _g, write in seq]),
+        )
+        assert batched == per_access
+        # The same sequence as two-granule ranges.
+        e = self.engine()
+        spans = [(1, True), (2, False), (3, False), (1, True)]
+        assert [
+            i
+            for i, (tid, write) in enumerate(spans)
+            if e.check_range(0, tid, self.BASE, 16, write)
+        ] == [1, 2]
 
 
 # -- strided accesses: vectorized path ≡ per-element reference ---------------
