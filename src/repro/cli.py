@@ -3,9 +3,7 @@
 ::
 
     python -m repro table3                 # Table III (precision on DRACC)
-    python -m repro fig8  [--preset ref]   # time overhead table + charts
-    python -m repro bench [--preset train] # tracked bench -> BENCH_fig8.json
-    python -m repro fig9  [--preset ref]   # memory usage table
+    python -m repro bench [--preset train] # Fig 8 + Fig 9 tables -> BENCH_fig8.json
     python -m repro casestudy              # 503.postencil (Fig 6/7)
     python -m repro ompsan                 # §VI.G static-vs-dynamic
     python -m repro lint  [--json]         # static linter over every twin
@@ -47,22 +45,8 @@ def _cmd_table3(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    from .harness import run_overhead_comparison
-    from .specaccel import WORKLOADS
-
-    result = run_overhead_comparison(preset=args.preset, repetitions=args.reps)
-    print(result.render_time_table())
-    print()
-    for w in WORKLOADS:
-        print(f"-- {w.name} ({w.spec_id}: {w.description}) --")
-        print(result.render_chart(w.name))
-        print()
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness import run_bench
+    from .harness import render_figures, run_bench
 
     history = None
     if not args.no_history:
@@ -85,17 +69,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"repro bench: error: {exc}", file=sys.stderr)
         return 2
-    configs = payload["configs"]
-    width = max(12, max(len(c) for c in configs) + 2)
-    header = f"{'Workload':<12}" + "".join(f"{c:>{width}}" for c in configs)
-    print(f"Fig 8 benchmark (preset={payload['preset']}, "
-          f"reps={payload['repetitions']})")
-    print(header)
-    for w, row in payload["workloads"].items():
-        print(
-            f"{w:<12}"
-            + "".join(f"{row[c]['slowdown']:>{width - 1}.2f}x" for c in configs)
-        )
+    print(render_figures(payload))
     s = payload["summary"]
     print(
         f"\narbalest slowdown: geomean {s['arbalest_slowdown_geomean']:.2f}x, "
@@ -135,14 +109,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.flamegraph:
         print(f"wrote flamegraph {args.flamegraph}")
     return 0 if consistent else 1
-
-
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    from .harness import run_overhead_comparison
-
-    result = run_overhead_comparison(preset=args.preset, repetitions=1)
-    print(result.render_space_table())
-    return 0
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
@@ -804,15 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_table3
     )
 
-    p8 = sub.add_parser("fig8", help="Fig 8: time overhead on SPEC ACCEL")
-    p8.add_argument(
-        "--preset", default="ref", choices=("test", "train", "ref", "large")
-    )
-    p8.add_argument("--reps", type=int, default=3)
-    p8.set_defaults(fn=_cmd_fig8)
-
     pb = sub.add_parser(
-        "bench", help="tracked benchmark: Fig-8 matrix -> BENCH_fig8.json"
+        "bench",
+        help="Fig 8 (time) and Fig 9 (memory) on SPEC ACCEL -> BENCH_fig8.json",
     )
     pb.add_argument(
         "--preset", default="train", choices=("test", "train", "ref", "large")
@@ -843,10 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the continuous profiler's flamegraph HTML to PATH",
     )
     pb.set_defaults(fn=_cmd_bench)
-
-    p9 = sub.add_parser("fig9", help="Fig 9: memory usage on SPEC ACCEL")
-    p9.add_argument("--preset", default="ref", choices=("test", "train", "ref"))
-    p9.set_defaults(fn=_cmd_fig9)
 
     pc = sub.add_parser("casestudy", help="Fig 6/7: 503.postencil")
     pc.add_argument("--preset", default="ref", choices=("test", "train", "ref"))

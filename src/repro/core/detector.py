@@ -85,8 +85,8 @@ class Arbalest(Tool):
     ----------
     granule:
         Tracking granularity in bytes; 8 is the paper's sound choice.  The
-        coarse whole-array ablation uses a huge granule via
-        :class:`CoarseArbalest` instead of this knob.
+        §IV.C whole-array ablation passes a granule larger than any
+        allocation, so each allocation has one VSM state.
     race_detection:
         Run the embedded FastTrack engine (needed for Theorem-1
         certification and responsible for most of the overhead, §VI.E).

@@ -226,7 +226,7 @@ class IntervalTree(Generic[T]):
         return walk(self._root)
 
     def clear_cache(self) -> None:
-        """Drop the last-lookup cache (ablation A2 disables it this way)."""
+        """Drop the last-lookup cache: the next stab descends the tree."""
         self._cached = None
 
     @property

@@ -154,17 +154,6 @@ class MappingRegistry:
         """(cache hits, cache misses) of the underlying tree."""
         return self._tree.cache_hits, self._tree.cache_misses
 
-    def disable_cache_for_ablation(self) -> None:
-        """Monkey-path hook used by ablation A2: clear the cache every stab."""
-        tree = self._tree
-        original = tree.stab
-
-        def stab_without_cache(point: int):
-            tree.clear_cache()
-            return original(point)
-
-        tree.stab = stab_without_cache  # type: ignore[method-assign]
-
 
 class ShadowRegistry:
     """Shadow blocks for host allocations, keyed by host address range.

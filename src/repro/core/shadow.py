@@ -253,14 +253,6 @@ class ShadowBlock:
         hi = min(self.n_granules, -(-(address + span - self.base) // self.granule))
         return slice(lo, max(lo, hi))
 
-    def local_indices(self, absolute_granules: np.ndarray) -> np.ndarray:
-        """Translate absolute 8-byte-granule indices to local word indices.
-
-        Only meaningful for the default granule of 8; indices outside the
-        block are clipped away by the caller.
-        """
-        return absolute_granules - self.base // self.granule
-
     # -- transitions ------------------------------------------------------------
 
     def apply(self, idx, op: VsmOp, device_id: int = 1) -> tuple[np.ndarray, np.ndarray]:

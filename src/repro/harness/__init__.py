@@ -14,6 +14,7 @@ from .overhead import (
     OverheadResult,
     bench_payload,
     measure_one,
+    render_figures,
     run_bench,
     run_overhead_comparison,
 )
@@ -50,7 +51,7 @@ from .precision import (
     run_benchmark_under_tools,
     run_precision_comparison,
 )
-from .tables import render_ratio_chart, render_table
+from .tables import render_table
 
 __all__ = [
     "run_precision_comparison",
@@ -64,6 +65,7 @@ __all__ = [
     "run_bench",
     "bench_payload",
     "measure_one",
+    "render_figures",
     "OverheadResult",
     "Measurement",
     "CONFIGS",
@@ -96,5 +98,4 @@ __all__ = [
     "SynthMatrixResult",
     "SynthProgramRow",
     "render_table",
-    "render_ratio_chart",
 ]

@@ -30,16 +30,16 @@ from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, Workload
 from .precision import TOOL_FACTORIES, TOOL_ORDER
-from .tables import render_ratio_chart, render_table
+from .tables import render_table
 
 #: Fig 8/9 column order: native baseline first, then the tools, then the
 #: static-assisted detector (ARBALEST pruned by each workload twin's
 #: SafetyCertificate — the staticlint speedup the tracked bench records),
 #: then ARBALEST with the forensics flight recorder active (the tracked
-#: recorder-overhead number: it must stay within a few percent of plain
-#: arbalest, which ``repro diff`` gates on), then ARBALEST with the
-#: continuous profiler sampling (governor at default budget — the tracked
-#: profiler-tax number, gated at a couple percent over plain arbalest).
+#: recorder-overhead number), then ARBALEST with the continuous profiler
+#: sampling (governor at default budget — the tracked profiler-tax
+#: number).  ``repro sentinel`` gates every one of these series over the
+#: bench ledger.
 CONFIGS = ("native", *TOOL_ORDER, "arbalest-cert", "arbalest-rec", "arbalest-prof")
 
 #: The ``large`` preset runs the detector configurations only, which keeps
@@ -90,51 +90,6 @@ class OverheadResult:
     def slowdown(self, workload: str, config: str) -> float:
         native = self.get(workload, "native").seconds
         return self.get(workload, config).seconds / max(native, 1e-9)
-
-    def space_ratio(self, workload: str, config: str) -> float:
-        native = self.get(workload, "native").total_bytes
-        return self.get(workload, config).total_bytes / max(native, 1)
-
-    # -- rendering -----------------------------------------------------------
-
-    def render_time_table(self) -> str:
-        configs = self.configs
-        rows = []
-        for w in sorted({m.workload for m in self.measurements}):
-            rows.append(
-                [w]
-                + [f"{self.slowdown(w, c):.2f}x" for c in configs]
-            )
-        return render_table(
-            ["Workload", *configs],
-            rows,
-            title=(
-                "Fig 8: time overhead (slowdown vs native, "
-                f"preset={self.preset})"
-            ),
-        )
-
-    def render_space_table(self) -> str:
-        configs = self.configs
-        rows = []
-        for w in sorted({m.workload for m in self.measurements}):
-            rows.append(
-                [w]
-                + [
-                    f"{self.get(w, c).total_bytes / 1024:.0f}K"
-                    for c in configs
-                ]
-            )
-        return render_table(
-            ["Workload", *configs],
-            rows,
-            title=f"Fig 9: memory usage (app + shadow, preset={self.preset})",
-        )
-
-    def render_chart(self, workload: str) -> str:
-        configs = self.configs
-        values = [self.slowdown(workload, c) for c in configs]
-        return render_ratio_chart(configs, values)
 
     def checksums_consistent(self) -> bool:
         """Every configuration must compute the same answer."""
@@ -304,8 +259,7 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
             {
                 "arbalest_rec_slowdown_geomean": round(rec_geomean, 3),
                 "arbalest_rec_slowdown_max": round(max(rec), 3),
-                # The recorder's own cost, as a ratio over plain arbalest:
-                # the <=1.05 acceptance bar lives on this number.
+                # The recorder's own cost, as a ratio over plain arbalest.
                 "recorder_overhead_geomean": round(
                     rec_geomean / max(arb_geomean, 1e-9), 3
                 ),
@@ -329,6 +283,34 @@ def bench_payload(result: OverheadResult, *, repetitions: int) -> dict:
             payload["profiler"] = result.profiler.stats()
     payload["meta"] = run_meta(preset=result.preset, reps=repetitions)
     return payload
+
+
+def render_figures(payload: dict) -> str:
+    """Fig 8 (slowdown over native) and Fig 9 (application + shadow
+    bytes) as two tables, both from one bench payload."""
+    configs = payload["configs"]
+    preset = payload["preset"]
+
+    def table(title: str, cell) -> str:
+        rows = [
+            [w] + [cell(row[c]) for c in configs]
+            for w, row in payload["workloads"].items()
+        ]
+        return render_table(["Workload", *configs], rows, title=title)
+
+    return "\n\n".join(
+        (
+            table(
+                "Fig 8: time overhead (slowdown vs native, "
+                f"preset={preset}, best of {payload['repetitions']})",
+                lambda c: f"{c['slowdown']:.2f}x",
+            ),
+            table(
+                f"Fig 9: memory usage (app + shadow, preset={preset})",
+                lambda c: f"{(c['app_bytes'] + c['shadow_bytes']) / 1024:.0f}K",
+            ),
+        )
+    )
 
 
 def np_geomean(values: list[float]) -> float:

@@ -23,16 +23,3 @@ def render_table(
     out.append(sep)
     out += [line(r) for r in cells[1:]]
     return "\n".join(out)
-
-
-def render_ratio_chart(
-    labels: Sequence[str], values: Sequence[float], *, width: int = 50, unit: str = "x"
-) -> str:
-    """Horizontal bar chart for slowdown/overhead figures."""
-    peak = max(values) if values else 1.0
-    lines = []
-    label_w = max(len(l) for l in labels) if labels else 0
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(round(width * value / peak))) if value > 0 else ""
-        lines.append(f"{label.ljust(label_w)} | {bar} {value:.2f}{unit}")
-    return "\n".join(lines)

@@ -63,14 +63,6 @@ class TransferError(DeviceError):
     """An OV↔CV transfer failed even after the runtime's retry budget."""
 
 
-class InvariantViolation(ReproError):
-    """An internal-consistency check (present table, detector state) failed.
-
-    Raised only by explicit ``check_invariants`` calls; the runtime and
-    detector themselves degrade gracefully instead of raising this.
-    """
-
-
 class TaskGraphError(RuntimeSemanticsError):
     """Malformed task dependence usage (e.g. waiting on a foreign task)."""
 

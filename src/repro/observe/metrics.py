@@ -428,18 +428,6 @@ def render_prometheus(snapshot: dict) -> str:
             "Wall-clock frame handling latency in microseconds.",
         )
         exp.histogram("repro_serve_frame_latency_us", latency["frame"])
-        if latency["stages"]:
-            exp.family(
-                "repro_serve_stage_latency_us",
-                "histogram",
-                "Wall-clock per-stage latency in microseconds.",
-            )
-            for stage in sorted(latency["stages"]):
-                exp.histogram(
-                    "repro_serve_stage_latency_us",
-                    latency["stages"][stage],
-                    stage=stage,
-                )
 
     return exp.render()
 

@@ -98,7 +98,6 @@ class ServeObserver:
         self.decode_errors = 0
         self.replay_errors = 0
         self.frame_latency = Histogram()
-        self.stage_latency: dict[str, Histogram] = {}
 
         # Current watchdog window.  The hot path appends raw latencies to
         # a plain list; :meth:`evaluate` folds the closed window into a
@@ -143,13 +142,6 @@ class ServeObserver:
 
     def count_replay_error(self) -> None:
         self.replay_errors += 1
-
-    def observe_stage(self, stage: str, latency_us: float) -> None:
-        """One wall-clock stage latency (``decode``, ``dispatch``, ...)."""
-        hist = self.stage_latency.get(stage)
-        if hist is None:
-            hist = self.stage_latency[stage] = Histogram()
-        hist.observe(int(latency_us))
 
     def frame_handled(self, server, latency_us: float | None = None) -> None:
         """One inbound frame fully handled; drives the watchdog cadence.
@@ -221,21 +213,11 @@ class ServeObserver:
     # -- export ------------------------------------------------------------
 
     def latency_summary(self) -> dict:
-        """Cumulative latency series with approximate quantiles."""
-
-        def summarize(hist: Histogram) -> dict:
-            data = hist.snapshot()
-            data["p50_us"] = histogram_quantile(hist, 0.50)
-            data["p99_us"] = histogram_quantile(hist, 0.99)
-            return data
-
-        return {
-            "frame": summarize(self.frame_latency),
-            "stages": {
-                stage: summarize(self.stage_latency[stage])
-                for stage in sorted(self.stage_latency)
-            },
-        }
+        """Cumulative frame latency with approximate quantiles."""
+        frame = self.frame_latency.snapshot()
+        frame["p50_us"] = histogram_quantile(self.frame_latency, 0.50)
+        frame["p99_us"] = histogram_quantile(self.frame_latency, 0.99)
+        return {"frame": frame}
 
     def stats(self) -> dict:
         data = {

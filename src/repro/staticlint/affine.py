@@ -45,10 +45,6 @@ class AffineSection:
         """The concrete intersection over the symbol range (may be empty)."""
         return (self.start.maximum(), self.start.minimum() + self.elements)
 
-    def interval_at(self, value: int) -> tuple[int, int]:
-        lo = self.start.c0 + self.start.c1 * value
-        return (lo, lo + self.elements)
-
     def render(self) -> str:
         r = self.start
         return (

@@ -27,7 +27,7 @@ in :mod:`repro.staticlint.analyzer` terminates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .affine import (
     BOTTOM,
@@ -100,22 +100,6 @@ class VarAbstract:
             section=_join_section(self.section, other.section),
             length=max(self.length, other.length),
         )
-
-    # -- transfer helpers (all return new records) --------------------------
-
-    def with_host_def(self, token) -> "VarAbstract":
-        return replace(self, host_defs=frozenset({token}))
-
-    def with_dev_def(self, token) -> "VarAbstract":
-        return replace(self, dev_defs=frozenset({token}))
-
-    @property
-    def maybe_present(self) -> bool:
-        return self.presence is not Presence.NO
-
-    @property
-    def definitely_present(self) -> bool:
-        return self.presence is Presence.YES
 
     @property
     def ref_widened(self) -> bool:

@@ -146,18 +146,6 @@ class SynthClause:
         return f"{self.kind}({section}){where}"
 
 
-@dataclass(frozen=True)
-class SynthScore:
-    """Measured transfer cost of a mapping, from an executor run."""
-
-    h2d_bytes: int
-    d2h_bytes: int
-
-    @property
-    def total(self) -> int:
-        return self.h2d_bytes + self.d2h_bytes
-
-
 @dataclass
 class SynthResult:
     """A synthesized mapping for one static twin."""
@@ -599,14 +587,6 @@ def synthesize(program: StaticProgram) -> SynthResult:
                 "staticlint.synth.affine_sections", result.affine_clauses
             )
     return result
-
-
-def score_twin(program: StaticProgram) -> SynthScore:
-    """Measured transfer bytes of one twin on the simulated runtime."""
-    from ..ompsan.interp import run_twin
-
-    run = run_twin(program)
-    return SynthScore(h2d_bytes=run.h2d_bytes, d2h_bytes=run.d2h_bytes)
 
 
 def synth_suite_programs() -> dict[str, StaticProgram]:

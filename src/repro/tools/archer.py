@@ -118,7 +118,11 @@ class _RaceBlock:
 
     @property
     def shadow_nbytes(self) -> int:
-        return self.write.nbytes + self.read.nbytes + 16 * self.n_shared
+        """Bytes the block's arrays hold, read-share matrix included."""
+        held = self.write.nbytes + self.read.nbytes + self.share.nbytes
+        if self.share_row is not None:
+            held += self.share_row.nbytes
+        return held
 
     def unshare(self, g) -> None:
         """Release the rows of the shared granules ``g``."""

@@ -86,12 +86,15 @@ class TestMappingRegistry:
     def test_lookup_stats_and_cache_ablation(self):
         reg = MappingRegistry()
         reg.add(record())
+        reg.add(record(name="b", ov=HOST_BASE + 64, cv=DEV_BASE + 64))
         for _ in range(10):
             reg.find(DEV_BASE)
         hits, misses = reg.lookup_stats
         assert hits >= 9
-        reg.disable_cache_for_ablation()
-        for _ in range(10):
+        # The cache holds the last lookup only: alternating between two
+        # mappings misses on every stab.
+        for _ in range(5):
+            reg.find(DEV_BASE + 64)
             reg.find(DEV_BASE)
         hits2, misses2 = reg.lookup_stats
         assert misses2 >= misses + 10

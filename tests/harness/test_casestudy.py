@@ -27,6 +27,9 @@ class TestCaseStudy:
         assert "Location is heap block" in text
         assert "SUMMARY: ThreadSanitizer" in text
 
+    def test_reproduced_at_train(self):
+        assert run_case_study(preset="train").reproduced
+
     def test_render(self, case_study):
         out = case_study.render()
         assert "503.postencil" in out

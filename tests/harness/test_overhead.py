@@ -1,6 +1,7 @@
 """Overhead harness (Fig 8/9): measurement plumbing and expected shapes."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -8,16 +9,26 @@ from repro.harness import (
     CONFIGS,
     bench_payload,
     measure_one,
+    render_figures,
     run_bench,
     run_overhead_comparison,
 )
 from repro.specaccel import WORKLOADS, workload
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
 def overhead():
     # Small preset, one repetition: structural checks, not timing claims.
     return run_overhead_comparison(preset="test", repetitions=1)
+
+
+@pytest.fixture(scope="module")
+def overhead_train():
+    # The tracked artifact's preset.  Bytes do not depend on timing, so
+    # one repetition gives Fig 9 exactly.
+    return run_overhead_comparison(preset="train", repetitions=1)
 
 
 class TestMeasurement:
@@ -30,8 +41,17 @@ class TestMeasurement:
 
     def test_tools_allocate_shadow(self, overhead):
         for w in WORKLOADS:
-            for tool in ("arbalest", "archer", "valgrind", "msan"):
-                assert overhead.get(w.name, tool).shadow_bytes > 0, (w.name, tool)
+            for config in CONFIGS[1:]:
+                assert overhead.get(w.name, config).shadow_bytes > 0, (w.name, config)
+
+    def test_only_native_has_no_shadow_at_train(self, overhead_train):
+        for w in WORKLOADS:
+            for config in CONFIGS:
+                m = overhead_train.get(w.name, config)
+                if config == "native":
+                    assert m.shadow_bytes == 0
+                else:
+                    assert m.shadow_bytes > 0, (w.name, config)
 
     def test_all_cells_present(self, overhead):
         for w in WORKLOADS:
@@ -69,6 +89,17 @@ class TestSpaceShape:
             for other in ("arbalest", "archer", "msan", "valgrind"):
                 assert asan < overhead.get(w.name, other).shadow_bytes
 
+    def test_fig9_shape_at_train(self, overhead_train):
+        # Every tool above native; ARBALEST close to Archer (same shadow
+        # family); ASan lightest.
+        for w in WORKLOADS:
+            native, asan, arc, arb = (
+                overhead_train.get(w.name, c).total_bytes
+                for c in ("native", "asan", "archer", "arbalest")
+            )
+            assert native < asan < arc <= arb, w.name
+            assert arb <= 2.0 * arc, w.name
+
     def test_shadow_scales_with_app_bytes(self, overhead):
         for w in WORKLOADS:
             m = overhead.get(w.name, "msan")
@@ -78,18 +109,32 @@ class TestSpaceShape:
 
 class TestRendering:
     def test_time_table_renders(self, overhead):
-        text = overhead.render_time_table()
-        assert "Fig 8" in text
+        text = render_figures(bench_payload(overhead, repetitions=1))
+        assert "Fig 8: time overhead" in text
         for w in WORKLOADS:
             assert w.name in text
 
     def test_space_table_renders(self, overhead):
-        text = overhead.render_space_table()
-        assert "Fig 9" in text
+        payload = bench_payload(overhead, repetitions=1)
+        text = render_figures(payload)
+        assert "Fig 9: memory usage" in text
+        cell = payload["workloads"]["pcg"]["arbalest"]
+        assert f"{(cell['app_bytes'] + cell['shadow_bytes']) / 1024:.0f}K" in text
 
-    def test_chart_renders(self, overhead):
-        chart = overhead.render_chart("pcg")
-        assert "native" in chart and "#" in chart
+
+class TestCommittedFig8:
+    """Fig 8's shape, read from the committed ``BENCH_fig8.json`` (train,
+    best of 5): one fresh millisecond-scale repetition is too noisy to
+    carry it."""
+
+    def test_valgrind_slowest_and_arbalest_not_below_native(self):
+        payload = json.loads((ROOT / "BENCH_fig8.json").read_text())
+        assert payload["checksums_consistent"]
+        for w, row in payload["workloads"].items():
+            slow = {c: cell["slowdown"] for c, cell in row.items()}
+            assert slow["native"] == pytest.approx(1.0)
+            assert slow["valgrind"] == max(slow.values()), (w, slow)
+            assert slow["arbalest"] >= 1.0, (w, slow)
 
 
 class TestMeasureOne:

@@ -1,6 +1,6 @@
-"""ASCII table and chart rendering."""
+"""ASCII table rendering."""
 
-from repro.harness import render_ratio_chart, render_table
+from repro.harness import render_table
 
 
 class TestRenderTable:
@@ -22,23 +22,3 @@ class TestRenderTable:
         text = render_table(["n"], [[3.14], [None]])
         assert "3.14" in text and "None" in text
 
-
-class TestRenderRatioChart:
-    def test_bars_scale_with_values(self):
-        text = render_ratio_chart(["a", "b"], [1.0, 2.0], width=10)
-        bar_a = text.splitlines()[0].count("#")
-        bar_b = text.splitlines()[1].count("#")
-        assert bar_b == 10
-        assert bar_a == 5
-
-    def test_values_printed(self):
-        text = render_ratio_chart(["native"], [1.0])
-        assert "1.00x" in text
-
-    def test_labels_aligned(self):
-        text = render_ratio_chart(["short", "a-much-longer-label"], [1, 1])
-        a, b = text.splitlines()
-        assert a.index("|") == b.index("|")
-
-    def test_empty(self):
-        assert render_ratio_chart([], []) == ""

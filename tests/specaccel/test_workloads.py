@@ -128,6 +128,15 @@ class TestPostencilBug:
         rt.finalize()
         assert not det.mapping_issue_findings()
 
+    @pytest.mark.parametrize("buggy", [False, True], ids=["fixed", "v1.2-buggy"])
+    def test_train_preset_flags_only_the_buggy_version(self, buggy):
+        rt = TargetRuntime(n_devices=1)
+        det = Arbalest().attach(rt.machine)
+        result = run_postencil(rt, "train", buggy=buggy)
+        output_checksum(rt, result)
+        rt.finalize()
+        assert bool(det.mapping_issue_findings()) == buggy
+
     def test_even_iterations_mask_the_bug(self):
         # The bug only manifests for odd iteration counts — the swap parity
         # lands the result in the copied-back buffer otherwise.  VSM

@@ -16,9 +16,7 @@ class TestParser:
         parser = build_parser()
         for cmd in (
             "table3",
-            "fig8",
             "bench",
-            "fig9",
             "casestudy",
             "ompsan",
             "lint",
@@ -41,7 +39,14 @@ class TestParser:
 
     def test_preset_validation(self):
         with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(["fig8", "--preset", "huge"])
+            build_parser().parse_args(["bench", "--preset", "huge"])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["fig8", "fig9"])
+    def test_figure_commands_are_gone(self, command):
+        # `repro bench` prints Fig 8 and Fig 9 from one run.
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args([command])
         assert exc_info.value.code == 2
 
     def test_chaos_defaults(self):
@@ -89,7 +94,7 @@ class TestParser:
 
     def test_serve_engine_validation(self):
         # One dispatch path: no subcommand takes an engine any more.
-        for command in ("fig8", "bench", "chaos", "serve", "report"):
+        for command in ("bench", "chaos", "serve", "report"):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args([command, "--engine", "columnar"])
             assert exc_info.value.code == 2
@@ -269,6 +274,8 @@ class TestCommands:
             ["bench", "--preset", "test", "--reps", "1", "--output", str(out_file)]
         ) == 0
         out = capsys.readouterr().out
+        assert "Fig 8: time overhead" in out
+        assert "Fig 9: memory usage" in out
         assert "arbalest slowdown" in out
         assert "checksums consistent across configs: yes" in out
         payload = json.loads(out_file.read_text())

@@ -154,6 +154,25 @@ class TestEngineDirect:
             if e.check_range(0, tid, self.BASE, 16, write)
         ] == [1, 2]
 
+    def test_shadow_bytes_are_the_bytes_the_arrays_hold(self):
+        # Three concurrent readers leave all eight granules read-shared:
+        # the count must include the read-share matrix and its row index,
+        # not a flat charge per shared granule.
+        e = self.engine()
+        for tid in (1, 2, 3):
+            e.handle_sync("fork", 0, tid)
+        for tid in (1, 2, 3):
+            e.check_range(0, tid, self.BASE, 64, False)
+        (block,) = e._blocks.values()
+        assert block.n_shared == 8
+        held = sum(
+            value.nbytes
+            for value in (getattr(block, name) for name in block.__slots__)
+            if isinstance(value, np.ndarray)
+        )
+        assert e.shadow_bytes == block.shadow_nbytes == held
+        assert held > block.write.nbytes + block.read.nbytes + 16 * 8
+
 
 # -- strided accesses: vectorized path ≡ per-element reference ---------------
 
