@@ -11,8 +11,10 @@ machine's logical threads:
   clock into the target and tick the source (release semantics);
 * per 8-byte granule the engine keeps a last-write epoch and last-read
   epoch, escalating reads to a read vector when reads of the same granule
-  are mutually concurrent (the FastTrack read-share case); a block keeps
-  its read vectors as the rows of one clock matrix;
+  are mutually concurrent (the FastTrack read-share case), after which
+  every read of the granule enters its thread's clock in the vector until
+  the next write; a block keeps its read vectors as the rows of one clock
+  matrix;
 * a race is a write not ordered after every previous access, or a read not
   ordered after the previous write.
 
@@ -423,8 +425,11 @@ class RaceEngine:
                 return []
             clock = self.clock_of(tid)
             racy = we != 0 and (we & MAX_CLOCK) > clock.get(we >> CLOCK_BITS)
-            if re != 0 and (re & MAX_CLOCK) > clock.get(re >> CLOCK_BITS):
-                # Previous read is concurrent: escalate to a read vector.
+            if (re != 0 and (re & MAX_CLOCK) > clock.get(re >> CLOCK_BITS)) or (
+                block.n_shared and block.share_row[g] >= 0
+            ):
+                # Previous read is concurrent: escalate to a read vector;
+                # a read of a shared granule enters its own clock there.
                 block.escalate(
                     np.array([g]),
                     np.array([re], dtype=np.uint64),
@@ -486,8 +491,12 @@ class RaceEngine:
                 acting = clocks[ti[shared], : vecs.shape[1]]
                 racy[shared] |= (vecs > acting).any(axis=1)
                 block.unshare(g[shared])
-        # Reads whose previous read is concurrent escalate to read vectors.
-        escalating = np.flatnonzero(~is_write & ~r_ordered)
+        # Reads whose previous read is concurrent escalate to read vectors;
+        # every read of a shared granule enters its own clock there.
+        escalating = ~r_ordered
+        if block.n_shared:
+            escalating |= block.share_row[g] >= 0
+        escalating = np.flatnonzero(~is_write & escalating)
         if len(escalating):
             mine = my[escalating]
             block.escalate(

@@ -110,9 +110,7 @@ class HbOracle:
         return racy
 
 
-@settings(max_examples=400, deadline=None)
-@given(events_strategy)
-def test_fasttrack_agrees_with_oracle(events):
+def assert_fasttrack_agrees_with_oracle(events) -> None:
     engine = RaceEngine()
     engine.track(0, BASE, 8 * N_GRANULES)
     oracle = HbOracle()
@@ -134,6 +132,51 @@ def test_fasttrack_agrees_with_oracle(events):
         f"fasttrack={sorted(detected)} oracle={sorted(expected)} "
         f"events={events}"
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(events_strategy)
+def test_fasttrack_agrees_with_oracle(events):
+    assert_fasttrack_agrees_with_oracle(events)
+
+
+def read_share_trace(n_granules, reads, excluded, writer, granule) -> list:
+    """Reads of ``n_granules`` granules, each optionally followed by a sync
+    out of the reader; then a sync from every thread but ``excluded`` into
+    ``writer``, which writes."""
+    events = []
+    for tid, g, handoff in reads:
+        events.append(Mem(tid, g % n_granules, False))
+        if handoff is not None:
+            events.append(Sync(tid, handoff))
+    events += [Sync(t, writer) for t in range(N_THREADS) if t != excluded]
+    events.append(Mem(writer, granule % n_granules, True))
+    return events
+
+
+thread_strategy = st.integers(0, N_THREADS - 1)
+#: The shape where a read ordered after the previous read of a read-shared
+#: granule must still enter the granule's read vector: the write is ordered
+#: after every reader but one, so a read left out of the vector is a race
+#: the engine can miss.
+read_share_strategy = st.builds(
+    read_share_trace,
+    n_granules=st.integers(1, 2),
+    reads=st.lists(
+        st.tuples(thread_strategy, st.integers(0, 1), st.none() | thread_strategy),
+        min_size=4,
+        max_size=8,
+    ),
+    excluded=thread_strategy,
+    writer=thread_strategy,
+    granule=st.integers(0, 1),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(read_share_strategy)
+def test_fasttrack_agrees_with_oracle_on_read_shared_granules(events):
+    assert_fasttrack_agrees_with_oracle(events)
 
 
 # -- the batch kernel versus per-access delivery ------------------------------

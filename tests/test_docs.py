@@ -1,5 +1,6 @@
-"""Numbers quoted in EXPERIMENTS.md match the committed artifacts, and
-the commands it gives for regenerating them exist."""
+"""Numbers quoted in EXPERIMENTS.md match the committed artifacts, the
+commands it gives for regenerating them exist, and the package and example
+lists in README.md and DESIGN.md name exactly what the tree holds."""
 
 import argparse
 import json
@@ -150,3 +151,33 @@ def test_quoted_fig8_spread_matches_the_ledger():
         series = [run[key] for run in runs]
         assert float(committed) == payload["summary"][key], key
         assert (float(low), float(high)) == (min(series), max(series)), key
+
+
+def test_package_lists_name_every_subpackage_and_nothing_else():
+    (architecture,) = re.findall(
+        r"^## Architecture\n+```\n(.*?)^```",
+        (ROOT / "README.md").read_text(),
+        flags=re.M | re.S,
+    )
+    readme_map = set(re.findall(r"^  (\w+)/ ", architecture, flags=re.M))
+    design = (ROOT / "DESIGN.md").read_text()
+    inventory = design[design.index("## 2. Package inventory") :]
+    inventory = inventory[: inventory.index("\n## ")]
+    design_rows = set(re.findall(r"^\| `(\w+)/`", inventory, flags=re.M))
+    packages = {
+        path.parent.name for path in (ROOT / "src" / "repro").glob("*/__init__.py")
+    }
+    assert readme_map == packages, (sorted(readme_map), sorted(packages))
+    assert design_rows == packages, (sorted(design_rows), sorted(packages))
+
+
+def test_examples_table_lists_every_example():
+    listed = re.findall(
+        r"^\| `(examples/\w+\.py)` \|",
+        (ROOT / "README.md").read_text(),
+        flags=re.M,
+    )
+    scripts = sorted(
+        str(path.relative_to(ROOT)) for path in (ROOT / "examples").glob("*.py")
+    )
+    assert sorted(listed) == scripts
