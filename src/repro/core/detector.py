@@ -7,10 +7,11 @@ The detector composes the pieces exactly as Figure 5 lays them out:
   allocation interceptors, and task synchronization;
 * **dynamic analysis** — per 8-byte granule of every host allocation it
   drives the variable state machine (vectorized, in
-  :class:`~repro.core.shadow.ShadowBlock`); device addresses are resolved
-  to their mapping through the interval tree (amortized O(1)); the embedded
-  FastTrack engine (shared with the Archer model) supplies race detection,
-  which Theorem 1 needs;
+  :class:`~repro.core.shadow.ShadowBlock`); a batch's device addresses are
+  resolved to their mappings at once, by ``searchsorted`` over a sorted
+  snapshot of the interval-tree registries; the embedded FastTrack engine
+  (shared with the Archer model) supplies race detection, which Theorem 1
+  needs;
 * **bug report generation** — illegal transitions and overflow checks
   produce :class:`~repro.tools.findings.Finding`s wrapped into Fig-7-style
   :class:`~repro.core.reports.BugReport`s.
@@ -76,6 +77,59 @@ _DATA_OP_EVENT_KINDS = {
 _STATE_LABELS = np.array([VsmState(code).name for code in range(4)], dtype=object)
 #: Access kinds, gathered by ``(device_id != 0) * 2 + is_write`` arrays.
 _ACCESS_KINDS = np.array(ACCESS_KINDS, dtype=object)
+
+
+class _Lookup:
+    """Both registries as sorted numpy tables, for :meth:`Arbalest.on_batch`.
+
+    Row 0 of each table is a sentinel interval ``[-1, -1)`` that holds no
+    address, so a ``searchsorted`` miss lands on it and reads as "no
+    mapping" or "no block" without an emptiness check.  The registries
+    change only on allocations and data ops, and the bus flushes pending
+    accesses before either, so a snapshot holds for the whole batch.
+    """
+
+    __slots__ = (
+        "recs", "cv_bases", "cv_ends", "shifts", "unified", "separate",
+        "certified", "section", "blocks", "b_bases", "b_ends", "b_grans",
+        "vect", "skip_bases", "skip_ends", "certifies",
+    )
+
+    def __init__(self, mappings: MappingRegistry, shadows: ShadowRegistry) -> None:
+        recs = sorted(mappings.records(), key=lambda r: r.cv_base)
+        blocks = shadows.blocks()  # ascending base
+        self.recs: list[MappingRecord | None] = [None, *recs]
+        self.blocks = [None, *blocks]
+        # ``shifts`` moves a CV address to its OV (0 when unified);
+        # ``certified`` marks certified separate-memory mappings only, as a
+        # host access skips by allocation, not by mapping.
+        table = np.array(
+            [(-1, -1, 0, 0, 0, 0, 0)]
+            + [
+                (r.cv_base, r.cv_end, r.ov_base - r.cv_base, not r.unified,
+                 r.unified, r.certified and not r.unified, r.certified_section)
+                for r in recs
+            ],
+            dtype=np.int64,
+        ).T
+        self.cv_bases, self.cv_ends, self.shifts = table[:3].copy()
+        self.separate, self.unified, self.certified, self.section = (
+            table[3:].astype(bool)
+        )
+        self.b_bases, self.b_ends, self.b_grans, vect = np.array(
+            [(-1, -1, 1, 0)]
+            + [
+                (b.base, b.base + b.nbytes, b.granule, type(b) is ShadowBlock)
+                for b in blocks
+            ],
+            dtype=np.int64,
+        ).T.copy()
+        self.vect = vect.astype(bool)
+        self.skip_bases, self.skip_ends = np.array(
+            [(-1, -1), *shadows.skipped_ranges()], dtype=np.int64
+        ).T.copy()
+        #: Whether any mapping or allocation is certified.
+        self.certifies = bool(self.certified.any()) or len(self.skip_bases) > 1
 
 
 class Arbalest(Tool):
@@ -165,29 +219,12 @@ class Arbalest(Tool):
         self.bug_reports: list[BugReport] = []
         self.quarantine_log: list[dict] = []
         self._alloc_info: dict[int, "AllocationEvent"] = {}
-        # Lookup caches holding the last two pairs per access side, most
-        # recent first: ``(lo, hi, block, rec)`` means "every address in
-        # [lo, hi) resolves to this (shadow block, mapping record) pair".
-        # Kernels hammer one or two arrays at a time (``A[i] = A[i] + B[i]``
-        # alternates), so these skip both interval-tree stabs on the hot
-        # path.  Invalidated on every alloc/free/map/unmap (see
-        # :meth:`_invalidate_lookup_caches`).
-        self._lookup_host: tuple[int, int, object, MappingRecord | None] | None = None
-        self._lookup_host_prev: tuple[int, int, object, MappingRecord | None] | None = None
-        self._lookup_device: tuple[int, int, object, MappingRecord] | None = None
-        self._lookup_device_prev: tuple[int, int, object, MappingRecord] | None = None
-        self._lookup_cache_hits = 0
 
     # ------------------------------------------------------------------
     # runtime data collection
     # ------------------------------------------------------------------
 
-    def _invalidate_lookup_caches(self) -> None:
-        self._lookup_host = self._lookup_host_prev = None
-        self._lookup_device = self._lookup_device_prev = None
-
     def on_allocation(self, event: "AllocationEvent") -> None:
-        self._invalidate_lookup_caches()
         if event.device_id == 0:
             if event.is_free:
                 self.shadows.drop(event.address)
@@ -267,7 +304,6 @@ class Arbalest(Tool):
         self._handle_data_op(op)
 
     def _handle_data_op(self, op: "DataOp") -> None:
-        self._invalidate_lookup_caches()
         unified = op.cv_address == op.ov_address
         if op.kind.value == "alloc":
             if (
@@ -418,166 +454,121 @@ class Arbalest(Tool):
     # dynamic analysis: memory accesses
     # ------------------------------------------------------------------
 
-    def on_access(self, access: "Access") -> None:
-        telemetry = _telemetry.ACTIVE
-        if access.device_id == 0:
-            if telemetry is not None:
-                telemetry.count("detector.accesses.host")
-            certified_skip = self._host_access(access)
-        else:
-            if telemetry is not None:
-                telemetry.count("detector.accesses.device")
-            certified_skip = self._device_access(access)
-        if certified_skip:
-            if telemetry is not None:
-                telemetry.count("staticlint.access_skips")
-            return  # statically proven safe: no VSM, no race check
-        if self.race_engine is not None:
-            self._race_check(access)
-
-    def _race_check(self, access: "Access") -> None:
-        engine = self.race_engine
-        assert engine is not None
-        racy = engine.check_access(access)
-        if racy:
-            self._report_race_finding(access)
-
-    def _report_race_finding(self, access: "Access") -> None:
-        self.report(
-            Finding(
-                tool=self.name,
-                kind=FindingKind.RACE,
-                message=(
-                    f"conflicting {'write' if access.is_write else 'read'} "
-                    "not ordered with a previous access"
-                ),
-                device_id=access.device_id,
-                thread_id=access.thread_id,
-                address=access.address,
-                size=access.size,
-                stack=access.stack,
-            )
-        )
-
-    # -- batch path ----------------------------------------------------------
-
     def on_batch(self, batch) -> None:
-        """Columnar fast path: classify the batch once, vectorize the bulk.
+        """Drive the VSM and the race engine for one ordered run of accesses.
 
-        Device accesses that resolve to one separate-memory mapping, sit
-        fully in bounds, and touch a single granule are driven through the
-        table-lookup VSM (:meth:`ShadowBlock.apply_ops`) plus one batched
-        FastTrack pass per segment; everything else — host events, bulk
-        accesses, unified mappings, overflow suspects — replays through
-        :meth:`on_access` *in place*, so findings and flight-recorder
-        events land in the same order as under per-access delivery.
+        One vectorized pass classifies every access against the lookup
+        snapshot (:class:`_Lookup`).  A scalar host or device access that
+        sits in one granule of a single-device shadow block goes through
+        the table-lookup VSM (:meth:`ShadowBlock.apply_ops`) and one batched
+        FastTrack pass per segment; a certified one only counts its skip,
+        and one with no shadow block only gets the race check.  Every other
+        access — bulk or strided, unified-device, overflowing, or on a
+        multi-device shadow — is applied *in place* by
+        :meth:`_apply_in_place`, so findings and flight-recorder events land
+        in per-access order whatever the batch size.
+
+        A batch of one (every access while an immediate-delivery tool is
+        attached) skips the columns and the snapshot, which cost more than
+        the access: the registries' interval trees resolve its row, their
+        last-lookup caches making a run of such batches amortized O(1)
+        (§IV.C), and it is applied in place.
         """
-        accesses = batch.accesses
-        cols = batch.columns
         n = len(batch)
+        telemetry = _telemetry.ACTIVE
+        if n == 1:
+            access = batch.accesses[0]
+            address = access.address
+            if access.device_id:
+                if telemetry is not None:
+                    telemetry.count("detector.accesses.device")
+                rec = self.mappings.find(address)
+                block = None
+                if rec is not None:
+                    block = self.shadows.find(
+                        address if rec.unified else rec.to_ov(address)
+                    )
+            else:
+                if telemetry is not None:
+                    telemetry.count("detector.accesses.host")
+                block = self.shadows.find(address)
+                if block is None and self.shadows.skipped_range(address):
+                    # Certified allocation: no shadow block exists by design.
+                    self.cert_access_skips += 1
+                    if telemetry is not None:
+                        telemetry.count("staticlint.access_skips")
+                    return
+                rec = self.mappings.find(address) if block is not None else None
+            self._apply_in_place(access, rec, block)
+            return
+        cols = batch.columns
+        look = _Lookup(self.mappings, self.shadows)
         addr = cols.addresses
         sizes = cols.sizes
-
-        # Snapshot the mapping and shadow indexes: every registry mutation
-        # is a non-access publish (which flushes), so both are frozen for
-        # the whole batch.
-        recs = sorted(
-            (r for r in self.mappings.records() if not r.unified),
-            key=lambda r: r.cv_base,
-        )
-        blocks = sorted(self.shadows.blocks(), key=lambda b: b.base)
-
-        # Classify every event: 0 = replay via on_access, 1 = certified
-        # skip, 2 = race-check only (no shadow block), 3 = VSM + race.
-        cat = np.zeros(n, dtype=np.int8)
-        ri = np.full(n, -1, dtype=np.intp)  # mapping-record index
-        bi = np.full(n, -1, dtype=np.intp)  # shadow-block index
-        gran = np.zeros(n, dtype=np.int64)  # local granule index (cat == 3)
-        scalar_dev = (cols.device_ids != 0) & (cols.counts == 1)
-        if recs and bool(scalar_dev.any()):
-            nr = len(recs)
-            cv_bases = np.fromiter((r.cv_base for r in recs), dtype=np.int64, count=nr)
-            cv_ends = np.fromiter((r.cv_end for r in recs), dtype=np.int64, count=nr)
-            cand = np.searchsorted(cv_bases, addr, side="right") - 1
-            safe = np.maximum(cand, 0)
-            resolved = scalar_dev & (cand >= 0) & (addr + sizes <= cv_ends[safe])
-            ri = np.where(resolved, cand, -1)
-            certified = np.fromiter((r.certified for r in recs), dtype=bool, count=nr)
-            is_cert = resolved & certified[safe]
-            cat[is_cert] = 1
-            need_vsm = resolved & ~is_cert
-            if bool(need_vsm.any()):
-                ov_bases = np.fromiter(
-                    (r.ov_base for r in recs), dtype=np.int64, count=nr
-                )
-                ov = addr - cv_bases[safe] + ov_bases[safe]
-                if blocks:
-                    nb = len(blocks)
-                    b_bases = np.fromiter(
-                        (b.base for b in blocks), dtype=np.int64, count=nb
-                    )
-                    b_ends = np.fromiter(
-                        (b.base + b.nbytes for b in blocks), dtype=np.int64, count=nb
-                    )
-                    b_gran = np.fromiter(
-                        (b.granule for b in blocks), dtype=np.int64, count=nb
-                    )
-                    vect = np.fromiter(
-                        (type(b) is ShadowBlock for b in blocks), dtype=bool, count=nb
-                    )
-                    bc = np.searchsorted(b_bases, ov, side="right") - 1
-                    bsafe = np.maximum(bc, 0)
-                    in_block = need_vsm & (bc >= 0) & (ov < b_ends[bsafe])
-                    g_first = (ov - b_bases[bsafe]) // b_gran[bsafe]
-                    g_last = (ov + sizes - 1 - b_bases[bsafe]) // b_gran[bsafe]
-                    vsm_ok = (
-                        in_block
-                        & vect[bsafe]
-                        & (g_first == g_last)
-                        & (ov + sizes <= b_ends[bsafe])
-                    )
-                    cat[vsm_ok] = 3
-                    bi = np.where(vsm_ok, bc, -1)
-                    gran[vsm_ok] = g_first[vsm_ok]
-                    race_only = need_vsm & ~in_block
-                else:
-                    race_only = need_vsm
-                cat[race_only] = 2
-        # Replay ineligible events in place so segment findings, replayed
-        # findings, and all side effects keep per-access delivery's order.
-        on_access = self.on_access
+        host = cols.device_ids == 0
+        if telemetry is not None:
+            n_host = int(np.count_nonzero(host))
+            telemetry.count("detector.accesses.host", n_host)
+            telemetry.count("detector.accesses.device", n - n_host)
+        # The mapping holding each access's first byte (a host address can
+        # only fall in a unified one), then the shadow block holding its OV.
+        ri = look.cv_bases.searchsorted(addr, "right") - 1
+        cv_ends = look.cv_ends[ri]
+        ri[addr >= cv_ends] = 0
+        ov = addr + look.shifts[ri]
+        bi = look.b_bases.searchsorted(ov, "right") - 1
+        bi[ov >= look.b_ends[bi]] = 0
+        # 0 = in place, 1 = certified skip, 2 = race check only (no shadow
+        # block), 3 = VSM + race check.  Only scalar accesses leave 0.
+        scalar = cols.counts == 1
+        if np.count_nonzero(scalar):
+            offset = ov - look.b_bases[bi]
+            b_gran = look.b_grans[bi]
+            gran = offset // b_gran
+            one_granule = look.vect[bi] & (
+                gran == (offset + (sizes - 1)) // b_gran
+            )
+            # A device access needs one separate-memory mapping holding it
+            # whole; the rest take the in-place overflow check.
+            eligible = scalar & (
+                host | (look.separate[ri] & (addr + sizes <= cv_ends))
+            )
+            cat = np.where(eligible, np.where(bi > 0, one_granule * 3, 2), 0)
+            if look.certifies:
+                cat[eligible & look.certified[ri]] = 1
+        else:
+            gran = None
+            cat = np.zeros(n, dtype=np.intp)
+        if look.certifies:
+            si = look.skip_bases.searchsorted(addr, "right") - 1
+            cat[host & (addr < look.skip_ends[si])] = 1
+        recs, blocks = look.recs, look.blocks
+        accesses = batch.accesses
         start = 0
-        for s in np.flatnonzero(cat == 0).tolist():
+        for s in (cat == 0).nonzero()[0].tolist():
             if s > start:
-                self._batch_segment(batch, cat, ri, bi, gran, recs, blocks, start, s)
-            on_access(accesses[s])
+                self._batch_segment(batch, cat, ri, bi, gran, look, start, s)
+            self._apply_in_place(accesses[s], recs[ri[s]], blocks[bi[s]])
             start = s + 1
         if start < n:
-            self._batch_segment(batch, cat, ri, bi, gran, recs, blocks, start, n)
+            self._batch_segment(batch, cat, ri, bi, gran, look, start, n)
 
-    def _batch_segment(
-        self, batch, cat, ri, bi, gran, recs, blocks, start, stop
-    ) -> None:
-        """Vector-process one run of fast-path-eligible device accesses.
+    def _batch_segment(self, batch, cat, ri, bi, gran, look, start, stop) -> None:
+        """Vector-process one run of classified scalar accesses.
 
         Rows are built only for findings: a recorded transition reads its
         device, write bit and stack from the columns and the batch.
         """
         cols = batch.columns
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("detector.accesses.device", stop - start)
-        seg = np.arange(start, stop)
         c = cat[start:stop]
-        n_cert = int((c == 1).sum())
+        cert = c == 1
+        n_cert = int(np.count_nonzero(cert))
         if n_cert:
             self.cert_access_skips += n_cert
-            sec_flags = np.fromiter(
-                (r.certified_section for r in recs), dtype=bool, count=len(recs)
+            self.cert_section_skips += int(
+                np.count_nonzero(look.section[ri[start:stop][cert]])
             )
-            n_sec = int(sec_flags[ri[seg[c == 1]]].sum())
-            if n_sec:
-                self.cert_section_skips += n_sec
+            telemetry = _telemetry.ACTIVE
             if telemetry is not None:
                 telemetry.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
@@ -586,29 +577,33 @@ class Arbalest(Tool):
         # state labels before/after), 1 = VSM issue (arg: uninitialized),
         # 2 = race; sorted at the end to reproduce per-access order.
         found: list[tuple[int, int, object]] = []
-        vsm_pos = seg[c == 3]
-        if len(vsm_pos):
-            order = np.argsort(bi[vsm_pos], kind="stable")
-            vp = vsm_pos[order]
+        vp = (c == 3).nonzero()[0] + start
+        if len(vp):
+            # VsmOp codes: READ_HOST 0, READ_TARGET 1, WRITE_HOST 2, WRITE_TARGET 3.
+            vp_ops = is_write[vp] * 2 + (cols.device_ids[vp] != 0)
+            # A host write to a unified mapping is the device's value too.
+            sync = (vp_ops == VsmOp.WRITE_HOST) & look.unified[ri[vp]]
             block_ids = bi[vp]
             for blk_id in np.unique(block_ids).tolist():
-                sel = vp[block_ids == blk_id]
-                block = blocks[blk_id]
-                passes, remainder = first_occurrence_passes(gran[sel])
+                mine = block_ids == blk_id
+                sel, sel_ops, sel_sync = vp[mine], vp_ops[mine], sync[mine]
+                block = look.blocks[blk_id]
+                if len(sel) > 1:
+                    passes, remainder = first_occurrence_passes(gran[sel])
+                else:  # one access needs no passes: it takes the scalar step
+                    passes, remainder = (), np.zeros(1, dtype=np.intp)
                 for p in passes:
                     pos = sel[p]
                     g = gran[pos]
-                    ops = np.where(
-                        is_write[pos],
-                        np.intp(VsmOp.WRITE_TARGET),
-                        np.intp(VsmOp.READ_TARGET),
-                    )
                     if recorder is not None:
                         before = block.states(g)
-                    illegal, uninit = block.apply_ops(g, ops)
+                    illegal, uninit = block.apply_ops(g, sel_ops[p])
+                    synced = sel_sync[p]
+                    if np.count_nonzero(synced):
+                        block.apply(g[synced], VsmOp.UPDATE_TARGET)
                     if recorder is not None:
                         after = block.states(g)
-                        hit = np.flatnonzero((after != before) | illegal)
+                        hit = ((after != before) | illegal).nonzero()[0]
                         found += zip(
                             pos[hit].tolist(),
                             repeat(0),
@@ -617,24 +612,24 @@ class Arbalest(Tool):
                                 _STATE_LABELS[after[hit]].tolist(),
                             ),
                         )
-                    for h in np.flatnonzero(illegal & ~is_write[pos]).tolist():
+                    for h in illegal.nonzero()[0].tolist():
                         found.append((int(pos[h]), 1, bool(uninit[h])))
                 for r in remainder.tolist():
                     p_abs = int(sel[r])
-                    write = bool(is_write[p_abs])
                     g = int(gran[p_abs])
-                    op = VsmOp.WRITE_TARGET if write else VsmOp.READ_TARGET
                     if recorder is not None:
                         before = block.state_label(g)
-                    ill, uni = block.apply_scalar(g, op, recs[int(ri[p_abs])].device_id)
+                    ill, uni = block.apply_scalar(g, VsmOp(int(sel_ops[r])))
+                    if sel_sync[r]:
+                        block.apply_scalar(g, VsmOp.UPDATE_TARGET)
                     if recorder is not None:
                         after = block.state_label(g)
                         if ill or after != before:
                             found.append((p_abs, 0, (before, after)))
-                    if ill and not write:
+                    if ill:
                         found.append((p_abs, 1, bool(uni)))
         if self.race_engine is not None:
-            race_pos = seg[c != 1]  # cat 2 and 3: everything not cert-skipped
+            race_pos = (c >= 2).nonzero()[0] + start  # everything not cert-skipped
             if len(race_pos):
                 racy = self.race_engine.check_batch(
                     cols.device_ids[race_pos],
@@ -654,215 +649,115 @@ class Arbalest(Tool):
         kinds = _ACCESS_KINDS[(devices != 0) * 2 + is_write[at]].tolist()
         accesses = batch.accesses
         stack_at = batch.stack_at
-        for (p_abs, phase, arg), device, kind, blk in zip(
-            found, devices.tolist(), kinds, bi[at].tolist()
+        for (p_abs, phase, arg), device, kind, blk, rec in zip(
+            found, devices.tolist(), kinds, bi[at].tolist(), ri[at].tolist()
         ):
             if phase == 0:
-                self._record(recorder, blocks[blk], kind, device, stack_at(p_abs), *arg)
+                self._record(
+                    recorder, look.blocks[blk], kind, device, stack_at(p_abs), *arg
+                )
             elif phase == 1:
                 self._report_issue(
-                    accesses[p_abs], blocks[blk], recs[int(ri[p_abs])], arg
+                    accesses[p_abs], look.blocks[blk], look.recs[rec], arg
                 )
             else:
                 self._report_race_finding(accesses[p_abs])
 
-    # -- host side ----------------------------------------------------------
+    def _apply_in_place(
+        self, access: "Access", rec: MappingRecord | None, block
+    ) -> None:
+        """One access the vectorized segments leave out, or a batch of one.
 
-    def _host_access(self, access: "Access") -> bool:
-        """Drive the VSM for one host access.
-
-        Returns True when the access hit a certified (statically proven)
-        allocation and all dynamic checking was skipped.
+        ``rec`` is the mapping holding the access's first byte and
+        ``block`` the shadow block of its OV, as :meth:`on_batch` resolved
+        them.
         """
-        address = access.address
-        cached = self._lookup_host
-        if cached is None or not cached[0] <= address < cached[1]:
-            cached = self._lookup_host_prev
-            if cached is not None and cached[0] <= address < cached[1]:
-                # The older of the two pairs: it becomes the most recent.
-                self._lookup_host_prev, self._lookup_host = self._lookup_host, cached
+        telemetry = _telemetry.ACTIVE
+        span = access.span
+        start = access.address
+        if access.device_id:
+            if rec is None:
+                # No mapping contains even the first byte: the kernel touched
+                # device memory outside every corresponding variable.  No OV
+                # granule is involved, even where (unified memory) the
+                # address is a host block's.
+                self._report_overflow(access, None)
+                block = None
             else:
-                cached = None
-        if cached is not None:
-            block, rec = cached[2], cached[3]
-            self._lookup_cache_hits += 1
-            if block is None:
-                # Certified allocation: no shadow block exists by design.
-                self.cert_access_skips += 1
-                return True
-        else:
-            block = self.shadows.find(address)
-            if block is None:
-                skipped = self.shadows.skipped_range(address)
-                if skipped is not None:
-                    # Certified allocation (shadow creation was skipped):
-                    # cache the whole range as a skip and bail out.
-                    self._lookup_host_prev, self._lookup_host = (
-                        self._lookup_host, (skipped[0], skipped[1], None, None)
-                    )
+                in_bounds = min(span, rec.cv_end - start)
+                if in_bounds < span:
+                    # Part of the access leaves the mapping: §IV.D overflow.
+                    # The in-bounds prefix still drives the VSM below.  This
+                    # check stays on even for certified mappings — the cheap
+                    # safety net under static-assisted pruning.
+                    self._report_overflow(access, rec)
+                    span = in_bounds
+                if rec.certified:
                     self.cert_access_skips += 1
-                    return True
-                return False  # freed or foreign memory: not a mapping question
-            # Is this host range unified-mapped?  (Unified CVs share the host
-            # address, so the mapping registry is keyed by this same address.)
-            rec = self.mappings.find(address)
-            lo, hi = block.base, block.base + block.nbytes
-            if rec is not None:
-                # The pair is valid where the block and mapping intersect.
-                lo = max(lo, rec.cv_base)
-                hi = min(hi, rec.cv_end)
-                self._lookup_host_prev, self._lookup_host = (
-                    self._lookup_host, (lo, hi, block, rec)
-                )
-            elif not self.mappings.overlaps_cv(lo, hi):
-                # No CV interval touches this block at all: the "no mapping"
-                # answer holds for every address in it.
-                self._lookup_host_prev, self._lookup_host = (
-                    self._lookup_host, (lo, hi, block, None)
-                )
+                    if rec.certified_section:
+                        self.cert_section_skips += 1
+                    if telemetry is not None:
+                        telemetry.count("staticlint.access_skips")
+                    return  # statically proven safe: no VSM, no race check
+                if not rec.unified:
+                    start = rec.to_ov(start)
+        if block is not None and span > 0:
+            self._apply_range(block, access, start, span, rec)
+        engine = self.race_engine
+        if engine is not None and engine.check_access(access):
+            self._report_race_finding(access)
+
+    def _apply_range(
+        self, block, access: "Access", start: int, span: int, rec: MappingRecord | None
+    ) -> None:
+        """Apply one access's VSM operations to the granules it covers.
+
+        ``start`` is the OV address of the first byte and ``span`` the bytes
+        that drive the VSM (the in-bounds prefix of an overflowing access).
+        A unified mapping has one storage: a write there is visible on both
+        sides, whichever side issued it.
+        """
         if rec is not None and rec.unified:
             ops = (
                 (VsmOp.WRITE_HOST, VsmOp.UPDATE_TARGET)
                 if access.is_write
                 else (VsmOp.READ_HOST,)
             )
+        elif access.device_id:
+            ops = (VsmOp.WRITE_TARGET,) if access.is_write else (VsmOp.READ_TARGET,)
         else:
             ops = (VsmOp.WRITE_HOST,) if access.is_write else (VsmOp.READ_HOST,)
-        self._apply_access(block, access, access.address, ops, side="host")
-        return False
-
-    # -- device side ------------------------------------------------------------
-
-    def _device_access(self, access: "Access") -> bool:
-        """Drive the VSM for one device access.
-
-        Returns True when the access resolved to a certified mapping and
-        VSM/race checking was skipped (the §IV.D bounds check still ran).
-        """
-        address = access.address
-        cached = self._lookup_device
-        if cached is None or not cached[0] <= address < cached[1]:
-            cached = self._lookup_device_prev
-            if cached is not None and cached[0] <= address < cached[1]:
-                self._lookup_device_prev, self._lookup_device = self._lookup_device, cached
-            else:
-                cached = None
-        if cached is not None:
-            block, rec = cached[2], cached[3]
-            self._lookup_cache_hits += 1
-        else:
-            rec = self.mappings.find(address)
-            if rec is None:
-                # No mapping contains even the first byte: the kernel touched
-                # device memory outside every corresponding variable.
-                self._report_overflow(access, None)
-                return False
-            if rec.certified:
-                # Certified mapping: no shadow lookup, no VSM.  Cache the
-                # CV range with a None block so repeat hits stay O(1).
-                block = None
-                self._lookup_device_prev, self._lookup_device = (
-                    self._lookup_device, (rec.cv_base, rec.cv_end, None, rec)
-                )
-            else:
-                block = self.shadows.find(
-                    rec.ov_base if rec.unified else rec.to_ov(address)
-                )
-                if block is not None:
-                    self._lookup_device_prev, self._lookup_device = (
-                        self._lookup_device, (rec.cv_base, rec.cv_end, block, rec)
-                    )
-        span = access.span
-        in_bounds_span = min(span, rec.cv_end - address)
-        if in_bounds_span < span:
-            # Part of the access leaves the mapping: §IV.D overflow.  The
-            # in-bounds prefix still drives the VSM below.  This check stays
-            # on even for certified mappings — the cheap safety net under
-            # static-assisted pruning.
-            self._report_overflow(access, rec)
-        if rec.certified:
-            self.cert_access_skips += 1
-            if rec.certified_section:
-                self.cert_section_skips += 1
-            return True
-        if block is None:
-            return False
-        if rec.unified:
-            ops = (
-                (VsmOp.WRITE_HOST, VsmOp.UPDATE_TARGET)
-                if access.is_write
-                else (VsmOp.READ_HOST,)
-            )
-            start = address
-        else:
-            ops = (VsmOp.WRITE_TARGET,) if access.is_write else (VsmOp.READ_TARGET,)
-            start = rec.to_ov(address)
-        self._apply_access(
-            block, access, start, ops, side="device", rec=rec,
-            clip_span=in_bounds_span,
-        )
-        return False
-
-    # -- shared transition/report path ---------------------------------------
-
-    def _apply_access(
-        self,
-        block,
-        access: "Access",
-        start_address: int,
-        ops: tuple[VsmOp, ...],
-        *,
-        side: str,
-        rec: MappingRecord | None = None,
-        clip_span: int | None = None,
-    ) -> None:
+        device_id = rec.device_id if rec is not None else 1
         stride = access.element_stride
-        span = access.span if clip_span is None else clip_span
-        if span <= 0:
-            return
-        device_id = rec.device_id if rec is not None else max(access.device_id, 1)
-        if access.count == 1:
-            lo = (start_address - block.base) // block.granule
-            if (
-                0 <= lo < block.n_granules
-                and (start_address + span - 1 - block.base) // block.granule == lo
-            ):
-                # Scalar fast path: the whole access lives in one granule
-                # (the overwhelmingly common case), so skip numpy entirely.
-                recorder = self.recorder
-                before = block.state_label(lo) if recorder is not None else ""
-                illegal = uninit = False
-                first = True
-                for op in ops:
-                    ill, uni = block.apply_scalar(lo, op, device_id)
-                    if first:
-                        illegal, uninit = ill, uni
-                        first = False
-                if recorder is not None:
-                    after = block.state_label(lo)
-                    if illegal or after != before:
-                        self._record(
-                            recorder, block, access.kind_label, access.device_id,
-                            access.stack, before, after,
-                        )
-                if not access.is_write and illegal:
-                    self._report_issue(access, block, rec, uninit)
-                return
-        if access.count == 1 or stride == access.size:
-            idx = block.index_range(start_address, span)
+        lo = (start - block.base) // block.granule
+        detail = None
+        if (
+            access.count == 1
+            and 0 <= lo < block.n_granules
+            and (start + span - 1 - block.base) // block.granule == lo
+        ):
+            # One granule: recorded without a granule count, as the
+            # vectorized segments record it.
+            idx = slice(lo, lo + 1)
+            detail = ""
+        elif access.count == 1 or stride == access.size:
+            idx = block.index_range(start, span)
         else:
-            # Strided: translate per-element granule indices.
-            delta = start_address - access.address
-            abs_granules = access.granule_indices() + 0  # copy
+            # Strided: translate per-element granule indices, keeping the
+            # elements that start in the span and the granules up to its
+            # last byte (an overflowing access drives only its prefix).
+            delta = start - access.address
+            kept = access._replace(count=min(access.count, -(-span // stride)))
+            abs_granules = kept.granule_indices() + 0  # copy
             if delta % GRANULE == 0 and block.granule == GRANULE:
                 local = abs_granules + delta // GRANULE - block.base // GRANULE
             else:
-                starts = access.element_addresses() + delta
+                starts = kept.element_addresses() + delta
                 first = (starts - block.base) // block.granule
                 last = (starts + access.size - 1 - block.base) // block.granule
                 local = np.unique(np.concatenate([first, last]))
-            local = local[(local >= 0) & (local < block.n_granules)]
-            idx = local
+            hi = min(block.n_granules, (start + span - 1 - block.base) // block.granule + 1)
+            idx = local[(local >= 0) & (local < hi)]
         recorder = self.recorder
         rec_first: int | None = None
         before = ""
@@ -874,8 +769,7 @@ class Arbalest(Tool):
                 rec_first = int(idx[0])
             if rec_first is not None:
                 before = block.state_label(rec_first)
-        illegal = None
-        uninit = None
+        illegal = uninit = None
         for op in ops:
             ill, uni = block.apply(idx, op, device_id)
             if illegal is None:
@@ -884,13 +778,32 @@ class Arbalest(Tool):
         if recorder is not None and rec_first is not None:
             after = block.state_label(rec_first)
             if after != before or bool(illegal.any()):
-                n = (idx.stop - idx.start) if type(idx) is slice else len(idx)
+                if detail is None:
+                    n = (idx.stop - idx.start) if type(idx) is slice else len(idx)
+                    detail = f"{n} granule(s)"
                 self._record(
                     recorder, block, access.kind_label, access.device_id,
-                    access.stack, before, after, detail=f"{n} granule(s)",
+                    access.stack, before, after, detail=detail,
                 )
         if not access.is_write and illegal.any():
             self._report_issue(access, block, rec, bool(uninit[illegal].all()))
+
+    def _report_race_finding(self, access: "Access") -> None:
+        self.report(
+            Finding(
+                tool=self.name,
+                kind=FindingKind.RACE,
+                message=(
+                    f"conflicting {'write' if access.is_write else 'read'} "
+                    "not ordered with a previous access"
+                ),
+                device_id=access.device_id,
+                thread_id=access.thread_id,
+                address=access.address,
+                size=access.size,
+                stack=access.stack,
+            )
+        )
 
     # ------------------------------------------------------------------
     # bug report generation
@@ -1002,13 +915,9 @@ class Arbalest(Tool):
         return total
 
     def mapping_lookup_stats(self) -> tuple[int, int]:
-        """(fast-path hits, slow-path misses) over the whole lookup stack.
-
-        Hits count both the detector's two-entry pair caches and the
-        interval tree's own stab cache; misses are the tree descents.
-        """
-        hits, misses = self.mappings.lookup_stats
-        return hits + self._lookup_cache_hits, misses
+        """(last-lookup cache hits, tree descents) of the mapping registry's
+        interval tree."""
+        return self.mappings.lookup_stats
 
     def cert_stats(self) -> dict:
         """Accounting of static-assisted pruning (certificate mode)."""

@@ -125,6 +125,15 @@ class MultiShadowBlock:
         """Apply ``op`` for device ``device_id``; see ShadowBlock.apply."""
         if not 1 <= device_id <= MAX_DEVICES:
             raise ValueError(f"device id {device_id} out of range 1..{MAX_DEVICES}")
+        if (
+            type(idx) is slice
+            and idx.step in (None, 1)
+            and idx.start is not None
+            and idx.stop == idx.start + 1
+        ):
+            # One granule: the plain-int step, as ShadowBlock.apply takes it.
+            ill, uni = self.apply_scalar(idx.start, op, device_id)
+            return np.array([ill]), np.array([uni])
         u = self._uniform
         if u is not None and type(idx) is slice:
             lo, hi = idx.start, idx.stop

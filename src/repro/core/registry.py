@@ -1,16 +1,18 @@
 """Mapping registry: live OV↔CV associations, backed by the interval tree.
 
-The detector must answer two address questions on its hot path:
+The detector must answer two address questions:
 
-* *host access*: which shadow block covers this host address? (every host
-  allocation gets a block);
-* *device access*: which mapping does this CV address belong to — and hence
-  which OV granules carry its state — or is it a buffer overflow?
+* *host address*: which shadow block covers it? (every host allocation
+  gets a block);
+* *device address*: which mapping does this CV address belong to — and
+  hence which OV granules carry its state — or is it a buffer overflow?
 
-Both are interval stabbing queries; both use one
+Both are interval stabbing queries; both registries keep one
 :class:`~repro.core.interval_tree.IntervalTree` with its last-lookup cache,
 which is what turns the O(log m) lookup into the amortized O(1) the paper
-claims (§IV.C).
+claims (§IV.C).  Data ops stab the trees one address at a time; the
+detector's access path answers a whole batch at once with ``searchsorted``
+over a sorted snapshot of both registries.
 """
 
 from __future__ import annotations
@@ -125,15 +127,6 @@ class MappingRegistry:
             self._tree.remove(record.cv_base)
             self._records.remove(record)
         return victims
-
-    def overlaps_cv(self, lo: int, hi: int) -> bool:
-        """Whether any live CV interval overlaps ``[lo, hi)``.
-
-        Used by the detector's host-side lookup cache: a host block with no
-        overlapping CV interval can cache its "no mapping" answer for the
-        whole block range.
-        """
-        return self._tree.first_overlap(lo, hi) is not None
 
     def find_by_ov(self, ov_address: int) -> MappingRecord | None:
         """A live mapping whose host section contains ``ov_address``.
@@ -288,6 +281,10 @@ class ShadowRegistry:
             if base <= address < end:
                 return (base, end)
         return None
+
+    def skipped_ranges(self) -> list[tuple[int, int]]:
+        """``(base, end)`` of every certified allocation, by base."""
+        return sorted(self._skipped.items())
 
     def find(self, address: int) -> ShadowBlock | None:
         return self._tree.stab(address)

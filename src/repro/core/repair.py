@@ -72,8 +72,9 @@ class RepairingArbalest(Arbalest):
 
     name = "arbalest-repair"
 
-    #: Repairs rewrite device memory inside ``on_access``, before the
-    #: program reads it, so accesses cannot wait in a batch.
+    #: Repairs rewrite device memory while the detector handles the access,
+    #: before the program reads it, so accesses cannot wait in a batch:
+    #: each reaches :meth:`on_batch` in a batch of one.
     immediate_delivery = True
 
     def __init__(self, **kwargs) -> None:

@@ -45,15 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..telemetry import registry as _telemetry
 
-from .columnar import (
-    BATCH_CAP,
-    MIN_BATCH,
-    EventBatch,
-    LaneSlot,
-    Pending,
-    decode_rows,
-    lane_of,
-)
+from .columnar import BATCH_CAP, EventBatch, LaneSlot, Pending, lane_of
 from .records import (
     Access,
     AllocationEvent,
@@ -99,10 +91,11 @@ class ToolBus:
     :mod:`~repro.events.columnar`) naming a slot this bus interned with
     :meth:`intern_lane`; the slot table is reset at every flush, and
     :attr:`lane_epoch` tells a view when its interned lane went stale.  A
-    tool class that must observe each access before the program
-    reads the bytes (one that rewrites memory from ``on_access``) declares
+    tool class that must observe each access before the program reads
+    the bytes (one that rewrites memory from its access handler) declares
     :attr:`~repro.tools.base.Tool.immediate_delivery`; while one is
-    attached, every access is flushed as it is published.
+    attached, every access is flushed as it is published, in a batch of
+    one.
 
     :attr:`dispatch` maps each event record type to its ``publish_*``
     method, for replaying a recorded stream.  ``variables`` shares one
@@ -202,11 +195,15 @@ class ToolBus:
                 t for t in self._tools if getattr(type(t), name, base) is not base
             )
 
-        self._access = overriding("on_access")
+        # A tool subscribes to accesses by overriding either handler.  Tools
+        # without a vectorized ``on_batch`` are served per access by the bus
+        # itself, so one failing access never hides the rest.
+        self._batched = overriding("on_batch")
+        per_access = overriding("on_access")
+        self._access = tuple(
+            t for t in self._tools if t in self._batched or t in per_access
+        )
         self.wants_accesses = bool(self._access)
-        # Tools without a vectorized ``on_batch`` are served per access by
-        # the bus itself, so one failing access never hides the rest.
-        self._batched = tuple(t for t in overriding("on_batch") if t in self._access)
         self._immediate = any(t.immediate_delivery for t in self._access)
         self._data_op = overriding("on_data_op")
         self._kernel = overriding("on_kernel")
@@ -307,10 +304,8 @@ class ToolBus:
 
         A no-op when nothing is pending, so callers can invoke it
         unconditionally at ordering barriers.  Tools that vectorize get one
-        :class:`EventBatch` through ``on_batch``; every other tool, and
-        every tool when the batch is under
-        :data:`~repro.events.columnar.MIN_BATCH`, gets ``on_access`` once
-        per access.
+        :class:`EventBatch` through ``on_batch``, whatever its size; every
+        other tool gets ``on_access`` once per access.
         """
         pending = self._batch_pending
         if not pending:
@@ -320,26 +315,14 @@ class ToolBus:
         if slots:
             self._lane_slots = []
             self.lane_epoch += 1
-        profiler = self.profiler
         telemetry = _telemetry.ACTIVE
         if telemetry is not None:
             telemetry.count("bus.batches")
             telemetry.count("bus.events.on_access", len(pending))
             telemetry.count("bus.access_fanout", len(pending) * len(self._access))
-        if len(pending) < MIN_BATCH:
-            # Bulk-kernel traffic: a few large accesses per window.  The
-            # vectorized setup cost dwarfs per-event dispatch here, so hand
-            # the run to the per-access handlers (semantically identical).
-            rows = decode_rows(pending, slots)
-            if profiler is not None:
-                # One ordinal per accessed element, whatever the batch size.
-                profiler.batch_events(rows, self._access)
-            for tool in self._access:
-                self._deliver_each(tool, rows)
-            return
         batch = EventBatch(pending, slots)
-        if profiler is not None:
-            profiler.batch_events(batch, self._access)
+        if self.profiler is not None:
+            self.profiler.batch_events(batch, self._access)
         batched = self._batched
         for tool in self._access:
             if tool not in batched:

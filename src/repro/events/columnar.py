@@ -17,8 +17,8 @@ stack)`` tuples, so the code names the access completely: its address is
 ``cv_base + offset * itemsize``.  This module is the only one that knows
 the layout.  :class:`BatchColumns` decodes a batch's codes with one
 ``np.fromiter`` plus shifts and gathers, and a row is built only when a
-tool asks :attr:`EventBatch.accesses` for one (a finding, an ``on_access``
-replay, a per-access tool).  A batch of rows only keeps the one
+tool asks :attr:`EventBatch.accesses` for one (a finding, an access
+applied in place, a per-access tool).  A batch of rows only keeps the one
 ``zip(*accesses)`` transpose.
 
 Ordering contract (see EXPERIMENTS.md §N): a batch only ever spans a window
@@ -41,14 +41,6 @@ from .records import Access, AccessOrigin
 #: Flush threshold: bounds both memory held by a pending batch and the
 #: latency between an access occurring and a tool observing it.
 BATCH_CAP = 65536
-
-#: Below this many pending accesses a flush dispatches per-event through
-#: ``on_access`` instead of building an :class:`EventBatch`: column
-#: construction and the vectorized setup in each tool's ``on_batch`` have a
-#: fixed cost that only amortizes over runs of scalar traffic, and bulk
-#: kernels produce batches of a handful of large accesses where that setup
-#: is pure overhead.
-MIN_BATCH = 64
 
 #: Lane-code layout: the element offset sits above ``LANE_SHIFT - 1`` slot
 #: bits and the write bit.  A slot table never outgrows the slot bits: it

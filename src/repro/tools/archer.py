@@ -650,6 +650,13 @@ class RaceEngine:
         n = len(addresses)
         if n == 0 or not self._bases:
             return []
+        if n == 1:
+            # A run of one access is one check_range.
+            racy = self.check_range(
+                int(device_ids[0]), int(tids[0]), int(addresses[0]),
+                int(sizes[0]), bool(is_writes[0]),
+            )
+            return [0] if racy else []
         if self._bounds is None:
             blocks = self._sorted_blocks
             self._bounds = (
@@ -772,13 +779,6 @@ class ArcherTool(Tool):
 
     def on_sync(self, event: "SyncEvent") -> None:
         self.engine.handle_sync(event.kind, event.source_task, event.target_task)
-
-    def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.access_checks")
-        racy = self.engine.check_access(access)
-        if racy:
-            self._report_race(access)
 
     def _report_race(self, access: "Access") -> None:
         self.report(

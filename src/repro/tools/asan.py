@@ -112,11 +112,6 @@ class AsanTool(Tool):
 
     # -- accesses -------------------------------------------------------------
 
-    def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.asan.access_checks")
-        self._check_access(access)
-
     def _check_access(self, access: "Access") -> None:
         stride = access.element_stride
         if access.count == 1 or stride == access.size:

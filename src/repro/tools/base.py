@@ -49,9 +49,10 @@ class Tool:
     #: Short display name ("arbalest", "valgrind", ...).
     name = "tool"
 
-    #: Whether ``on_access`` must run before the program reads the accessed
-    #: bytes (a tool that rewrites memory from it).  While such a tool is
-    #: attached the bus delivers every access as it is published.
+    #: Whether the access handler must run before the program reads the
+    #: accessed bytes (a tool that rewrites memory from it).  While such a
+    #: tool is attached the bus delivers every access as it is published,
+    #: in a batch of one.
     immediate_delivery = False
 
     #: The bus's address-to-variable index, handed over by
@@ -147,9 +148,11 @@ class Tool:
     def on_batch(self, batch: "EventBatch") -> None:  # pragma: no cover
         """An ordered block of accesses, for tools that vectorize.
 
-        Never called unless overridden: the bus delivers a batch to every
-        other access-subscribing tool through ``on_access``, one access at
-        a time.  Overrides process the batch's numpy columns wholesale.
+        Never called unless overridden.  A tool that overrides it gets
+        every batch here, whatever its size, and need not override
+        ``on_access``; the bus delivers a batch to every other
+        access-subscribing tool through ``on_access``, one access at a
+        time.  Overrides process the batch's numpy columns wholesale.
         """
 
     def on_allocation(self, event: "AllocationEvent") -> None:  # pragma: no cover

@@ -79,11 +79,6 @@ class MsanTool(Tool):
 
     # -- accesses ---------------------------------------------------------------
 
-    def on_access(self, access: "Access") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.access_checks")
-        self._handle_access(access)
-
     def on_batch(self, batch) -> None:
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count("tool.msan.access_checks", len(batch))

@@ -7,7 +7,6 @@ import pytest
 from repro.core import Arbalest
 from repro.openmp import Schedule, TargetRuntime, alloc, from_, to, tofrom
 from repro.tools import FindingKind
-from tests.per_access import per_access
 
 
 def setup(**kw):
@@ -161,6 +160,21 @@ class TestBufferOverflow:
         assert kinds(det) == ["BO"]
         assert a.peek()[0] == 7.0
 
+    def test_strided_overflow_drives_only_its_prefix(self):
+        from tests.mapping_reference import MappingReference, mapping_fingerprints
+
+        rt, det = setup()
+        reference = MappingReference().attach(rt.machine)
+        a = rt.array("a", 16)
+        a.fill(1.0)
+        # a[0:8] is mapped; the strided read reaches a[14] through the CV.
+        rt.target(lambda ctx: ctx["a"].read(slice(0, 16, 2)), maps=[to(a, 0, 8)])
+        rt.finalize()
+        # The elements past the mapping are an overflow, not reads of
+        # device copies that were never made (no UUM on a[8:16]).
+        assert kinds(det) == ["BO"]
+        assert mapping_fingerprints(det) == mapping_fingerprints(reference)
+
 
 class TestCleanPrograms:
     def test_tofrom_roundtrip(self):
@@ -286,6 +300,31 @@ class TestUnifiedMemory:
         rt.finalize()
         assert det.race_findings()
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-access"])
+    def test_overflow_past_section_drives_no_host_granule(self, batched):
+        from tests.mapping_reference import MappingReference, mapping_fingerprints
+        from tests.per_access import per_access
+
+        rt = TargetRuntime(n_devices=1, unified=True)
+        tool = Arbalest if batched else per_access(Arbalest)
+        det = tool().attach(rt.machine)
+        reference = MappingReference().attach(rt.machine)
+        a = rt.array("a", 16)
+        a.fill(1.0)
+
+        def k(ctx):
+            A = ctx["a"]
+            A.read(12)  # the CV is a's host storage: a[12] is past a[0:8]
+            A.write(12, 5.0)
+
+        rt.target(k, maps=[to(a, 0, 8)])
+        _ = a[12]
+        rt.finalize()
+        # The kernel touched no mapped variable: an overflow, and no VSM
+        # transition on a[12]'s host granule (no USD on either read).
+        assert kinds(det) == ["BO"]
+        assert mapping_fingerprints(det) == mapping_fingerprints(reference)
+
 
 class TestAccounting:
     def test_shadow_bytes_scale_with_allocations(self):
@@ -295,12 +334,13 @@ class TestAccounting:
         assert det.shadow_bytes() > before
 
     def test_interval_cache_amortizes(self):
-        # Per-access delivery: the batch path resolves mappings per
-        # segment and would not exercise the per-access lookup cache.
+        from tests.per_access import per_access
+
         rt = TargetRuntime(n_devices=1)
         det = per_access(Arbalest)().attach(rt.machine)
         a = rt.array("a", 64)
         a.fill(0.0)
+        before = det.mapping_lookup_stats()
 
         def k(ctx):
             A = ctx["a"]
@@ -309,147 +349,131 @@ class TestAccounting:
 
         rt.target(k, maps=[to(a)])
         hits, misses = det.mapping_lookup_stats()
-        assert hits > 10 * misses
+        # The H2D transfer's race probe descends to a's mapping once; all
+        # 64 reads then hit the last-lookup cache.
+        assert (hits - before[0], misses - before[1]) == (64, 1)
 
 
 class TestLookupCacheInvalidation:
-    """The (block, record) last-lookup caches must never serve stale pairs."""
+    """No lookup serves a freed block or an unmapped record: neither the
+    batch snapshot, built per batch, nor the registries' last-lookup caches
+    that resolve a batch of one.  Each test runs batched and per access."""
 
     OV = 1 << 32
     CV = 1 << 33
 
-    def detector(self):
-        from repro.core import Arbalest
+    @staticmethod
+    def buses():
+        """(bus, detector) pairs: batched, then batches of one."""
+        from repro.events import ToolBus
+        from tests.per_access import per_access
 
-        return Arbalest(race_detection=False)
+        for tool in (Arbalest, per_access(Arbalest)):
+            bus = ToolBus()
+            det = tool(race_detection=False)
+            bus.attach(det)
+            yield bus, det
 
-    def alloc(self, det):
+    def allocate(self, bus, label, *, base=OV, free=False):
         from repro.events import AllocationEvent
 
-        det.on_allocation(
+        bus.publish_allocation(
             AllocationEvent(
-                device_id=0, thread_id=0, address=self.OV, nbytes=64,
-                is_free=False, label="a",
+                device_id=0, thread_id=0, address=base, nbytes=64,
+                is_free=free, label=label,
             )
         )
 
-    def free(self, det):
-        from repro.events import AllocationEvent
+    def data_op(self, bus, kind, *, ov=OV, cv=CV):
+        from repro.events import DataOp
 
-        det.on_allocation(
-            AllocationEvent(
-                device_id=0, thread_id=0, address=self.OV, nbytes=64,
-                is_free=True,
-            )
-        )
-
-    def map_(self, det):
-        from repro.events import DataOp, DataOpKind
-
-        det.on_data_op(
+        bus.publish_data_op(
             DataOp(
-                kind=DataOpKind.ALLOC, device_id=1, thread_id=0,
-                ov_address=self.OV, cv_address=self.CV, nbytes=64,
+                kind=kind, device_id=1, thread_id=0,
+                ov_address=ov, cv_address=cv, nbytes=64,
             )
         )
 
-    def unmap(self, det):
-        from repro.events import DataOp, DataOpKind
+    def access(self, bus, device_id, address, is_write, line=1, count=1):
+        from repro.events import Access, SourceLocation
 
-        det.on_data_op(
-            DataOp(
-                kind=DataOpKind.DELETE, device_id=1, thread_id=0,
-                ov_address=self.OV, cv_address=self.CV, nbytes=64,
+        bus.publish_access(
+            Access(
+                device_id=device_id, thread_id=0, address=address, size=8,
+                is_write=is_write, count=count,
+                stack=(SourceLocation("t.c", line),),
             )
         )
-
-    def touch(self, det):
-        from repro.events import Access
-
-        det.on_access(
-            Access(device_id=0, thread_id=0, address=self.OV, size=8, is_write=True)
-        )
-        det.on_access(
-            Access(device_id=1, thread_id=0, address=self.CV, size=8, is_write=True)
-        )
-
-    def test_accesses_prime_both_caches(self):
-        det = self.detector()
-        self.alloc(det)
-        self.map_(det)
-        block = det.shadows.find(self.OV)
-        rec = det.mappings.find(self.CV)
-        self.touch(det)
-        assert det._lookup_host is not None and det._lookup_host[2] is block
-        assert det._lookup_device is not None and det._lookup_device[3] is rec
-
-    def test_unmap_and_free_invalidate(self):
-        det = self.detector()
-        self.alloc(det)
-        self.map_(det)
-        self.touch(det)
-        self.unmap(det)
-        assert det._lookup_host is None and det._lookup_device is None
-        self.touch(det)  # re-primes the host cache (mapping gone)
-        self.free(det)
-        assert det._lookup_host is None and det._lookup_device is None
 
     def test_reallocate_same_base_yields_fresh_pair(self):
-        # allocate -> map -> access -> unmap/free -> reallocate at the SAME
-        # base -> access: the caches must resolve to the fresh block and
-        # record, not the freed ones.
-        det = self.detector()
-        self.alloc(det)
-        self.map_(det)
-        block1 = det.shadows.find(self.OV)
-        rec1 = det.mappings.find(self.CV)
-        self.touch(det)
-        self.unmap(det)
-        self.free(det)
-        self.alloc(det)
-        self.map_(det)
-        self.touch(det)
-        block2 = det.shadows.find(self.OV)
-        rec2 = det.mappings.find(self.CV)
-        assert block2 is not block1 and rec2 is not rec1
-        assert det._lookup_host[2] is block2
-        assert det._lookup_device[2] is block2
-        assert det._lookup_device[3] is rec2
+        from repro.events import DataOpKind
 
+        for bus, det in self.buses():
+            self.allocate(bus, "a")
+            self.access(bus, 0, self.OV, True)
+            self.data_op(bus, DataOpKind.ALLOC)
+            self.data_op(bus, DataOpKind.H2D)
+            self.access(bus, 1, self.CV, False)
+            self.data_op(bus, DataOpKind.DELETE)
+            self.access(bus, 0, self.OV, False)
+            self.allocate(bus, "a", free=True)
+            # Same base, new variable: every lookup must see the new pair.
+            self.allocate(bus, "b")
+            self.access(bus, 0, self.OV, True)
+            self.data_op(bus, DataOpKind.ALLOC)
+            self.data_op(bus, DataOpKind.H2D)
+            self.access(bus, 0, self.OV, True, line=2)  # device copy now stale
+            self.access(bus, 1, self.CV, False, line=3)
+            bus.flush_batch()
+            assert [(f.kind, f.variable, f.location.line) for f in det.findings] == [
+                (FindingKind.USD, "b", 3)
+            ]
 
-    def test_two_alternating_mappings_both_stay_cached(self):
-        from repro.events import Access, AllocationEvent, DataOp, DataOpKind
+    def test_unmap_and_free_invalidate(self):
+        from repro.events import DataOpKind
 
-        det = self.detector()
-        for k in range(2):
-            det.on_allocation(
-                AllocationEvent(
-                    device_id=0, thread_id=0, address=self.OV + 64 * k,
-                    nbytes=64, is_free=False, label=f"v{k}",
+        for bus, det in self.buses():
+            self.allocate(bus, "a")
+            self.access(bus, 0, self.OV, True)
+            self.data_op(bus, DataOpKind.ALLOC)
+            self.access(bus, 1, self.CV, True)
+            self.data_op(bus, DataOpKind.DELETE)
+            # The mapping is gone: its CV belongs to no variable any more.
+            self.access(bus, 1, self.CV, False, line=2)
+            self.allocate(bus, "a", free=True)
+            # The block is gone: a host read there is no mapping question.
+            self.access(bus, 0, self.OV, False, line=3)
+            bus.flush_batch()
+            assert [(f.kind, f.location.line) for f in det.findings] == [
+                (FindingKind.BO, 2)
+            ]
+            assert det.shadows.find(self.OV) is None
+
+    def test_two_interleaved_mappings_both_resolve(self):
+        from repro.events import DataOpKind
+
+        for bus, det in self.buses():
+            for k, label in enumerate("ab"):
+                self.allocate(bus, label, base=self.OV + 64 * k)
+                self.access(bus, 0, self.OV + 64 * k, True, count=8)
+                self.data_op(
+                    bus, DataOpKind.ALLOC, ov=self.OV + 64 * k, cv=self.CV + 64 * k
                 )
-            )
-            det.on_data_op(
-                DataOp(
-                    kind=DataOpKind.ALLOC, device_id=1, thread_id=0,
-                    ov_address=self.OV + 64 * k, cv_address=self.CV + 64 * k,
-                    nbytes=64,
+                self.data_op(
+                    bus, DataOpKind.H2D, ov=self.OV + 64 * k, cv=self.CV + 64 * k
                 )
-            )
-        for i in range(8):  # A[i] = A[i] + B[i] on the device
-            for k, is_write in ((0, False), (1, False), (0, True)):
-                det.on_access(
-                    Access(
-                        device_id=1, thread_id=0,
-                        address=self.CV + 64 * k + 8 * i, size=8,
-                        is_write=is_write,
-                    )
-                )
-        hits, misses = det.mapping_lookup_stats()
-        assert (hits, misses) == (22, 2)  # only each array's first touch misses
-        assert det._lookup_device[3] is det.mappings.find(self.CV)
-        assert det._lookup_device_prev[3] is det.mappings.find(self.CV + 64)
-        self.unmap(det)
-        assert det._lookup_device is None and det._lookup_device_prev is None
+            self.access(bus, 0, self.OV + 64, True)  # b's device copy goes stale
+            bus.flush_batch()
+            for i in range(8):  # A[i] = A[i] + B[i] on the device
+                self.access(bus, 1, self.CV + 8 * i, False)
+                self.access(bus, 1, self.CV + 64 + 8 * i, False, line=2)
+                self.access(bus, 1, self.CV + 8 * i, True)
+            bus.flush_batch()
+            assert [(f.variable, f.location.line) for f in det.findings] == [("b", 2)]
+            assert det.finding_count(det.findings[0]) == 1  # b[0] only
+            # a was written back on the device everywhere, b nowhere.
+            assert det.shadows.find(self.OV).states().tolist() == [2] * 8  # TARGET
+            assert det.shadows.find(self.OV + 64).states().tolist() == [1] + [3] * 7
 
 
 class TestDoubleDelete:

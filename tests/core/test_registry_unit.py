@@ -75,14 +75,6 @@ class TestMappingRegistry:
         reg = MappingRegistry()
         assert reg.drop(DEV_BASE) is None
 
-    def test_overlaps_cv(self):
-        reg = MappingRegistry()
-        reg.add(record(cv=DEV_BASE, n=64))
-        assert reg.overlaps_cv(DEV_BASE + 32, DEV_BASE + 128)
-        assert reg.overlaps_cv(DEV_BASE - 16, DEV_BASE + 1)
-        assert not reg.overlaps_cv(DEV_BASE + 64, DEV_BASE + 128)
-        assert not reg.overlaps_cv(0, DEV_BASE)
-
     def test_lookup_stats_and_cache_ablation(self):
         reg = MappingRegistry()
         reg.add(record())

@@ -80,6 +80,61 @@ class TestDispatch:
         assert all(len(t.seen) == 1 for t in tools)
 
 
+class BatchOnly(Tool):
+    """Overrides ``on_batch`` and nothing else of the access handlers."""
+
+    name = "batch-only"
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def on_batch(self, batch):
+        self.batches.append(list(batch.accesses))
+
+
+def make_accesses(n):
+    return [
+        Access(
+            device_id=0, thread_id=0, address=BASE_ADDRESS + 8 * i, size=8,
+            is_write=i % 2 == 0,
+        )
+        for i in range(n)
+    ]
+
+
+class TestBatchOnlyTool:
+    """Overriding ``on_batch`` alone subscribes a tool to accesses."""
+
+    def test_batch_only_tool_sees_every_access_in_order(self):
+        bus = ToolBus()
+        tool = BatchOnly()
+        bus.attach(tool)
+        assert bus.wants_accesses
+        sent = make_accesses(5)
+        for access in sent:
+            bus.publish_access(access)
+        assert tool.batches == []  # parked until the flush
+        bus.flush_batch()
+        assert tool.batches == [sent]
+
+    def test_batches_of_one_while_an_immediate_tool_is_attached(self):
+        bus = ToolBus()
+        tool, immediate = BatchOnly(), per_access(AccessOnly)()
+        bus.attach(tool)
+        bus.attach(immediate)
+        sent = make_accesses(3)
+        for access in sent:
+            bus.publish_access(access)
+        assert tool.batches == [[access] for access in sent]
+        assert immediate.seen == sent
+        bus.detach(immediate)
+        for access in sent:
+            bus.publish_access(access)
+        bus.flush_batch()
+        assert tool.batches[3:] == [sent]
+
+
 class TestStackCapture:
     """An access carries the stack of the frame that published it."""
 

@@ -12,7 +12,6 @@ from repro.events import Access, DataOp, DataOpKind, SyncEvent, ToolBus
 from repro.events.columnar import (
     _SLOT_MASK,
     BATCH_CAP,
-    MIN_BATCH,
     BatchColumns,
     EventBatch,
     first_occurrence_passes,
@@ -58,7 +57,11 @@ class Recorder(Tool):
 
 
 class TestEngineSelection:
-    """One dispatch path: only the attached tool classes set its pace."""
+    """One dispatch path: only the attached tool classes set its pace.
+
+    A vectorizing tool gets every batch through ``on_batch``, however
+    small; an immediate-delivery tool makes every batch one access long.
+    """
 
     def test_unknown_engine_rejected(self):
         # There is no engine axis left to select.
@@ -66,12 +69,14 @@ class TestEngineSelection:
             ToolBus(engine="simd")
 
     def test_scalar_never_batches(self):
-        """An immediate-delivery tool gets each access as it is published."""
+        """An immediate-delivery tool gets each access as it is published,
+        in a batch of one."""
         bus = ToolBus()
         t = per_access(Recorder)()
         bus.attach(t)
-        bus.publish_access(make_access())
-        assert t.calls[0][0] == "access"
+        access = make_access()
+        bus.publish_access(access)
+        assert t.calls == [("batch", [access])]
         assert not bus._batch_pending
 
     def test_immediate_tool_sets_the_pace_for_the_whole_bus(self):
@@ -80,7 +85,7 @@ class TestEngineSelection:
         bus.attach(batched)
         bus.attach(immediate)
         bus.publish_access(make_access())
-        assert [c[0] for c in batched.calls] == ["access"]
+        assert [(c[0], len(c[1])) for c in batched.calls] == [("batch", 1)]
         bus.detach(immediate)
         bus.publish_access(make_access())
         assert len(batched.calls) == 1  # parked again
@@ -97,14 +102,14 @@ class TestBatchAccumulation:
             bus.publish_access(make_access(i))
         assert t.calls == []  # nothing delivered yet
         bus.flush_batch()
-        assert len(t.calls) == 4  # tiny batch: per-access delivery in order
-        assert [c[0] for c in t.calls] == ["access"] * 4
+        # However small, the batch reaches the vectorizing tool whole.
+        assert t.calls == [("batch", [make_access(i) for i in range(4)])]
 
     def test_large_flush_dispatches_one_batch(self):
         bus = ToolBus()
         t = Recorder()
         bus.attach(t)
-        n = MIN_BATCH
+        n = 100
         for i in range(n):
             bus.publish_access(make_access(i))
         bus.flush_batch()
@@ -127,7 +132,7 @@ class TestBatchAccumulation:
         bus = ToolBus()
         t = Recorder()
         bus.attach(t)
-        sent = [make_access(i) for i in range(MIN_BATCH)]
+        sent = [make_access(i) for i in range(10)]
         for a in sent:
             bus.publish_access(a)
         bus.flush_batch()
@@ -152,7 +157,7 @@ class TestFlushOrdering:
                 nbytes=64,
             )
         )
-        assert [c[0] for c in t.calls] == ["access", "data_op"]
+        assert [c[0] for c in t.calls] == ["batch", "data_op"]
 
     def test_sync_flushes_first(self):
         bus = ToolBus()
@@ -160,7 +165,7 @@ class TestFlushOrdering:
         bus.attach(t)
         bus.publish_access(make_access())
         bus.publish_sync(SyncEvent("fork", 0, 1))
-        assert [c[0] for c in t.calls] == ["access", "sync"]
+        assert [c[0] for c in t.calls] == ["batch", "sync"]
 
     def test_attach_flushes_pending(self):
         bus = ToolBus()
@@ -195,16 +200,16 @@ class TestCrashIsolation:
 
         bus = ToolBus()
         bus.attach(Exploding())
-        for i in range(MIN_BATCH):
+        for i in range(3):
             bus.publish_access(make_access(i))
         bus.flush_batch()  # must not raise
         assert len(bus.errors) == 1
         assert bus.errors[0].handler == "on_batch"
 
-    @pytest.mark.parametrize("n", [MIN_BATCH - 1, 100])
+    @pytest.mark.parametrize("n", [1, 63, 100])
     def test_per_access_tool_sees_every_access_after_a_failure(self, n):
         """A tool without ``on_batch`` is isolated per access: one raising
-        access never hides the rest of its batch."""
+        access never hides the rest of its batch, whatever its size."""
 
         class FirstAccessExplodes(Tool):
             name = "first-explodes"

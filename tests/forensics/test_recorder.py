@@ -215,25 +215,22 @@ class TestDisabledPath:
 
 
 class _CountingArbalest(Arbalest):
-    """Counts the detector's access entry points."""
+    """Counts the detector's batches and the accesses in them."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.calls = {"on_access": 0, "on_batch": 0}
-
-    def on_access(self, access) -> None:
-        self.calls["on_access"] += 1
-        super().on_access(access)
+        self.calls = {"on_batch": 0, "accesses": 0}
 
     def on_batch(self, batch) -> None:
         self.calls["on_batch"] += 1
+        self.calls["accesses"] += len(batch)
         super().on_batch(batch)
 
 
 class TestBatchPath:
     def test_recorder_keeps_the_batch_path(self):
         # A recorder changes what is written down, not how accesses are
-        # processed: batches of MIN_BATCH or more stay vectorized.
+        # processed: the same batches reach the same on_batch.
         def calls(recording: bool) -> dict:
             rt = TargetRuntime(n_devices=2)
             if recording:

@@ -1,13 +1,18 @@
-"""Differential equivalence: batched delivery against the per-access oracle.
+"""Differential equivalence: batched delivery against per-access delivery,
+and ARBALEST against the executable mapping reference.
 
-Per-access delivery is the reference semantics; batching is a performance
-transformation that must be observationally identical.  These tests run
+Batching is a performance transformation that must be observationally
+identical to delivering each access as it is published.  These tests run
 real programs (DRACC benchmarks, the SPEC ACCEL twins) twice — once with
-per-access reference subclasses of the tools (see :mod:`tests.per_access`),
-once batched — and require byte-identical finding fingerprints, identical
-per-site counts, and identical certificate/quarantine accounting.  The
-parameter ids keep their historical names: ``scalar`` is the per-access
-reference, ``columnar`` the batched run.
+per-access subclasses of the tools (see :mod:`tests.per_access`; the
+detector gets batches of one), once batched — and require byte-identical
+finding fingerprints, identical per-site counts, and identical
+certificate/quarantine accounting.  In both runs of every DRACC program
+and of every twin at ``test``, ARBALEST's mapping findings must also
+equal those of :class:`~tests.mapping_reference.MappingReference`, which
+re-derives them from §IV with one VSM per granule.  The parameter ids
+keep their historical names: ``scalar`` is the per-access run,
+``columnar`` the batched one.
 
 The timeline oracle holds the flight recorder to the same standard: with
 the detector alone under a recorder, both deliveries must leave identical
@@ -27,6 +32,7 @@ from repro.openmp import alloc, to
 from repro.openmp.runtime import TargetRuntime
 from repro.specaccel.postencil import output_checksum, run_postencil
 from repro.specaccel.workloads import WORKLOADS
+from tests.mapping_reference import MappingReference, mapping_fingerprints
 from tests.per_access import per_access
 
 #: Parameter id -> whether tools get per-access (reference) delivery.
@@ -49,9 +55,11 @@ def _run_dracc(benchmark, delivery):
         name: _factory(TOOL_FACTORIES[name], delivery)().attach(rt.machine)
         for name in TOOL_ORDER
     }
+    reference = MappingReference().attach(rt.machine)
     benchmark.run(rt)
     observed = {name: _fingerprints(tool) for name, tool in tools.items()}
     detector = tools["arbalest"]
+    assert mapping_fingerprints(detector) == mapping_fingerprints(reference)
     observed["cert_stats"] = detector.cert_stats()
     observed["degradation_stats"] = detector.degradation_stats()
     return observed
@@ -68,8 +76,12 @@ def test_dracc_engines_agree(dracc_case):
 def _run_workload(workload, preset, delivery):
     rt = TargetRuntime(n_devices=1)
     tool = _factory(Arbalest, delivery)().attach(rt.machine)
+    # The reference's per-granule Python VSM is sized for ``test`` runs.
+    reference = MappingReference().attach(rt.machine) if preset == "test" else None
     checksum = workload.run(rt, preset)
     rt.finalize()
+    if reference is not None:
+        assert mapping_fingerprints(tool) == mapping_fingerprints(reference)
     return {
         "findings": _fingerprints(tool),
         "cert_stats": tool.cert_stats(),

@@ -1,11 +1,13 @@
-"""Per-access reference tools: the differential oracle for batched delivery.
+"""Per-access delivery for tests: every access reaches the tools at once.
 
 The bus delivers accesses in batches unless an attached tool class declares
 ``immediate_delivery``.  :func:`per_access` derives a test-only subclass of
-any tool class that does, so a bus it is attached to hands every access to
-``on_access`` as it is published — the reference run a batched run must
-match.  The subclass keeps the tool's ``name``, so findings fingerprint
-identically.
+any tool class that does, so a bus it is attached to flushes every access
+as it is published: a vectorizing tool gets it as a batch of one, any
+other tool through ``on_access``.  A batched run must match that run.  The
+subclass keeps the tool's ``name``, so findings fingerprint identically.
+The mapping findings of both are held to an independent model in
+:mod:`tests.mapping_reference`.
 """
 
 from functools import cache

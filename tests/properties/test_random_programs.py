@@ -11,6 +11,12 @@ Two properties, checked over hypothesis-generated programs:
   final state leaves some array fresh only on the device and appending a
   host read *without* the required update produces a USD finding.
 
+Every program ARBALEST runs here, the injected-staleness ones included, is
+also run under the executable mapping reference
+(:mod:`tests.mapping_reference`), once with batched delivery and once with
+batches of one: the detector's mapping findings, fingerprints and per-site
+counts, must equal the reference's under both.
+
 The generator is a little state machine per array; illegal actions are
 skipped rather than filtered, so every generated action list is a valid
 program and shrinking stays effective.
@@ -26,6 +32,8 @@ from hypothesis import strategies as st
 from repro.core import Arbalest, certify
 from repro.openmp import TargetRuntime, from_, release, to
 from repro.tools import ArcherTool, AsanTool, MsanTool, ValgrindTool
+from tests.mapping_reference import MappingReference, mapping_fingerprints
+from tests.per_access import per_access
 
 N_ELEMENTS = 16
 N_ARRAYS = 3
@@ -139,12 +147,61 @@ def run_correct_program(actions, tool_classes=()):
     return interp, tools
 
 
+def run_against_reference(program, *, unified: bool = False) -> Arbalest:
+    """Run ``program(rt)`` under ARBALEST beside the mapping reference, with
+    batched delivery and with batches of one; both deliveries must report
+    the reference's mapping findings.  Returns the batched detector."""
+    detectors = []
+    for cls in (Arbalest, per_access(Arbalest)):
+        rt = TargetRuntime(n_devices=1, unified=unified)
+        detector = cls().attach(rt.machine)
+        reference = MappingReference().attach(rt.machine)
+        program(rt)
+        rt.finalize()
+        assert mapping_fingerprints(detector) == mapping_fingerprints(reference)
+        detectors.append(detector)
+    return detectors[0]
+
+
+def correct_program(actions):
+    def program(rt):
+        interp = Interpreter(rt)
+        for action, i in actions:
+            interp.apply(action, i)
+        interp.drain_correctly()
+
+    return program
+
+
 @settings(max_examples=150, deadline=None)
 @given(actions_strategy)
 def test_correct_programs_are_silent_under_arbalest(actions):
-    _, tools = run_correct_program(actions, [Arbalest])
-    findings = tools[0].findings
+    findings = run_against_reference(correct_program(actions)).findings
     assert not findings, [f.render() for f in findings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions_strategy, st.integers(0, N_ARRAYS - 1))
+def test_unified_memory_programs_match_reference(actions, victim):
+    """The same programs on unified memory, where each CV is its OV: a
+    host read after a kernel write reads the one storage, and a kernel
+    reading past its mapped section reaches host memory.  The detector
+    must report what the reference reports."""
+
+    def program(rt):
+        interp = Interpreter(rt)
+        for action, i in actions:
+            interp.apply(action, i)
+        interp.apply(Action.KERNEL_WRITE, victim)
+        _ = interp.arrays[victim][0]  # no update-from: one storage
+        arr = interp.arrays[victim]
+        rt.target(
+            lambda ctx: ctx[arr.name].read(N_ELEMENTS - 1),
+            maps=[to(arr, 0, N_ELEMENTS // 2)],
+        )
+        interp.drain_correctly()
+
+    run_against_reference(program, unified=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,13 +217,7 @@ def test_correct_programs_are_silent_under_all_baselines(actions):
 @settings(max_examples=40, deadline=None)
 @given(actions_strategy)
 def test_correct_programs_certify(actions):
-    def program(rt):
-        interp = Interpreter(rt)
-        for action, i in actions:
-            interp.apply(action, i)
-        interp.drain_correctly()
-
-    assert certify(program).certified
+    assert certify(correct_program(actions)).certified
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,22 +225,22 @@ def test_correct_programs_certify(actions):
 def test_injected_stale_read_is_detected(actions, victim):
     """Force the victim array into device-fresh state, then read it on the
     host without the update — ARBALEST must report USD on exactly that."""
-    rt = TargetRuntime(n_devices=1)
-    detector = Arbalest().attach(rt.machine)
-    interp = Interpreter(rt)
-    for action, i in actions:
-        interp.apply(action, i)
-    # Steer the victim into DEV_FRESH deterministically.
-    if interp.state[victim] is S.HOST_ONLY:
-        interp.apply(Action.MAP, victim)
-    if interp.state[victim] is S.HOST_FRESH:
-        interp.apply(Action.UPDATE_TO, victim)
-    interp.apply(Action.KERNEL_WRITE, victim)
-    assert interp.state[victim] is S.DEV_FRESH
-    # The injected bug: host read with no update-from.
-    _ = interp.arrays[victim][0]
-    rt.finalize()
-    stale = [f for f in detector.mapping_issue_findings()]
+
+    def program(rt):
+        interp = Interpreter(rt)
+        for action, i in actions:
+            interp.apply(action, i)
+        # Steer the victim into DEV_FRESH deterministically.
+        if interp.state[victim] is S.HOST_ONLY:
+            interp.apply(Action.MAP, victim)
+        if interp.state[victim] is S.HOST_FRESH:
+            interp.apply(Action.UPDATE_TO, victim)
+        interp.apply(Action.KERNEL_WRITE, victim)
+        assert interp.state[victim] is S.DEV_FRESH
+        # The injected bug: host read with no update-from.
+        _ = interp.arrays[victim][0]
+
+    stale = run_against_reference(program).mapping_issue_findings()
     assert stale, "the injected stale read went undetected"
     assert any(f.variable == f"v{victim}" for f in stale)
 
@@ -198,15 +249,15 @@ def test_injected_stale_read_is_detected(actions, victim):
 @given(actions_strategy, st.integers(0, N_ARRAYS - 1))
 def test_injected_device_stale_read_is_detected(actions, victim):
     """Dual injection: host freshens, kernel reads without update-to."""
-    rt = TargetRuntime(n_devices=1)
-    detector = Arbalest().attach(rt.machine)
-    interp = Interpreter(rt)
-    for action, i in actions:
-        interp.apply(action, i)
-    if interp.state[victim] is S.HOST_ONLY:
-        interp.apply(Action.MAP, victim)
-    interp.arrays[victim].fill(13.0)  # host write: device copy now stale
-    name = interp.arrays[victim].name
-    rt.target(lambda ctx: ctx[name].read(slice(0, N_ELEMENTS)))
-    rt.finalize()
-    assert detector.mapping_issue_findings()
+
+    def program(rt):
+        interp = Interpreter(rt)
+        for action, i in actions:
+            interp.apply(action, i)
+        if interp.state[victim] is S.HOST_ONLY:
+            interp.apply(Action.MAP, victim)
+        interp.arrays[victim].fill(13.0)  # host write: device copy now stale
+        name = interp.arrays[victim].name
+        rt.target(lambda ctx: ctx[name].read(slice(0, N_ELEMENTS)))
+
+    assert run_against_reference(program).mapping_issue_findings()
