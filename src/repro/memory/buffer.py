@@ -37,7 +37,8 @@ class RawBuffer:
         # produce loudly-wrong values in examples rather than lucky zeros.
         pattern = 0xCB if fill is None else fill
         # Never rebound: kernel views hold ``as_array`` views of it for a
-        # whole launch, so every later write must go through it in place.
+        # whole launch and host views for the buffer's lifetime, so every
+        # later write must go through it in place.
         self.data = np.full(extent.size, pattern, dtype=np.uint8)
 
     # -- address helpers -------------------------------------------------

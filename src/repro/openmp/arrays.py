@@ -19,24 +19,41 @@ Design points:
   mapped section therefore produce device addresses outside the CV — the
   buffer-overflow class of data mapping issue — and are performed as *loose*
   accesses (deterministic undefined behaviour) rather than crashing.
-* **Kernel views bind their storage once per launch.**  A kernel's
-  mappings cannot change while it runs (every map or unmap is a non-access
-  event, and kernels never call the runtime), so a :class:`KernelArray`
-  resolves its device id, itemsize and the ndarray over its mapped section
-  when it is built.  An ``int`` index inside the section then indexes that
-  array, with no per-access buffer search.
-* **A bound scalar access publishes one int.**  Everything an in-section
-  scalar access carries but its element offset and write bit is fixed
-  between a flush, a thread switch and a source-position change: device,
-  thread, section base, itemsize and stack.  The view interns that tuple
-  as a slot of the bus's per-batch table once per such window (one epoch
-  compare per access tells it when) and publishes the lane code
+* **Views bind their live storage once.**  A kernel's mappings cannot
+  change while it runs (every map or unmap is a non-access event, and
+  kernels never call the runtime), so a :class:`KernelArray` resolves its
+  device id, itemsize and the storage over its mapped section when it is
+  built, once per launch.  A :class:`HostArray` binds its one buffer for
+  the buffer's lifetime and checks on each access that the buffer is still
+  the host's live buffer at its base (after a free, or a new array at the
+  same base, the access takes the generic path).  An in-bounds ``int``
+  index then indexes the binding, with no per-access buffer search.
+* **A bound float64 scalar is a Python float.**  A float64 binding is a
+  ``memoryview`` of the buffer, so a bound read returns a ``float`` and a
+  bound write stores through the view with the IEEE bits numpy would have
+  stored; a value the view refuses but numpy accepts (a size-1 array, a
+  string) is stored as ``np.asarray([value], dtype)``, like the generic
+  path.  The program's own arithmetic on what it read then follows Python
+  float rules, not numpy scalar rules: ``x / 0.0`` raises
+  ``ZeroDivisionError`` and an overflowing ``**`` raises ``OverflowError``
+  where a numpy scalar gave ``inf`` and a warning (EXPERIMENTS.md, known
+  deviations).  Other dtypes bind the ndarray and keep numpy scalars: a
+  Python number would compute ``f4`` arithmetic in double precision, lose
+  ``int64`` wraparound and change the error a ``u1`` overflow raises.
+  Out-of-bounds indices, other index types and slices take the generic
+  path and return numpy values.
+* **A bound kernel scalar access publishes one int.**  Everything an
+  in-section scalar access carries but its element offset and write bit
+  is fixed between a flush, a thread switch and a source-position change:
+  device, thread, section base, itemsize and stack.  The view interns that
+  tuple as a slot of the bus's per-batch table once per such window (one
+  epoch compare per access tells it when) and publishes the lane code
   ``offset << LANE_SHIFT | lane`` — the instrumentation pass's compact
   record, with no row built (:mod:`repro.events.columnar` owns the
   layout and builds rows on demand).  Slices, other index types,
-  out-of-section indices, views with no single covering buffer and
-  :class:`HostArray` publish an ``Access`` row through the generic path
-  below.
+  out-of-section indices and views with no single covering buffer
+  publish an ``Access`` row through the generic path below;
+  :class:`HostArray` publishes an ``Access`` row for every access.
 * **Peek/poke bypass instrumentation** so tests can assert on final memory
   without perturbing the tools under test.
 """
@@ -56,6 +73,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Machine
 
 Index = Union[int, slice]
+
+
+def _bind(array: np.ndarray) -> Union[memoryview, np.ndarray]:
+    """The binding of a view's storage: float64 as a ``memoryview`` (Python
+    float scalars, same IEEE bits), any other dtype as the ndarray."""
+    return memoryview(array) if array.dtype == np.float64 else array
+
+
+def _store_refused(data: Union[memoryview, np.ndarray], k: int, value, dtype: np.dtype) -> None:
+    """Store at element ``k`` a value the binding's own store refused.
+
+    The generic path stores ``np.asarray([value], dtype)``, which numpy
+    accepts for values a binding refuses (a size-1 array, a string); a value
+    numpy refuses too raises numpy's error.
+    """
+    np.asarray(data)[k : k + 1] = np.asarray([value], dtype=dtype)
 
 
 def _slice_bounds(index: slice, length: int) -> tuple[int, int, int]:
@@ -78,6 +111,9 @@ class _ArrayView:
     device_id: int
     #: Device whose buffers back the view.
     storage: "Device"
+    #: The bound storage (see :func:`_bind`).  ``None`` means unbound:
+    #: every access takes the generic path.
+    _data: Union[memoryview, np.ndarray, None] = None
 
     @property
     def nbytes(self) -> int:
@@ -207,6 +243,11 @@ class HostArray(_ArrayView):
         self.length = length
         self.device_id = 0
         self.storage = machine.host
+        # Bound for the buffer's lifetime: an access uses the binding only
+        # while the host's live buffer at ``_base`` is still this one.
+        self._base = buffer.base
+        self._live = machine.host.buffers
+        self._data = _bind(self.peek())
 
     @property
     def base(self) -> int:
@@ -217,6 +258,31 @@ class HostArray(_ArrayView):
 
     def _address(self, element: int) -> int:
         return self.address_of(element)
+
+    def read(self, index: Index) -> Union[float, int, np.ndarray]:
+        """Instrumented read of one element or a slice."""
+        if type(index) is int:
+            k = index + self.length if index < 0 else index
+            if 0 <= k < self.length and self._live.get(self._base) is self.buffer:
+                self._publish(self._base + k * self.itemsize, 1, 1, False)
+                return self._data[k]
+        return _ArrayView.read(self, index)
+
+    def write(self, index: Index, value) -> None:
+        """Instrumented write of one element or a slice."""
+        if type(index) is int:
+            k = index + self.length if index < 0 else index
+            if 0 <= k < self.length and self._live.get(self._base) is self.buffer:
+                self._publish(self._base + k * self.itemsize, 1, 1, True)
+                try:
+                    self._data[k] = value
+                except (TypeError, ValueError, OverflowError):
+                    _store_refused(self._data, k, value, self.dtype)
+                return
+        _ArrayView.write(self, index, value)
+
+    __getitem__ = read
+    __setitem__ = write
 
     # -- uninstrumented escape hatches for tests ---------------------------
 
@@ -241,9 +307,6 @@ class KernelArray(_ArrayView):
     ``cv_base + (i - section_start) * itemsize``.
     """
 
-    #: The ndarray over the mapped section, bound once per launch.  ``None``
-    #: means unbound: every access takes the generic path.
-    _data: np.ndarray | None = None
     #: The bus epoch the interned lanes belong to (-1: none interned yet).
     _epoch = -1
 
@@ -277,8 +340,8 @@ class KernelArray(_ArrayView):
         nbytes = section_length * self.itemsize
         buf = self.storage.buffer_containing(cv_base)
         if nbytes and buf is not None and buf.extent.contains(cv_base, nbytes):
-            self._data = buf.as_array(
-                self.dtype, offset=cv_base - buf.base, count=section_length
+            self._data = _bind(
+                buf.as_array(self.dtype, offset=cv_base - buf.base, count=section_length)
             )
 
     def _address(self, element: int) -> int:
@@ -326,7 +389,10 @@ class KernelArray(_ArrayView):
                     if self._epoch != bus.lane_epoch:
                         self._intern()
                     bus.publish_access(k << LANE_SHIFT | self._write_lane)
-                data[k] = value
+                try:
+                    data[k] = value
+                except (TypeError, ValueError, OverflowError):
+                    _store_refused(data, k, value, self.dtype)
                 return
         _ArrayView.write(self, index, value)
 

@@ -145,8 +145,9 @@ class Device:
         number of bytes restored.
         """
         restored = 0
-        # In place: kernel views bind ``buf.data`` once per launch, so a
-        # buffer's array must never be rebound.
+        # In place: array views bind ``buf.data`` (kernel views once per
+        # launch, host views for the buffer's lifetime), so a buffer's
+        # array must never be rebound.
         for buf in self.buffers.values():
             checkpoint = buf.data.copy()
             buf.data[:] = GARBAGE_BYTE
