@@ -6,12 +6,14 @@ The detector composes the pieces exactly as Figure 5 lays them out:
   data ops and kernel events, the instrumentation pass's memory accesses,
   allocation interceptors, and task synchronization;
 * **dynamic analysis** — per 8-byte granule of every host allocation it
-  drives the variable state machine (vectorized, in
-  :class:`~repro.core.shadow.ShadowBlock`); a batch's device addresses are
-  resolved to their mappings at once, by ``searchsorted`` over a sorted
-  snapshot of the interval-tree registries; the embedded FastTrack engine
-  (shared with the Archer model) supplies race detection, which Theorem 1
-  needs;
+  drives the variable state machine through the shadow block's one
+  ``apply`` (:class:`~repro.core.shadow.ShadowBlock`, or the §IV.C
+  multi-device :class:`~repro.core.multidevice.MultiShadowBlock`), per
+  granule range or per batch pass of distinct granules; a batch's device
+  addresses are resolved to their mappings at once, by ``searchsorted``
+  over a sorted snapshot of the interval-tree registries; the embedded
+  FastTrack engine (shared with the Archer model) supplies race detection,
+  which Theorem 1 needs;
 * **bug report generation** — illegal transitions and overflow checks
   produce :class:`~repro.tools.findings.Finding`s wrapped into Fig-7-style
   :class:`~repro.core.reports.BugReport`s.
@@ -52,8 +54,7 @@ from ..tools.base import Tool
 from ..tools.findings import Finding, FindingKind
 from .registry import MappingRecord, MappingRegistry, ShadowRegistry
 from .reports import Anomaly, BlockInfo, BugReport
-from .shadow import ShadowBlock
-from .states import VsmOp, VsmState
+from .states import VsmOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.records import (
@@ -73,8 +74,6 @@ _DATA_OP_EVENT_KINDS = {
     "d2h": "update-to-host",
 }
 
-#: VSM state names by state code (flight-recorder timelines).
-_STATE_LABELS = np.array([VsmState(code).name for code in range(4)], dtype=object)
 #: Access kinds, gathered by ``(device_id != 0) * 2 + is_write`` arrays.
 _ACCESS_KINDS = np.array(ACCESS_KINDS, dtype=object)
 
@@ -90,9 +89,9 @@ class _Lookup:
     """
 
     __slots__ = (
-        "recs", "cv_bases", "cv_ends", "shifts", "unified", "separate",
-        "certified", "section", "blocks", "b_bases", "b_ends", "b_grans",
-        "vect", "skip_bases", "skip_ends", "certifies",
+        "recs", "cv_bases", "cv_ends", "shifts", "devices", "unified",
+        "separate", "certified", "section", "blocks", "b_bases", "b_ends",
+        "b_grans", "skip_bases", "skip_ends", "certifies",
     )
 
     def __init__(self, mappings: MappingRegistry, shadows: ShadowRegistry) -> None:
@@ -101,30 +100,28 @@ class _Lookup:
         self.recs: list[MappingRecord | None] = [None, *recs]
         self.blocks = [None, *blocks]
         # ``shifts`` moves a CV address to its OV (0 when unified);
-        # ``certified`` marks certified separate-memory mappings only, as a
-        # host access skips by allocation, not by mapping.
+        # ``devices`` is the mapping's device, 1 for the sentinel as for an
+        # access no mapping holds; ``certified`` marks certified
+        # separate-memory mappings only, as a host access skips by
+        # allocation, not by mapping.
         table = np.array(
-            [(-1, -1, 0, 0, 0, 0, 0)]
+            [(-1, -1, 0, 1, 0, 0, 0, 0)]
             + [
-                (r.cv_base, r.cv_end, r.ov_base - r.cv_base, not r.unified,
-                 r.unified, r.certified and not r.unified, r.certified_section)
+                (r.cv_base, r.cv_end, r.ov_base - r.cv_base, r.device_id,
+                 not r.unified, r.unified, r.certified and not r.unified,
+                 r.certified_section)
                 for r in recs
             ],
             dtype=np.int64,
         ).T
-        self.cv_bases, self.cv_ends, self.shifts = table[:3].copy()
+        self.cv_bases, self.cv_ends, self.shifts, self.devices = table[:4].copy()
         self.separate, self.unified, self.certified, self.section = (
-            table[3:].astype(bool)
+            table[4:].astype(bool)
         )
-        self.b_bases, self.b_ends, self.b_grans, vect = np.array(
-            [(-1, -1, 1, 0)]
-            + [
-                (b.base, b.base + b.nbytes, b.granule, type(b) is ShadowBlock)
-                for b in blocks
-            ],
+        self.b_bases, self.b_ends, self.b_grans = np.array(
+            [(-1, -1, 1)] + [(b.base, b.base + b.nbytes, b.granule) for b in blocks],
             dtype=np.int64,
         ).T.copy()
-        self.vect = vect.astype(bool)
         self.skip_bases, self.skip_ends = np.array(
             [(-1, -1), *shadows.skipped_ranges()], dtype=np.int64
         ).T.copy()
@@ -459,14 +456,15 @@ class Arbalest(Tool):
 
         One vectorized pass classifies every access against the lookup
         snapshot (:class:`_Lookup`).  A scalar host or device access that
-        sits in one granule of a single-device shadow block goes through
-        the table-lookup VSM (:meth:`ShadowBlock.apply_ops`) and one batched
-        FastTrack pass per segment; a certified one only counts its skip,
-        and one with no shadow block only gets the race check.  Every other
-        access — bulk or strided, unified-device, overflowing, or on a
-        multi-device shadow — is applied *in place* by
-        :meth:`_apply_in_place`, so findings and flight-recorder events land
-        in per-access order whatever the batch size.
+        sits in one granule of a shadow block, single- or multi-device, is
+        applied per segment: the block's ``apply`` takes one op and mapping
+        device per access over each first-occurrence pass of distinct
+        granules, then one batched FastTrack pass runs; a certified access
+        only counts its skip, and one with no shadow block only gets the
+        race check.  Every other access — bulk or strided, unified-device
+        or overflowing — is applied *in place* by :meth:`_apply_in_place`,
+        so findings and flight-recorder events land in per-access order
+        whatever the batch size.
 
         A batch of one (every access while an immediate-delivery tool is
         attached) skips the columns and the snapshot, which cost more than
@@ -525,9 +523,7 @@ class Arbalest(Tool):
             offset = ov - look.b_bases[bi]
             b_gran = look.b_grans[bi]
             gran = offset // b_gran
-            one_granule = look.vect[bi] & (
-                gran == (offset + (sizes - 1)) // b_gran
-            )
+            one_granule = gran == (offset + (sizes - 1)) // b_gran
             # A device access needs one separate-memory mapping holding it
             # whole; the rest take the in-place overflow check.
             eligible = scalar & (
@@ -581,26 +577,31 @@ class Arbalest(Tool):
         if len(vp):
             # VsmOp codes: READ_HOST 0, READ_TARGET 1, WRITE_HOST 2, WRITE_TARGET 3.
             vp_ops = is_write[vp] * 2 + (cols.device_ids[vp] != 0)
+            vp_devs = look.devices[ri[vp]]
             # A host write to a unified mapping is the device's value too.
             sync = (vp_ops == VsmOp.WRITE_HOST) & look.unified[ri[vp]]
             block_ids = bi[vp]
             for blk_id in np.unique(block_ids).tolist():
                 mine = block_ids == blk_id
-                sel, sel_ops, sel_sync = vp[mine], vp_ops[mine], sync[mine]
+                sel, sel_ops, sel_devs = vp[mine], vp_ops[mine], vp_devs[mine]
+                sel_sync = sync[mine]
                 block = look.blocks[blk_id]
                 if len(sel) > 1:
                     passes, remainder = first_occurrence_passes(gran[sel])
-                else:  # one access needs no passes: it takes the scalar step
+                else:  # one access needs no passes: it takes the plain-int step
                     passes, remainder = (), np.zeros(1, dtype=np.intp)
+                name = block.state_name
                 for p in passes:
                     pos = sel[p]
                     g = gran[pos]
                     if recorder is not None:
                         before = block.states(g)
-                    illegal, uninit = block.apply_ops(g, sel_ops[p])
+                    illegal, uninit = block.apply(g, sel_ops[p], sel_devs[p])
                     synced = sel_sync[p]
                     if np.count_nonzero(synced):
-                        block.apply(g[synced], VsmOp.UPDATE_TARGET)
+                        block.apply(
+                            g[synced], VsmOp.UPDATE_TARGET, sel_devs[p][synced]
+                        )
                     if recorder is not None:
                         after = block.states(g)
                         hit = ((after != before) | illegal).nonzero()[0]
@@ -608,26 +609,32 @@ class Arbalest(Tool):
                             pos[hit].tolist(),
                             repeat(0),
                             zip(
-                                _STATE_LABELS[before[hit]].tolist(),
-                                _STATE_LABELS[after[hit]].tolist(),
+                                map(name, before[hit].tolist()),
+                                map(name, after[hit].tolist()),
                             ),
                         )
                     for h in illegal.nonzero()[0].tolist():
                         found.append((int(pos[h]), 1, bool(uninit[h])))
-                for r in remainder.tolist():
+                for r, op, dev, synced in zip(
+                    remainder.tolist(),
+                    sel_ops[remainder].tolist(),
+                    sel_devs[remainder].tolist(),
+                    sel_sync[remainder].tolist(),
+                ):
                     p_abs = int(sel[r])
                     g = int(gran[p_abs])
+                    one = slice(g, g + 1)
                     if recorder is not None:
                         before = block.state_label(g)
-                    ill, uni = block.apply_scalar(g, VsmOp(int(sel_ops[r])))
-                    if sel_sync[r]:
-                        block.apply_scalar(g, VsmOp.UPDATE_TARGET)
+                    illegal, uninit = block.apply(one, op, dev)
+                    if synced:
+                        block.apply(one, VsmOp.UPDATE_TARGET, dev)
                     if recorder is not None:
                         after = block.state_label(g)
-                        if ill or after != before:
+                        if illegal[0] or after != before:
                             found.append((p_abs, 0, (before, after)))
-                    if ill:
-                        found.append((p_abs, 1, bool(uni)))
+                    if illegal[0]:
+                        found.append((p_abs, 1, bool(uninit[0])))
         if self.race_engine is not None:
             race_pos = (c >= 2).nonzero()[0] + start  # everything not cert-skipped
             if len(race_pos):
@@ -970,8 +977,8 @@ class Arbalest(Tool):
                 f"registry reports {self.shadows.shadow_bytes}"
             )
         for block in self.shadows.blocks():
-            if block.n_granules and int(block.states().max()) > 3:
-                problems.append(  # pragma: no cover - 2-bit states can't exceed 3
+            if block.n_granules and int(block.states().max()) >= block.N_STATES:
+                problems.append(  # pragma: no cover - the masks hold no more
                     f"shadow block {block.label!r}: illegal VSM state code"
                 )
         if self.machine is not None:

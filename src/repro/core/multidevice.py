@@ -7,63 +7,52 @@ one CV per device.  We pack the tuple into two 32-bit masks per granule:
 * ``valid``  — bit 0: OV holds the last write; bit *d*: device *d*'s CV does;
 * ``init``   — bit per location: was it ever written at all (UUM vs USD).
 
-The single-accelerator VSM is the special case n = 1 (states map as
-``invalid=00 / host=01 / target=10 / consistent=11`` over bits {0, d});
-property-based tests assert this equivalence against the scalar reference.
+An operation for device *d* touches only the pair (OV, CV_d), and on that
+pair it is the single-accelerator VSM: bits {0, d} of ``valid`` are its
+state (``invalid=00 / host=01 / target=10 / consistent=11``) and bits
+{0, d} of ``init`` its initialization bits.  So a transition projects the
+pair onto a single-device shadow word's low nibble, steps it through the
+table :mod:`repro.core.shadow` generates from the reference machine, and
+writes it back, with one rule of its own: a write leaves only the writer's
+copy valid, so it also clears every other CV's validity.
 
-Space is O(n+1) bits per granule and each operation is O(1) bit arithmetic
-— vectorized over ranges with numpy, like the single-device shadow.
+Space is O(n+1) bits per granule and each operation is O(1) bit arithmetic,
+on plain ints for one granule or a uniform block and gathered with numpy
+otherwise.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..memory.layout import GRANULE
 from .detector import Arbalest
 from .registry import ShadowRegistry
+from .shadow import STEP, STEP_TABLE, const_bool
 from .states import VsmOp
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 #: Up to 31 accelerators + the host fit the uint32 masks.
 MAX_DEVICES = 31
 
-_HOST_BIT = np.uint32(1)
+#: Per op, the validity bits outside (OV, CV_d) that survive it: none after
+#: a write, all otherwise.
+_KEEP = [0 if op in (VsmOp.WRITE_HOST, VsmOp.WRITE_TARGET) else -1 for op in VsmOp]
+_KEEP_ARRAY = np.array(_KEEP, dtype=np.int64)
 
 
-def _step_masks(
-    v: int, ini: int, op: VsmOp, dbit: int
-) -> tuple[int, int, bool, bool]:
-    """One validity/init transition on plain-int masks (shared fast path)."""
-    illegal = uninit = False
-    if op is VsmOp.READ_HOST:
-        illegal = not v & 1
-        uninit = illegal and not ini & 1
-    elif op is VsmOp.READ_TARGET:
-        illegal = not v & dbit
-        uninit = illegal and not ini & dbit
-    elif op is VsmOp.WRITE_HOST:
-        v = 1
-        ini |= 1
-    elif op is VsmOp.WRITE_TARGET:
-        v = dbit
-        ini |= dbit
-    elif op is VsmOp.UPDATE_HOST:
-        v = v | 1 if v & dbit else v & ~1
-        ini = ini | 1 if ini & dbit else ini & ~1
-    elif op is VsmOp.UPDATE_TARGET:
-        v = v | dbit if v & 1 else v & ~dbit
-        ini = ini | dbit if ini & 1 else ini & ~dbit
-    elif op is VsmOp.ALLOCATE:
-        ini &= ~dbit
-    elif op is VsmOp.RELEASE:
-        v &= ~dbit
-        ini &= ~dbit
-    return v, ini, illegal, uninit
+def _nibble(v, ini, d):
+    """The (OV, CV_d) pair of ``valid``/``init`` masks as a single-device
+    shadow word's low nibble (plain ints or int64 arrays alike)."""
+    return (v & 1) | (v >> d & 1) << 1 | (ini & 1) << 2 | (ini >> d & 1) << 3
+
+
+def _lift(v, ini, d, keep, nxt):
+    """Write a stepped nibble back into the (OV, CV_d) bits of the masks;
+    ``keep`` masks the other validity bits (see ``_KEEP``)."""
+    pair = 1 | 1 << d
+    v = (v & keep & ~pair) | (nxt & 1) | (nxt >> 1 & 1) << d
+    ini = (ini & ~pair) | (nxt >> 2 & 1) | (nxt >> 3 & 1) << d
+    return v, ini
 
 
 class MultiShadowBlock:
@@ -75,6 +64,9 @@ class MultiShadowBlock:
     """
 
     __slots__ = ("base", "nbytes", "granule", "_valid", "_init", "_uniform", "label")
+
+    #: Number of validity masks :meth:`states` can return.
+    N_STATES = 1 << (MAX_DEVICES + 1)
 
     def __init__(self, base: int, nbytes: int, *, granule: int = GRANULE, label: str = ""):
         self.base = base
@@ -121,96 +113,49 @@ class MultiShadowBlock:
         hi = min(self.n_granules, -(-(address + span - self.base) // self.granule))
         return slice(lo, max(lo, hi))
 
-    def apply(self, idx, op: VsmOp, device_id: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``op`` for device ``device_id``; see ShadowBlock.apply."""
-        if not 1 <= device_id <= MAX_DEVICES:
+    def apply(self, idx, ops, device_id=1) -> tuple[np.ndarray, np.ndarray]:
+        """Apply ``ops`` for device ``device_id``; see ShadowBlock.apply.
+
+        ``device_id`` is one device for every selected granule, or an
+        array aligned with a no-repeat index array, like ``ops``.
+        """
+        if type(device_id) is np.ndarray:
+            in_range = not device_id.size or (
+                1 <= device_id.min() and device_id.max() <= MAX_DEVICES
+            )
+        else:
+            in_range = 1 <= device_id <= MAX_DEVICES
+        if not in_range:
             raise ValueError(f"device id {device_id} out of range 1..{MAX_DEVICES}")
+        u = self._uniform
         if (
             type(idx) is slice
             and idx.step in (None, 1)
-            and idx.start is not None
-            and idx.stop == idx.start + 1
+            and None not in (idx.start, idx.stop)
+            and type(ops) is not np.ndarray
+            and type(device_id) is not np.ndarray
         ):
-            # One granule: the plain-int step, as ShadowBlock.apply takes it.
-            ill, uni = self.apply_scalar(idx.start, op, device_id)
-            return np.array([ill]), np.array([uni])
-        u = self._uniform
-        if u is not None and type(idx) is slice:
-            lo, hi = idx.start, idx.stop
-            if (
-                lo == 0
-                and hi is not None
-                and hi >= len(self._valid)
-                and (idx.step is None or idx.step == 1)
-            ):
-                n = len(self._valid)
-                v2, ini2, ill, uni = _step_masks(u[0], u[1], op, 1 << device_id)
-                self._uniform = (v2, ini2)
-                return np.full(n, ill), np.full(n, uni)
+            lo = idx.start
+            n = min(idx.stop, len(self._valid)) - lo
+            if n > 0 and (u is not None or n == 1):
+                # Plain ints: every selected granule holds one mask pair.
+                old = u if u is not None else (int(self._valid[lo]), int(self._init[lo]))
+                nxt, ill, uni = STEP[ops][_nibble(*old, device_id)]
+                new = _lift(*old, device_id, _KEEP[ops], nxt)
+                if u is not None and n == len(self._valid):
+                    self._uniform = new  # whole block: the summary steps
+                elif new != old:
+                    self._materialize()
+                    self._valid[idx], self._init[idx] = new
+                return const_bool(ill, n), const_bool(uni, n)
         self._materialize()
-        dbit = np.uint32(1 << device_id)
-        v = self.valid[idx]
-        ini = self.init[idx]
-        illegal = np.zeros(v.shape, dtype=bool)
-        uninit = np.zeros(v.shape, dtype=bool)
-        if op is VsmOp.READ_HOST:
-            illegal = (v & _HOST_BIT) == 0
-            uninit = illegal & ((ini & _HOST_BIT) == 0)
-        elif op is VsmOp.READ_TARGET:
-            illegal = (v & dbit) == 0
-            uninit = illegal & ((ini & dbit) == 0)
-        elif op is VsmOp.WRITE_HOST:
-            v = np.zeros_like(v) | _HOST_BIT
-            ini = ini | _HOST_BIT
-        elif op is VsmOp.WRITE_TARGET:
-            v = np.zeros_like(v) | dbit
-            ini = ini | dbit
-        elif op is VsmOp.UPDATE_HOST:
-            # memcpy(OV, CV_d): OV's validity/history becomes the device's.
-            dev_valid = (v & dbit) != 0
-            v = np.where(dev_valid, v | _HOST_BIT, v & ~_HOST_BIT)
-            dev_init = (ini & dbit) != 0
-            ini = np.where(dev_init, ini | _HOST_BIT, ini & ~_HOST_BIT)
-        elif op is VsmOp.UPDATE_TARGET:
-            # memcpy(CV_d, OV)
-            host_valid = (v & _HOST_BIT) != 0
-            v = np.where(host_valid, v | dbit, v & ~dbit)
-            host_init = (ini & _HOST_BIT) != 0
-            ini = np.where(host_init, ini | dbit, ini & ~dbit)
-        elif op is VsmOp.ALLOCATE:
-            # A fresh CV holds garbage (init cleared) but, per Fig 4, the
-            # validity state is unchanged: allocation is not a transfer.
-            ini = ini & ~dbit
-        elif op is VsmOp.RELEASE:
-            v = v & ~dbit
-            ini = ini & ~dbit
-        self.valid[idx] = v
-        self.init[idx] = ini
-        return illegal, uninit
-
-    def apply_scalar(self, i: int, op: VsmOp, device_id: int = 1) -> tuple[bool, bool]:
-        """Scalar twin of :meth:`apply` for single-granule accesses."""
-        if not 1 <= device_id <= MAX_DEVICES:
-            raise ValueError(f"device id {device_id} out of range 1..{MAX_DEVICES}")
-        dbit = 1 << device_id
-        u = self._uniform
-        if u is not None:
-            v2, ini2, illegal, uninit = _step_masks(u[0], u[1], op, dbit)
-            if (v2, ini2) == u:
-                return illegal, uninit
-            if len(self._valid) == 1:
-                self._uniform = (v2, ini2)
-                return illegal, uninit
-            self._materialize()
-            self._valid[i] = v2
-            self._init[i] = ini2
-            return illegal, uninit
-        v, ini, illegal, uninit = _step_masks(
-            int(self._valid[i]), int(self._init[i]), op, dbit
+        v = self._valid[idx].astype(np.int64)
+        ini = self._init[idx].astype(np.int64)
+        step = STEP_TABLE[ops, _nibble(v, ini, device_id)]
+        self._valid[idx], self._init[idx] = _lift(
+            v, ini, device_id, _KEEP_ARRAY[ops], step[:, 0]
         )
-        self._valid[i] = v
-        self._init[i] = ini
-        return illegal, uninit
+        return step[:, 1].astype(bool), step[:, 2].astype(bool)
 
     def validity_at(self, address: int) -> int:
         """The raw validity mask of one granule (bit 0 = host)."""
@@ -219,12 +164,21 @@ class MultiShadowBlock:
             return u[0]
         return int(self._valid[(address - self.base) // self.granule])
 
+    def states(self, idx=slice(None)) -> np.ndarray:
+        """Validity masks of the selected granules (the recorder's states)."""
+        return self.valid[idx].copy()
+
     def state_label(self, i: int) -> str:
         """Validity mask of granule ``i`` rendered for flight-recorder
-        timelines: which locations hold the last write, e.g. ``OV+CV2``
-        (host and device 2 consistent) or ``NONE`` (nothing valid yet)."""
+        timelines (see :meth:`state_name`)."""
         u = self._uniform
-        v = u[0] if u is not None else int(self._valid[i])
+        return self.state_name(u[0] if u is not None else int(self._valid[i]))
+
+    @staticmethod
+    def state_name(v: int) -> str:
+        """Which locations a validity mask says hold the last write, e.g.
+        ``OV+CV2`` (host and device 2 consistent) or ``NONE`` (nothing
+        valid yet)."""
         if v == 0:
             return "NONE"
         parts = ["OV"] if v & 1 else []

@@ -205,23 +205,79 @@ def test_vectorized_equals_scalar_reference(ops):
 @settings(max_examples=400, deadline=None)
 @given(op_sequences)
 def test_scalar_fast_path_three_way_equivalence(ops):
-    """apply_scalar ≡ vectorized apply ≡ the scalar reference machine.
+    """One granule three ways ≡ the scalar reference machine.
 
-    An ndarray selection always takes the vectorized pipeline, so the three
-    implementations are genuinely independent here.
+    A one-granule slice takes the plain-int step; a one-element array and
+    a many-granule array take the gather/scatter, so the paths are
+    genuinely independent here.
     """
-    fast = ShadowBlock(BASE, 8)
-    vec = ShadowBlock(BASE, 8)
+    one = ShadowBlock(BASE, 8)
+    arr = ShadowBlock(BASE, 8)
+    many = ShadowBlock(BASE, 8 * 5)
+    many_idx = np.array([4, 0, 2])
     scalar = VariableStateMachine()
     for op in ops:
-        ill_f, uni_f = fast.apply_scalar(0, op)
-        ill_v, uni_v = vec.apply(np.array([0]), op)
+        ill_1, uni_1 = one.apply(slice(0, 1), op)
+        ill_a, uni_a = arr.apply(np.array([0]), op)
+        ill_m, uni_m = many.apply(many_idx, op)
         verdict = scalar.apply(op)
-        assert ill_f == bool(ill_v[0]) == verdict.illegal, (op, scalar)
+        assert bool(ill_1[0]) == bool(ill_a[0]) == verdict.illegal, (op, scalar)
+        assert (ill_m == verdict.illegal).all(), (op, scalar)
         if verdict.illegal:
-            assert uni_f == bool(uni_v[0]) == verdict.uninitialized, (op, scalar)
-        assert int(fast.words[0]) == int(vec.words[0])
-        assert fast.state_at(BASE) is scalar.state
+            assert bool(uni_1[0]) == bool(uni_a[0]) == verdict.uninitialized
+            assert (uni_m == verdict.uninitialized).all(), (op, scalar)
+        assert int(one.words[0]) == int(arr.words[0])
+        assert (many.words[many_idx] == arr.words[0]).all()
+        assert one.state_at(BASE) is scalar.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.sampled_from(list(VsmOp)), min_size=n, max_size=n),
+                min_size=1,
+                max_size=12,
+            ),
+            st.permutations(range(n)),
+        )
+    )
+)
+def test_per_granule_ops_equal_reference_per_granule(case):
+    """``apply(idx, ops)`` with one op per distinct granule, drawn from all
+    eight ops, equals one reference machine per granule."""
+    n, rounds, order = case
+    block = ShadowBlock(BASE, 8 * n)
+    machines = [VariableStateMachine() for _ in range(n)]
+    idx = np.array(order)
+    for ops in rounds:
+        illegal, uninit = block.apply(idx, np.array(ops))
+        for k, (g, op) in enumerate(zip(order, ops)):
+            verdict = machines[g].apply(op)
+            assert bool(illegal[k]) == verdict.illegal, (g, op)
+            assert bool(uninit[k]) == verdict.uninitialized, (g, op)
+    for g, machine in enumerate(machines):
+        word = block.word_at(BASE + 8 * g)
+        assert word["state"] is machine.state
+        assert word["ov_initialized"] == machine.ov_initialized
+        assert word["cv_initialized"] == machine.cv_initialized
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_sequences)
+def test_int_op_code_steps_as_its_enum(ops):
+    """A plain ``int`` op code steps exactly as its :class:`VsmOp` does."""
+    by_enum = ShadowBlock(BASE, 8 * 3)
+    by_int = ShadowBlock(BASE, 8 * 3)
+    for op in ops:
+        for idx in (slice(0, 1), slice(0, 3), np.array([1, 2])):
+            expected = by_enum.apply(idx, op)
+            got = by_int.apply(idx, int(op))
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(by_int.words, by_enum.words)
 
 
 @settings(max_examples=200, deadline=None)

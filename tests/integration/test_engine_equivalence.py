@@ -12,7 +12,11 @@ and of every twin at ``test``, ARBALEST's mapping findings must also
 equal those of :class:`~tests.mapping_reference.MappingReference`, which
 re-derives them from §IV with one VSM per granule.  The parameter ids
 keep their historical names: ``scalar`` is the per-access run,
-``columnar`` the batched one.
+``columnar`` the batched one.  The ``_multi_device`` tests hold
+:class:`~repro.core.multidevice.MultiDeviceArbalest` to the same
+delivery equivalence on the DRACC programs, the ``test`` twins and
+pomriq at ``large``; the mapping reference models one accelerator, so
+it checks the single-device detector only.
 
 The timeline oracle holds the flight recorder to the same standard: with
 the detector alone under a recorder, both deliveries must leave identical
@@ -25,6 +29,7 @@ differently with the detector's timeline events.
 import pytest
 
 from repro.core.detector import Arbalest
+from repro.core.multidevice import MultiDeviceArbalest
 from repro.dracc import all_benchmarks
 from repro.forensics import FlightRecorder
 from repro.harness.precision import TOOL_FACTORIES, TOOL_ORDER
@@ -49,17 +54,19 @@ def _fingerprints(tool):
     )
 
 
-def _run_dracc(benchmark, delivery):
+def _run_dracc(benchmark, delivery, detector_cls=Arbalest):
     rt = TargetRuntime(n_devices=2)
+    factories = {**TOOL_FACTORIES, "arbalest": detector_cls}
     tools = {
-        name: _factory(TOOL_FACTORIES[name], delivery)().attach(rt.machine)
+        name: _factory(factories[name], delivery)().attach(rt.machine)
         for name in TOOL_ORDER
     }
     reference = MappingReference().attach(rt.machine)
     benchmark.run(rt)
     observed = {name: _fingerprints(tool) for name, tool in tools.items()}
     detector = tools["arbalest"]
-    assert mapping_fingerprints(detector) == mapping_fingerprints(reference)
+    if detector_cls is Arbalest:
+        assert mapping_fingerprints(detector) == mapping_fingerprints(reference)
     observed["cert_stats"] = detector.cert_stats()
     observed["degradation_stats"] = detector.degradation_stats()
     return observed
@@ -73,11 +80,25 @@ def test_dracc_engines_agree(dracc_case):
     assert _run_dracc(dracc_case, "scalar") == _run_dracc(dracc_case, "columnar")
 
 
-def _run_workload(workload, preset, delivery):
+@pytest.mark.parametrize(
+    "dracc_case", all_benchmarks(), ids=lambda b: f"DRACC_{b.number:03d}"
+)
+def test_dracc_engines_agree_multi_device(dracc_case):
+    """The multi-device detector, two devices: identical observations."""
+    assert _run_dracc(dracc_case, "scalar", MultiDeviceArbalest) == _run_dracc(
+        dracc_case, "columnar", MultiDeviceArbalest
+    )
+
+
+def _run_workload(workload, preset, delivery, detector_cls=Arbalest):
     rt = TargetRuntime(n_devices=1)
-    tool = _factory(Arbalest, delivery)().attach(rt.machine)
+    tool = _factory(detector_cls, delivery)().attach(rt.machine)
     # The reference's per-granule Python VSM is sized for ``test`` runs.
-    reference = MappingReference().attach(rt.machine) if preset == "test" else None
+    reference = (
+        MappingReference().attach(rt.machine)
+        if preset == "test" and detector_cls is Arbalest
+        else None
+    )
     checksum = workload.run(rt, preset)
     rt.finalize()
     if reference is not None:
@@ -96,6 +117,19 @@ def test_spec_twins_engines_agree(workload, preset):
     """Bulk-kernel (test) and element-wise (large) twins, both deliveries."""
     scalar = _run_workload(workload, preset, "scalar")
     columnar = _run_workload(workload, preset, "columnar")
+    assert scalar == columnar
+
+
+@pytest.mark.parametrize(
+    "workload, preset",
+    [(w, "test") for w in WORKLOADS]
+    + [(w, "large") for w in WORKLOADS if w.name == "pomriq"],
+    ids=lambda p: getattr(p, "name", p),
+)
+def test_spec_twins_engines_agree_multi_device(workload, preset):
+    """The multi-device detector on the twins: both deliveries agree."""
+    scalar = _run_workload(workload, preset, "scalar", MultiDeviceArbalest)
+    columnar = _run_workload(workload, preset, "columnar", MultiDeviceArbalest)
     assert scalar == columnar
 
 
@@ -138,12 +172,12 @@ def test_large_preset_buggy_postencil_equivalent():
     assert scalar, "stale access went undetected on the large preset"
 
 
-def _timelines(run, delivery):
+def _timelines(run, delivery, detector_cls=Arbalest):
     """Run ``run(rt)`` with the detector alone under a flight recorder."""
     recorder = FlightRecorder()
     rt = TargetRuntime(n_devices=2)
     rt.machine.bus.recorder = recorder
-    tool = _factory(Arbalest, delivery)().attach(rt.machine)
+    tool = _factory(detector_cls, delivery)().attach(rt.machine)
     run(rt)
     return {
         "rings": {
@@ -165,6 +199,16 @@ def test_dracc_timeline_agrees(dracc_case):
     """All 56 DRACC benchmarks: the batched detector records the same rings."""
     assert _timelines(dracc_case.run, "scalar") == _timelines(
         dracc_case.run, "columnar"
+    )
+
+
+@pytest.mark.parametrize(
+    "dracc_case", all_benchmarks(), ids=lambda b: f"DRACC_{b.number:03d}"
+)
+def test_dracc_timeline_agrees_multi_device(dracc_case):
+    """The multi-device detector records the same rings under both."""
+    assert _timelines(dracc_case.run, "scalar", MultiDeviceArbalest) == _timelines(
+        dracc_case.run, "columnar", MultiDeviceArbalest
     )
 
 

@@ -1,13 +1,18 @@
 """The two headline telemetry guarantees.
 
 1. **Determinism** — on the event-ordinal clock, two runs of the same
-   target produce byte-identical trace and metrics artifacts.
+   target produce byte-identical trace and metrics artifacts, and the
+   metrics of two fixed targets equal committed goldens byte for byte:
+   every ``vsm.<op>.<from>-><to>`` edge count is pinned.
 2. **Zero disabled-mode cost** — with no active registry the instrumented
    hot paths allocate nothing inside the telemetry package.
 """
 
 import json
 import tracemalloc
+from pathlib import Path
+
+import pytest
 
 from repro.core.detector import Arbalest
 from repro.dracc.registry import get as dracc_get
@@ -53,6 +58,29 @@ class TestByteIdenticalArtifacts:
         )
         assert trace_a == trace_b
         assert metrics_a == metrics_b
+
+    @pytest.mark.parametrize(
+        "golden, target",
+        [
+            ("golden_profile_dracc22.json", dict(suite="dracc", benchmark=22)),
+            (
+                "golden_profile_polbm_train.json",
+                dict(suite="specaccel", workload="polbm", preset="train"),
+            ),
+        ],
+        ids=["dracc22", "polbm-train"],
+    )
+    def test_profile_metrics_match_golden(self, tmp_path, golden, target):
+        """``repro profile --metrics`` output is byte-identical to the
+        golden (regenerate only for an intended telemetry change)."""
+        metrics = tmp_path / "metrics.json"
+        run_profile(
+            output=str(tmp_path / "trace.json"),
+            metrics_output=str(metrics),
+            **target,
+        )
+        expected = (Path(__file__).parent / golden).read_bytes()
+        assert metrics.read_bytes() == expected
 
     def test_snapshots_identical_across_runs(self):
         snaps = []
