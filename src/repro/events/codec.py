@@ -22,7 +22,8 @@ A trace record (:func:`event_to_json`: trace files, journal mirror lines,
 legacy EVENT payloads) is ``{"t": tag, "v": FORMAT_VERSION, key: value,
 ...}`` in table order, enums as the member's value and the stack inline.
 
-Both forms decode through the same checks.  :func:`decode_events` decodes
+Both forms decode through the same checks, compiled per kind from the
+table at import (as the JSON encoder is).  :func:`decode_events` decodes
 a payload once; each distinct stack of a frame becomes one tuple shared by
 every record that names it.  A bad row decodes to a :class:`RowError` in
 its event's place, so it costs one ERROR for its sequence number and the
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from enum import EnumMeta
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, NoReturn
 
 from .records import (
@@ -145,54 +146,21 @@ def _json_encoder(tag: str, fields) -> Callable[[object], dict]:
     return eval(source, {"stack_to_json": stack_to_json})
 
 
-_Plan = namedtuple(
-    "_Plan", "cls tag head width fields values codes checks enums stack_at"
-)
+_Plan = namedtuple("_Plan", "head fields codes stack_at")
 
 
-def _plan(code: int, cls, tag: str, fields, *, by_key: bool) -> _Plan:
-    """One kind's plan for rows, or with ``by_key`` for JSON records.
-
-    A plan works on a row whose slot 0 holds the kind's head (its code, or
-    its tag), so field positions start at 1.  The two plans differ only in
-    how enums travel (index or value) and in the labels errors use
-    (attribute name or JSON key).
-    """
-    checks, enums, stack_at = [], [], 0
-    for at, (name, key, check) in enumerate(fields, start=1):
-        label = key if by_key else name
+def _row_plan(code: int, fields) -> _Plan:
+    """One kind's row-encoding plan: slot 0 holds the kind code."""
+    codes, stack_at = [], 0
+    for at, (_, _, check) in enumerate(fields, start=1):
         if check is STACK:
             stack_at = at
         elif isinstance(check, EnumMeta):
-            encoded = [m.value for m in check] if by_key else range(len(check))
-            enums.append((at, label, type(encoded[0]), dict(zip(encoded, check))))
-        elif isinstance(check, int):
-            checks.append((at, label, int, check))
-        else:
-            # bool or str, floored at the type's least value (False, ""):
-            # only the type check can fail.
-            checks.append((at, label, check, check()))
+            # Keyed by member value: a str lookup, not Enum.__hash__.
+            codes.append((at, {m.value: i for i, m in enumerate(check)}))
     return _Plan(
-        cls,
-        tag,
-        tag if by_key else code,
-        len(fields) + 1,
-        attrgetter(*(name for name, _, _ in fields)),
-        itemgetter(*(key for _, key, _ in fields)),
-        # Keyed by member value: a str lookup, not Enum.__hash__.
-        tuple((at, {m.value: e for e, m in ms.items()}) for at, _, _, ms in enums),
-        tuple(checks),
-        tuple(enums),
-        stack_at,
+        code, attrgetter(*(name for name, _, _ in fields)), tuple(codes), stack_at
     )
-
-
-_ROW_PLANS = [_plan(code, *kind, by_key=False) for code, kind in enumerate(ROW_KINDS)]
-_ROW_ENCODERS = {plan.cls: plan for plan in _ROW_PLANS}
-_JSON_ENCODERS = {cls: _json_encoder(tag, fields) for cls, tag, fields in ROW_KINDS}
-_JSON_DECODERS = {
-    kind[1]: _plan(code, *kind, by_key=True) for code, kind in enumerate(ROW_KINDS)
-}
 
 
 def _refuse(tag: str, label: str, value, kind: type, minimum) -> NoReturn:
@@ -213,34 +181,83 @@ def _refuse(tag: str, label: str, value, kind: type, minimum) -> NoReturn:
     )
 
 
-def _decode(row: list, plan: _Plan, stacks: list | None) -> object:
-    """One row -> its record; raises on any malformation.
+def _decoder(cls, tag: str, fields, *, by_key: bool) -> Callable:
+    """Compile one kind's ``(row, stacks) -> record``, or with ``by_key``
+    its ``dict -> record`` for trace records.
 
-    ``stacks`` is the frame's stack table, or ``None`` when the stack
-    travels inline (a trace record).
+    A row holds the kind code in slot 0 and the fields positionally; a
+    trace record names them by JSON key, enums as the member's value and
+    the stack inline.  The checks run in one order for both forms — every
+    ``int``/``bool``/``str`` field in table order, then every enum, then
+    the stack — so a record with several faults names the same one either
+    way, and errors label a field by attribute name in a row and by JSON
+    key in a record.
     """
-    cls, tag, _, _, _, _, _, checks, enums, at = plan
-    for position, label, kind, minimum in checks:
-        value = row[position]
-        if type(value) is not kind or value < minimum:
-            _refuse(tag, label, value, kind, minimum)
-    for position, label, kind, members in enums:
-        value = row[position]
-        if type(value) is not kind or value not in members:
-            raise ValueError(f"{tag} record field {label!r}: unknown code {value!r}")
-        row[position] = members[value]
-    if at:
-        value = row[at]
-        if stacks is None:
-            row[at] = stack_from_json(value)
-        elif type(value) is int and 0 <= value < len(stacks):
-            row[at] = stacks[value]
+    env = {"cls": cls, "_refuse": _refuse, "stack_from_json": stack_from_json}
+    variables = [f"f{at}" for at in range(len(fields))]
+    if by_key:
+        head = ["def decode(data):"]
+        head += [f"    {v} = data[{key!r}]" for v, (_, key, _) in zip(variables, fields)]
+    else:
+        env["width_error"] = (f"{tag} row carries ", f" field(s), expected {len(fields)}")
+        head = [
+            "def decode(row, stacks):",
+            f"    if len(row) != {len(fields) + 1}:",
+            "        raise ValueError(width_error[0] + str(len(row) - 1) + width_error[1])",
+            f"    _, {', '.join(variables)} = row",
+        ]
+    checks, enums, stack = [], [], []
+    for v, (name, key, check) in zip(variables, fields):
+        label = key if by_key else name
+        if check is STACK:
+            if by_key:
+                stack = [f"    {v} = stack_from_json({v})"]
+            else:
+                env["stack_error"] = (
+                    f"{tag} row names stack ", "; the frame's table holds "
+                )
+                stack = [
+                    f"    if type({v}) is not int or not 0 <= {v} < len(stacks):",
+                    f"        raise ValueError(stack_error[0] + repr({v}) + "
+                    "stack_error[1] + str(len(stacks)))",
+                    f"    {v} = stacks[{v}]",
+                ]
+        elif isinstance(check, EnumMeta):
+            encoded = [m.value for m in check] if by_key else range(len(check))
+            env[f"{v}_members"] = dict(zip(encoded, check))
+            env[f"{v}_error"] = f"{tag} record field {label!r}: unknown code "
+            enums += [
+                f"    if type({v}) is not {type(encoded[0]).__name__} "
+                f"or {v} not in {v}_members:",
+                f"        raise ValueError({v}_error + repr({v}))",
+                f"    {v} = {v}_members[{v}]",
+            ]
+        elif isinstance(check, int):
+            checks += [
+                f"    if type({v}) is not int or {v} < {check}:",
+                f"        _refuse({tag!r}, {label!r}, {v}, int, {check})",
+            ]
         else:
-            raise ValueError(
-                f"{tag} row names stack {value!r}; the frame's table holds "
-                f"{len(stacks)}"
-            )
-    return cls(*row[1:])
+            # bool or str: only the type check can fail.
+            checks += [
+                f"    if type({v}) is not {check.__name__}:",
+                f"        _refuse({tag!r}, {label!r}, {v}, {check.__name__}, {check()!r})",
+            ]
+    body = [*head, *checks, *enums, *stack, f"    return cls({', '.join(variables)})"]
+    exec("\n".join(body), env)
+    return env["decode"]
+
+
+_ROW_ENCODERS = {
+    cls: _row_plan(code, fields) for code, (cls, _, fields) in enumerate(ROW_KINDS)
+}
+_ROW_DECODERS = tuple(
+    _decoder(cls, tag, fields, by_key=False) for cls, tag, fields in ROW_KINDS
+)
+_JSON_ENCODERS = {cls: _json_encoder(tag, fields) for cls, tag, fields in ROW_KINDS}
+_JSON_DECODERS = {
+    tag: _decoder(cls, tag, fields, by_key=True) for cls, tag, fields in ROW_KINDS
+}
 
 
 def event_to_json(event: object) -> dict:
@@ -260,10 +277,10 @@ def event_from_json(data: dict) -> object:
     """
     tag = data["t"]
     try:
-        plan = _JSON_DECODERS[tag]
+        decode = _JSON_DECODERS[tag]
     except (KeyError, TypeError):
         raise ValueError(f"unknown event tag {tag!r}") from None
-    return _decode([tag, *plan.values(data)], plan, None)
+    return decode(data)
 
 
 def encode_events(events: Iterable[object]) -> bytes:
@@ -316,15 +333,9 @@ def _decode_rows(data: dict) -> list:
             if type(row) is not list or not row:
                 raise ValueError(f"event row must be a non-empty array, got {row!r}")
             code = row[0]
-            if type(code) is not int or not 0 <= code < len(_ROW_PLANS):
+            if type(code) is not int or not 0 <= code < len(_ROW_DECODERS):
                 raise ValueError(f"unknown event kind code {code!r}")
-            plan = _ROW_PLANS[code]
-            if len(row) != plan.width:
-                raise ValueError(
-                    f"{plan.tag} row carries {len(row) - 1} field(s), "
-                    f"expected {plan.width - 1}"
-                )
-            events.append(_decode(row, plan, stacks))
+            events.append(_ROW_DECODERS[code](row, stacks))
         except (KeyError, ValueError, TypeError) as exc:
             events.append(_rejected(exc))
     return events

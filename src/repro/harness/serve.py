@@ -359,44 +359,57 @@ def _serve_plan_seed(campaign_seed: int, schedule: int, bench_number: int) -> in
     ).getrandbits(32)
 
 
-def _serve_plan(seed: int, n_faults: int, frames: int) -> FaultPlan:
-    """A serve fault plan whose every frame fault lands on a real send.
+def _serve_plan(seed: int, n_faults: int, frames: int, attempts: int) -> FaultPlan:
+    """A serve fault plan whose every fault lands on a real send or delivery.
 
-    Worker kills keep :meth:`FaultPlan.generate`'s delivery-attempt
-    horizon.  Frame faults are re-drawn over the session's first-pass
-    sends (``frames``: HELLO, the EVENT frames, FIN), at most one per
-    send, and a reorder never directly follows a drop or another reorder
-    (the transport would still hold the earlier frame and let it pass).
-    A frame fault that finds no such send is left out of the plan.
+    Frame faults are re-drawn over the session's first-pass sends
+    (``frames``: HELLO, the EVENT frames, FIN), at most one per send, and
+    a reorder never directly follows a drop or another reorder (the
+    transport would still hold the earlier frame and let it pass).  Worker
+    kills are re-drawn over the session's fault-free delivery attempts
+    (``attempts``: one per (frame, shard) slice), at most one per attempt;
+    a faulted session makes at least as many.  A fault that finds no such
+    send or attempt is left out of the plan.
     """
     plan = FaultPlan.generate(seed, n_faults=n_faults, kinds=SERVE_CHAOS_KINDS)
     rng = random.Random(f"{seed}/frames")
     holds = (FaultKind.FRAME_DROP, FaultKind.FRAME_REORDER)
     taken: dict[int, FaultKind] = {}
+    killed: set[int] = set()
     faults = []
     for fault in plan.faults:
         if fault.kind is FaultKind.WORKER_KILL:
-            faults.append(fault)
-            continue
-        free = [
-            index
-            for index in range(1, frames + 1)
-            if index not in taken
-            and not (
-                fault.kind is FaultKind.FRAME_REORDER
-                and taken.get(index - 1) in holds
-            )
-            and not (
-                fault.kind in holds
-                and taken.get(index + 1) is FaultKind.FRAME_REORDER
-            )
-        ]
+            free = [index for index in range(attempts) if index not in killed]
+        else:
+            free = [
+                index
+                for index in range(1, frames + 1)
+                if index not in taken
+                and not (
+                    fault.kind is FaultKind.FRAME_REORDER
+                    and taken.get(index - 1) in holds
+                )
+                and not (
+                    fault.kind in holds
+                    and taken.get(index + 1) is FaultKind.FRAME_REORDER
+                )
+            ]
         if free:
             index = rng.choice(free)
-            taken[index] = fault.kind
+            if fault.kind is FaultKind.WORKER_KILL:
+                killed.add(index)
+            else:
+                taken[index] = fault.kind
             faults.append(replace(fault, index=index))
     faults.sort(key=lambda f: (f.kind.value, f.index))
     return FaultPlan(seed=plan.seed, faults=tuple(faults))
+
+
+def _clean_attempts(events: list, n_shards: int, tools: tuple[str, ...]) -> int:
+    """Delivery attempts of one fault-free served session of ``events``."""
+    server = AnalysisServer(ServerConfig(n_shards=n_shards, tools=tools))
+    ServeClient(LoopbackTransport(server), client_id=0).stream(events)
+    return server.sessions[0].supervisor.delivery_attempts
 
 
 def run_serve_chaos_campaign(
@@ -419,10 +432,12 @@ def run_serve_chaos_campaign(
     Every (schedule, benchmark) pair gets a fresh server, a plan drawn
     from :data:`SERVE_CHAOS_KINDS`, worker kills installed on the
     supervisor's delivery-attempt schedule (alternating before/after the
-    journal write), and frame faults installed on the loopback transport
-    at sends the session makes (see :func:`_serve_plan`), so every
-    planned fault fires; ``frame_faults_triggered`` and
-    ``worker_kills_triggered`` count what did.
+    journal write) at attempts a fault-free session of the benchmark
+    makes, measured once up front, and frame faults installed on the
+    loopback transport at sends the session makes (see
+    :func:`_serve_plan`), so every planned fault fires;
+    ``frame_faults_triggered`` and ``worker_kills_triggered`` count what
+    did.
     Unlike runtime chaos, there is no "bounded divergence" tier here:
     *every* faulted run must reproduce the baseline fingerprints exactly.
 
@@ -450,6 +465,10 @@ def run_serve_chaos_campaign(
     traces = {bench.number: record_trace(bench) for bench in benches}
     baselines = {
         number: baseline_fingerprints(events, tools)
+        for number, events in traces.items()
+    }
+    attempts = {
+        number: _clean_attempts(events, n_shards, tools)
         for number, events in traces.items()
     }
 
@@ -490,6 +509,7 @@ def run_serve_chaos_campaign(
                     faults_per_schedule,
                     # First-pass sends: HELLO, the EVENT frames, FIN.
                     2 + -(-len(events) // EVENTS_PER_FRAME),
+                    attempts[bench.number],
                 )
                 run_id = {"schedule": schedule, "benchmark": bench.number}
                 for fault in plan.faults:

@@ -46,6 +46,8 @@ def _session_snapshot(session) -> dict:
         "shed_frames": session.shed_frames,
         "nacks_sent": session.nacks_sent,
         "events_delivered": sup.events_delivered,
+        # One per (frame, shard) slice delivery attempt, redeliveries
+        # after a worker crash included — not one per event.
         "delivery_attempts": sup.delivery_attempts,
         "duplicates_dropped": sup.duplicates_dropped,
         "worker_restarts": sup.worker_restarts,
@@ -276,7 +278,7 @@ def render_prometheus(snapshot: dict) -> str:
         (
             "repro_serve_events_delivered_total",
             totals["events_delivered"],
-            "Event frames fully dispatched to their shards.",
+            "Events fully applied on every shard they route to.",
         ),
         (
             "repro_serve_replayed_events_total",

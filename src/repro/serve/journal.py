@@ -1,18 +1,21 @@
 """Per-shard checkpoint/replay journals: the crash-recovery source of truth.
 
-A shard worker journals every frame *before* applying it and only then
-acknowledges.  The journal therefore dominates the worker's in-memory
+A shard worker journals its slice of every frame *before* applying it and
+only then acknowledges.  The journal therefore dominates the worker's in-memory
 detector state at all times: when the supervisor restarts a crashed
 worker, replaying the journal in append order reconstructs exactly the
 state the shard had acknowledged — the write-ahead-log discipline, scaled
 down to one process.
 
 Idempotent re-delivery rides on the same structure: entries are keyed by
-``(client, seq)``, so a frame delivered twice (client retry after a lost
-ACK, supervisor redelivery after a post-journal crash) is recognized and
-dropped without touching detector state.  One event frame can legitimately
-reach *two* shards (a memcpy whose source and destination live on
-different shards), which is why dedup is per-journal, not global.
+``(client, seq)``, so a slice delivered twice (supervisor redelivery after
+a post-journal crash) is recognized and dropped without touching detector
+state.  A shard receives each client's events in increasing seq order —
+the server applies frames in order and the supervisor keeps each slice in
+order — so a per-client high-water mark decides exactly which ``(client,
+seq)`` pairs were journaled.  One event can legitimately reach *two*
+shards (a memcpy whose source and destination live on different shards),
+which is why dedup is per-journal, not global.
 
 Entries are the decoded event records the server handed the supervisor,
 so replay applies them with no second decode.  The journal can optionally
@@ -37,8 +40,11 @@ class ShardJournal:
 
     def __init__(self, shard_id: int = 0, *, sink: IO[str] | None = None):
         self.shard_id = shard_id
-        self._entries: list[tuple[int, int, object]] = []
-        self._seen: set[tuple[int, int]] = set()
+        #: Journaled slices in append order, as ``(client, entries)``.
+        self._slices: list[tuple[int, list]] = []
+        self._count = 0
+        #: Highest journaled sequence number per client (the dedup mark).
+        self._marks: dict[int, int] = {}
         #: Highest acknowledged sequence number per client (-1 = none).
         self._acked: dict[int, int] = {}
         self._sink = sink
@@ -48,29 +54,43 @@ class ShardJournal:
         self.load_errors = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def seen(self, client: int, seq: int) -> bool:
-        return (client, seq) in self._seen
+        """Whether :meth:`record` would drop ``(client, seq)`` as journaled."""
+        return seq <= self._marks.get(client, -1)
 
-    def record(self, client: int, seq: int, event) -> bool:
-        """Journal one event record; ``False`` for an idempotent duplicate."""
-        key = (client, seq)
-        if key in self._seen:
-            self.duplicates_dropped += 1
-            return False
-        self._seen.add(key)
-        self._entries.append((client, seq, event))
+    def record(self, client: int, entries: list) -> list:
+        """Journal one slice of ``(seq, event)`` entries; returns the new ones.
+
+        ``entries`` are in increasing seq order, above every seq of
+        ``client`` this journal holds unless they are a redelivery; an
+        entry already journaled is an idempotent duplicate, dropped and
+        counted.  The mirror gets one line per new entry.
+        """
+        mark = self._marks.get(client, -1)
+        if entries[0][0] <= mark:
+            fresh = [entry for entry in entries if entry[0] > mark]
+            self.duplicates_dropped += len(entries) - len(fresh)
+            if not fresh:
+                return fresh
+            entries = fresh
+        self._marks[client] = entries[-1][0]
+        self._slices.append((client, entries))
+        self._count += len(entries)
         if self._sink is not None:
             self._sink.write(
-                json.dumps(
-                    {"c": client, "s": seq, "e": event_to_json(event)},
-                    sort_keys=True,
-                    separators=(",", ":"),
+                "".join(
+                    json.dumps(
+                        {"c": client, "s": seq, "e": event_to_json(event)},
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                    + "\n"
+                    for seq, event in entries
                 )
-                + "\n"
             )
-        return True
+        return entries
 
     def mark_acked(self, client: int, seq: int) -> None:
         """Advance the acknowledgement watermark for ``client``."""
@@ -82,8 +102,14 @@ class ShardJournal:
         return self._acked.get(client, -1)
 
     def replay(self) -> Iterator[tuple[int, int, object]]:
-        """Every journaled entry in append order."""
-        return iter(tuple(self._entries))
+        """Every journaled ``(client, seq, event)`` in append order."""
+        return iter(
+            [
+                (client, seq, event)
+                for client, entries in self._slices
+                for seq, event in entries
+            ]
+        )
 
     @property
     def writable(self) -> bool:
@@ -115,14 +141,14 @@ class ShardJournal:
                 continue
             try:
                 entry = json.loads(line)
-                journal.record(entry["c"], entry["s"], event_from_json(entry["e"]))
+                journal.record(entry["c"], [(entry["s"], event_from_json(entry["e"]))])
             except (ValueError, KeyError, TypeError):
                 journal.load_errors += 1
         return journal
 
     def stats(self) -> dict:
         return {
-            "entries": len(self._entries),
+            "entries": self._count,
             "duplicates_dropped": self.duplicates_dropped,
             "clients": len(self._acked),
             "load_errors": self.load_errors,

@@ -120,12 +120,25 @@ class AddressRouter:
         address with no claims at all, shard 0 — any deterministic answer
         is correct, since no detector state exists anywhere yet.
         """
-        hit = self._owner_at(addr)
-        if hit is not None:
-            return hit[2]  # preceding claim (containment included)
-        if self._bases:  # address below every claim
-            return self._claims[self._bases[0]][1]
-        return 0
+        return self.route_range(addr)[2]
+
+    def route_range(self, addr: int) -> tuple[float, float, int]:
+        """``(lo, hi, shard)``: :meth:`route` for every address in ``[lo, hi)``.
+
+        The range runs between consecutive claim bases, so it holds
+        ``addr`` and stays exact until the next :meth:`claim` or
+        :meth:`bind` — the only calls that add a base or move a claim to
+        another shard.  A caller routing a run of accesses reuses it and
+        bisects only on a miss.
+        """
+        bases = self._bases
+        i = bisect_right(bases, addr)
+        hi = bases[i] if i < len(bases) else float("inf")
+        if i:
+            lo = bases[i - 1]
+            return lo, hi, self._claims[lo][1]
+        # below every claim: the nearest following one, or shard 0
+        return float("-inf"), hi, self._claims[hi][1] if bases else 0
 
     def stats(self) -> dict:
         return {

@@ -8,10 +8,11 @@ its own :class:`~repro.forensics.ledger.DeliveryLedger`.
 **Ordering.**  Findings must be independent of transport mischief, so the
 server applies events strictly in sequence order.  An EVENT frame carries
 events ``seq .. seq+n-1``; its payload is decoded once, on arrival, into
-event records (:func:`~repro.events.codec.decode_events`).  Each record is
-handed to the supervisor with its own sequence number, and the frame is
-answered by one cumulative ACK naming the last applied event.  A frame
-arriving early (gap before it) parks in a bounded reorder buffer, keyed by
+event records (:func:`~repro.events.codec.decode_events`).  The frame's
+unapplied records go to the supervisor in one call, which hands each
+shard its slice of the frame at once, and the frame is answered by one
+cumulative ACK naming the last applied event.  A frame arriving early
+(gap before it) parks in a bounded reorder buffer, keyed by
 its first seq; a frame lying wholly below the watermark is acknowledged
 again and dropped (the ACK, not the frame, is what the client needs); a
 frame straddling the watermark applies only its unapplied tail; a gap
@@ -34,7 +35,7 @@ from __future__ import annotations
 from time import perf_counter
 from dataclasses import dataclass, field
 
-from ..events.codec import PayloadError, RowError, decode_events
+from ..events.codec import PayloadError, decode_events
 from ..events.wire import Frame, FrameDecoder, FrameKind, json_payload
 from ..forensics.ledger import DeliveryLedger
 from ..telemetry import registry as _telemetry
@@ -225,33 +226,23 @@ class AnalysisServer:
         """Dispatch the unapplied tail of a frame; returns ERROR frames.
 
         ``first`` is the frame's first seq (its trace key); events below
-        the watermark were applied by an earlier copy and are skipped.  A
-        structurally broken event (missing field, wrong field type) decoded
-        to a :class:`~repro.events.codec.RowError`.  The event is
-        *consumed* — retransmitting identical bytes cannot fix a CRC-valid
-        payload — and the failure surfaces as a decode error, not a wedged
-        stream.
+        the watermark were applied by an earlier copy and are skipped.
+        The tail goes to the supervisor in one call.  An event that does
+        not apply — a structurally broken row (missing field, wrong field
+        type) that decoded to a :class:`~repro.events.codec.RowError`, or
+        a record routing or a tool rejects — is *consumed*:
+        retransmitting identical bytes cannot fix a CRC-valid payload, so
+        it costs one ERROR for its seq, not a wedged stream.
         """
-        errors: list[Frame] = []
-        dispatch = session.supervisor.dispatch
         client = session.client_id
         seq = session.next_seq
-        for event in events[seq - first :]:
-            detail = None
-            if type(event) is RowError:
-                detail = str(event)
-            else:
-                try:
-                    dispatch(client, seq, event, frame=first)
-                except (KeyError, ValueError, TypeError) as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-            if detail is not None:
-                errors.append(
-                    self._payload_error(Frame(FrameKind.EVENT, client, seq), detail)
-                )
-            seq += 1
-            session.next_seq = seq
-        return errors
+        tail = events[seq - first :]
+        failures = session.supervisor.dispatch(client, seq, tail, frame=first)
+        session.next_seq = seq + len(tail)
+        return [
+            self._payload_error(Frame(FrameKind.EVENT, client, at), detail)
+            for at, detail in failures
+        ]
 
     def _handle_event(self, frame: Frame) -> list[Frame]:
         session = self.session(frame.client_id)

@@ -1,20 +1,22 @@
 """One shard worker: a full detector stack over a slice of address space.
 
 A :class:`ShardWorker` owns a fresh :class:`~repro.events.bus.ToolBus`
-with its own tool instances.  It consumes journaled event records (the
-server decoded them once; the worker never decodes), applies them to the
-bus, and exposes its tools' findings.  Findings are named by the bus's
+with its own tool instances.  It takes a frame's slice of event records
+at a time (the server decoded them once; the worker never decodes),
+journals the slice, applies it to the bus in seq order, and exposes its
+tools' findings.  Findings are named by the bus's
 :class:`~repro.events.variables.VariableIndex`, fed from the applied
 events; no flight recorder runs on the serve path, so served findings
 carry fingerprints and counts but no timelines.
 
 Crash semantics are explicit, because the chaos campaign injects them at
 every possible point: :exc:`WorkerCrash` models the worker process dying
-mid-delivery.  ``crash_phase="pre"`` dies before the frame reaches the
-journal (the frame is lost with the worker and must be redelivered);
+mid-delivery.  ``crash_phase="pre"`` dies before the slice reaches the
+journal (the slice is lost with the worker and must be redelivered);
 ``crash_phase="post"`` dies after journal+apply but before the ACK (the
 supervisor redelivers, and the journal's ``(client, seq)`` dedup makes the
-redelivery a no-op).  Both interleavings must — and do — converge to the
+redelivery a no-op).  A death during apply is a ``post`` death: the slice
+is already journaled.  Both interleavings must — and do — converge to the
 same detector state after :meth:`restart` replays the journal.
 """
 
@@ -55,7 +57,16 @@ DEFAULT_TOOLS: dict[str, Callable[[], Tool]] = {
 
 
 class WorkerCrash(RuntimeError):
-    """A shard worker died mid-delivery (injected or real)."""
+    """A shard worker died mid-delivery (injected or real).
+
+    ``failures`` are the ``(seq, detail)`` apply failures of a slice the
+    worker applied before dying: the journal makes its redelivery a no-op,
+    so only this exception can carry them to the server's ERROR frames.
+    """
+
+    def __init__(self, message: str, failures: list[tuple[int, str]] = ()):
+        super().__init__(message)
+        self.failures = list(failures)
 
 
 class ShardWorker:
@@ -80,14 +91,14 @@ class ShardWorker:
             observer.shard_span_log(shard_id) if observer is not None else None
         )
         #: The observer's continuous profiler, resolved once and set on
-        #: every bus this worker boots; each apply points it at this
+        #: every bus this worker boots; each slice points it at this
         #: shard's phase and the frame being applied.
         self._profiler = (
             getattr(observer, "profiler", None) if observer is not None else None
         )
         self._prof_phase = f"shard-{shard_id}"
         #: Per client, ``(first seq applied here, frame key)`` for every
-        #: wire frame that reached this shard, in apply order — kept only
+        #: slice that reached this shard, in apply order — kept only
         #: while spans or the profiler need frame keys, so a journal
         #: replay names the same ``(client, frame)`` key the apply did.
         self._frame_marks: dict[int, list[tuple[int, int]]] | None = (
@@ -150,25 +161,25 @@ class ShardWorker:
         spanlog = self._spanlog
         for client, seq, event in self.journal.replay():
             frame = self._frame_key(client, seq)
-            try:
-                if spanlog is not None:
-                    # The replay span links back to the original apply via
-                    # ``replayed_from`` — the stitched trace shows the
-                    # re-execution as a distinct span tied to the frame
-                    # identity it re-ran.
-                    with spanlog.span(
-                        "replay",
-                        client=client,
-                        seq=frame,
-                        event=seq,
-                        shard=self.shard_id,
-                        restart=self.restarts,
-                        replayed_from=f"{client}:{frame}",
-                    ):
-                        self._apply(event, (client, frame))
-                else:
-                    self._apply(event, (client, frame))
-            except (KeyError, ValueError, TypeError) as exc:
+            entry = ((seq, event),)
+            if spanlog is not None:
+                # The replay span links back to the original apply via
+                # ``replayed_from`` — the stitched trace shows the
+                # re-execution as a distinct span tied to the frame
+                # identity it re-ran.
+                with spanlog.span(
+                    "replay",
+                    client=client,
+                    seq=frame,
+                    event=seq,
+                    shard=self.shard_id,
+                    restart=self.restarts,
+                    replayed_from=f"{client}:{frame}",
+                ):
+                    failures = self._apply(entry, client, frame)
+            else:
+                failures = self._apply(entry, client, frame)
+            if failures:
                 # A journal entry that no longer applies (a record the
                 # tools reject) must not take the whole shard down with
                 # it — count it, log it, skip it, never swallow it.
@@ -180,7 +191,7 @@ class ShardWorker:
                         client=client,
                         seq=seq,
                         shard=self.shard_id,
-                        detail=f"{type(exc).__name__}: {exc}",
+                        detail=failures[0][1],
                     )
                 telemetry = _telemetry.ACTIVE
                 if telemetry is not None:
@@ -205,71 +216,94 @@ class ShardWorker:
 
     # -- delivery ----------------------------------------------------------
 
-    def _apply(self, event, frame: tuple | None = None) -> None:
+    def _apply(self, entries, client: int, frame: int) -> list[tuple[int, str]]:
+        """Apply ``(seq, event)`` entries in order; returns the failures.
+
+        An event a tool rejects costs its own ``(seq, detail)`` and the
+        rest still apply.  The profiler is pointed at ``(client, frame)``
+        once for the whole run.
+        """
+        dispatch = self._dispatch
+        failures: list[tuple[int, str]] = []
         profiler = self._profiler
-        if profiler is None:
-            self._dispatch[type(event)](event)
-            self.applied += 1
-            return
-        profiler.set_context(phase=self._prof_phase)
-        if frame is not None:
-            profiler.set_frame(frame[0], frame[1])
+        if profiler is not None:
+            profiler.set_context(phase=self._prof_phase)
+            profiler.set_frame(client, frame)
         try:
-            self._dispatch[type(event)](event)
+            for seq, event in entries:
+                try:
+                    dispatch[type(event)](event)
+                except (KeyError, ValueError, TypeError) as exc:
+                    failures.append((seq, f"{type(exc).__name__}: {exc}"))
         finally:
-            profiler.clear_frame()
-        self.applied += 1
+            if profiler is not None:
+                profiler.clear_frame()
+        self.applied += len(entries) - len(failures)
+        return failures
 
     def deliver(
         self,
         client: int,
-        seq: int,
-        event,
+        entries: list,
         *,
         crash_phase: str | None = None,
         frame: int | None = None,
-    ) -> bool:
-        """Journal + apply one event record; returns ``False`` for a duplicate.
+    ) -> list[tuple[int, str]]:
+        """Journal + apply one frame's slice; returns its apply failures.
+
+        ``entries`` are ``(seq, event)`` pairs in increasing seq order.
+        The slice is journaled once, applied in order and acknowledged
+        once; a redelivered slice (or its already-journaled head) is
+        dropped by the journal and not applied again.  The failures are
+        ``(seq, detail)`` for each event a tool rejected.
 
         ``crash_phase`` is the chaos hook: ``"pre"`` crashes before the
-        journal sees the event, ``"post"`` after journal+apply but before
+        journal sees the slice, ``"post"`` after journal+apply but before
         the acknowledgement — the two interleavings a real worker death
         can produce.  ``frame`` is the first seq of the wire frame that
-        carried the event (default ``seq``): spans and profiler samples
-        are keyed by ``(client, frame)``.
+        carried the slice (default: the slice's first seq): spans and
+        profiler samples are keyed by ``(client, frame)``.
         """
         if not self.alive:
             raise WorkerCrash(f"shard {self.shard_id} is down")
+        first, last = entries[0][0], entries[-1][0]
         if crash_phase == "pre":
             self.crash()
             raise WorkerCrash(
-                f"shard {self.shard_id} killed before journaling seq {seq}"
+                f"shard {self.shard_id} killed before journaling seqs "
+                f"{first}..{last}"
             )
-        if not self.journal.record(client, seq, event):
-            return False  # idempotent re-delivery
-        if frame is None:
-            frame = seq
-        marks = self._frame_marks
-        if marks is not None:
-            client_marks = marks.setdefault(client, [])
-            if not client_marks or client_marks[-1][1] != frame:
-                client_marks.append((seq, frame))
-        spanlog = self._spanlog
-        if spanlog is not None:
-            with spanlog.span(
-                "apply", client=client, seq=frame, event=seq, shard=self.shard_id
-            ):
-                self._apply(event, (client, frame))
-        else:
-            self._apply(event, (client, frame))
+        entries = self.journal.record(client, entries)
+        failures: list[tuple[int, str]] = []
+        if entries:  # else an idempotent re-delivery: journaled already
+            if frame is None:
+                frame = entries[0][0]
+            marks = self._frame_marks
+            if marks is not None:
+                client_marks = marks.setdefault(client, [])
+                if not client_marks or client_marks[-1][1] != frame:
+                    client_marks.append((entries[0][0], frame))
+            spanlog = self._spanlog
+            if spanlog is not None:
+                with spanlog.span(
+                    "apply",
+                    client=client,
+                    seq=frame,
+                    events=len(entries),
+                    shard=self.shard_id,
+                ):
+                    failures = self._apply(entries, client, frame)
+            else:
+                failures = self._apply(entries, client, frame)
         if crash_phase == "post":
             self.crash()
             raise WorkerCrash(
-                f"shard {self.shard_id} killed after journaling seq {seq}, "
-                "before acknowledging it"
+                f"shard {self.shard_id} killed after journaling seqs "
+                f"{first}..{last}, before acknowledging them",
+                failures,
             )
-        self.journal.mark_acked(client, seq)
-        return True
+        self.journal.mark_acked(client, last)
+        return failures
 
     def drain(self) -> None:
         """Flush any parked columnar batch (graceful-drain path)."""

@@ -1,20 +1,22 @@
 """The shard supervisor: routing, worker restarts, redelivery.
 
 The supervisor is the component that turns "a worker crashed" from an
-outage into a non-event.  It owns the shard workers, routes every inbound
-event record (the server decodes each EVENT frame once into its records,
-in order) to the shard(s) whose address ranges it touches (kernel and
-sync events broadcast — they carry the epoch structure every shard's race
-checker needs), and wraps each delivery in the restart protocol:
+outage into a non-event.  It owns the shard workers and works a frame at
+a time: the server hands it a frame's unapplied events (decoded once, in
+order), it routes each to the shard(s) whose address ranges it touches
+(kernel and sync events broadcast — they carry the epoch structure every
+shard's race checker needs) and so cuts the frame into one ordered
+``(seq, event)`` slice per shard, and it wraps each slice's delivery in
+the restart protocol:
 
 * a :exc:`~repro.serve.shard.WorkerCrash` during delivery triggers an
   immediate restart of that worker — fresh tool stack, journal replay up
-  to the last acknowledged event — followed by redelivery of the event
+  to the last acknowledged event — followed by redelivery of the slice
   that was in flight;
 * redelivery is idempotent by construction (journal dedup on
   ``(client, seq)``), so it does not matter whether the crash happened
-  before or after the event reached the journal;
-* a worker that keeps dying on one event exhausts
+  before or after the slice reached the journal;
+* a worker that keeps dying on one slice exhausts
   :data:`MAX_DELIVERY_RETRIES` and surfaces a hard error — the supervisor
   never spins forever and never silently skips an event.
 
@@ -25,8 +27,9 @@ bus, which names the shards' findings.  No flight recorder runs here.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from ..events.codec import RowError
 from ..events.records import (
     Access,
     AllocationEvent,
@@ -42,7 +45,7 @@ from .shard import ShardWorker, WorkerCrash
 
 __all__ = ["Supervisor", "MAX_DELIVERY_RETRIES"]
 
-#: Restart-and-redeliver attempts per (event, shard) before giving up.
+#: Restart-and-redeliver attempts per (frame, shard) before giving up.
 MAX_DELIVERY_RETRIES = 4
 
 
@@ -78,11 +81,10 @@ class Supervisor:
         ]
         self._every_shard = tuple(range(n_shards))
         #: Delivery-attempt occurrence index -> crash phase ("pre"/"post"),
-        #: installed by the chaos harness.  Consulted once per (event,
+        #: installed by the chaos harness.  Consulted once per (frame,
         #: shard) delivery attempt, in deterministic order.
         self.kill_schedule: dict[int, str] = {}
         self.delivery_attempts = 0
-        self.duplicates_dropped = 0
         self.worker_restarts = 0
         self.events_delivered = 0
 
@@ -138,11 +140,16 @@ class Supervisor:
         self.worker_restarts += 1
 
     def _deliver_to(
-        self, shard_id: int, client: int, seq: int, event, frame: int
-    ) -> None:
-        """Deliver one event to one shard, surviving worker crashes."""
+        self, shard_id: int, client: int, entries: list, frame: int
+    ) -> list[tuple[int, str]]:
+        """Deliver one slice to one shard, surviving worker crashes.
+
+        Returns the slice's apply failures as ``(seq, detail)``, those of
+        an attempt the worker died after applying included.
+        """
         worker = self.workers[shard_id]
         observer = self.observer
+        failures: list[tuple[int, str]] = []
         for _attempt in range(MAX_DELIVERY_RETRIES + 1):
             self.delivery_attempts += 1
             crash_phase = self.kill_schedule.pop(self.delivery_attempts, None)
@@ -151,41 +158,75 @@ class Supervisor:
                     # Died outside a delivery (e.g. drained mid-crash):
                     # restart before touching it.
                     self._restart(
-                        worker, client=client, seq=seq, cause="found-dead"
+                        worker, client=client, seq=frame, cause="found-dead"
                     )
-                fresh = worker.deliver(
-                    client, seq, event, crash_phase=crash_phase, frame=frame
+                return failures + worker.deliver(
+                    client, entries, crash_phase=crash_phase, frame=frame
                 )
-                if not fresh:
-                    self.duplicates_dropped += 1
-                return
-            except WorkerCrash:
-                self._restart(worker, client=client, seq=seq, cause="crash")
+            except WorkerCrash as crash:
+                failures += crash.failures
+                self._restart(worker, client=client, seq=frame, cause="crash")
                 if observer is not None:
                     observer.count_redelivery()
                 telemetry = _telemetry.ACTIVE
                 if telemetry is not None:
                     telemetry.count("serve.crash_redeliveries")
-                continue  # redeliver the in-flight frame
+                continue  # redeliver the in-flight slice
         raise RuntimeError(  # pragma: no cover - requires a poisoned frame
             f"shard {shard_id} failed {MAX_DELIVERY_RETRIES + 1} delivery "
-            f"attempts for (client={client}, seq={seq})"
+            f"attempts for (client={client}, frame={frame})"
         )
 
     def dispatch(
-        self, client: int, seq: int, event, *, frame: int | None = None
-    ) -> None:
-        """Route one in-order event record to every shard it concerns.
+        self, client: int, seq: int, events: Sequence, *, frame: int | None = None
+    ) -> list[tuple[int, str]]:
+        """Route in-order events ``seq, seq+1, ...`` and deliver them.
 
-        ``frame`` is the first seq of the wire frame that carried the event
-        (``seq`` itself by default): the ``(client, frame)`` key that joins
-        shard spans and profiler samples to the client and server spans.
+        ``events`` is a frame's unapplied tail, each entry a record or a
+        :class:`~repro.events.codec.RowError`.  One pass cuts it into a
+        ``(seq, event)`` slice per shard — a run of accesses reuses the
+        last :meth:`AddressRouter.route_range` until one misses or a claim
+        or bind may have moved it — then each slice makes one delivery
+        attempt per shard, in shard order.  Returns one ``(seq, detail)``
+        per event that did not apply (a bad row, a routing or an apply
+        failure), in seq order; the other events all apply.
+
+        ``frame`` is the first seq of the wire frame that carried the
+        events (``seq`` itself by default): the ``(client, frame)`` key
+        that joins shard spans and profiler samples to the client and
+        server spans.
         """
         if frame is None:
             frame = seq
-        for shard_id in self.shards_for(event):
-            self._deliver_to(shard_id, client, seq, event, frame)
-        self.events_delivered += 1
+        slices: list[list] = [[] for _ in self.workers]
+        failures: dict[int, str] = {}
+        route = self.router.route_range
+        lo = hi = 0  # the reused range: empty until the first access
+        for event in events:
+            kind = type(event)
+            if kind is Access:
+                address = event.address
+                if not lo <= address < hi:
+                    lo, hi, shard = route(address)
+                slices[shard].append((seq, event))
+            elif kind is RowError:
+                failures[seq] = str(event)
+            else:
+                lo = hi = 0  # a claim or bind may move any range
+                try:
+                    shards = self.shards_for(event)
+                except (KeyError, ValueError, TypeError) as exc:
+                    failures[seq] = f"{type(exc).__name__}: {exc}"
+                else:
+                    for target in shards:
+                        slices[target].append((seq, event))
+            seq += 1
+        for shard_id, entries in enumerate(slices):
+            if entries:
+                for at, detail in self._deliver_to(shard_id, client, entries, frame):
+                    failures.setdefault(at, detail)
+        self.events_delivered += len(events) - len(failures)
+        return sorted(failures.items())
 
     # -- drain / results ---------------------------------------------------
 
@@ -208,6 +249,11 @@ class Supervisor:
             for tool, finding, count in worker.findings():
                 rows.append((worker.shard_id, tool, finding, count))
         return rows
+
+    @property
+    def duplicates_dropped(self) -> int:
+        """Redelivered events the shard journals dropped, over all shards."""
+        return sum(worker.journal.duplicates_dropped for worker in self.workers)
 
     def stats(self) -> dict:
         return {

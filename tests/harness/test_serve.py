@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.dracc import get
+from repro.faults.plan import FaultPlan
 from repro.harness.serve import (
     SERVE_CHAOS_KINDS,
     baseline_fingerprints,
@@ -130,7 +131,7 @@ class TestServePlan:
 
         holds = (FaultKind.FRAME_DROP, FaultKind.FRAME_REORDER)
         for seed in range(40):
-            plan = _serve_plan(seed, 6, frames)
+            plan = _serve_plan(seed, 6, frames, 8)
             at = {
                 f.index: f.kind
                 for f in plan.faults
@@ -143,6 +144,25 @@ class TestServePlan:
             for index, kind in at.items():
                 if kind is FaultKind.FRAME_REORDER:
                     assert at.get(index - 1) not in holds
+
+
+    @pytest.mark.parametrize("attempts", [0, 1, 2, 4, 9, 200])
+    def test_worker_kills_land_on_clean_attempts(self, attempts):
+        from repro.faults.plan import FaultKind
+        from repro.harness.serve import _serve_plan
+
+        drawn = 0
+        for seed in range(40):
+            planned = FaultPlan.generate(seed, n_faults=6, kinds=SERVE_CHAOS_KINDS)
+            kills = _serve_plan(seed, 6, 5, attempts).by_kind(FaultKind.WORKER_KILL)
+            indices = [fault.index for fault in kills]
+            assert len(set(indices)) == len(indices), "two kills share an attempt"
+            assert all(0 <= index < attempts for index in indices)
+            assert len(kills) == min(
+                attempts, len(planned.by_kind(FaultKind.WORKER_KILL))
+            )
+            drawn += len(kills)
+        assert drawn or attempts == 0
 
 
 class TestBaseline:

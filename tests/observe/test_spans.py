@@ -84,6 +84,21 @@ class TestStitch:
         assert {e["pid"] for e in index[(7, 3)]} == {0, 1}
 
 
+def clean_attempts() -> int:
+    """(frame, shard) delivery attempts of the unfaulted session."""
+    server = AnalysisServer(ServerConfig(n_shards=2))
+    ServeClient(LoopbackTransport(server), client_id=BENCH).stream(
+        record_trace(get(BENCH))
+    )
+    return server.sessions[BENCH].supervisor.delivery_attempts
+
+
+@pytest.fixture(scope="module")
+def kill_at() -> int:
+    """The last clean attempt: its worker replays every frame it holds."""
+    return clean_attempts()
+
+
 def traced_session(kill_at: int | None = None) -> dict:
     """One full served session with spans on; returns the stitched doc."""
     observer = ServeObserver(trace_spans=True, wall_clock=False)
@@ -115,8 +130,8 @@ class TestCrossProcessTrace:
             names = {span["name"] for span in index[key]}
             assert {"frame:EVENT", "handle:EVENT", "apply"} <= names, key
 
-    def test_replay_spans_link_their_origin_frame(self):
-        doc = traced_session(kill_at=5)
+    def test_replay_spans_link_their_origin_frame(self, kill_at):
+        doc = traced_session(kill_at=kill_at)
         replays = [
             e
             for e in doc["traceEvents"]
@@ -130,12 +145,12 @@ class TestCrossProcessTrace:
             # The original frame was traced by other processes too.
             assert len(index[origin]) >= 2
 
-    def test_stitched_trace_is_byte_identical_across_runs(self):
-        one = json.dumps(traced_session(kill_at=5), indent=2, sort_keys=True)
-        two = json.dumps(traced_session(kill_at=5), indent=2, sort_keys=True)
+    def test_stitched_trace_is_byte_identical_across_runs(self, kill_at):
+        one = json.dumps(traced_session(kill_at=kill_at), indent=2, sort_keys=True)
+        two = json.dumps(traced_session(kill_at=kill_at), indent=2, sort_keys=True)
         assert one == two
 
-    def test_trace_shape_differs_when_the_fault_does(self):
+    def test_trace_shape_differs_when_the_fault_does(self, kill_at):
         clean = json.dumps(traced_session(), sort_keys=True)
-        faulted = json.dumps(traced_session(kill_at=5), sort_keys=True)
+        faulted = json.dumps(traced_session(kill_at=kill_at), sort_keys=True)
         assert clean != faulted  # replay spans are visible in the trace

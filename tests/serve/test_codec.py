@@ -148,3 +148,25 @@ def test_malformed_row_costs_one_error_for_its_seq(damage):
     session = server.sessions[CLIENT]
     assert session.next_seq == len(events)
     assert session.supervisor.events_delivered == len(events) - 1
+
+
+#: The exact text a damaged access row decodes to, one case per check the
+#: compiled row decoder makes (minimum, type, enum code, width, stack).
+ROW_ERROR_TEXT = {
+    "size-0": "ValueError: access record declares size=0 (minimum 1): "
+    "rejected rather than zero-padded into a bogus event",
+    "str-device": "ValueError: access record field 'device_id' must be an "
+    "integer, got 'x'",
+    "unknown-origin": "ValueError: access record field 'origin': unknown code 3",
+    "extra-field": "ValueError: access row carries 10 field(s), expected 9",
+    "negative-stack": "ValueError: access row names stack -1; the frame's "
+    "table holds 1",
+}
+
+
+@pytest.mark.parametrize("damage", list(ROW_ERROR_TEXT))
+def test_row_error_text_is_pinned(damage):
+    table = rows_of(record_trace(get(18))[:EVENTS_PER_FRAME])
+    bad = first_access(table)
+    table["events"][bad] = MALFORMED[damage](table["events"][bad])
+    assert str(decode_events(json_payload(table))[bad]) == ROW_ERROR_TEXT[damage]

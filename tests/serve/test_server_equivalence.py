@@ -12,6 +12,7 @@ import pytest
 from repro.core.detector import Arbalest
 from repro.dracc import get
 from repro.events.bus import ToolBus
+from repro.events.records import AllocationEvent, KernelEvent, MemcpyEvent
 from repro.events.wire import EVENTS_PER_FRAME
 from repro.harness.serve import baseline_fingerprints, record_trace
 from repro.serve import (
@@ -19,6 +20,7 @@ from repro.serve import (
     LoopbackTransport,
     ServeClient,
     ServerConfig,
+    Supervisor,
 )
 from tests.per_access import per_access
 
@@ -71,6 +73,29 @@ class TestEngines:
         assert baselines["scalar"] == baselines["columnar"]
 
 
+@pytest.fixture(scope="module")
+def spanning_trace(trace):
+    """The trace with a memcpy between two variables on different shards
+    (of 2), placed in its second frame after the kernel: a slice for each
+    shard carries it."""
+    cvs = [
+        e.address
+        for e in trace
+        if isinstance(e, AllocationEvent) and e.device_id == 1 and not e.is_free
+    ]
+    kernel_end = max(i for i, e in enumerate(trace) if isinstance(e, KernelEvent))
+    assert kernel_end >= EVENTS_PER_FRAME
+    memcpy = MemcpyEvent(
+        device_id=0, thread_id=0, dst_device=1, dst_address=cvs[0],
+        src_device=1, src_address=cvs[1], nbytes=8,
+    )
+    spanning = trace[: kernel_end + 1] + [memcpy] + trace[kernel_end + 1 :]
+    router = Supervisor(n_shards=2)
+    routes = [router.shards_for(event) for event in spanning]
+    assert routes[kernel_end + 1] == (0, 1)
+    return spanning
+
+
 class TestKillSweep:
     """Kill a shard worker at every occurrence index k; never lose a bug."""
 
@@ -78,9 +103,10 @@ class TestKillSweep:
         server, _ = stream(trace, n_shards=2)
         return server.sessions[BENCH].supervisor.delivery_attempts
 
-    def test_kill_at_every_attempt_index(self, trace, baseline):
+    def sweep(self, trace, baseline):
         total = self.attempts(trace)
-        assert total > len(trace)  # broadcasts make attempts exceed events
+        # Broadcasts make (frame, shard) attempts exceed frames.
+        assert total > -(-len(trace) // EVENTS_PER_FRAME)
         for k in range(1, total + 1):
             phase = "pre" if k % 2 else "post"
             server = AnalysisServer(ServerConfig(n_shards=2))
@@ -95,6 +121,15 @@ class TestKillSweep:
             assert result.fingerprints() == baseline, (
                 f"kill at attempt {k} ({phase}-journal) changed the findings"
             )
+            assert session.supervisor.events_delivered == len(trace)
+
+    def test_kill_at_every_attempt_index(self, trace, baseline):
+        self.sweep(trace, baseline)
+
+    def test_kill_at_every_attempt_index_with_a_cross_shard_memcpy(
+        self, spanning_trace
+    ):
+        self.sweep(spanning_trace, baseline_fingerprints(spanning_trace))
 
     def test_kill_before_drain_still_delivers_everything(self, trace, baseline):
         # A worker dead at drain time is restarted (journal replay) before
@@ -103,8 +138,8 @@ class TestKillSweep:
 
         server = AnalysisServer(ServerConfig(n_shards=2))
         supervisor = server.session(BENCH).supervisor
-        for seq, event in enumerate(trace):
-            supervisor.dispatch(BENCH, seq, event)
+        for first in range(0, len(trace), EVENTS_PER_FRAME):
+            supervisor.dispatch(BENCH, first, trace[first : first + EVENTS_PER_FRAME])
         supervisor.workers[0].crash()
         ledger = DeliveryLedger()
         for shard, tool, finding, count in supervisor.findings():

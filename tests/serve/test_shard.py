@@ -9,11 +9,23 @@ from repro.events.records import (
     SyncEvent,
 )
 from repro.events.variables import VariableIndex
-from repro.serve import ShardWorker, Supervisor, WorkerCrash
+from repro.events.bus import ToolBus
+from repro.serve import (
+    AnalysisServer,
+    ServerConfig,
+    ShardWorker,
+    Supervisor,
+    WorkerCrash,
+)
 
 
 def sync_json(seq: int) -> SyncEvent:
     return SyncEvent(kind="taskwait", source_task=seq, target_task=seq + 1)
+
+
+def one(seq: int) -> list:
+    """A one-event slice."""
+    return [(seq, sync_json(seq))]
 
 
 class TestCrashConvergence:
@@ -22,48 +34,51 @@ class TestCrashConvergence:
     def test_pre_journal_crash_loses_the_frame(self):
         worker = ShardWorker(0, tools=("arbalest",))
         with pytest.raises(WorkerCrash):
-            worker.deliver(1, 0, sync_json(0), crash_phase="pre")
+            worker.deliver(1, one(0), crash_phase="pre")
         assert not worker.alive
-        assert len(worker.journal) == 0  # the frame died with the worker
+        assert len(worker.journal) == 0  # the slice died with the worker
         worker.restart()
-        assert worker.deliver(1, 0, sync_json(0))  # redelivery is fresh
+        assert worker.deliver(1, one(0)) == []  # redelivery is fresh
         assert len(worker.journal) == 1
+        assert worker.applied == 1
 
     def test_post_journal_crash_keeps_the_frame(self):
         worker = ShardWorker(0, tools=("arbalest",))
         with pytest.raises(WorkerCrash):
-            worker.deliver(1, 0, sync_json(0), crash_phase="post")
+            worker.deliver(1, one(0), crash_phase="post")
         assert len(worker.journal) == 1  # journaled before the crash
         worker.restart()
         assert worker.replayed_events == 1
+        applied = worker.applied
         # Redelivery after a post-journal crash is the idempotent no-op.
-        assert not worker.deliver(1, 0, sync_json(0))
+        assert worker.deliver(1, one(0)) == []
+        assert worker.applied == applied
         assert len(worker.journal) == 1
+        assert worker.journal.duplicates_dropped == 1
 
     def test_both_interleavings_apply_each_frame_exactly_once(self):
         outcomes = []
         for phase in ("pre", "post"):
             worker = ShardWorker(0, tools=("arbalest",))
-            worker.deliver(1, 0, sync_json(0))
+            worker.deliver(1, one(0))
             with pytest.raises(WorkerCrash):
-                worker.deliver(1, 1, sync_json(1), crash_phase=phase)
+                worker.deliver(1, one(1) + one(2), crash_phase=phase)
             worker.restart()
-            worker.deliver(1, 1, sync_json(1))
-            worker.deliver(1, 2, sync_json(2))
+            worker.deliver(1, one(1) + one(2))
+            worker.deliver(1, one(3))
             outcomes.append(list(worker.journal.replay()))
         assert outcomes[0] == outcomes[1]
-        assert [seq for _c, seq, _e in outcomes[0]] == [0, 1, 2]
+        assert [seq for _c, seq, _e in outcomes[0]] == [0, 1, 2, 3]
 
     def test_delivery_to_dead_worker_raises(self):
         worker = ShardWorker(0)
         worker.crash()
         with pytest.raises(WorkerCrash, match="is down"):
-            worker.deliver(1, 0, sync_json(0))
+            worker.deliver(1, one(0))
 
     def test_restart_counts_and_replays(self):
         worker = ShardWorker(0)
-        for seq in range(5):
-            worker.deliver(1, seq, sync_json(seq))
+        worker.deliver(1, [entry for seq in range(5) for entry in one(seq)])
         worker.crash()
         worker.restart()
         assert worker.restarts == 1
@@ -72,6 +87,68 @@ class TestCrashConvergence:
     def test_unknown_tool_rejected(self):
         with pytest.raises(ValueError, match="unknown tool"):
             ShardWorker(0, tools=("gdb",))
+
+
+class TestApplyFailure:
+    """An event the bus rejects costs its own seq; the slice applies."""
+
+    @pytest.fixture(autouse=True)
+    def reject_task_1(self, monkeypatch):
+        publish = ToolBus.publish_sync
+
+        def publish_sync(bus, event):
+            if event.source_task == 1:
+                raise ValueError("no such task")
+            publish(bus, event)
+
+        monkeypatch.setattr(ToolBus, "publish_sync", publish_sync)
+
+    def test_one_failure_and_the_rest_applied(self):
+        worker = ShardWorker(0)
+        assert worker.deliver(1, one(0) + one(1) + one(2)) == [
+            (1, "ValueError: no such task")
+        ]
+        assert worker.applied == 2
+        assert len(worker.journal) == 3
+        assert worker.journal.acked_seq(1) == 2
+
+    def test_post_crash_keeps_the_failure_for_the_server(self):
+        worker = ShardWorker(0)
+        with pytest.raises(WorkerCrash) as crash:
+            worker.deliver(1, one(0) + one(1), crash_phase="post")
+        assert crash.value.failures == [(1, "ValueError: no such task")]
+        worker.restart()
+        assert worker.replay_errors == 1
+        assert worker.deliver(1, one(0) + one(1)) == []  # the no-op redelivery
+        assert worker.journal.acked_seq(1) == 1
+
+    def test_supervisor_reports_one_error_per_seq(self):
+        supervisor = Supervisor(n_shards=3)
+        # A sync broadcasts: every shard rejects seq 1, one failure remains.
+        supervisor.kill_schedule[2] = "post"  # shard 1 dies after applying
+        events = [sync_json(0), sync_json(1), sync_json(2)]
+        assert supervisor.dispatch(1, 0, events) == [
+            (1, "ValueError: no such task")
+        ]
+        assert supervisor.events_delivered == 2
+        assert supervisor.worker_restarts == 1
+        assert all(w.journal.acked_seq(1) == 2 for w in supervisor.workers)
+
+    def test_server_answers_one_error_and_applies_the_frame(self):
+        from repro.events.codec import encode_events
+        from repro.events.wire import Frame, FrameKind
+
+        server = AnalysisServer(ServerConfig(n_shards=2))
+        events = [sync_json(seq) for seq in range(4)]
+        replies = server.handle_frame(
+            Frame(FrameKind.EVENT, 1, 0, encode_events(events))
+        )
+        errors = [r.json() for r in replies if r.kind is FrameKind.ERROR]
+        assert [(e["seq"], e["error"]) for e in errors] == [
+            (1, "undecodable EVENT payload: ValueError: no such task")
+        ]
+        assert replies[-1].kind is FrameKind.ACK and replies[-1].seq == 3
+        assert server.sessions[1].supervisor.events_delivered == 3
 
 
 class TestForensicRanges:
@@ -158,7 +235,7 @@ class TestSharedIndex:
     def test_shared_index_survives_worker_restart(self):
         index = VariableIndex()
         worker = ShardWorker(0, variables=index)
-        worker.deliver(1, 0, TestForensicRanges().host_alloc())
+        worker.deliver(1, [(0, TestForensicRanges().host_alloc())])
         worker.crash()
         worker.restart()
         assert worker.bus.variables is index
@@ -166,7 +243,7 @@ class TestSharedIndex:
 
     def test_private_index_is_rebuilt_from_the_journal(self):
         worker = ShardWorker(0)
-        worker.deliver(1, 0, TestForensicRanges().host_alloc())
+        worker.deliver(1, [(0, TestForensicRanges().host_alloc())])
         before = worker.bus.variables
         worker.crash()
         worker.restart()
@@ -189,7 +266,7 @@ class TestSharedIndex:
         trace = record_trace(get(25))
         supervisor = Supervisor(n_shards=4)
         for seq, event in enumerate(trace):
-            supervisor.dispatch(25, seq, event)
+            supervisor.dispatch(25, seq, [event])
         index = supervisor.variables
         probes = [
             (e.device_id, e.address + offset)
