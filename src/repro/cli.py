@@ -524,8 +524,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{payload['events']} events in {payload['frames']} frames, "
             f"{payload['wire_bytes']} wire bytes"
         )
+        low, high = s["events_per_sec_range"]
         print(
-            f"  throughput: {s['events_per_sec']:.0f} events/sec, "
+            f"  throughput: {s['events_per_sec']:.0f} events/sec "
+            f"(median of {payload['passes']} passes, range {low:.0f}-{high:.0f}), "
             f"frame latency p50 {s['p50_frame_latency_us']:.0f}us / "
             f"p99 {s['p99_frame_latency_us']:.0f}us"
         )

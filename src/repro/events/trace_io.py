@@ -123,7 +123,9 @@ def _records(source: IO[str], strict: bool, result: PartialTrace) -> Iterator[ob
 
     Issues one :class:`TraceWarning` carrying the partial-load summary at
     the end of the stream when anything was skipped; with ``strict`` the
-    first bad record raises :class:`TraceDecodeError` instead.
+    first bad record raises :class:`TraceDecodeError` instead.  Stacks come
+    back interned (:func:`~repro.events.codec.event_from_json`): equal
+    stacks share one tuple, as the live runtime's memoized snapshots do.
     """
     for line_number, line in enumerate(source, start=1):
         line = line.strip()

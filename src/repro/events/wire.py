@@ -10,12 +10,13 @@ frame carries one protocol message:
 kind      dir    payload
 ========  =====  ======================================================
 HELLO     c->s   session metadata (JSON: benchmark name, ...)
-EVENT     c->s   up to :data:`EVENTS_PER_FRAME` events as positional rows
-                 plus the frame's stack table (:mod:`.codec`); ``seq``
-                 numbers the first, so the rows are events
-                 ``seq .. seq+n-1``.  A single :func:`.trace_io.event_to_json`
-                 object (a one-event frame) or a JSON array of them is
-                 still accepted
+EVENT     c->s   up to :data:`EVENTS_PER_FRAME` events as a binary row
+                 table: accesses as packed little-endian columns, the
+                 other kinds and the frame's stack table in a JSON tail
+                 (:mod:`.codec`); ``seq`` numbers the first, so the rows
+                 are events ``seq .. seq+n-1``.  A single
+                 :func:`.trace_io.event_to_json` object (a one-event
+                 frame) or a JSON array of them is still accepted
 FIN       c->s   end of stream; ask the server to drain and report
 ACK       s->c   cumulative acknowledgement of every event through ``seq``
 NACK      s->c   retransmit request: ``seq`` is the next expected event
@@ -37,7 +38,7 @@ Frame layout (network byte order)::
     20      4     CRC32 of the payload
     [24     8     trace id (u64)        — version 2 only]
     [32     4     span id (u32)         — version 2 only]
-    24/36   len   payload (UTF-8 JSON unless empty)
+    24/36   len   payload (an EVENT row table, else UTF-8 JSON unless empty)
 
 Version 2 frames carry a :class:`TraceContext` — the distributed-tracing
 propagation field — between the header and the payload.  A frame without
@@ -159,7 +160,8 @@ class Frame:
     trace: TraceContext | None = None
 
     def json(self):
-        """Decode the payload as JSON (EVENT payloads decode via :mod:`.codec`)."""
+        """Decode the payload as JSON (EVENT payloads decode via :mod:`.codec`:
+        a row table is not JSON)."""
         return json.loads(self.payload.decode("utf-8"))
 
 
@@ -207,9 +209,14 @@ def encode_frame(frame: Frame) -> bytes:
     )
 
 
+#: One canonical encoder, built once: ``json.dumps`` with keyword options
+#: builds a fresh ``JSONEncoder`` on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def json_payload(obj: dict | list) -> bytes:
     """Canonical JSON payload encoding (sorted keys, compact separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL(obj).encode("utf-8")
 
 
 def event_frame(
@@ -223,7 +230,7 @@ def event_frame(
 
     ``seq`` is the sequence number of ``records[0]``; the payload is one
     canonical JSON array (or object), encoded with a single
-    :func:`json_payload` call.  Clients send positional rows instead
+    :func:`json_payload` call.  Clients send a binary row table instead
     (:func:`.codec.encode_events`); the server still serves both.
     """
     return Frame(FrameKind.EVENT, client_id, seq, json_payload(records), trace)

@@ -26,12 +26,14 @@ over the loopback transport):
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import random
 import time
 from dataclasses import replace
+from statistics import median
 from typing import Iterable
 
 from ..dracc.registry import (
@@ -229,6 +231,72 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
+#: Timed passes of one serve bench.  The artifact reports the median pass
+#: with the min–max range, so a loaded stretch of a shared host moves a
+#: range bound rather than the committed figure.
+SERVE_BENCH_PASSES = 5
+
+
+def _bench_pass(recorded, config: ServerConfig, observe: bool) -> dict:
+    """Stream every recorded trace through one fresh server, timed.
+
+    Returns the pass's figures — streaming seconds, sorted frame
+    latencies, frames, wire bytes, whether every session delivered its
+    baseline — and, when observed, its watchdog and observer counts and
+    profile.  The heap is collected first and the server is not kept, so
+    no pass pays for another's garbage.
+    """
+    from ..observe import DEFAULT_SLOS, ServeObserver
+
+    gc.collect()
+    observer = (
+        ServeObserver(slos=DEFAULT_SLOS, trace_spans=False, wall_clock=True)
+        if observe
+        else None
+    )
+    server = AnalysisServer(config, observer)
+    latencies: list[float] = []
+    frames = wire_bytes = 0
+    seconds = 0.0
+    delivery_ok = True
+    for bench, events, baseline in recorded:
+        transport = _TimedTransport(LoopbackTransport(server))
+        client = ServeClient(transport, client_id=bench.number)
+        start = time.perf_counter()
+        result = client.stream(events)
+        seconds += time.perf_counter() - start
+        latencies.extend(transport.latencies_us)
+        frames += result.frames_sent
+        wire_bytes += transport.wire_bytes
+        delivery_ok = delivery_ok and result.fingerprints() == baseline
+    latencies.sort()
+    figures = {
+        "seconds": seconds,
+        "latencies": latencies,
+        "frames": frames,
+        "wire_bytes": wire_bytes,
+        "delivery_ok": delivery_ok,
+    }
+    if observer is not None:
+        watchdog = observer.watchdog
+        figures["observed"] = {
+            "slos": [spec.to_json() for spec in watchdog.specs],
+            "evaluations": watchdog.evaluations,
+            "burn_events": watchdog.burn_events,
+            "clear_events": watchdog.clear_events,
+            "burning": watchdog.burning,
+            "redeliveries": observer.redeliveries,
+            "wire_decode_errors": observer.decode_errors,
+            "journal_replay_errors": observer.replay_errors,
+            "worker_restarts": sum(
+                s.supervisor.worker_restarts for s in server.sessions.values()
+            ),
+        }
+        if observer.profiler is not None:
+            figures["profile"] = observer.profiler.stats()
+    return figures
+
+
 def run_serve_bench(
     *,
     suite: str = "buggy",
@@ -242,57 +310,41 @@ def run_serve_bench(
 ) -> dict:
     """Measure server throughput and frame latency over a streamed suite.
 
-    Events/sec counts analysis events over total streaming wall time
-    (framing, decoding, sharded dispatch and finding streams included);
-    the percentiles are per-frame round-trip latencies, and ``wire_bytes``
-    is every byte the clients sent.  The delivery
-    verdict rides along so a "fast but wrong" server can never produce a
-    publishable bench.
+    Every trace and its in-process baseline are recorded first; then
+    :data:`SERVE_BENCH_PASSES` passes each stream the whole suite through a
+    fresh server.  Events/sec counts analysis events over a pass's
+    streaming wall time (framing, decoding, sharded dispatch and finding
+    streams included); the percentiles are per-frame round-trip latencies
+    within a pass.  The summary holds the median pass's events/sec, p50
+    and p99 with the min–max range of events/sec and p99, and the slowest
+    frame of any pass; ``wire_bytes`` is every byte the clients sent in
+    one pass.  The delivery verdict covers every pass, so a "fast but
+    wrong" server can never produce a publishable bench.
 
     ``observe=True`` (the default, matching production) runs the bench
     with the live observer attached — metrics, latency histograms, SLO
     watchdog — so the published number *includes* the observability tax
-    and the artifact records the watchdog's verdicts; ``repro serve
-    --bench`` fails a run that ends with an SLO still burning.
-    Span tracing stays off: it is a debugging mode, not a serving mode.
+    and the artifact records the watchdog's verdicts, summed over the
+    passes (``burning`` lists every SLO still burning at the end of a
+    pass) and the last pass's profile; ``repro serve --bench`` fails a run
+    that ends with an SLO still burning.  Span tracing stays off: it is a
+    debugging mode, not a serving mode.
     """
-    from ..observe import DEFAULT_SLOS, ServeObserver
-
     tools = tuple(tools)
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
-    observer = (
-        ServeObserver(slos=DEFAULT_SLOS, trace_spans=False, wall_clock=True)
-        if observe
-        else None
-    )
-    server = AnalysisServer(
-        ServerConfig(
-            n_shards=n_shards, tools=tools, queue_cap=queue_cap
-        ),
-        observer,
-    )
-    latencies: list[float] = []
-    total_events = 0
-    total_frames = 0
-    wire_bytes = 0
-    stream_seconds = 0.0
-    delivery_ok = True
+    recorded = []
     for bench in benches:
         events = record_trace(bench)
-        baseline = baseline_fingerprints(events, tools)
-        transport = _TimedTransport(LoopbackTransport(server))
-        client = ServeClient(transport, client_id=bench.number)
-        start = time.perf_counter()
-        result = client.stream(events)
-        stream_seconds += time.perf_counter() - start
-        latencies.extend(transport.latencies_us)
-        total_events += len(events)
-        total_frames += result.frames_sent
-        wire_bytes += transport.wire_bytes
-        if result.fingerprints() != baseline:
-            delivery_ok = False
-    latencies.sort()
-    events_per_sec = total_events / stream_seconds if stream_seconds else 0.0
+        recorded.append((bench, events, baseline_fingerprints(events, tools)))
+    total_events = sum(len(events) for _, events, _ in recorded)
+    config = ServerConfig(n_shards=n_shards, tools=tools, queue_cap=queue_cap)
+    figures = [
+        _bench_pass(recorded, config, observe) for _ in range(SERVE_BENCH_PASSES)
+    ]
+    rates = [total_events / f["seconds"] if f["seconds"] else 0.0 for f in figures]
+    p50s = [_percentile(f["latencies"], 0.50) for f in figures]
+    p99s = [_percentile(f["latencies"], 0.99) for f in figures]
+    slowest = max((f["latencies"][-1] for f in figures if f["latencies"]), default=0.0)
     payload = {
         "artifact": SERVE_BENCH_ARTIFACT,
         "suite": suite,
@@ -300,39 +352,46 @@ def run_serve_bench(
         "tools": list(tools),
         "benchmarks": len(benches),
         "events": total_events,
-        "frames": total_frames,
-        "wire_bytes": wire_bytes,
-        "stream_seconds": round(stream_seconds, 6),
-        "delivery_ok": delivery_ok,
+        "frames": figures[0]["frames"],
+        "wire_bytes": figures[0]["wire_bytes"],
+        "passes": SERVE_BENCH_PASSES,
+        "stream_seconds": round(median(f["seconds"] for f in figures), 6),
+        "delivery_ok": all(f["delivery_ok"] for f in figures),
         "summary": {
-            "events_per_sec": round(events_per_sec, 2),
-            "p50_frame_latency_us": round(_percentile(latencies, 0.50), 2),
-            "p99_frame_latency_us": round(_percentile(latencies, 0.99), 2),
-            "max_frame_latency_us": round(latencies[-1], 2) if latencies else 0.0,
+            "events_per_sec": round(median(rates), 2),
+            "events_per_sec_range": [round(min(rates), 2), round(max(rates), 2)],
+            "p50_frame_latency_us": round(median(p50s), 2),
+            "p99_frame_latency_us": round(median(p99s), 2),
+            "p99_frame_latency_us_range": [round(min(p99s), 2), round(max(p99s), 2)],
+            "max_frame_latency_us": round(slowest, 2),
         },
     }
-    if observer is not None:
-        watchdog = observer.watchdog
+    observed = [f["observed"] for f in figures if "observed" in f]
+    if observed:
         payload["observability"] = {
             "enabled": True,
-            "slos": [spec.to_json() for spec in watchdog.specs],
+            "slos": observed[0]["slos"],
             "watchdog": {
-                "evaluations": watchdog.evaluations,
-                "burn_events": watchdog.burn_events,
-                "clear_events": watchdog.clear_events,
-                "burning": sorted(watchdog.burning),
+                **{
+                    key: sum(o[key] for o in observed)
+                    for key in ("evaluations", "burn_events", "clear_events")
+                },
+                "burning": sorted(set().union(*(o["burning"] for o in observed))),
             },
-            "redeliveries": observer.redeliveries,
-            "wire_decode_errors": observer.decode_errors,
-            "journal_replay_errors": observer.replay_errors,
-            "worker_restarts": sum(
-                s.supervisor.worker_restarts for s in server.sessions.values()
-            ),
+            **{
+                key: sum(o[key] for o in observed)
+                for key in (
+                    "redeliveries",
+                    "wire_decode_errors",
+                    "journal_replay_errors",
+                    "worker_restarts",
+                )
+            },
         }
+        if "profile" in figures[-1]:
+            payload["profile"] = figures[-1]["profile"]
     else:
         payload["observability"] = {"enabled": False}
-    if observer is not None and observer.profiler is not None:
-        payload["profile"] = observer.profiler.stats()
     from ..observe.history import append_history, run_meta
 
     payload["meta"] = run_meta(

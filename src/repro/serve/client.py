@@ -1,9 +1,10 @@
 """The reference serve client: windowed streaming with retry and backoff.
 
 The client side of the delivery guarantee.  Events travel in EVENT frames
-of up to :data:`~repro.events.wire.EVENTS_PER_FRAME` records, encoded as
-positional rows with a per-frame stack table
-(:func:`~repro.events.codec.encode_events`), cut at fixed multiples of
+of up to :data:`~repro.events.wire.EVENTS_PER_FRAME` records, encoded as a
+binary row table — accesses as packed columns, the other kinds and the
+frame's stack table in a JSON tail
+(:func:`~repro.events.codec.encode_events`) — cut at fixed multiples of
 that size and numbered by their first event's sequence number, so a
 retransmitted frame is byte-identical to its first send.  The
 client holds a frame until a *cumulative* ACK covers its last event, and

@@ -4,8 +4,10 @@ One record of each of the seven kinds — non-default values, every enum
 as a non-default member, a multi-frame stack, and a :class:`FlushEvent`,
 which no DRACC trace emits — is stored twice: as its
 :class:`~repro.events.trace_io.TraceWriter` JSON lines and as one
-:func:`~repro.events.codec.encode_events` row payload.  Any change to a
-key, a field order, an enum encoding or the stack layout shows up here.
+:func:`~repro.events.codec.encode_events` row table (binary: the
+accesses as columns, the other kinds and the stack table in its JSON
+tail).  Any change to a key, a field order, an enum encoding, a column
+width or the stack layout shows up here.
 
 To regenerate after an intended format change::
 
@@ -33,7 +35,7 @@ from repro.events.trace_io import TraceWriter, read_trace
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN_TRACE = HERE / "golden_events.jsonl"
-GOLDEN_PAYLOAD = HERE / "golden_events_payload.json"
+GOLDEN_PAYLOAD = HERE / "golden_events_payload.bin"
 
 KERNEL_STACK = (
     SourceLocation("stencil.c", 88, 13, "sweep"),

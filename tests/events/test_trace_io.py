@@ -110,6 +110,23 @@ class TestRoundTrip:
         sink.seek(0)
         assert list(read_trace(sink)) == SAMPLE_EVENTS
 
+    def test_equal_stacks_loaded_in_one_call_share_one_tuple(self):
+        sink = io.StringIO()
+        writer = TraceWriter(sink)
+        for _ in range(2):
+            for event in SAMPLE_EVENTS:
+                writer._emit(event)
+        for load in (
+            lambda text: list(read_trace(io.StringIO(text))),
+            lambda text: load_trace(io.StringIO(text)).events,
+        ):
+            events = load(sink.getvalue())
+            stacks = [e.stack for e in events if hasattr(e, "stack")]
+            first: dict[tuple, tuple] = {}
+            for stack in stacks:
+                assert stack is first.setdefault(stack, stack)
+            assert len(first) < len(stacks)
+
 
 def damaged_trace() -> io.StringIO:
     """Three good records; the middle one truncated mid-write."""

@@ -7,6 +7,7 @@ import pytest
 from repro.dracc import get
 from repro.faults.plan import FaultPlan
 from repro.harness.serve import (
+    SERVE_BENCH_PASSES,
     SERVE_CHAOS_KINDS,
     baseline_fingerprints,
     record_trace,
@@ -80,6 +81,12 @@ class TestServeBench:
             <= summary["p99_frame_latency_us"]
             <= summary["max_frame_latency_us"]
         )
+        # The median of a fixed number of passes, with their range.
+        assert payload["passes"] == SERVE_BENCH_PASSES
+        low, high = summary["events_per_sec_range"]
+        assert low <= summary["events_per_sec"] <= high
+        low, high = summary["p99_frame_latency_us_range"]
+        assert low <= summary["p99_frame_latency_us"] <= high
         on_disk = json.loads(out.read_text())
         assert on_disk == payload
 
