@@ -39,6 +39,7 @@ overflow, and only the in-bounds part drives the VSM.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -47,9 +48,9 @@ import numpy as np
 from ..events.source import UNKNOWN_LOCATION
 from ..memory.layout import GRANULE
 from ..telemetry import registry as _telemetry
-from ..events.columnar import first_occurrence_passes
+from ..events.columnar import BatchColumns, first_occurrence_passes
 from ..events.records import ACCESS_KINDS
-from ..tools.archer import RaceEngine
+from ..tools.archer import RaceEngine, transfer_columns
 from ..tools.base import Tool
 from ..tools.findings import Finding, FindingKind
 from .registry import MappingRecord, MappingRegistry, ShadowRegistry
@@ -90,8 +91,8 @@ class _Lookup:
 
     __slots__ = (
         "recs", "cv_bases", "cv_ends", "shifts", "devices", "unified",
-        "separate", "certified", "section", "blocks", "b_bases", "b_ends",
-        "b_grans", "skip_bases", "skip_ends", "certifies",
+        "separate", "certified", "cert_mapping", "section", "blocks",
+        "b_bases", "b_ends", "b_grans", "skip_bases", "skip_ends", "certifies",
     )
 
     def __init__(self, mappings: MappingRegistry, shadows: ShadowRegistry) -> None:
@@ -103,21 +104,21 @@ class _Lookup:
         # ``devices`` is the mapping's device, 1 for the sentinel as for an
         # access no mapping holds; ``certified`` marks certified
         # separate-memory mappings only, as a host access skips by
-        # allocation, not by mapping.
+        # allocation, not by mapping, and ``cert_mapping`` every certified
+        # one, through which a device access applied in place skips.
         table = np.array(
-            [(-1, -1, 0, 1, 0, 0, 0, 0)]
+            [(-1, -1, 0, 1, 0, 0, 0, 0, 0)]
             + [
                 (r.cv_base, r.cv_end, r.ov_base - r.cv_base, r.device_id,
                  not r.unified, r.unified, r.certified and not r.unified,
-                 r.certified_section)
+                 r.certified, r.certified_section)
                 for r in recs
             ],
             dtype=np.int64,
         ).T
         self.cv_bases, self.cv_ends, self.shifts, self.devices = table[:4].copy()
-        self.separate, self.unified, self.certified, self.section = (
-            table[4:].astype(bool)
-        )
+        (self.separate, self.unified, self.certified, self.cert_mapping,
+         self.section) = table[4:].astype(bool)
         self.b_bases, self.b_ends, self.b_grans = np.array(
             [(-1, -1, 1)] + [(b.base, b.base + b.nbytes, b.granule) for b in blocks],
             dtype=np.int64,
@@ -126,7 +127,7 @@ class _Lookup:
             [(-1, -1), *shadows.skipped_ranges()], dtype=np.int64
         ).T.copy()
         #: Whether any mapping or allocation is certified.
-        self.certifies = bool(self.certified.any()) or len(self.skip_bases) > 1
+        self.certifies = bool(self.cert_mapping.any()) or len(self.skip_bases) > 1
 
 
 class Arbalest(Tool):
@@ -140,7 +141,10 @@ class Arbalest(Tool):
         allocation, so each allocation has one VSM state.
     race_detection:
         Run the embedded FastTrack engine (needed for Theorem-1
-        certification and responsible for most of the overhead, §VI.E).
+        certification and responsible for most of the overhead, §VI.E):
+        one :meth:`~repro.tools.archer.RaceEngine.check_batch` per batch
+        over every access the certificate does not skip, and one two-row
+        call (source read, destination write) per transfer.
     shadow_budget_bytes:
         Optional cap on live shadow storage.  Under pressure new blocks are
         coarsened to whole-allocation granularity (conservative ``INVALID``
@@ -259,13 +263,7 @@ class Arbalest(Tool):
         rec = self.mappings.find(cv)
         if rec is not None and rec.certified:
             return
-        racy_r = self.race_engine.check_range(
-            event.src_device, event.thread_id, event.src_address, event.nbytes, False
-        )
-        racy_w = self.race_engine.check_range(
-            event.dst_device, event.thread_id, event.dst_address, event.nbytes, True
-        )
-        if racy_r or racy_w:
+        if self.race_engine.check_batch(transfer_columns(event)):
             self.report(
                 Finding(
                     tool=self.name,
@@ -455,22 +453,25 @@ class Arbalest(Tool):
         """Drive the VSM and the race engine for one ordered run of accesses.
 
         One vectorized pass classifies every access against the lookup
-        snapshot (:class:`_Lookup`).  A scalar host or device access that
-        sits in one granule of a shadow block, single- or multi-device, is
-        applied per segment: the block's ``apply`` takes one op and mapping
-        device per access over each first-occurrence pass of distinct
-        granules, then one batched FastTrack pass runs; a certified access
-        only counts its skip, and one with no shadow block only gets the
-        race check.  Every other access — bulk or strided, unified-device
-        or overflowing — is applied *in place* by :meth:`_apply_in_place`,
-        so findings and flight-recorder events land in per-access order
-        whatever the batch size.
+        snapshot (:class:`_Lookup`).  The race check runs first, as one
+        :meth:`~repro.tools.archer.RaceEngine.check_batch` over every access
+        the certificate does not skip: race state does not depend on VSM
+        state.  Then the VSM walk: a scalar host or device access that sits
+        in one granule of a shadow block, single- or multi-device, is
+        applied per segment, the block's ``apply`` taking one op and
+        mapping device per access over each first-occurrence pass of
+        distinct granules; a certified access only counts its skip, and one
+        with no shadow block drives no VSM.  Every other access — bulk or
+        strided, unified-device or overflowing — is applied *in place* by
+        :meth:`_apply_in_place`.  Each racy access's finding follows its VSM
+        findings, so findings and flight-recorder events land in
+        per-access order whatever the batch size.
 
         A batch of one (every access while an immediate-delivery tool is
-        attached) skips the columns and the snapshot, which cost more than
-        the access: the registries' interval trees resolve its row, their
-        last-lookup caches making a run of such batches amortized O(1)
-        (§IV.C), and it is applied in place.
+        attached) skips the snapshot, which costs more than the access: the
+        registries' interval trees resolve its row, their last-lookup
+        caches making a run of such batches amortized O(1) (§IV.C), and it
+        is applied in place.
         """
         n = len(batch)
         telemetry = _telemetry.ACTIVE
@@ -497,7 +498,17 @@ class Arbalest(Tool):
                         telemetry.count("staticlint.access_skips")
                     return
                 rec = self.mappings.find(address) if block is not None else None
+            engine = self.race_engine
+            racy = (
+                engine is not None
+                # a device access through a certified mapping skips it
+                and not (access.device_id and rec is not None and rec.certified)
+                # the row's own columns: the batch's would decode it again
+                and engine.check_batch(BatchColumns([access]))
+            )
             self._apply_in_place(access, rec, block)
+            if racy:
+                self._report_race_finding(access)
             return
         cols = batch.columns
         look = _Lookup(self.mappings, self.shadows)
@@ -535,25 +546,39 @@ class Arbalest(Tool):
         else:
             gran = None
             cat = np.zeros(n, dtype=np.intp)
+        checked = None
         if look.certifies:
             si = look.skip_bases.searchsorted(addr, "right") - 1
             cat[host & (addr < look.skip_ends[si])] = 1
+            # A device access applied in place skips the race check through
+            # a certified mapping of either memory kind.
+            checked = (
+                (cat >= 2) | ((cat == 0) & (host | ~look.cert_mapping[ri]))
+            ).nonzero()[0]
+        racy: list[int] = []
+        if self.race_engine is not None and (checked is None or len(checked)):
+            racy = self.race_engine.check_batch(cols, checked)
         recs, blocks = look.recs, look.blocks
         accesses = batch.accesses
         start = 0
         for s in (cat == 0).nonzero()[0].tolist():
             if s > start:
-                self._batch_segment(batch, cat, ri, bi, gran, look, start, s)
+                self._batch_segment(batch, cat, ri, bi, gran, look, start, s, racy)
             self._apply_in_place(accesses[s], recs[ri[s]], blocks[bi[s]])
+            if s in racy:
+                self._report_race_finding(accesses[s])
             start = s + 1
         if start < n:
-            self._batch_segment(batch, cat, ri, bi, gran, look, start, n)
+            self._batch_segment(batch, cat, ri, bi, gran, look, start, n, racy)
 
-    def _batch_segment(self, batch, cat, ri, bi, gran, look, start, stop) -> None:
+    def _batch_segment(
+        self, batch, cat, ri, bi, gran, look, start, stop, racy
+    ) -> None:
         """Vector-process one run of classified scalar accesses.
 
-        Rows are built only for findings: a recorded transition reads its
-        device, write bit and stack from the columns and the batch.
+        ``racy`` holds the batch's sorted racy positions.  Rows are built
+        only for findings: a recorded transition reads its device, write
+        bit and stack from the columns and the batch.
         """
         cols = batch.columns
         c = cat[start:stop]
@@ -635,18 +660,11 @@ class Arbalest(Tool):
                             found.append((p_abs, 0, (before, after)))
                     if illegal[0]:
                         found.append((p_abs, 1, bool(uninit[0])))
-        if self.race_engine is not None:
-            race_pos = (c >= 2).nonzero()[0] + start  # everything not cert-skipped
-            if len(race_pos):
-                racy = self.race_engine.check_batch(
-                    cols.device_ids[race_pos],
-                    cols.thread_ids[race_pos],
-                    cols.addresses[race_pos],
-                    cols.sizes[race_pos],
-                    is_write[race_pos],
-                )
-                for p in racy:
-                    found.append((int(race_pos[p]), 2, None))
+        if racy:
+            found += [
+                (p, 2, None)
+                for p in racy[bisect_left(racy, start) : bisect_left(racy, stop)]
+            ]
         if not found:
             return
         # (position, phase) pairs are unique, so tuples sort on them alone.
@@ -673,7 +691,8 @@ class Arbalest(Tool):
     def _apply_in_place(
         self, access: "Access", rec: MappingRecord | None, block
     ) -> None:
-        """One access the vectorized segments leave out, or a batch of one.
+        """Drive the VSM for one access the vectorized segments leave out,
+        or a batch of one; :meth:`on_batch` has race-checked it already.
 
         ``rec`` is the mapping holding the access's first byte and
         ``block`` the shadow block of its OV, as :meth:`on_batch` resolved
@@ -710,9 +729,6 @@ class Arbalest(Tool):
                     start = rec.to_ov(start)
         if block is not None and span > 0:
             self._apply_range(block, access, start, span, rec)
-        engine = self.race_engine
-        if engine is not None and engine.check_access(access):
-            self._report_race_finding(access)
 
     def _apply_range(
         self, block, access: "Access", start: int, span: int, rec: MappingRecord | None

@@ -154,10 +154,21 @@ def _shared_stack(frames: tuple) -> tuple[SourceLocation, ...]:
     Every decoder interns its stacks here, so equal stacks decoded from any
     frame table or trace record share one tuple, as the live runtime's
     memoized snapshots do, and a repeated stack costs one C-level tuple
-    hash instead of building its ``SourceLocation`` objects again.
+    hash instead of building its ``SourceLocation`` objects again.  Each
+    frame is type-checked on its first decode only: a cache hit is a stack
+    that passed.
     """
     if not frames:
         return (UNKNOWN_LOCATION,)
+    for f, l, c, fn in frames:
+        if not (
+            type(f) is str and type(l) is int and type(fn) is str
+            and (c is None or type(c) is int)
+        ):
+            raise ValueError(
+                f"stack frame {[f, l, c, fn]!r} is not (file: str, line: int, "
+                "column: int or null, function: str)"
+            )
     return tuple(SourceLocation(f, l, c, fn) for f, l, c, fn in frames)
 
 
@@ -226,7 +237,13 @@ def _decoder(cls, tag: str, fields, *, by_key: bool) -> Callable:
         label = key if by_key else name
         if check is STACK:
             if by_key:
-                stack = [f"    {v} = shared_stack(tuple(map(tuple, {v})))"]
+                env["stack_error"] = f"{tag} record field {label!r}: "
+                stack = [
+                    "    try:",
+                    f"        {v} = shared_stack(tuple(map(tuple, {v})))",
+                    "    except (TypeError, ValueError) as exc:",
+                    "        raise ValueError(stack_error + str(exc)) from None",
+                ]
             else:
                 env["stack_error"] = (
                     f"{tag} row names stack ", "; the frame's table holds "

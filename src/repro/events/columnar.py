@@ -111,6 +111,16 @@ class BatchColumns:
         if slots:
             self._decode(accesses, slots)
             return
+        if len(accesses) == 1:
+            # A batch of one (immediate delivery, a race check's row): one
+            # array and seven views cost half of seven arrays.
+            row = np.array(accesses[0][:7], dtype=np.int64)
+            self.device_ids, self.thread_ids, self.addresses, self.sizes = (
+                row[0:1], row[1:2], row[2:3], row[3:4]
+            )
+            self.is_write = row[4:5].astype(np.bool_)
+            self.counts, self.strides = row[5:6], row[6:7]
+            return
         # zip(*[]) yields no columns, so an empty batch gets empty ones.
         fields = tuple(islice(zip(*accesses), 7)) or ((),) * 7
         devices, threads, addresses, sizes, writes, counts, strides = fields

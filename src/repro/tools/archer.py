@@ -24,14 +24,21 @@ the DRACC mapping issues), and ARBALEST embeds the same engine, which is
 why the paper finds their runtime overheads nearly identical (Fig 8).
 
 Checks are vectorized, giving amortized O(1) per element like the real
-shadow-cell implementation.  A sync-free batch of scalar accesses
-(:meth:`RaceEngine.check_batch`) sees every thread's clock frozen, so an
-access that repeats its granule's previous thread and kind is a
-same-epoch no-op and drops out; the rest are checked with one numpy
-gather-and-compare per first-occurrence pass and block, whatever threads
-and kinds the pass mixes.  Bulk ranges and strided accesses run the same
-row kernel for one thread.  Every path applies the one-granule rules of
-:meth:`RaceEngine._check_one`, which stays on plain Python ints.
+shadow-cell implementation.  The engine has one entry point,
+:meth:`RaceEngine.check_batch`: a sync-free run of accesses as a batch's
+columns, or a selection of its positions, which every thread's clock
+sees frozen.  Each row is handled by its shape, in program order: a
+strided row stands for its elements; a contiguous row over several
+granules runs the span kernel at its place (O(1) when it installs one
+epoch pair over a whole uniform block); the one-granule rows between
+those drop an access that repeats its granule's previous thread and kind
+(a same-epoch no-op) and are checked with one numpy gather-and-compare
+per first-occurrence pass and block, whatever threads and kinds the pass
+mixes.  A short run of contiguous rows — a batch of one, a transfer's
+two rows (a read of the source, then a write of the destination), a
+small batch — is checked a row at a time in plain ints.  Every path
+applies the one-granule rules of :meth:`RaceEngine._check_one`, which
+stays on plain Python ints.
 """
 
 from __future__ import annotations
@@ -45,13 +52,15 @@ import numpy as np
 
 from ..clocks.epoch import CLOCK_BITS, MAX_CLOCK
 from ..clocks.vector_clock import VectorClock
+from ..events.columnar import BatchColumns
+from ..events.records import Access
 from ..memory.layout import GRANULE
 from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events.records import Access, AllocationEvent, MemcpyEvent, SyncEvent
+    from ..events.records import AllocationEvent, MemcpyEvent, SyncEvent
 
 _CLOCK_MASK = np.uint64(MAX_CLOCK)
 _CLOCK_SHIFT = np.uint64(CLOCK_BITS)
@@ -61,6 +70,10 @@ _NO_SHARE = np.zeros((0, 0), dtype=np.uint64)
 #: ones replay one at a time, so a granule hit by alternating threads (a
 #: reduction variable) costs linear time, not one pass per access.
 _MAX_PASSES = 8
+#: A run of at most this many contiguous rows (a batch of one, a transfer,
+#: a small batch) is checked a row at a time in plain ints: about 1.5 µs a
+#: scalar row against about 80 µs of vectorized set-up.
+_PLAIN_ROWS = 32
 #: Bits of a batch key's granule part: ``block << _KEY_SHIFT | granule``.
 _KEY_SHIFT = 40
 _GRANULE_MASK = (1 << _KEY_SHIFT) - 1
@@ -203,9 +216,6 @@ class RaceEngine:
         # the snapshots above.  Plain ints: the scalar fast path compares
         # them without constructing any numpy value.
         self._epoch_cache: dict[int, int] = {}
-        # Last block hit by _block_for: kernels hammer one array, so this
-        # avoids the bisect in the overwhelmingly common case.
-        self._last_block: _RaceBlock | None = None
         self.races: list[dict] = []
 
     # -- clocks -------------------------------------------------------------
@@ -272,7 +282,6 @@ class RaceEngine:
             self._sorted_blocks.insert(i, block)
         self._blocks[base] = block
         self._bounds = None
-        self._last_block = None
 
     def untrack(self, device_id: int, base: int) -> None:
         """Free: the shadow persists (TSan's is direct-mapped), so races
@@ -282,103 +291,11 @@ class RaceEngine:
         resets the epochs (see :meth:`track`)."""
         return
 
-    def _block_for(self, device_id: int, address: int) -> _RaceBlock | None:
-        cached = self._last_block
-        if cached is not None and cached.base <= address < cached.base + cached.nbytes:
-            return cached
-        i = bisect_right(self._bases, address)
-        if not i:
-            return None
-        block = self._sorted_blocks[i - 1]
-        if address < block.base + block.nbytes:
-            self._last_block = block
-            return block
-        return None
-
     @property
     def shadow_bytes(self) -> int:
         return sum(b.shadow_nbytes for b in self._blocks.values())
 
     # -- accesses ----------------------------------------------------------------
-
-    def check_access(self, access: "Access") -> list[int]:
-        """Check one instrumented access; the single entry point for tools.
-
-        Scalar and contiguous accesses go through :meth:`check_range`;
-        strided accesses are checked with one vectorized pass over the
-        touched granules instead of a per-element Python loop.  Returns the
-        local granule indices that raced.
-        """
-        stride = access.element_stride
-        if access.count == 1 or stride == access.size:
-            return self.check_range(
-                access.device_id,
-                access.thread_id,
-                access.address,
-                access.span,
-                access.is_write,
-            )
-        return self.check_strided(access)
-
-    def check_strided(self, access: "Access") -> list[int]:
-        """Vectorized check of a strided access's granule set."""
-        block = self._block_for(access.device_id, access.address)
-        if block is not None:
-            local = access.granule_indices() - block.base // GRANULE
-            if len(local) and bool(
-                (local[0] >= 0) & (local[-1] < len(block.write))
-            ):
-                if len(local) == 1:
-                    return self._check_one(
-                        block,
-                        access.device_id,
-                        access.thread_id,
-                        int(local[0]),
-                        access.is_write,
-                    )
-                return self._check_granules(
-                    block,
-                    access.device_id,
-                    access.thread_id,
-                    local,
-                    access.is_write,
-                )
-        # Rare: the access straddles block boundaries (or hits untracked
-        # memory); fall back to per-element range checks.
-        racy: list[int] = []
-        for addr in access.element_addresses().tolist():
-            racy += self.check_range(
-                access.device_id,
-                access.thread_id,
-                addr,
-                access.size,
-                access.is_write,
-            )
-        return racy
-
-    def check_range(
-        self,
-        device_id: int,
-        tid: int,
-        address: int,
-        span: int,
-        is_write: bool,
-    ) -> list[int]:
-        """Check all granules of ``[address, address+span)``; record races.
-
-        Returns the local granule indices that raced (for reporting).
-        """
-        block = self._block_for(device_id, address)
-        if block is None or span <= 0:
-            return []
-        lo = max(0, (address - block.base) // GRANULE)
-        hi = min(len(block.write), -(-(address + span - block.base) // GRANULE))
-        if hi <= lo:
-            return []
-        if hi - lo == 1:
-            # Scalar fast path: one granule, plain-int epoch algebra.
-            return self._check_one(block, device_id, tid, lo, is_write)
-        return self._check_span(block, device_id, tid, lo, hi, is_write)
 
     def _check_one(
         self, block: _RaceBlock, device_id: int, tid: int, g: int, is_write: bool
@@ -570,27 +487,14 @@ class RaceEngine:
                     else:
                         block.read[sel] = my_epoch
                     return []
-        return self._check_granules(
-            block, device_id, tid, np.arange(lo, hi), is_write
-        )
-
-    def _check_granules(
-        self,
-        block: _RaceBlock,
-        device_id: int,
-        tid: int,
-        local: np.ndarray,
-        is_write: bool,
-    ) -> list[int]:
-        """One thread's access to the distinct granules ``local``: the
-        general span and strided path, one :meth:`_check_rows` call."""
-        n = len(local)
+        local = np.arange(lo, hi)
+        n = hi - lo
         racy_g = local[
             self._check_rows(
                 block,
                 local,
                 np.full(n, is_write),
-                np.full(n, self._current_epoch(tid), dtype=np.uint64),
+                np.full(n, my_epoch_int, dtype=np.uint64),
                 self._clock_matrix([tid]),
                 np.zeros(n, dtype=np.intp),
             )
@@ -622,41 +526,72 @@ class RaceEngine:
             )
         ]
 
-    # -- columnar entry point ---------------------------------------------------
+    # -- the entry point --------------------------------------------------------
 
     def check_batch(
-        self,
-        device_ids: np.ndarray,
-        tids: np.ndarray,
-        addresses: np.ndarray,
-        sizes: np.ndarray,
-        is_writes: np.ndarray,
+        self, columns: BatchColumns, positions: np.ndarray | None = None
     ) -> list[int]:
-        """Vectorized FastTrack over an ordered run of scalar accesses.
+        """Check an ordered run of accesses: the engine's one entry point.
 
-        The columns describe ``count == 1`` accesses, and the run must not
-        span a sync event (thread clocks are frozen across it — the bus's
-        batch-flush ordering guarantees this).  Each access becomes one row
-        per granule it covers in the block holding its address, clipped to
-        that block as :meth:`check_range` clips; an access that misses
-        every block has none.  Because the clocks are frozen, a row whose
-        previous row on the same granule has the same thread and kind is a
-        same-epoch no-op, and is dropped.  The rest split into passes, pass
-        ``k`` holding each granule's ``k``-th row: one :meth:`_check_rows`
-        call per pass and block keeps every granule's program order, and
-        rows past :data:`_MAX_PASSES` replay one at a time, in order.
-        Returns the sorted run positions whose access raced.
+        ``columns`` is a batch's :class:`~repro.events.columnar.BatchColumns`
+        and ``positions``, if given, the ascending positions of the rows to
+        check (every row otherwise).  The run must not span a sync event:
+        thread clocks are frozen across it, as the bus's batch-flush
+        ordering guarantees.  A row is clipped to the block holding its
+        first byte (one that misses every block touches nothing) and is
+        handled by its shape, in program order:
+
+        * a strided row (``count > 1``, stride other than its size) stands
+          for its elements, each a row at the row's position;
+        * a contiguous row covering several granules is checked at its
+          place by :meth:`_check_span`, O(1) when it installs one epoch
+          pair over a whole uniform block;
+        * the one-granule rows between those go through :meth:`_check_run`.
+
+        A run of at most :data:`_PLAIN_ROWS` contiguous rows (a batch of one,
+        a transfer, a small batch) is checked a row at a time by
+        :meth:`_check_plain`.
+        Returns the sorted positions whose access raced.
         """
+        fields = (
+            columns.device_ids, columns.thread_ids, columns.addresses,
+            columns.sizes, columns.is_write, columns.counts, columns.strides,
+        )
+        if positions is not None:
+            fields = tuple(field[positions] for field in fields)
+        devices, tids, addresses, spans, writes, counts, strides = fields
         n = len(addresses)
         if n == 0 or not self._bases:
             return []
-        if n == 1:
-            # A run of one access is one check_range.
-            racy = self.check_range(
-                int(device_ids[0]), int(tids[0]), int(addresses[0]),
-                int(sizes[0]), bool(is_writes[0]),
-            )
-            return [0] if racy else []
+        if n <= _PLAIN_ROWS:
+            shape = list(zip(spans.tolist(), counts.tolist(), strides.tolist()))
+            if all(count == 1 or stride in (0, size) for size, count, stride in shape):
+                rows = zip(
+                    devices.tolist(), tids.tolist(), addresses.tolist(),
+                    writes.tolist(), shape,
+                )
+                racy = [
+                    i
+                    for i, (device, tid, address, is_write, (size, count, _))
+                    in enumerate(rows)
+                    if self._check_plain(device, tid, address, count * size, is_write)
+                ]
+                return racy if positions is None else positions[racy].tolist()
+        row_pos = None  # each row's run index, once strided rows expand
+        if not bool((counts == 1).all()):
+            sizes = spans
+            step = np.where(strides == 0, sizes, strides)
+            spans = np.where(counts > 0, (counts - 1) * step + sizes, 0)
+            strided = (counts > 1) & (step != sizes)
+            if strided.any():
+                reps = np.where(strided, counts, 1)
+                row_pos = np.repeat(np.arange(n), reps)
+                k = np.arange(len(row_pos)) - (np.cumsum(reps) - reps)[row_pos]
+                addresses = addresses[row_pos] + k * step[row_pos]
+                spans = np.where(strided, sizes, spans)[row_pos]
+                devices, tids, writes = (
+                    devices[row_pos], tids[row_pos], writes[row_pos]
+                )
         if self._bounds is None:
             blocks = self._sorted_blocks
             self._bounds = (
@@ -669,31 +604,84 @@ class RaceEngine:
         safe = np.maximum(bi, 0)
         base_of = bases[safe]
         first = (addresses - base_of) // GRANULE
-        stop = np.minimum(granules[safe], -((base_of - addresses - sizes) // GRANULE))
-        count = np.where(
-            (bi >= 0) & (addresses < ends[safe]) & (sizes > 0),
-            stop - first,
-            0,
+        stop = np.minimum(granules[safe], -((base_of - addresses - spans) // GRANULE))
+        width = np.where(
+            (bi >= 0) & (addresses < ends[safe]) & (spans > 0), stop - first, 0
         )
-        if bool((count == 1).all()):
-            pos = None
-            g, blk, row_devices, row_tids, row_writes = (
-                first, bi, device_ids, tids, is_writes
+        # Runs of one-granule rows, cut at every span and every miss.
+        racy_rows: list = []
+        start = 0
+        for row in [*np.flatnonzero(width != 1).tolist(), len(width)]:
+            if row > start:
+                run = slice(start, row)
+                hit = self._check_run(
+                    bi[run], first[run], devices[run], tids[run], writes[run]
+                )
+                if len(hit):
+                    racy_rows.append(hit + start)
+            if row < len(width) and width[row] > 1 and self._check_span(
+                self._sorted_blocks[bi[row]], int(devices[row]), int(tids[row]),
+                int(first[row]), int(stop[row]), bool(writes[row]),
+            ):
+                racy_rows.append([row])
+            start = row + 1
+        if not racy_rows:
+            return []
+        rows = np.concatenate(racy_rows)
+        if row_pos is not None:
+            rows = row_pos[rows]
+        if positions is not None:
+            rows = positions[rows]
+        return np.unique(rows).tolist()
+
+    def _check_plain(
+        self, device_id: int, tid: int, address: int, span: int, is_write: bool
+    ) -> list[int]:
+        """One contiguous row in plain ints: the granules of ``[address,
+        address + span)`` in the block holding ``address``."""
+        i = bisect_right(self._bases, address)
+        if not i or span <= 0:
+            return []
+        block = self._sorted_blocks[i - 1]
+        if address >= block.base + block.nbytes:
+            return []
+        lo = (address - block.base) // GRANULE
+        hi = min(len(block.write), -(-(address + span - block.base) // GRANULE))
+        if hi - lo == 1:
+            return self._check_one(block, device_id, tid, lo, is_write)
+        return self._check_span(block, device_id, tid, lo, hi, is_write)
+
+    def _check_run(
+        self,
+        blk: np.ndarray,
+        g: np.ndarray,
+        device_ids: np.ndarray,
+        tids: np.ndarray,
+        is_writes: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized FastTrack over one-granule rows: row ``i`` touches
+        granule ``g[i]`` of block number ``blk[i]``.
+
+        Because the clocks are frozen, a row whose previous row on the same
+        granule has the same thread and kind is a same-epoch no-op, and is
+        dropped.  The rest split into passes, pass ``k`` holding each
+        granule's ``k``-th row: one :meth:`_check_rows` call per pass and
+        block keeps every granule's program order, and rows past
+        :data:`_MAX_PASSES` replay one at a time, in order.  Returns the
+        indices of the racy rows.
+        """
+        if len(g) == 1:
+            racy = self._check_one(
+                self._sorted_blocks[int(blk[0])], int(device_ids[0]),
+                int(tids[0]), int(g[0]), bool(is_writes[0]),
             )
-        else:
-            pos = np.repeat(np.arange(n), count)
-            if not len(pos):
-                return []
-            g = first[pos] + np.arange(len(pos)) - (np.cumsum(count) - count)[pos]
-            blk, row_devices, row_tids, row_writes = (
-                bi[pos], device_ids[pos], tids[pos], is_writes[pos]
-            )
+            return np.zeros(1 if racy else 0, dtype=np.intp)
         # Each granule's rows in program order: a stable sort on the key.
         key = blk << _KEY_SHIFT | g
         order = np.argsort(key, kind="stable")
         key = key[order]
-        tid_s = row_tids[order]
-        write_s = row_writes[order]
+        tid_s = tids[order]
+        write_s = is_writes[order]
         same = key[1:] == key[:-1]
         redundant = same & (tid_s[1:] == tid_s[:-1]) & (write_s[1:] == write_s[:-1])
         if redundant.any():
@@ -737,23 +725,35 @@ class RaceEngine:
                     self._record(
                         block,
                         p_g[hit].tolist(),
-                        row_devices[rows].tolist(),
-                        row_tids[rows].tolist(),
-                        row_writes[rows].tolist(),
+                        device_ids[rows].tolist(),
+                        tids[rows].tolist(),
+                        is_writes[rows].tolist(),
                     )
         for row in late:
             if self._check_one(
                 self._sorted_blocks[int(blk[row])],
-                int(row_devices[row]),
-                int(row_tids[row]),
+                int(device_ids[row]),
+                int(tids[row]),
                 int(g[row]),
-                bool(row_writes[row]),
+                bool(is_writes[row]),
             ):
                 racy_rows.append(np.array([row]))
         if not racy_rows:
-            return []
-        racy = np.concatenate(racy_rows)
-        return np.unique(racy if pos is None else pos[racy]).tolist()
+            return np.zeros(0, dtype=np.intp)
+        return np.concatenate(racy_rows)
+
+
+def transfer_columns(event: "MemcpyEvent") -> BatchColumns:
+    """A transfer as the two-row run a race check takes: a read of the
+    source, then a write of the destination, on the acting thread."""
+    return BatchColumns(
+        [
+            Access(event.src_device, event.thread_id, event.src_address,
+                   event.nbytes, False),
+            Access(event.dst_device, event.thread_id, event.dst_address,
+                   event.nbytes, True),
+        ]
+    )
 
 
 class ArcherTool(Tool):
@@ -798,54 +798,10 @@ class ArcherTool(Tool):
         )
 
     def on_batch(self, batch) -> None:
-        engine = self.engine
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count("tool.archer.access_checks", len(batch))
         accesses = batch.accesses
-        cols = batch.columns
-        counts = cols.counts
-        racy_positions: list[int]
-        if bool((counts == 1).all()):
-            racy_positions = engine.check_batch(
-                cols.device_ids,
-                cols.thread_ids,
-                cols.addresses,
-                cols.sizes,
-                cols.is_write,
-            )
-        else:
-            # Bulk (multi-element) accesses interleave with scalar ones:
-            # vector-check the scalar runs, replay each bulk event in place.
-            racy_positions = []
-            bulk = np.flatnonzero(counts != 1)
-            start = 0
-            for b in bulk.tolist():
-                if b > start:
-                    racy_positions += [
-                        start + p
-                        for p in engine.check_batch(
-                            cols.device_ids[start:b],
-                            cols.thread_ids[start:b],
-                            cols.addresses[start:b],
-                            cols.sizes[start:b],
-                            cols.is_write[start:b],
-                        )
-                    ]
-                if engine.check_access(accesses[b]):
-                    racy_positions.append(b)
-                start = b + 1
-            if start < len(accesses):
-                racy_positions += [
-                    start + p
-                    for p in engine.check_batch(
-                        cols.device_ids[start:],
-                        cols.thread_ids[start:],
-                        cols.addresses[start:],
-                        cols.sizes[start:],
-                        cols.is_write[start:],
-                    )
-                ]
-        for pos in sorted(racy_positions):
+        for pos in self.engine.check_batch(batch.columns):
             self._report_race(accesses[pos])
 
     def on_memcpy(self, event: "MemcpyEvent") -> None:
@@ -854,13 +810,7 @@ class ArcherTool(Tool):
         # (the Fig-2 line-14-vs-line-11 conflict).
         if _telemetry.ACTIVE is not None:
             _telemetry.ACTIVE.count("tool.archer.memcpy_checks")
-        racy_r = self.engine.check_range(
-            event.src_device, event.thread_id, event.src_address, event.nbytes, False
-        )
-        racy_w = self.engine.check_range(
-            event.dst_device, event.thread_id, event.dst_address, event.nbytes, True
-        )
-        if racy_r or racy_w:
+        if self.engine.check_batch(transfer_columns(event)):
             self.report(
                 Finding(
                     tool=self.name,

@@ -261,6 +261,33 @@ class TestClassification:
         )
 
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-access"])
+    def test_race_on_a_bulk_access_is_found_in_place(self, batched):
+        # Two unordered kernels write disjoint scalars and one shared slice:
+        # the only race is the second slice write, a bulk access applied in
+        # place (inside a batch of several accesses when batched).
+        from tests.per_access import per_access
+
+        rt = TargetRuntime(n_devices=1)
+        det = (Arbalest if batched else per_access(Arbalest))().attach(rt.machine)
+        a = rt.array("a", 16)
+        a.fill(0.0)
+        rt.target_enter_data([to(a)])
+        for element in (0, 1):
+
+            def k(ctx, element=element):
+                A = ctx["a"]
+                A.write(element, 1.0)
+                A.write(slice(8, 16), np.full(8, 2.0))
+                A.write(element + 2, 3.0)
+
+            rt.target(k, nowait=True)
+        rt.taskwait()
+        rt.finalize()
+        (race,) = det.race_findings()
+        assert (race.device_id, race.size) == (1, 8)
+
+
 class TestUnifiedMemory:
     def test_clean_unified_program(self):
         rt, det = setup(unified=True)

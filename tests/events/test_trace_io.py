@@ -257,6 +257,7 @@ class TestDeclaredSizeValidation:
         (5, {"kind": 1}),
         (6, {"addr": -1}),
         (6, {"n": "8"}),
+        (1, {"stack": [["a.c", "three", None, 7]]}),
     ]
 
     def test_rejection_is_a_skipped_record_in_lenient_loads(self):

@@ -8,8 +8,8 @@ the other in the transitive closure of {program order within a thread} ∪
 
 FastTrack must agree with the oracle on *which granules ever raced* —
 including the read-share escalation cases single-epoch read tracking gets
-wrong.  The batch kernel must in turn agree with one-access-at-a-time
-delivery on everything it leaves behind.
+wrong.  A multi-row batch must in turn agree with one-row-at-a-time
+delivery on everything it leaves behind, whatever its rows' shapes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.events.columnar import BatchColumns
+from repro.events.records import Access
 from repro.tools import RaceEngine
+from tests.race_rows import check_row, vectorized
 
 N_THREADS = 4
 N_GRANULES = 4
@@ -122,10 +125,8 @@ def assert_fasttrack_agrees_with_oracle(events) -> None:
             engine.handle_sync("edge", ev.source, ev.target)
             oracle.sync(ev.source, ev.target)
         else:
-            racy = engine.check_range(
-                0, ev.tid, BASE + 8 * ev.granule, 8, ev.is_write
-            )
-            detected |= {g for g in racy}
+            racy = check_row(engine, 0, ev.tid, BASE + 8 * ev.granule, 8, ev.is_write)
+            detected |= {(race["address"] - BASE) // 8 for race in racy}
             oracle.access(ev)
     expected = oracle.racing_granules()
     assert detected == expected, (
@@ -188,32 +189,42 @@ HOT = BASE + 8
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """One ``count == 1`` access; unaligned ones straddle two granules."""
+class Row:
+    """One access row: ``count`` elements of ``size`` bytes, ``stride``
+    bytes apart (0: contiguous); unaligned ones straddle granules."""
 
     device: int
     tid: int
     address: int
     size: int
     is_write: bool
+    count: int = 1
+    stride: int = 0
 
 
+@dataclass(frozen=True)
+class Transfer:
+    """A memcpy as the race check takes it: a two-row run of its own, a
+    read of the source and then a write of the destination."""
+
+    rows: tuple[Row, Row]
+
+
+address_strategy = st.integers(BASE - 8, BASE + 16 * BLOCK_GRANULES + 8)
 scalar_strategy = st.builds(
-    Scalar,
+    Row,
     device=st.integers(0, 1),
-    tid=st.integers(0, N_THREADS - 1),
-    address=st.one_of(
-        st.just(HOT), st.integers(BASE - 8, BASE + 16 * BLOCK_GRANULES + 8)
-    ),
+    tid=thread_strategy,
+    address=st.one_of(st.just(HOT), address_strategy),
     size=st.sampled_from((1, 4, 8, 12, 16)),
     is_write=st.booleans(),
 )
 #: Nine or more back-to-back accesses to one granule by mixed threads.
 burst_strategy = st.lists(
     st.builds(
-        Scalar,
+        Row,
         device=st.just(1),
-        tid=st.integers(0, N_THREADS - 1),
+        tid=thread_strategy,
         address=st.just(HOT),
         size=st.just(8),
         is_write=st.booleans(),
@@ -224,12 +235,46 @@ burst_strategy = st.lists(
 #: One thread's loop over consecutive granules, as a kernel issues it.
 sweep_strategy = st.builds(
     lambda tid, is_write, first, length: [
-        Scalar(1, tid, BASE + 8 * g, 8, is_write) for g in range(first, first + length)
+        Row(1, tid, BASE + 8 * g, 8, is_write) for g in range(first, first + length)
     ],
-    tid=st.integers(0, N_THREADS - 1),
+    tid=thread_strategy,
     is_write=st.booleans(),
     first=st.integers(0, BLOCK_GRANULES),
     length=st.integers(2, BLOCK_GRANULES + 1),
+)
+#: A contiguous slice (stride 0 or its element size), whole blocks
+#: included; it is clipped to the block holding its first byte.
+bulk_strategy = st.builds(
+    lambda device, tid, address, size, is_write, count, explicit: Row(
+        device, tid, address, size, is_write, count, size if explicit else 0
+    ),
+    device=st.integers(0, 1),
+    tid=thread_strategy,
+    address=st.one_of(st.sampled_from(BLOCK_BASES), address_strategy),
+    size=st.sampled_from((4, 8)),
+    is_write=st.booleans(),
+    count=st.integers(2, 2 * BLOCK_GRANULES),
+    explicit=st.booleans(),
+)
+#: Elements with gaps between them; each is clipped to its own block.
+strided_strategy = st.builds(
+    Row,
+    device=st.integers(0, 1),
+    tid=thread_strategy,
+    address=address_strategy,
+    size=st.sampled_from((4, 8)),
+    is_write=st.booleans(),
+    count=st.integers(2, 4),
+    stride=st.sampled_from((12, 16, 24)),
+)
+transfer_strategy = st.builds(
+    lambda tid, src, dst, nbytes: Transfer(
+        (Row(0, tid, src, nbytes, False), Row(1, tid, dst, nbytes, True))
+    ),
+    tid=thread_strategy,
+    src=st.one_of(st.sampled_from(BLOCK_BASES), address_strategy),
+    dst=st.one_of(st.sampled_from(BLOCK_BASES), address_strategy),
+    nbytes=st.integers(0, 16 * BLOCK_GRANULES),
 )
 batch_trace_strategy = st.lists(
     st.one_of(
@@ -241,6 +286,9 @@ batch_trace_strategy = st.lists(
         scalar_strategy,
         burst_strategy,
         sweep_strategy,
+        bulk_strategy,
+        strided_strategy,
+        transfer_strategy,
     ),
     max_size=40,
 )
@@ -269,22 +317,28 @@ def test_batch_kernel_matches_per_access_delivery(trace):
     for engine in (batched, single):
         for base in BLOCK_BASES:
             engine.track(0, base, 8 * BLOCK_GRANULES)
-    run: list[Scalar] = []
+    run: list[Row] = []
 
     def deliver() -> None:
         if not run:
             return
-        got = batched.check_batch(
-            np.array([a.device for a in run], dtype=np.int64),
-            np.array([a.tid for a in run], dtype=np.int64),
-            np.array([a.address for a in run], dtype=np.int64),
-            np.array([a.size for a in run], dtype=np.int64),
-            np.array([a.is_write for a in run], dtype=np.bool_),
-        )
+        with vectorized():
+            got = batched.check_batch(
+                BatchColumns(
+                    [
+                        Access(a.device, a.tid, a.address, a.size, a.is_write,
+                               a.count, a.stride)
+                        for a in run
+                    ]
+                )
+            )
         want = [
             i
             for i, a in enumerate(run)
-            if single.check_range(a.device, a.tid, a.address, a.size, a.is_write)
+            if check_row(
+                single, a.device, a.tid, a.address, a.size, a.is_write,
+                a.count, a.stride,
+            )
         ]
         assert got == want, f"run={run}"
         run.clear()
@@ -295,6 +349,10 @@ def test_batch_kernel_matches_per_access_delivery(trace):
             if ev.source != ev.target:
                 for engine in (batched, single):
                     engine.handle_sync("edge", ev.source, ev.target)
+        elif isinstance(ev, Transfer):
+            deliver()
+            run.extend(ev.rows)
+            deliver()
         else:
             run.extend(ev if isinstance(ev, list) else [ev])
     deliver()

@@ -278,6 +278,15 @@ def _kind_byte(code: int):
     return damage
 
 
+def _bad_stack_frame(payload: bytes) -> bytes:
+    """Layout damage: the tail's first stack holds a mistyped frame."""
+    size = HEAD.unpack_from(payload)[3]
+    tail = json.loads(payload[-size:])
+    tail["stacks"][0] = [["a.c", "three", None, 7]]
+    body = json.dumps(tail).encode()
+    return _set_head(3, lambda _: len(body))(payload[:-size] + body)
+
+
 #: Damage the binary layout cannot carry as a row: the whole payload is
 #: refused with a PayloadError and nothing of the frame applies.
 LAYOUT_DAMAGE = {
@@ -295,6 +304,7 @@ LAYOUT_DAMAGE = {
     "tail-not-json": lambda p: p[:-1] + b"]",
     "tail-not-an-object": lambda p: HEAD.pack(ROW_TABLE, 1, 0, 2, *[1] * 7)
     + b"\5[]",
+    "stack-frame-mistyped": _bad_stack_frame,
 }
 
 

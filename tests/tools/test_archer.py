@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.clocks import VectorClock
 from repro.events import Access
+from repro.events.columnar import BatchColumns
 from repro.openmp import Schedule, TargetRuntime, to, tofrom
 from repro.tools import ArcherTool, FindingKind, RaceEngine
+from tests.race_rows import check_row, vectorized
 
 
 def setup(**kw):
@@ -29,38 +31,38 @@ class TestEngineDirect:
 
     def test_sequential_same_thread_no_race(self):
         e = self.engine()
-        assert not e.check_range(0, 1, self.BASE, 8, True)
-        assert not e.check_range(0, 1, self.BASE, 8, True)
-        assert not e.check_range(0, 1, self.BASE, 8, False)
+        assert not check_row(e, 0, 1, self.BASE, 8, True)
+        assert not check_row(e, 0, 1, self.BASE, 8, True)
+        assert not check_row(e, 0, 1, self.BASE, 8, False)
 
     def test_unordered_write_write_races(self):
         e = self.engine()
-        e.check_range(0, 1, self.BASE, 8, True)
-        assert e.check_range(0, 2, self.BASE, 8, True)
+        check_row(e, 0, 1, self.BASE, 8, True)
+        assert check_row(e, 0, 2, self.BASE, 8, True)
 
     def test_fork_orders_parent_before_child(self):
         e = self.engine()
-        e.check_range(0, 0, self.BASE, 8, True)  # parent write
+        check_row(e, 0, 0, self.BASE, 8, True)  # parent write
         e.handle_sync("fork", 0, 1)
-        assert not e.check_range(0, 1, self.BASE, 8, True)  # child after fork
+        assert not check_row(e, 0, 1, self.BASE, 8, True)  # child after fork
 
     def test_join_orders_child_before_parent(self):
         e = self.engine()
         e.handle_sync("fork", 0, 1)
-        e.check_range(0, 1, self.BASE, 8, True)
+        check_row(e, 0, 1, self.BASE, 8, True)
         e.handle_sync("join", 1, 0)
-        assert not e.check_range(0, 0, self.BASE, 8, True)
+        assert not check_row(e, 0, 0, self.BASE, 8, True)
 
     def test_unjoined_child_races_with_parent(self):
         e = self.engine()
         e.handle_sync("fork", 0, 1)
-        e.check_range(0, 1, self.BASE, 8, True)
-        assert e.check_range(0, 0, self.BASE, 8, True)  # no join: race
+        check_row(e, 0, 1, self.BASE, 8, True)
+        assert check_row(e, 0, 0, self.BASE, 8, True)  # no join: race
 
     def test_read_read_never_races(self):
         e = self.engine()
-        e.check_range(0, 1, self.BASE, 8, False)
-        assert not e.check_range(0, 2, self.BASE, 8, False)
+        check_row(e, 0, 1, self.BASE, 8, False)
+        assert not check_row(e, 0, 2, self.BASE, 8, False)
 
     def test_concurrent_read_then_ordered_write_still_races_with_other_reader(self):
         # The FastTrack read-share case: two concurrent readers; a write
@@ -68,10 +70,10 @@ class TestEngineDirect:
         e = self.engine()
         e.handle_sync("fork", 0, 1)
         e.handle_sync("fork", 0, 2)
-        e.check_range(0, 1, self.BASE, 8, False)
-        e.check_range(0, 2, self.BASE, 8, False)
+        check_row(e, 0, 1, self.BASE, 8, False)
+        check_row(e, 0, 2, self.BASE, 8, False)
         e.handle_sync("join", 2, 0)  # thread 0 now ordered after reader 2 only
-        assert e.check_range(0, 0, self.BASE, 8, True)  # races with reader 1
+        assert check_row(e, 0, 0, self.BASE, 8, True)  # races with reader 1
 
     def test_ordered_read_of_a_shared_granule_stays_in_its_read_vector(self):
         # R0, R1, sync 1->2, R2, R3, sync 0->3, sync 1->3, W3: R0 and R1
@@ -85,16 +87,12 @@ class TestEngineDirect:
             e = self.engine()
             for run, syncs in zip(runs, syncs_after):
                 if batched:
-                    e.check_batch(
-                        np.zeros(len(run), dtype=np.int64),
-                        np.array([tid for tid, _w in run]),
-                        np.full(len(run), self.BASE),
-                        np.full(len(run), 8),
-                        np.array([write for _t, write in run]),
-                    )
+                    with vectorized():
+                        rows = [Access(0, tid, self.BASE, 8, w) for tid, w in run]
+                        e.check_batch(BatchColumns(rows))
                 else:
                     for tid, write in run:
-                        e.check_range(0, tid, self.BASE, 8, write)
+                        check_row(e, 0, tid, self.BASE, 8, write)
                 for source, target in syncs:
                     e.handle_sync("edge", source, target)
             assert e.races == [
@@ -105,26 +103,26 @@ class TestEngineDirect:
         e = self.engine()
         e.handle_sync("fork", 0, 1)
         e.handle_sync("fork", 0, 2)
-        e.check_range(0, 1, self.BASE, 8, False)
-        e.check_range(0, 2, self.BASE, 8, False)
+        check_row(e, 0, 1, self.BASE, 8, False)
+        check_row(e, 0, 2, self.BASE, 8, False)
         e.handle_sync("join", 1, 0)
         e.handle_sync("join", 2, 0)
-        assert not e.check_range(0, 0, self.BASE, 8, True)
+        assert not check_row(e, 0, 0, self.BASE, 8, True)
 
     def test_distinct_granules_never_interact(self):
         e = self.engine()
-        e.check_range(0, 1, self.BASE, 8, True)
-        assert not e.check_range(0, 2, self.BASE + 8, 8, True)
+        check_row(e, 0, 1, self.BASE, 8, True)
+        assert not check_row(e, 0, 2, self.BASE + 8, 8, True)
 
     def test_range_race_reports_all_racing_granules(self):
         e = self.engine()
-        e.check_range(0, 1, self.BASE, 32, True)
-        racy = e.check_range(0, 2, self.BASE, 64, True)
+        check_row(e, 0, 1, self.BASE, 32, True)
+        racy = check_row(e, 0, 2, self.BASE, 64, True)
         assert len(racy) == 4  # only the 4 overlapping granules
 
     def test_untracked_memory_ignored(self):
         e = self.engine()
-        assert e.check_range(0, 1, 12345, 8, True) == []
+        assert check_row(e, 0, 1, 12345, 8, True) == []
 
     def test_same_epoch_repeat_accesses_stay_clean(self):
         # The FastTrack same-epoch shortcut: repeated accesses by a thread
@@ -132,20 +130,20 @@ class TestEngineDirect:
         # not perturb later verdicts.
         e = self.engine()
         for _ in range(5):
-            assert not e.check_range(0, 1, self.BASE, 64, True)
+            assert not check_row(e, 0, 1, self.BASE, 64, True)
         for _ in range(5):
-            assert not e.check_range(0, 1, self.BASE, 64, False)
+            assert not check_row(e, 0, 1, self.BASE, 64, False)
         # An unordered second thread still races after all the repeats.
-        assert e.check_range(0, 2, self.BASE, 8, True)
+        assert check_row(e, 0, 2, self.BASE, 8, True)
 
     def test_same_epoch_shortcut_does_not_hide_other_thread_race(self):
         # t1 writes, t2 races (recorded), then t1 writes again at its old
         # epoch: the shortcut must not fire for t1 (t2's epoch is stored
         # now), and the t1-vs-t2 race must be reported.
         e = self.engine()
-        e.check_range(0, 1, self.BASE, 8, True)
-        assert e.check_range(0, 2, self.BASE, 8, True)
-        assert e.check_range(0, 1, self.BASE, 8, True)
+        check_row(e, 0, 1, self.BASE, 8, True)
+        assert check_row(e, 0, 2, self.BASE, 8, True)
+        assert check_row(e, 0, 1, self.BASE, 8, True)
 
     def test_same_epoch_write_is_a_noop_on_every_path(self):
         # Readers 2 and 3 race with thread 1's writes and leave both
@@ -161,17 +159,13 @@ class TestEngineDirect:
         per_access = [
             i
             for i, (tid, g, write) in enumerate(seq)
-            if e.check_range(0, tid, self.BASE + 8 * g, 8, write)
+            if check_row(e, 0, tid, self.BASE + 8 * g, 8, write)
         ]
         assert per_access == [2, 3, 4, 5]
         e = self.engine()
-        batched = e.check_batch(
-            np.zeros(len(seq), dtype=np.int64),
-            np.array([tid for tid, _g, _w in seq]),
-            np.array([self.BASE + 8 * g for _t, g, _w in seq]),
-            np.full(len(seq), 8),
-            np.array([write for _t, _g, write in seq]),
-        )
+        with vectorized():
+            rows = [Access(0, tid, self.BASE + 8 * g, 8, w) for tid, g, w in seq]
+            batched = e.check_batch(BatchColumns(rows))
         assert batched == per_access
         # The same sequence as two-granule ranges.
         e = self.engine()
@@ -179,7 +173,7 @@ class TestEngineDirect:
         assert [
             i
             for i, (tid, write) in enumerate(spans)
-            if e.check_range(0, tid, self.BASE, 16, write)
+            if check_row(e, 0, tid, self.BASE, 16, write)
         ] == [1, 2]
 
     def test_shadow_bytes_are_the_bytes_the_arrays_hold(self):
@@ -190,7 +184,7 @@ class TestEngineDirect:
         for tid in (1, 2, 3):
             e.handle_sync("fork", 0, tid)
         for tid in (1, 2, 3):
-            e.check_range(0, tid, self.BASE, 64, False)
+            check_row(e, 0, tid, self.BASE, 64, False)
         (block,) = e._blocks.values()
         assert block.n_shared == 8
         held = sum(
@@ -207,11 +201,18 @@ class TestEngineDirect:
 BASE = 1 << 40
 
 
-def _per_element_reference(engine: RaceEngine, access: Access) -> list[int]:
-    racy = []
+def _racy_addresses(races: list[dict]) -> set[int]:
+    return {race["address"] for race in races}
+
+
+def _per_element_reference(engine: RaceEngine, access: Access) -> set[int]:
+    racy: set[int] = set()
     for addr in access.element_addresses().tolist():
-        racy += engine.check_range(
-            access.device_id, access.thread_id, addr, access.size, access.is_write
+        racy |= _racy_addresses(
+            check_row(
+                engine, access.device_id, access.thread_id, addr, access.size,
+                access.is_write,
+            )
         )
     return racy
 
@@ -232,12 +233,12 @@ access_steps = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(access_steps)
-def test_strided_check_access_equals_per_element(steps):
-    """check_access on strided accesses ≡ the per-element loop it replaced.
+def test_strided_row_equals_per_element(steps):
+    """A strided row ≡ its elements checked one row at a time.
 
     Two engines receive the same interleaving of syncs and accesses; one
-    checks each access through the vectorized entry point, the other
-    through per-element check_range calls.  The *cumulative* racy granule
+    checks each access as one strided row, the other as one row per
+    element.  The *cumulative* racy granule
     set must agree after every step — per-call returns may differ only in
     duplicates, because the same-epoch shortcut suppresses re-reporting a
     race the previous same-epoch access already reported.
@@ -261,8 +262,8 @@ def test_strided_check_access_equals_per_element(steps):
             count=count,
             stride=stride,
         )
-        got = set(fast.check_access(access))
-        want = set(_per_element_reference(slow, access))
+        got = _racy_addresses(check_row(fast, *access[:7]))
+        want = _per_element_reference(slow, access)
         assert got - got_ever == want - want_ever, (access, got, want)
         got_ever |= got
         want_ever |= want
