@@ -784,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument(
         "--telemetry",
         action="store_true",
-        help="measure inside a telemetry scope and embed the metric snapshot",
+        help="count every run into one telemetry registry and embed its snapshot",
     )
     pb.add_argument(
         "--history",
@@ -906,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument(
         "--telemetry",
         action="store_true",
-        help="run inside a telemetry scope and embed the metric snapshot",
+        help="count every run into one telemetry registry and embed its snapshot",
     )
     px.add_argument(
         "--report",

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..events.source import UNKNOWN_LOCATION
 from ..memory.layout import GRANULE
-from ..telemetry import registry as _telemetry
 from ..events.columnar import BatchColumns, first_occurrence_passes
 from ..events.records import ACCESS_KINDS
 from ..tools.archer import RaceEngine, transfer_columns
@@ -231,7 +230,9 @@ class Arbalest(Tool):
                 self.shadows.drop(event.address)
                 self._alloc_info.pop(event.address, None)
             else:
-                self.shadows.create(event.address, event.nbytes, label=event.label)
+                self.shadows.create(
+                    event.address, event.nbytes, event.label, self.telemetry
+                )
                 self._alloc_info[event.address] = event
         if self.race_engine is not None:
             if event.is_free:
@@ -280,7 +281,7 @@ class Arbalest(Tool):
     # -- OMPT data operations ------------------------------------------------
 
     def on_data_op(self, op: "DataOp") -> None:
-        telemetry = _telemetry.ACTIVE
+        telemetry = self.telemetry
         if telemetry is not None:
             with telemetry.span(
                 "detector",
@@ -382,8 +383,8 @@ class Arbalest(Tool):
 
     def _quarantine(self, reason: str, op: "DataOp", detail: str = "") -> None:
         """Log one quarantined event (impossible per current bookkeeping)."""
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(f"detector.quarantine.{reason}")
+        if self.telemetry is not None:
+            self.telemetry.count(f"detector.quarantine.{reason}")
         self.quarantine_log.append(
             {
                 "reason": reason,
@@ -405,13 +406,13 @@ class Arbalest(Tool):
         idx = block.index_range(ov_address, nbytes)
         recorder = self.recorder
         if recorder is None:
-            block.apply(idx, vsm_op, op.device_id)
+            block.apply(idx, vsm_op, op.device_id, self.telemetry)
             return
         # Flight-recorder path: sample the first granule's state around the
         # transition so the timeline shows state-before -> state-after.
         first = idx.start if idx.start < idx.stop else None
         before = block.state_label(first) if first is not None else ""
-        block.apply(idx, vsm_op, op.device_id)
+        block.apply(idx, vsm_op, op.device_id, self.telemetry)
         after = block.state_label(first) if first is not None else ""
         self._record(
             recorder, block, _DATA_OP_EVENT_KINDS[op.kind.value], op.device_id,
@@ -474,7 +475,7 @@ class Arbalest(Tool):
         is applied in place.
         """
         n = len(batch)
-        telemetry = _telemetry.ACTIVE
+        telemetry = self.telemetry
         if n == 1:
             access = batch.accesses[0]
             address = access.address
@@ -584,12 +585,12 @@ class Arbalest(Tool):
         c = cat[start:stop]
         cert = c == 1
         n_cert = int(np.count_nonzero(cert))
+        telemetry = self.telemetry
         if n_cert:
             self.cert_access_skips += n_cert
             self.cert_section_skips += int(
                 np.count_nonzero(look.section[ri[start:stop][cert]])
             )
-            telemetry = _telemetry.ACTIVE
             if telemetry is not None:
                 telemetry.count("staticlint.access_skips", n_cert)
         is_write = cols.is_write
@@ -621,11 +622,16 @@ class Arbalest(Tool):
                     g = gran[pos]
                     if recorder is not None:
                         before = block.states(g)
-                    illegal, uninit = block.apply(g, sel_ops[p], sel_devs[p])
+                    illegal, uninit = block.apply(
+                        g, sel_ops[p], sel_devs[p], telemetry
+                    )
                     synced = sel_sync[p]
                     if np.count_nonzero(synced):
                         block.apply(
-                            g[synced], VsmOp.UPDATE_TARGET, sel_devs[p][synced]
+                            g[synced],
+                            VsmOp.UPDATE_TARGET,
+                            sel_devs[p][synced],
+                            telemetry,
                         )
                     if recorder is not None:
                         after = block.states(g)
@@ -651,9 +657,9 @@ class Arbalest(Tool):
                     one = slice(g, g + 1)
                     if recorder is not None:
                         before = block.state_label(g)
-                    illegal, uninit = block.apply(one, op, dev)
+                    illegal, uninit = block.apply(one, op, dev, telemetry)
                     if synced:
-                        block.apply(one, VsmOp.UPDATE_TARGET, dev)
+                        block.apply(one, VsmOp.UPDATE_TARGET, dev, telemetry)
                     if recorder is not None:
                         after = block.state_label(g)
                         if illegal[0] or after != before:
@@ -698,7 +704,6 @@ class Arbalest(Tool):
         ``block`` the shadow block of its OV, as :meth:`on_batch` resolved
         them.
         """
-        telemetry = _telemetry.ACTIVE
         span = access.span
         start = access.address
         if access.device_id:
@@ -722,8 +727,8 @@ class Arbalest(Tool):
                     self.cert_access_skips += 1
                     if rec.certified_section:
                         self.cert_section_skips += 1
-                    if telemetry is not None:
-                        telemetry.count("staticlint.access_skips")
+                    if self.telemetry is not None:
+                        self.telemetry.count("staticlint.access_skips")
                     return  # statically proven safe: no VSM, no race check
                 if not rec.unified:
                     start = rec.to_ov(start)
@@ -794,7 +799,7 @@ class Arbalest(Tool):
                 before = block.state_label(rec_first)
         illegal = uninit = None
         for op in ops:
-            ill, uni = block.apply(idx, op, device_id)
+            ill, uni = block.apply(idx, op, device_id, self.telemetry)
             if illegal is None:
                 illegal, uninit = ill, uni
         assert illegal is not None and uninit is not None

@@ -113,11 +113,14 @@ class MultiShadowBlock:
         hi = min(self.n_granules, -(-(address + span - self.base) // self.granule))
         return slice(lo, max(lo, hi))
 
-    def apply(self, idx, ops, device_id=1) -> tuple[np.ndarray, np.ndarray]:
+    def apply(
+        self, idx, ops, device_id=1, telemetry=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Apply ``ops`` for device ``device_id``; see ShadowBlock.apply.
 
         ``device_id`` is one device for every selected granule, or an
-        array aligned with a no-repeat index array, like ``ops``.
+        array aligned with a no-repeat index array, like ``ops``.  No
+        edge counts: ``telemetry`` is accepted for interface parity.
         """
         if type(device_id) is np.ndarray:
             in_range = not device_id.size or (

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..telemetry import registry as _telemetry
 from .interval_tree import IntervalTree
 from .shadow import ShadowBlock
 
@@ -208,13 +207,17 @@ class ShadowRegistry:
     def __len__(self) -> int:
         return len(self._tree)
 
-    def create(self, base: int, nbytes: int, label: str = "") -> ShadowBlock | None:
+    def create(
+        self, base: int, nbytes: int, label: str = "", telemetry=None
+    ) -> ShadowBlock | None:
+        """Track a new allocation; ``telemetry`` (the caller's registry)
+        counts certified skips, coarsenings and section grants."""
         if label and label in self.certified:
             self._skipped[base] = base + nbytes
             self.skipped_blocks += 1
             self.skipped_bytes += nbytes
-            if _telemetry.ACTIVE is not None:
-                _telemetry.ACTIVE.count("staticlint.shadow_skips")
+            if telemetry is not None:
+                telemetry.count("staticlint.shadow_skips")
             return None
         granule = self.granule
         if self.budget_bytes is not None:
@@ -223,20 +226,18 @@ class ShadowRegistry:
                 granule = max(granule, nbytes)
                 self.coarsened_blocks += 1
                 self.coarsened_bytes += nbytes
-                if _telemetry.ACTIVE is not None:
-                    _telemetry.ACTIVE.count("detector.shadow_coarsenings")
-                    _telemetry.ACTIVE.observe(
-                        "detector.coarsened_block_bytes", nbytes
-                    )
+                if telemetry is not None:
+                    telemetry.count("detector.shadow_coarsenings")
+                    telemetry.observe("detector.coarsened_block_bytes", nbytes)
         block = self._make_block(base, nbytes, granule, label)
         self._tree.insert(base, base + nbytes, block)
         self._total_shadow += block.shadow_nbytes
         if label and label in self.sections:
-            self._record_section(base, nbytes, self.sections[label])
+            self._record_section(base, nbytes, self.sections[label], telemetry)
         return block
 
     def _record_section(
-        self, base: int, nbytes: int, section: tuple[int, int, int]
+        self, base: int, nbytes: int, section: tuple[int, int, int], telemetry
     ) -> None:
         lo, hi, length = section
         if length <= 0 or nbytes % length:
@@ -254,8 +255,8 @@ class ShadowRegistry:
         self._section_ranges[base] = (byte_lo, byte_hi)
         self.section_blocks += 1
         self.section_bytes += byte_hi - byte_lo
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("staticlint.section_grants")
+        if telemetry is not None:
+            telemetry.count("staticlint.section_grants")
 
     def section_for_base(self, base: int) -> tuple[int, int] | None:
         """The certified byte subrange of the block at ``base``, if any."""

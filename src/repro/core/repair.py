@@ -206,6 +206,7 @@ class RepairingArbalest(Arbalest):
                 shadow.index_range(mapping.ov_base, mapping.nbytes),
                 vsm_op,
                 mapping.device_id,
+                self.telemetry,
             )
         self.repairs.append(
             RepairAction(

@@ -14,9 +14,10 @@ The bus also owns the run's :class:`~repro.events.variables.VariableIndex`:
 every allocation and data op feeds it before fan-out (and before chaos
 perturbation, so names follow the program), and every attached tool names
 its address-only findings through it.  It carries the run's optional
-flight recorder and profiler too (:attr:`ToolBus.recorder`,
+flight recorder, telemetry registry and profiler too
+(:attr:`ToolBus.recorder`, :attr:`ToolBus.telemetry`,
 :attr:`ToolBus.profiler`); each is ``None`` unless a harness sets it, and
-the runtime and tools reach the recorder only through the bus.
+the runtime and tools reach them only through the bus.
 
 Two robustness roles ride on top of dispatch:
 
@@ -30,20 +31,19 @@ Two robustness roles ride on top of dispatch:
   may be perturbed (dropped/duplicated/reordered events) before delivery.
   Only the tools' *view* changes; the simulated program is untouched.
 
-When a telemetry registry is active (:data:`repro.telemetry.registry.ACTIVE`)
-the bus additionally traces its fan-out: every non-access publish wraps each
-tool handler in a ``bus``-category span, access publishes are counted (one
-span per access would dwarf the trace), and isolated handler failures bump
-per-(tool, handler) error counters.  With telemetry disabled each publish
-pays one attribute check and nothing else.
+When the bus carries a telemetry registry it also traces its fan-out:
+every non-access publish wraps each tool handler in a ``bus``-category
+span, access publishes are counted (one span per access would dwarf the
+trace), and isolated handler failures bump per-(tool, handler) error
+counters.  The runtime, the tools and the detector count into the same
+registry, read from the bus.  Without one, each publish pays one ``None``
+check and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
-
-from ..telemetry import registry as _telemetry
 
 from .columnar import BATCH_CAP, EventBatch, LaneSlot, Pending, lane_of
 from .records import (
@@ -100,9 +100,9 @@ class ToolBus:
     :attr:`dispatch` maps each event record type to its ``publish_*``
     method, for replaying a recorded stream.  ``variables`` shares one
     address-to-variable index between several buses (the serve shards);
-    by default each bus builds its own.  Attached tools get the index and
-    the :attr:`recorder` from the bus, the recorder also when it is set
-    after they attach.
+    by default each bus builds its own.  Attached tools get the index,
+    the :attr:`recorder` and the :attr:`telemetry` registry from the bus,
+    the last two also when they are set after the tools attach.
     """
 
     def __init__(self, variables: VariableIndex | None = None) -> None:
@@ -135,6 +135,7 @@ class ToolBus:
         #: and kernel phases; ``None`` (the common case) costs one check.
         self.profiler: "Profiler | None" = None
         self._recorder: "FlightRecorder | None" = None
+        self._telemetry: "Telemetry | None" = None
         #: Re-raise tool-handler exceptions instead of isolating them.
         self.strict = False
         #: Isolated handler failures, in occurrence order.
@@ -158,6 +159,7 @@ class ToolBus:
         self._tools.append(tool)
         tool.variables = self.variables
         tool.recorder = self._recorder
+        tool.telemetry = self._telemetry
         self._rebuild()
 
     @property
@@ -168,11 +170,25 @@ class ToolBus:
 
     @recorder.setter
     def recorder(self, recorder: "FlightRecorder | None") -> None:
+        self._share("recorder", recorder)
+
+    @property
+    def telemetry(self) -> "Telemetry | None":
+        """Optional metric and span registry this bus's runtime and tools
+        count into; ``None`` (the common case) costs one check."""
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry: "Telemetry | None") -> None:
+        self._share("telemetry", telemetry)
+
+    def _share(self, name: str, value) -> None:
+        """Set the bus's ``name`` and hand it to every attached tool."""
         if self._batch_pending:
-            self.flush_batch()  # pending accesses predate the recorder
-        self._recorder = recorder
+            self.flush_batch()  # pending accesses predate the new value
+        setattr(self, "_" + name, value)
         for tool in self._tools:
-            tool.recorder = recorder
+            setattr(tool, name, value)
 
     def detach(self, tool: "Tool") -> None:
         if self._batch_pending:
@@ -223,7 +239,7 @@ class ToolBus:
         if self.strict:
             raise exc
         tool_name = getattr(tool, "name", type(tool).__name__)
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             telemetry.count(f"bus.tool_errors.{tool_name}.{handler}")
         self.errors.append(
@@ -315,7 +331,7 @@ class ToolBus:
         if slots:
             self._lane_slots = []
             self.lane_epoch += 1
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             telemetry.count("bus.batches")
             telemetry.count("bus.events.on_access", len(pending))
@@ -344,7 +360,7 @@ class ToolBus:
             self._fan_out_data_op(op)
 
     def _fan_out_data_op(self, op: DataOp) -> None:
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(telemetry, self._data_op, "on_data_op", op)
             return
@@ -371,7 +387,7 @@ class ToolBus:
             profiler.kernel_event(
                 event.name if event.phase is KernelPhase.BEGIN else "host"
             )
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(telemetry, self._kernel, "on_kernel", event)
             return
@@ -385,7 +401,7 @@ class ToolBus:
         if self._batch_pending:
             self.flush_batch()
         self.variables.observe(event)
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(
                 telemetry, self._allocation, "on_allocation", event
@@ -400,7 +416,7 @@ class ToolBus:
     def publish_sync(self, event: SyncEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(telemetry, self._sync, "on_sync", event)
             return
@@ -413,7 +429,7 @@ class ToolBus:
     def publish_flush(self, event: FlushEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(telemetry, self._flush, "on_flush", event)
             return
@@ -426,7 +442,7 @@ class ToolBus:
     def publish_memcpy(self, event: MemcpyEvent) -> None:
         if self._batch_pending:
             self.flush_batch()
-        telemetry = _telemetry.ACTIVE
+        telemetry = self._telemetry
         if telemetry is not None:
             self._publish_instrumented(telemetry, self._memcpy, "on_memcpy", event)
             return

@@ -163,15 +163,19 @@ class BatchColumns:
 class BatchRows:
     """A batch's accesses as a sequence of rows, each built on first use.
 
-    Indexing a lane code decodes it and keeps the row in its place, so a
-    row is built at most once however many tools ask for it.
+    Indexing a lane code decodes it and keeps the row in a list of this
+    view's own, so a row is built at most once however many tools ask for
+    it, and the batch's pending list stays as published (its columns
+    decode the codes alone).
     """
 
-    __slots__ = ("_items", "_slots")
+    __slots__ = ("_items", "_slots", "_rows")
 
     def __init__(self, items: list[Pending], slots: Sequence[LaneSlot]):
         self._items = items
         self._slots = slots
+        #: The pending list with the rows built so far; copied on first use.
+        self._rows: list[Pending] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -179,13 +183,22 @@ class BatchRows:
     def __getitem__(self, pos):
         if type(pos) is slice:
             return [self[i] for i in range(*pos.indices(len(self._items)))]
-        item = self._items[pos]
+        rows = self._rows
+        item = (self._items if rows is None else rows)[pos]
         if type(item) is int:
-            item = self._items[pos] = decode_lane(item, self._slots)
+            if rows is None:
+                rows = self._rows = list(self._items)
+            item = rows[pos] = decode_lane(item, self._slots)
         return item
 
     def __iter__(self):
-        return iter(decode_rows(self._items, self._slots))
+        return iter(self.decoded())
+
+    def decoded(self) -> list[Access]:
+        """Every access as a row, in this view's own list."""
+        if self._rows is None:
+            self._rows = list(self._items)
+        return decode_rows(self._rows, self._slots)
 
 
 class EventBatch:
@@ -220,7 +233,9 @@ class EventBatch:
 
     def rows(self) -> list[Access]:
         """Every access as a row (decodes the whole batch once)."""
-        return decode_rows(self._items, self._slots)
+        if not self._slots:
+            return self._items  # type: ignore[return-value]
+        return self.accesses.decoded()  # type: ignore[attr-defined]
 
     def stack_at(self, pos: int):
         """The stack of access ``pos``, read without building its row."""

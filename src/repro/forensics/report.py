@@ -1,8 +1,7 @@
 """Report artifacts: findings + provenance + metrics, machine-diffable.
 
-A *report* is one run's deduped findings with their provenance timelines
-and (optionally) the telemetry metric snapshot, in a stable shape that
-renders three ways:
+A *report* is one run's deduped findings with their provenance timelines,
+in a stable shape that renders three ways:
 
 * **JSON-lines** (the tracked artifact format, ``repro-report/1``): one
   ``header`` record, one ``finding`` record per deduped finding, one

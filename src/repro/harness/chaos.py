@@ -42,6 +42,7 @@ from ..dracc.registry import (
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..openmp.runtime import TargetRuntime
+from ..telemetry import Telemetry
 
 #: Valid ``--suite`` selections for the chaos CLI.
 CHAOS_SUITES = ("all", "buggy", "clean")
@@ -83,9 +84,12 @@ def _signature(detector: Arbalest) -> tuple[str, ...]:
 def _run_one(
     bench: DraccBenchmark,
     injector: FaultInjector | None,
+    telemetry: Telemetry | None = None,
 ) -> tuple[Arbalest, BaseException | None]:
-    """One benchmark under ARBALEST, optionally faulted; never raises."""
+    """One benchmark under ARBALEST, optionally faulted and counted into
+    ``telemetry``; never raises."""
     rt = TargetRuntime(n_devices=2, faults=injector)
+    rt.machine.bus.telemetry = telemetry
     detector = Arbalest().attach(rt.machine)
     try:
         bench.run(rt)
@@ -101,19 +105,21 @@ def run_chaos_campaign(
     faults_per_schedule: int = 6,
     suite: str = "all",
     benchmarks: Iterable[DraccBenchmark] | None = None,
+    telemetry: Telemetry | None = None,
 ) -> dict:
     """Sweep ``schedules`` sampled fault schedules over the DRACC suite.
 
     Returns the JSON-ready campaign payload (see module docstring).  Fully
     deterministic in ``seed`` and the parameters: two invocations produce
-    identical payloads, including every schedule log entry.
+    identical payloads, including every schedule log entry.  Every run,
+    baseline and faulted, counts into ``telemetry`` when one is given.
     """
     benches = tuple(benchmarks) if benchmarks is not None else _suite(suite)
 
     # Un-faulted baseline, once per benchmark.
     baseline: dict[int, tuple[tuple[str, ...], bool]] = {}
     for bench in benches:
-        detector, error = _run_one(bench, None)
+        detector, error = _run_one(bench, None, telemetry)
         if error is not None:  # pragma: no cover - the seed suite is healthy
             raise error
         baseline[bench.number] = (
@@ -142,7 +148,7 @@ def run_chaos_campaign(
                 n_faults=faults_per_schedule,
             )
             injector = FaultInjector(plan)
-            detector, error = _run_one(bench, injector)
+            detector, error = _run_one(bench, injector, telemetry)
             run_id = {"schedule": schedule, "benchmark": bench.number}
             for record in injector.log:
                 schedule_log.append({**run_id, **record.to_json()})
@@ -238,35 +244,27 @@ def run_chaos(
 ) -> dict:
     """Run a campaign and write the tracked ``BENCH_chaos.json`` report.
 
-    ``telemetry=True`` runs the campaign inside a metrics-only telemetry
-    scope (event-ordinal clock, no spans) and embeds the snapshot under a
-    ``"telemetry"`` key — recovery counters (retries, rollbacks, quarantine
-    reasons) become visible per campaign instead of per debugger session.
+    ``telemetry=True`` counts every run of the campaign into one
+    metrics-only registry (event-ordinal clock, no spans) and embeds its
+    snapshot under a ``"telemetry"`` key — recovery counters (retries,
+    rollbacks, quarantine reasons) become visible per campaign instead of
+    per debugger session.
 
     ``report=PATH`` additionally writes a forensics report (JSONL, see
     :mod:`repro.forensics.report`) of the campaign's *un-faulted* suite —
     the findings baseline the recovery guarantees are judged against, with
     full provenance timelines.
     """
-    if telemetry:
-        from ..telemetry import Telemetry, scope
-
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
-            payload = run_chaos_campaign(
-                seed=seed,
-                schedules=schedules,
-                faults_per_schedule=faults_per_schedule,
-                suite=suite,
-            )
+    registry = Telemetry(record_spans=False) if telemetry else None
+    payload = run_chaos_campaign(
+        seed=seed,
+        schedules=schedules,
+        faults_per_schedule=faults_per_schedule,
+        suite=suite,
+        telemetry=registry,
+    )
+    if registry is not None:
         payload["telemetry"] = registry.snapshot()
-    else:
-        payload = run_chaos_campaign(
-            seed=seed,
-            schedules=schedules,
-            faults_per_schedule=faults_per_schedule,
-            suite=suite,
-        )
     tmp = output + ".tmp"
     with open(tmp, "w") as sink:
         json.dump(payload, sink, indent=2, sort_keys=True)

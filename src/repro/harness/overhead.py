@@ -29,6 +29,7 @@ from ..observe.history import append_history, run_meta
 from ..observe.prof import DEFAULT_STRIDE, Governor, Profiler
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, Workload
+from ..telemetry import Telemetry
 from .precision import TOOL_FACTORIES, TOOL_ORDER
 from .tables import render_table
 
@@ -107,11 +108,15 @@ def measure_one(
     *,
     repetitions: int = 1,
     profiler: Profiler | None = None,
+    telemetry: Telemetry | None = None,
 ) -> Measurement:
-    """One (workload, tool) cell: fresh machine, attach, run, account."""
+    """One (workload, tool) cell: fresh machine, attach, run, account.
+
+    Each repetition counts into ``telemetry`` when one is given."""
     best = None
     for _ in range(max(1, repetitions)):
         rt = TargetRuntime(n_devices=1)
+        rt.machine.bus.telemetry = telemetry
         tool = None
         recorder = None
         if config == "arbalest-prof":
@@ -181,8 +186,10 @@ def run_overhead_comparison(
     workloads: Iterable[Workload] = WORKLOADS,
     configs: Iterable[str] | None = None,
     repetitions: int = 3,
+    telemetry: Telemetry | None = None,
 ) -> OverheadResult:
-    """The whole Fig 8 + Fig 9 experiment."""
+    """The whole Fig 8 + Fig 9 experiment; every run, warm-ups included,
+    counts into ``telemetry`` when one is given."""
     if configs is None:
         configs = LARGE_CONFIGS if preset == "large" else CONFIGS
     result = OverheadResult(preset=preset)
@@ -199,6 +206,7 @@ def run_overhead_comparison(
     # allocations and code paths cold and skews the first column.
     for w in workloads:
         rt = TargetRuntime(n_devices=1)
+        rt.machine.bus.telemetry = telemetry
         w.run(rt, preset)
         rt.finalize()
     for w in workloads:
@@ -210,6 +218,7 @@ def run_overhead_comparison(
                     preset,
                     repetitions=repetitions,
                     profiler=result.profiler,
+                    telemetry=telemetry,
                 )
             )
     return result
@@ -334,8 +343,8 @@ def run_bench(
 ) -> dict:
     """Run the Fig-8 matrix and write the tracked ``BENCH_fig8.json``.
 
-    ``telemetry=True`` measures the whole matrix inside an active telemetry
-    scope (event-ordinal clock) and embeds the metric snapshot under a
+    ``telemetry=True`` counts the whole matrix into one metrics-only
+    registry (event-ordinal clock) and embeds its snapshot under a
     ``"telemetry"`` key — the timings then include the instrumentation
     cost, so only compare slowdowns among runs with the same setting.
 
@@ -347,19 +356,15 @@ def run_bench(
     if not os.path.isdir(out_dir):
         # Fail before the minutes-long measurement, not after it.
         raise FileNotFoundError(f"output directory does not exist: {out_dir}")
-    if telemetry:
-        from ..telemetry import Telemetry, scope
-
-        # Metrics only: a span per event over the whole matrix would not
-        # fit in memory, and the snapshot is what the tracked file embeds.
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
-            result = run_overhead_comparison(preset, repetitions=repetitions)
-        payload = bench_payload(result, repetitions=repetitions)
+    # Metrics only: a span per event over the whole matrix would not fit
+    # in memory, and the snapshot is what the tracked file embeds.
+    registry = Telemetry(record_spans=False) if telemetry else None
+    result = run_overhead_comparison(
+        preset, repetitions=repetitions, telemetry=registry
+    )
+    payload = bench_payload(result, repetitions=repetitions)
+    if registry is not None:
         payload["telemetry"] = registry.snapshot()
-    else:
-        result = run_overhead_comparison(preset, repetitions=repetitions)
-        payload = bench_payload(result, repetitions=repetitions)
     with open(output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -29,7 +29,7 @@ from ..dracc.registry import all_benchmarks, get as dracc_get
 from ..observe.spans import write_stitched_trace
 from ..openmp.runtime import TargetRuntime
 from ..specaccel.workloads import WORKLOADS, workload as workload_get
-from ..telemetry import Telemetry, scope
+from ..telemetry import Telemetry
 
 #: Valid ``--suite`` selections for the profile CLI.
 PROFILE_SUITES = ("dracc", "specaccel")
@@ -58,28 +58,29 @@ def run_profile(
         )
 
     telemetry = Telemetry()
-    with scope(telemetry):
-        if suite == "dracc":
-            bench = dracc_get(benchmark)  # KeyError -> caller's 1..56 message
-            target = bench.name
-            rt = TargetRuntime(n_devices=2)
-            detector = Arbalest().attach(rt.machine)
-            bench.run(rt)
-        else:
-            w = workload_get(workload)
-            target = f"{w.spec_id}.{w.name}"
-            rt = TargetRuntime(n_devices=1)
-            detector = Arbalest().attach(rt.machine)
-            w.run(rt, preset)
-            rt.finalize()
-        # Final internal-state gauges: surfaced here so the snapshot carries
-        # the run's closing statistics, not just mid-run samples.
-        hits, misses = detector.mapping_lookup_stats()
-        telemetry.gauge("detector.lookup_hits", hits)
-        telemetry.gauge("detector.lookup_misses", misses)
-        for key, value in detector.degradation_stats().items():
-            telemetry.gauge(f"detector.{key}", value)
-        telemetry.gauge("detector.shadow_bytes", detector.shadow_bytes())
+    if suite == "dracc":
+        bench = dracc_get(benchmark)  # KeyError -> caller's 1..56 message
+        target = bench.name
+        rt = TargetRuntime(n_devices=2)
+        rt.machine.bus.telemetry = telemetry
+        detector = Arbalest().attach(rt.machine)
+        bench.run(rt)
+    else:
+        w = workload_get(workload)
+        target = f"{w.spec_id}.{w.name}"
+        rt = TargetRuntime(n_devices=1)
+        rt.machine.bus.telemetry = telemetry
+        detector = Arbalest().attach(rt.machine)
+        w.run(rt, preset)
+        rt.finalize()
+    # Final internal-state gauges: surfaced here so the snapshot carries
+    # the run's closing statistics, not just mid-run samples.
+    hits, misses = detector.mapping_lookup_stats()
+    telemetry.gauge("detector.lookup_hits", hits)
+    telemetry.gauge("detector.lookup_misses", misses)
+    for key, value in detector.degradation_stats().items():
+        telemetry.gauge(f"detector.{key}", value)
+    telemetry.gauge("detector.shadow_bytes", detector.shadow_bytes())
 
     with open(output, "w") as sink:
         write_stitched_trace([telemetry.span_log], sink)

@@ -45,7 +45,6 @@ from ..events.records import (
 )
 from ..events.source import UNKNOWN_LOCATION, SourceStack
 from ..memory.buffer import RawBuffer
-from ..telemetry import registry as _telemetry
 from ..memory.errors import (
     DeviceError,
     MappingError,
@@ -129,7 +128,7 @@ class Machine:
         """
         if n <= 0:
             return
-        telemetry = _telemetry.ACTIVE
+        telemetry = self.bus.telemetry
         if telemetry is not None:
             telemetry.count("runtime.parallel_regions")
         k = max(1, min(num_threads, n))
@@ -322,7 +321,7 @@ class TargetRuntime:
 
         def run_target() -> None:
             stack = machine.source.snapshot()
-            telemetry = _telemetry.ACTIVE
+            telemetry = machine.bus.telemetry
             if machine.faults is not None and machine.faults.kernel_launch(device):
                 # Spurious device reset before launch; the runtime recovers
                 # by checkpoint/restore, invisibly to the program and tools.
@@ -385,7 +384,7 @@ class TargetRuntime:
                 self._map_exit(dev, spec)
 
         def body() -> None:
-            telemetry = _telemetry.ACTIVE
+            telemetry = machine.bus.telemetry
             if telemetry is None:
                 run_target()
                 return
@@ -510,7 +509,7 @@ class TargetRuntime:
             raise MappingError(
                 f"map-type '{spec.map_type.value}' has no entry semantics"
             )
-        telemetry = _telemetry.ACTIVE
+        telemetry = self.machine.bus.telemetry
         if telemetry is not None:
             telemetry.count("runtime.map_entries")
         entry = dev.present.lookup(spec.ov_address, spec.nbytes)
@@ -576,8 +575,9 @@ class TargetRuntime:
         mapping state exactly as for a normal unmap; the VSM net effect of
         an ALLOC/DELETE pair with no transfer in between is a no-op.
         """
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.map_rollbacks")
+        telemetry = self.machine.bus.telemetry
+        if telemetry is not None:
+            telemetry.count("runtime.map_rollbacks")
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -605,16 +605,18 @@ class TargetRuntime:
                 return dev.malloc(nbytes, **kwargs)
             except OutOfMemoryError:
                 attempt += 1
-                if _telemetry.ACTIVE is not None:
-                    _telemetry.ACTIVE.count("runtime.alloc_retries")
+                telemetry = self.machine.bus.telemetry
+                if telemetry is not None:
+                    telemetry.count("runtime.alloc_retries")
                 if attempt > MAX_ALLOC_RETRIES:
                     raise
                 if self.machine.faults is not None:
                     self.machine.faults.record_backoff(1 << attempt)
 
     def _map_exit(self, dev: Device, spec: MapSpec) -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.map_exits")
+        telemetry = self.machine.bus.telemetry
+        if telemetry is not None:
+            telemetry.count("runtime.map_exits")
         eff = exit_effect(spec.map_type)
         entry = dev.present.lookup(spec.ov_address, spec.nbytes)
         if entry is None:
@@ -632,8 +634,8 @@ class TargetRuntime:
             return
         if eff.copies_to_host and not dev.unified:
             self._transfer(dev, entry, DataOpKind.D2H)
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("runtime.unmaps")
+        if telemetry is not None:
+            telemetry.count("runtime.unmaps")
         dev.present.remove(entry)
         self.machine.bus.publish_data_op(
             DataOp(
@@ -679,7 +681,7 @@ class TargetRuntime:
         nbytes: int | None = None,
     ) -> None:
         """memcpy between a present entry's OV and CV (or a sub-range)."""
-        telemetry = _telemetry.ACTIVE
+        telemetry = self.machine.bus.telemetry
         if telemetry is not None:
             span_bytes = entry.nbytes if nbytes is None else nbytes
             telemetry.observe("runtime.transfer_bytes", span_bytes)
@@ -734,8 +736,9 @@ class TargetRuntime:
             if not fail:
                 break
             attempt += 1
-            if _telemetry.ACTIVE is not None:
-                _telemetry.ACTIVE.count("runtime.transfer_retries")
+            telemetry = machine.bus.telemetry
+            if telemetry is not None:
+                telemetry.count("runtime.transfer_retries")
             if attempt > MAX_TRANSFER_RETRIES:
                 raise TransferError(
                     f"{kind.value} of {nbytes} bytes on device {dev.device_id} "

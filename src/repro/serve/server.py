@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from ..events.codec import PayloadError, decode_events
 from ..events.wire import Frame, FrameDecoder, FrameKind, json_payload
 from ..forensics.ledger import DeliveryLedger
-from ..telemetry import registry as _telemetry
 from .supervisor import Supervisor
 
 __all__ = ["AnalysisServer", "ServerConfig", "ServerConnection"]
@@ -163,9 +162,6 @@ class AnalysisServer:
 
     def _handle_frame(self, frame: Frame) -> list[Frame]:
         self.frames_handled += 1
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count(f"serve.frames.{frame.kind.name.lower()}")
         if frame.kind is FrameKind.HELLO:
             session = self.session(frame.client_id)
             if frame.payload and not session.meta:
@@ -209,9 +205,6 @@ class AnalysisServer:
                 kind=frame.kind.name,
                 detail=detail,
             )
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("serve.wire_decode_errors")
         return self.session(frame.client_id).reply(
             FrameKind.ERROR,
             json_payload(
@@ -275,9 +268,6 @@ class AnalysisServer:
             session.dup_frames += 1
             if observer is not None:
                 observer.count_redelivery()
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count("serve.dup_frames")
             return [session.reply(FrameKind.ACK, seq=session.next_seq - 1)]
         if seq > session.next_seq:
             cap = self.config.queue_cap
@@ -302,9 +292,6 @@ class AnalysisServer:
                             seq=seq,
                             queue_cap=cap,
                         )
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.shed_frames")
             else:
                 session.reorder[seq] = events
                 session.parked += len(events)
@@ -460,9 +447,6 @@ class ServerConnection:
                     offset=error.offset,
                     detail=error.reason,
                 )
-            telemetry = _telemetry.ACTIVE
-            if telemetry is not None:
-                telemetry.count("serve.wire_decode_errors")
         self._errors_reported = len(errors)
 
     # -- HTTP observability endpoints --------------------------------------

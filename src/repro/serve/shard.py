@@ -29,7 +29,6 @@ from typing import Callable, Iterable
 from ..core.detector import Arbalest
 from ..events.bus import ToolBus
 from ..events.variables import VariableIndex
-from ..telemetry import registry as _telemetry
 from ..tools.archer import ArcherTool
 from ..tools.asan import AsanTool
 from ..tools.base import Tool
@@ -193,16 +192,9 @@ class ShardWorker:
                         shard=self.shard_id,
                         detail=failures[0][1],
                     )
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.journal_replay_errors")
                 continue
             replayed += 1
         self.replayed_events += replayed
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("serve.worker_restarts")
-            telemetry.count("serve.replayed_events", replayed)
 
     def _frame_key(self, client: int, seq: int) -> int:
         """The first seq of the wire frame that delivered journaled ``seq``."""

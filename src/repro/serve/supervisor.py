@@ -38,7 +38,6 @@ from ..events.records import (
     MemcpyEvent,
 )
 from ..events.variables import VariableIndex
-from ..telemetry import registry as _telemetry
 from ..tools.findings import Finding
 from .router import AddressRouter
 from .shard import ShardWorker, WorkerCrash
@@ -168,9 +167,6 @@ class Supervisor:
                 self._restart(worker, client=client, seq=frame, cause="crash")
                 if observer is not None:
                     observer.count_redelivery()
-                telemetry = _telemetry.ACTIVE
-                if telemetry is not None:
-                    telemetry.count("serve.crash_redeliveries")
                 continue  # redeliver the in-flight slice
         raise RuntimeError(  # pragma: no cover - requires a poisoned frame
             f"shard {shard_id} failed {MAX_DELIVERY_RETRIES + 1} delivery "

@@ -58,7 +58,6 @@ from ..ompsan.ir import (
     update_entry,
 )
 from ..openmp.maptypes import entry_effect, exit_effect
-from ..telemetry import registry as _telemetry
 from .affine import (
     join_sections,
     map_section,
@@ -265,18 +264,6 @@ class StaticLinter:
         )
         result.certificate = SafetyCertificate(program.name, certified, sections)
         result.stats.certified_variables = len(certified)
-
-        telemetry = _telemetry.ACTIVE
-        if telemetry is not None:
-            telemetry.count("staticlint.programs")
-            telemetry.count(
-                "staticlint.statements_visited", result.stats.statements_visited
-            )
-            telemetry.count(
-                "staticlint.fixpoint_iterations", result.stats.fixpoint_iterations
-            )
-            telemetry.count("staticlint.certified_variables", len(certified))
-            telemetry.count("staticlint.findings", len(result.findings))
         return result
 
     # -- dataflow machinery -------------------------------------------------

@@ -66,7 +66,6 @@ from ..ompsan.ir import (
     index_render,
     update_entry,
 )
-from ..telemetry import registry as _telemetry
 
 #: Bound on fixpoint probing of a loop body's post-state.
 _STEADY_CAP = 8
@@ -570,7 +569,7 @@ def synthesize(program: StaticProgram) -> SynthResult:
     synth = _Synthesizer(program)
     out = synth.run()
     clauses, regions = _clause_list(out)
-    result = SynthResult(
+    return SynthResult(
         source=program.name,
         program=out,
         clauses=clauses,
@@ -578,15 +577,6 @@ def synthesize(program: StaticProgram) -> SynthResult:
         regions=regions,
         fallback_loops=synth.fallback_loops,
     )
-    telemetry = _telemetry.ACTIVE
-    if telemetry is not None:
-        telemetry.count("staticlint.synth.regions", regions)
-        telemetry.count("staticlint.synth.clauses", len(clauses))
-        if result.affine_clauses:
-            telemetry.count(
-                "staticlint.synth.affine_sections", result.affine_clauses
-            )
-    return result
 
 
 def synth_suite_programs() -> dict[str, StaticProgram]:

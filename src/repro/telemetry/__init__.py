@@ -5,12 +5,10 @@ scoping rules; :func:`repro.observe.spans.write_stitched_trace` writes the
 registry's span log as Chrome Trace Event JSON.
 """
 
-from .registry import Histogram, Telemetry, scope
+from .registry import Histogram, Telemetry
 
-# NOTE: the live enabled/disabled switch is ``registry.ACTIVE``, the one
-# module-level instrumentation hook (the flight recorder and the profiler
-# ride on the ToolBus instead).  Read it through the module (``from
-# repro.telemetry import registry``), never as a from-import, which would
-# freeze the value at import time.
+# NOTE: a registry instruments a run by riding on its ToolBus
+# (``machine.bus.telemetry``), like the flight recorder and the profiler;
+# there is no module-level switch.
 
-__all__ = ["Telemetry", "Histogram", "scope"]
+__all__ = ["Telemetry", "Histogram"]

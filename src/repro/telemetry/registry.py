@@ -20,31 +20,28 @@ schedules, extended to observability.  Seconds per layer are measured by
 Scoping
 -------
 
-Instrumentation sites all over the stack (runtime, bus, detector, tools)
-consult the module attribute :data:`ACTIVE`.  It is ``None`` by default:
-the disabled fast path is a single attribute load and ``is not None``
-check, and *no telemetry object even exists* — no counters are bumped, no
-span records allocated.  A measured run activates a registry explicitly:
+A registry instruments exactly the runs whose :class:`~repro.events.bus.ToolBus`
+carries it, as the flight recorder and the profiler do.  The bus hands it
+to every attached tool, and the runtime reads it from the bus, so two
+runtimes in one process never share telemetry by accident.  A bus's
+``telemetry`` is ``None`` by default: the disabled fast path is one
+``is not None`` check and *no telemetry object even exists* — no counters
+are bumped, no span records allocated.  A measured run sets it right
+after building its runtime, before any tool attaches or event flows:
 
 ::
 
     t = Telemetry()
-    with scope(t):
-        ...  # everything in here is instrumented
+    rt = TargetRuntime(n_devices=2)
+    rt.machine.bus.telemetry = t
+    ...  # everything this runtime does is instrumented
     t.snapshot()
 
-``scope`` restores the previous registry on exit, so sessions nest.
+One registry may serve many runtimes in turn (a benchmark matrix, a
+chaos campaign); their counts add up.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
-
-#: The currently active registry, or ``None`` (telemetry disabled).
-#: Instrumentation sites read this attribute directly; only :func:`scope`
-#: (and tests) should write it.
-ACTIVE: "Telemetry | None" = None
 
 
 class Histogram:
@@ -182,14 +179,3 @@ class Telemetry:
             },
         }
 
-
-@contextmanager
-def scope(t: Telemetry) -> Iterator[Telemetry]:
-    """Activate ``t`` for the dynamic extent of the block (re-entrant)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = t
-    try:
-        yield t
-    finally:
-        ACTIVE = previous

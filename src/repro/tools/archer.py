@@ -55,7 +55,6 @@ from ..clocks.vector_clock import VectorClock
 from ..events.columnar import BatchColumns
 from ..events.records import Access
 from ..memory.layout import GRANULE
-from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -798,8 +797,8 @@ class ArcherTool(Tool):
         )
 
     def on_batch(self, batch) -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.access_checks", len(batch))
+        if self.telemetry is not None:
+            self.telemetry.count("tool.archer.access_checks", len(batch))
         accesses = batch.accesses
         for pos in self.engine.check_batch(batch.columns):
             self._report_race(accesses[pos])
@@ -808,8 +807,8 @@ class ArcherTool(Tool):
         # The runtime's transfer is itself a read + a write on the acting
         # thread; unsynchronized kernels racing a transfer are caught here
         # (the Fig-2 line-14-vs-line-11 conflict).
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.archer.memcpy_checks")
+        if self.telemetry is not None:
+            self.telemetry.count("tool.archer.memcpy_checks")
         if self.engine.check_batch(transfer_columns(event)):
             self.report(
                 Finding(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -123,8 +122,8 @@ class AsanTool(Tool):
     def on_batch(self, batch) -> None:
         import numpy as np
 
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.asan.access_checks", len(batch))
+        if self.telemetry is not None:
+            self.telemetry.count("tool.asan.access_checks", len(batch))
         cols = batch.columns
         accesses = batch.accesses
         # Vectorized screen: a contiguous access fully inside one live block

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..telemetry import registry as _telemetry
 from .findings import Finding, FindingKind, MAPPING_ISSUE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.variables import VariableIndex
     from ..forensics.recorder import FlightRecorder
     from ..openmp.runtime import Machine
+    from ..telemetry.registry import Telemetry
 
 
 class Tool:
@@ -62,6 +62,10 @@ class Tool:
     #: The bus's flight recorder, or ``None``; handed over like
     #: :attr:`variables`, and again whenever the bus's recorder changes.
     recorder: "FlightRecorder | None" = None
+
+    #: The bus's telemetry registry, or ``None``; handed over like
+    #: :attr:`recorder`.
+    telemetry: "Telemetry | None" = None
 
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
@@ -98,12 +102,11 @@ class Tool:
         if self.variables is not None:
             finding = self.variables.resolve_variable(finding)
         key = finding.dedup_key()
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count(
-                f"tool.{self.name}.findings.{finding.kind.value}"
-            )
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.count(f"tool.{self.name}.findings.{finding.kind.value}")
             if key in self._seen:
-                _telemetry.ACTIVE.count(f"tool.{self.name}.findings_deduped")
+                telemetry.count(f"tool.{self.name}.findings_deduped")
         self._counts[key] = self._counts.get(key, 0) + 1
         if key in self._seen:
             return False

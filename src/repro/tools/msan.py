@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -80,8 +79,8 @@ class MsanTool(Tool):
     # -- accesses ---------------------------------------------------------------
 
     def on_batch(self, batch) -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.access_checks", len(batch))
+        if self.telemetry is not None:
+            self.telemetry.count("tool.msan.access_checks", len(batch))
         # A device whose planes hold no poison at batch start stays that way
         # for the whole batch (poison is born only at alloc/memcpy, both of
         # which flush): its reads cannot report, its writes clear bytes that
@@ -135,8 +134,8 @@ class MsanTool(Tool):
     # -- memcpy: propagate, never report ----------------------------------------
 
     def on_memcpy(self, event: "MemcpyEvent") -> None:
-        if _telemetry.ACTIVE is not None:
-            _telemetry.ACTIVE.count("tool.msan.shadow_propagations")
+        if self.telemetry is not None:
+            self.telemetry.count("tool.msan.shadow_propagations")
         dst_hit = self._plane_for(event.dst_device, event.dst_address)
         if dst_hit is None:
             return

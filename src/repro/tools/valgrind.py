@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..telemetry import registry as _telemetry
 from .base import Tool
 from .findings import Finding, FindingKind
 
@@ -119,9 +118,9 @@ class ValgrindTool(Tool):
         # slice events our compile-time-instrumentation model emits.  Every
         # element is therefore checked individually — which is also why the
         # paper measures Valgrind as the slowest tool (§VI.E).
-        if _telemetry.ACTIVE is not None:
+        if self.telemetry is not None:
             # Per-machine-access accounting: Valgrind pays per element.
-            _telemetry.ACTIVE.count("tool.valgrind.element_checks", access.count)
+            self.telemetry.count("tool.valgrind.element_checks", access.count)
         if access.count == 1:
             self._check_addressable(access, access.address, access.size)
         else:

@@ -12,9 +12,13 @@ from repro.events import Access, DataOp, DataOpKind, SyncEvent, ToolBus
 from repro.events.columnar import (
     _SLOT_MASK,
     BATCH_CAP,
+    LANE_SHIFT,
+    WRITE_LANE,
     BatchColumns,
     EventBatch,
+    decode_lane,
     first_occurrence_passes,
+    lane_of,
 )
 from repro.memory import BASE_ADDRESS
 from repro.openmp import Schedule, TargetRuntime, delete, to, tofrom
@@ -492,3 +496,23 @@ class TestLaneCodes:
         with mock.patch.object(Capture, "on_batch", spy):
             self._check(([(False, kernel, [])], False, False))
         assert {True, False} in batches  # codes and rows in one batch
+
+    def test_indexed_rows_leave_the_codes_to_the_columns(self):
+        """Rows a tool builds from lane codes stay off the pending list:
+        a later ``columns`` still decodes codes alone."""
+        slots = [(1, 0, BASE_ADDRESS, 8, ()), (1, 2, BASE_ADDRESS + 512, 4, ())]
+        codes = [
+            3 << LANE_SHIFT | lane_of(0),
+            5 << LANE_SHIFT | lane_of(1) | WRITE_LANE,
+            lane_of(0),
+        ]
+        batch = EventBatch(list(codes), slots)
+        row = batch.accesses[0]
+        assert row == decode_lane(codes[0], slots)
+        assert batch.accesses[0] is row and batch.rows()[0] is row  # built once
+        cols = batch.columns
+        assert batch._items == codes
+        assert all(type(item) is int for item in batch._items)
+        fresh = BatchColumns(codes, slots)
+        for field in BatchColumns.__slots__:
+            assert np.array_equal(getattr(cols, field), getattr(fresh, field)), field

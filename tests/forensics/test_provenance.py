@@ -4,16 +4,18 @@
    offending access and ends in the terminal ``finding`` event, plus an
    explanation with a concrete repair suggestion.
 2. The report artifact is byte-identical across runs.
-3. Fingerprints are stable with a telemetry registry active or not.
+3. Fingerprints are stable with a telemetry registry on the bus or not.
 """
 
 import functools
 
+from repro.core.detector import Arbalest
 from repro.dracc.registry import get as dracc_get
+from repro.forensics import FlightRecorder
 from repro.forensics.report import to_jsonl
 from repro.harness import run_report
+from repro.openmp.runtime import TargetRuntime
 from repro.telemetry import Telemetry
-from repro.telemetry import scope as telemetry_scope
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,15 +85,16 @@ class TestDeterminism:
 
 class TestFingerprintStability:
     def _fingerprints(self, *, telemetry: Telemetry | None) -> list[str]:
-        bench = dracc_get(22)
-        if telemetry is None:
-            payload = run_report(benchmarks=(bench,))
-        else:
-            with telemetry_scope(telemetry):
-                payload = run_report(benchmarks=(bench,))
-        return [f["fingerprint"] for f in payload["findings"]]
+        rt = TargetRuntime(n_devices=2)
+        rt.machine.bus.recorder = FlightRecorder()
+        rt.machine.bus.telemetry = telemetry
+        detector = Arbalest().attach(rt.machine)
+        dracc_get(22).run(rt)
+        return [f.fingerprint() for f in detector.findings]
 
     def test_stable_across_clock_modes(self):
         bare = self._fingerprints(telemetry=None)
-        shared = self._fingerprints(telemetry=Telemetry(record_spans=False))
+        registry = Telemetry(record_spans=False)
+        shared = self._fingerprints(telemetry=registry)
+        assert registry.counters  # the registry did instrument the run
         assert bare and bare == shared

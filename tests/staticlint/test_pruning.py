@@ -12,12 +12,13 @@ from repro.core.registry import ShadowRegistry
 from repro.dracc.registry import all_benchmarks, get
 from repro.openmp.runtime import TargetRuntime
 from repro.staticlint import dracc_certificates
-from repro.telemetry import Telemetry, scope
+from repro.telemetry import Telemetry
 from tests.per_access import per_access
 
 
-def _run(benchmark, certificate):
+def _run(benchmark, certificate, telemetry=None):
     rt = TargetRuntime(n_devices=2)
+    rt.machine.bus.telemetry = telemetry
     tool = Arbalest(certificate=certificate).attach(rt.machine)
     benchmark.run(rt)
     return tool
@@ -204,33 +205,11 @@ class TestSectionRegistry:
 
 
 class TestTelemetryCounters:
-    def test_lint_counters_emitted_inside_scope(self):
-        from repro.ompsan import BUGGY_PROGRAMS
-        from repro.staticlint import lint
-
-        registry = Telemetry(record_spans=False)
-        with scope(registry):
-            lint(BUGGY_PROGRAMS[22]())
-        counters = registry.snapshot()["counters"]
-        assert counters["staticlint.programs"] == 1
-        assert counters["staticlint.statements_visited"] > 0
-        assert counters["staticlint.fixpoint_iterations"] > 0
-        assert counters["staticlint.findings"] >= 1
-
-    def test_lint_counters_silent_outside_scope(self):
-        from repro.ompsan import BUGGY_PROGRAMS
-        from repro.staticlint import lint
-
-        registry = Telemetry(record_spans=False)
-        lint(BUGGY_PROGRAMS[22]())  # no scope: must not touch the registry
-        assert "staticlint.programs" not in registry.snapshot()["counters"]
-
     def test_skip_counters_emitted_inside_scope(self):
         benchmark = get(1)
         certs = dracc_certificates()
         registry = Telemetry(record_spans=False)
-        with scope(registry):
-            _run(benchmark, certs[benchmark.name])
+        _run(benchmark, certs[benchmark.name], registry)
         counters = registry.snapshot()["counters"]
         assert counters["staticlint.shadow_skips"] > 0
         assert counters["staticlint.access_skips"] > 0

@@ -27,7 +27,6 @@ from repro.staticlint.synth import (
     synthesize,
 )
 from repro.openmp.runtime import TargetRuntime
-from repro.telemetry import Telemetry, scope
 from tests.per_access import per_access
 
 GOLDEN = Path(__file__).parent / "golden_synth.json"
@@ -185,24 +184,6 @@ class TestRenderings:
         text = result.render()
         assert str(len(result.clauses)) in text
         assert "update_to" in text
-
-
-class TestTelemetry:
-    def test_counters_inside_scope(self):
-        registry = Telemetry(record_spans=False)
-        programs = synth_suite_programs()
-        with scope(registry):
-            synthesize(programs["DRACC_OMP_001"])
-            synthesize(programs["AFFINE_TILED"])
-        counters = registry.snapshot()["counters"]
-        assert counters["staticlint.synth.regions"] >= 2
-        assert counters["staticlint.synth.clauses"] > 0
-        assert counters["staticlint.synth.affine_sections"] >= 1
-
-    def test_silent_outside_scope(self):
-        registry = Telemetry(record_spans=False)
-        synthesize(synth_suite_programs()["DRACC_OMP_001"])
-        assert "staticlint.synth.regions" not in registry.snapshot()["counters"]
 
 
 class TestHarnessRow:

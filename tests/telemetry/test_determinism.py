@@ -4,8 +4,8 @@
    target produce byte-identical trace and metrics artifacts, and the
    metrics of two fixed targets equal committed goldens byte for byte:
    every ``vsm.<op>.<from>-><to>`` edge count is pinned.
-2. **Zero disabled-mode cost** — with no active registry the instrumented
-   hot paths allocate nothing inside the telemetry package.
+2. **Zero disabled-mode cost** — with no registry on the bus the
+   instrumented hot paths allocate nothing inside the telemetry package.
 """
 
 import json
@@ -18,13 +18,13 @@ from repro.core.detector import Arbalest
 from repro.dracc.registry import get as dracc_get
 from repro.harness import run_profile
 from repro.openmp.runtime import TargetRuntime
-from repro.telemetry import Telemetry, scope
-from repro.telemetry import registry as telemetry_registry
+from repro.telemetry import Telemetry
 
 
-def _run_dracc(number: int) -> Arbalest:
+def _run_dracc(number: int, telemetry: Telemetry | None = None) -> Arbalest:
     bench = dracc_get(number)
     rt = TargetRuntime(n_devices=2)
+    rt.machine.bus.telemetry = telemetry
     detector = Arbalest().attach(rt.machine)
     bench.run(rt)
     return detector
@@ -86,22 +86,21 @@ class TestByteIdenticalArtifacts:
         snaps = []
         for _ in range(2):
             t = Telemetry()
-            with scope(t):
-                _run_dracc(22)
+            _run_dracc(22, t)
             snaps.append(json.dumps(t.snapshot(), sort_keys=True))
         assert snaps[0] == snaps[1]
 
 
 class TestDisabledModeAllocatesNothing:
     def test_zero_telemetry_allocations_on_hot_path(self):
-        assert telemetry_registry.ACTIVE is None
-        _run_dracc(22)  # warm every code path first
+        assert _run_dracc(22).telemetry is None  # warm every code path first
         tracemalloc.start()
         try:
-            _run_dracc(22)
+            detector = _run_dracc(22)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
+        assert detector.machine.bus.telemetry is None
         telemetry_allocs = snapshot.filter_traces(
             [tracemalloc.Filter(True, "*repro/telemetry/*")]
         ).statistics("filename")
@@ -115,15 +114,13 @@ class TestInstrumentationCoverage:
 
     def test_spans_cover_three_layers(self):
         t = Telemetry()
-        with scope(t):
-            _run_dracc(22)
+        _run_dracc(22, t)
         layers = {s["cat"] for s in t.span_log.spans}
         assert {"runtime", "bus", "detector"} <= layers
 
     def test_counters_cover_runtime_detector_tools_and_vsm(self):
         t = Telemetry()
-        with scope(t):
-            _run_dracc(22)
+        _run_dracc(22, t)
         names = set(t.counters)
         assert any(n.startswith("runtime.map_entries") for n in names)
         assert any(n.startswith("bus.events.") for n in names)
@@ -133,7 +130,6 @@ class TestInstrumentationCoverage:
 
     def test_detector_gauges_present(self):
         t = Telemetry()
-        with scope(t):
-            _run_dracc(1)
+        _run_dracc(1, t)
         assert "detector.live_mappings" in t.gauges
         assert "detector.shadow_bytes" in t.gauges

@@ -1,11 +1,14 @@
-"""Telemetry registry: metrics, spans, scoping, and the disabled default."""
+"""Telemetry registry: metrics, spans, bus scoping, and the disabled default."""
 
 import json
 
+from repro.core.detector import Arbalest
+from repro.dracc.registry import get as dracc_get
+from repro.events.bus import ToolBus
 from repro.harness import run_profile
 from repro.observe import SpanLog, spans_by_frame, stitch_traces
-from repro.telemetry import Histogram, Telemetry, scope
-from repro.telemetry import registry as telemetry_registry
+from repro.openmp.runtime import TargetRuntime
+from repro.telemetry import Histogram, Telemetry
 
 
 class TestCounters:
@@ -89,32 +92,44 @@ class TestSpans:
         assert t.counters == {"inside": 1}
 
 
+def _run_dracc(number: int, telemetry: Telemetry | None = None) -> Arbalest:
+    rt = TargetRuntime(n_devices=2)
+    rt.machine.bus.telemetry = telemetry
+    detector = Arbalest().attach(rt.machine)
+    dracc_get(number).run(rt)
+    return detector
+
+
 class TestScope:
+    """A registry instruments the runs whose bus carries it, and no other."""
+
     def test_disabled_by_default(self):
-        assert telemetry_registry.ACTIVE is None
+        assert ToolBus().telemetry is None
 
-    def test_scope_activates_and_restores(self):
+    def test_telemetry_stays_on_its_own_bus(self):
         t = Telemetry()
-        with scope(t) as active:
-            assert active is t
-            assert telemetry_registry.ACTIVE is t
-        assert telemetry_registry.ACTIVE is None
+        counted = _run_dracc(22, t)
+        assert counted.telemetry is t
+        assert t.counters["tool.arbalest.findings.use-of-uninitialized-memory"] >= 1
+        snapshot = json.dumps(t.snapshot(), sort_keys=True)
+        spans = list(t.span_log.spans)
 
-    def test_scope_nests(self):
-        outer, inner = Telemetry(), Telemetry()
-        with scope(outer):
-            with scope(inner):
-                assert telemetry_registry.ACTIVE is inner
-            assert telemetry_registry.ACTIVE is outer
+        # A second runtime in the same process has a bus of its own.
+        other = _run_dracc(22)
+        assert other.telemetry is None
+        assert other.findings
+        assert json.dumps(t.snapshot(), sort_keys=True) == snapshot
+        assert t.span_log.spans == spans
 
-    def test_scope_restores_on_exception(self):
-        t = Telemetry()
-        try:
-            with scope(t):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert telemetry_registry.ACTIVE is None
+    def test_telemetry_set_after_attach_reaches_the_tools(self):
+        rt = TargetRuntime(n_devices=2)
+        detector = Arbalest().attach(rt.machine)
+        t = rt.machine.bus.telemetry = Telemetry()
+        dracc_get(22).run(rt)
+        assert detector.telemetry is t
+        assert t.counters["tool.arbalest.findings.use-of-uninitialized-memory"] >= 1
+        assert any(name.startswith("detector.accesses.") for name in t.counters)
+        assert any(name.startswith("vsm.") for name in t.counters)
 
 
 class TestSnapshot:
