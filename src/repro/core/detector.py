@@ -47,7 +47,7 @@ import numpy as np
 
 from ..events.source import UNKNOWN_LOCATION
 from ..memory.layout import GRANULE
-from ..events.columnar import BatchColumns, first_occurrence_passes
+from ..events.columnar import BatchColumns, granule_passes
 from ..events.records import ACCESS_KINDS
 from ..tools.archer import RaceEngine, transfer_columns
 from ..tools.base import Tool
@@ -459,14 +459,17 @@ class Arbalest(Tool):
         the certificate does not skip: race state does not depend on VSM
         state.  Then the VSM walk: a scalar host or device access that sits
         in one granule of a shadow block, single- or multi-device, is
-        applied per segment, the block's ``apply`` taking one op and
-        mapping device per access over each first-occurrence pass of
-        distinct granules; a certified access only counts its skip, and one
-        with no shadow block drives no VSM.  Every other access — bulk or
-        strided, unified-device or overflowing — is applied *in place* by
-        :meth:`_apply_in_place`.  Each racy access's finding follows its VSM
-        findings, so findings and flight-recorder events land in
-        per-access order whatever the batch size.
+        applied per segment: one that repeats its granule's previous op
+        and mapping device is dropped (every op is idempotent: it takes its
+        leader's verdict), and the block's ``apply`` takes one op and
+        mapping device per access over each pass of distinct granules
+        (:func:`~repro.events.columnar.granule_passes`); a certified access
+        only counts its skip, and one with no shadow block drives no VSM.
+        Every other access — bulk or strided, unified-device or
+        overflowing — is applied *in place* by :meth:`_apply_in_place`.
+        Each racy access's finding follows its VSM findings, so findings
+        and flight-recorder events land in per-access order whatever the
+        batch size.
 
         A batch of one (every access while an immediate-delivery tool is
         attached) skips the snapshot, which costs more than the access: the
@@ -579,7 +582,8 @@ class Arbalest(Tool):
 
         ``racy`` holds the batch's sorted racy positions.  Rows are built
         only for findings: a recorded transition reads its device, write
-        bit and stack from the columns and the batch.
+        bit and stack from the columns and the batch.  A dropped repeat is
+        recorded, reported and counted as per-access delivery would.
         """
         cols = batch.columns
         c = cat[start:stop]
@@ -602,70 +606,73 @@ class Arbalest(Tool):
         vp = (c == 3).nonzero()[0] + start
         if len(vp):
             # VsmOp codes: READ_HOST 0, READ_TARGET 1, WRITE_HOST 2, WRITE_TARGET 3.
-            vp_ops = is_write[vp] * 2 + (cols.device_ids[vp] != 0)
-            vp_devs = look.devices[ri[vp]]
+            ops = is_write[vp] * 2 + (cols.device_ids[vp] != 0)
+            devs = look.devices[ri[vp]]
             # A host write to a unified mapping is the device's value too.
-            sync = (vp_ops == VsmOp.WRITE_HOST) & look.unified[ri[vp]]
-            block_ids = bi[vp]
-            for blk_id in np.unique(block_ids).tolist():
-                mine = block_ids == blk_id
-                sel, sel_ops, sel_devs = vp[mine], vp_ops[mine], vp_devs[mine]
-                sel_sync = sync[mine]
-                block = look.blocks[blk_id]
-                if len(sel) > 1:
-                    passes, remainder = first_occurrence_passes(gran[sel])
-                else:  # one access needs no passes: it takes the plain-int step
-                    passes, remainder = (), np.zeros(1, dtype=np.intp)
-                name = block.state_name
-                for p in passes:
-                    pos = sel[p]
-                    g = gran[pos]
-                    if recorder is not None:
-                        before = block.states(g)
-                    illegal, uninit = block.apply(
-                        g, sel_ops[p], sel_devs[p], telemetry
+            sync = (ops == VsmOp.WRITE_HOST) & look.unified[ri[vp]]
+            blk, g = bi[vp], gran[vp]
+            order, cuts, repeats, leaders = granule_passes(
+                blk, g, ops | sync << 2 | devs << 3
+            )
+            illegal = np.zeros(len(vp), dtype=bool)
+            uninit = np.zeros(len(vp), dtype=bool)
+            # State codes around each step, for the recorder and the repeats' edges.
+            tracked = recorder is not None or telemetry is not None
+            before = np.zeros(len(vp), dtype=np.int64) if recorder is not None else None
+            after = np.zeros(len(vp), dtype=np.int64) if tracked else None
+            blocks = look.blocks
+            shadow = blocks[int(blk[0])]  # every block shares its class
+            for lo, hi in zip(cuts, cuts[1:]):  # one block's part of a pass
+                q = order[lo:hi]
+                block = blocks[int(blk[q[0]])]
+                q_g, q_devs = g[q], devs[q]
+                if before is not None:
+                    before[q] = block.states(q_g)
+                illegal[q], uninit[q] = block.apply(q_g, ops[q], q_devs, telemetry)
+                synced = sync[q]
+                if synced.any():
+                    block.apply(
+                        q_g[synced], VsmOp.UPDATE_TARGET, q_devs[synced], telemetry
                     )
-                    synced = sel_sync[p]
-                    if np.count_nonzero(synced):
-                        block.apply(
-                            g[synced],
-                            VsmOp.UPDATE_TARGET,
-                            sel_devs[p][synced],
-                            telemetry,
-                        )
-                    if recorder is not None:
-                        after = block.states(g)
-                        hit = ((after != before) | illegal).nonzero()[0]
-                        found += zip(
-                            pos[hit].tolist(),
-                            repeat(0),
-                            zip(
-                                map(name, before[hit].tolist()),
-                                map(name, after[hit].tolist()),
-                            ),
-                        )
-                    for h in illegal.nonzero()[0].tolist():
-                        found.append((int(pos[h]), 1, bool(uninit[h])))
-                for r, op, dev, synced in zip(
-                    remainder.tolist(),
-                    sel_ops[remainder].tolist(),
-                    sel_devs[remainder].tolist(),
-                    sel_sync[remainder].tolist(),
-                ):
-                    p_abs = int(sel[r])
-                    g = int(gran[p_abs])
-                    one = slice(g, g + 1)
-                    if recorder is not None:
-                        before = block.state_label(g)
-                    illegal, uninit = block.apply(one, op, dev, telemetry)
-                    if synced:
-                        block.apply(one, VsmOp.UPDATE_TARGET, dev, telemetry)
-                    if recorder is not None:
-                        after = block.state_label(g)
-                        if illegal[0] or after != before:
-                            found.append((p_abs, 0, (before, after)))
-                    if illegal[0]:
-                        found.append((p_abs, 1, bool(uninit[0])))
+                if after is not None:
+                    after[q] = block.states(q_g)
+            late = order[cuts[-1]:]
+            for r, b, gi, op, dev, synced in zip(
+                late.tolist(), blk[late].tolist(), g[late].tolist(),
+                ops[late].tolist(), devs[late].tolist(), sync[late].tolist(),
+            ):
+                block = blocks[b]
+                one = slice(gi, gi + 1)
+                if before is not None:
+                    before[r] = block.states(one)[0]
+                ill, uni = block.apply(one, op, dev, telemetry)
+                illegal[r], uninit[r] = ill[0], uni[0]
+                if synced:
+                    block.apply(one, VsmOp.UPDATE_TARGET, dev, telemetry)
+                if after is not None:
+                    after[r] = block.states(one)[0]
+            if len(repeats):
+                # A repeat steps its leader's state to itself, with its verdict.
+                illegal[repeats] = illegal[leaders]
+                uninit[repeats] = uninit[leaders]
+                if before is not None:
+                    before[repeats] = after[leaders]
+                if after is not None:
+                    state = after[repeats] = after[leaders]
+                    if telemetry is not None:  # the repeats' edges: op, then sync
+                        state = shadow.count_steps(ops[repeats], state, telemetry)
+                        state = state[sync[repeats]]
+                        shadow.count_steps(VsmOp.UPDATE_TARGET, state, telemetry)
+            if before is not None:
+                hit = ((after != before) | illegal).nonzero()[0]
+                name = shadow.state_name
+                found += zip(
+                    vp[hit].tolist(),
+                    repeat(0),
+                    zip(map(name, before[hit].tolist()), map(name, after[hit].tolist())),
+                )
+            bad = illegal.nonzero()[0]
+            found += zip(vp[bad].tolist(), repeat(1), uninit[bad].tolist())
         if racy:
             found += [
                 (p, 2, None)

@@ -160,6 +160,11 @@ class MultiShadowBlock:
         )
         return step[:, 1].astype(bool), step[:, 2].astype(bool)
 
+    @staticmethod
+    def count_steps(ops, states, telemetry):
+        """No edge counts (see :meth:`apply`): interface parity."""
+        return states
+
     def validity_at(self, address: int) -> int:
         """The raw validity mask of one granule (bit 0 = host)."""
         u = self._uniform

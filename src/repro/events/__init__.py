@@ -1,7 +1,7 @@
 """Event layer: instrumentation records, the tool bus, and source stacks."""
 
 from .bus import ToolBus
-from .columnar import BATCH_CAP, BatchColumns, EventBatch, first_occurrence_passes
+from .columnar import BATCH_CAP, BatchColumns, EventBatch
 from .records import (
     Access,
     AccessOrigin,
@@ -32,7 +32,6 @@ __all__ = [
     "BATCH_CAP",
     "BatchColumns",
     "EventBatch",
-    "first_occurrence_passes",
     "Access",
     "AccessOrigin",
     "AllocationEvent",

@@ -21,12 +21,13 @@ tool asks :attr:`EventBatch.accesses` for one (a finding, an access
 applied in place, a per-access tool).  A batch of rows only keeps the one
 ``zip(*accesses)`` transpose.
 
-Ordering contract (see EXPERIMENTS.md §N): a batch only ever spans a window
+Ordering contract (see EXPERIMENTS.md §E): a batch only ever spans a window
 in which mappings, shadow blocks, and thread clocks are frozen, because the
 bus flushes the pending batch before delivering *any* non-access event
 (data ops, kernels, allocations, syncs, flushes, memcpys).  Within a batch,
 accesses to distinct granules commute; per-granule order is preserved by
-processing batches in first-occurrence passes (:func:`first_occurrence_passes`).
+processing a batch in passes of distinct granules (:func:`granule_passes`,
+which also drops a row that repeats its granule's previous step).
 """
 
 from __future__ import annotations
@@ -252,34 +253,70 @@ class EventBatch:
         return cols
 
 
-def first_occurrence_passes(
-    keys: np.ndarray, *, max_passes: int = 8
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Split positions ``0..n-1`` into passes with at most one event per key.
+#: The smallest pass :func:`granule_passes` vectorizes; later rows replay
+#: one at a time (a hot accumulator stays linear).  A replayed row costs
+#: ~1.3 µs in the VSM walk and ~3 µs in the race check, a vectorized pass
+#: ~10 and ~40 µs.
+PASS_ROWS = 16
+#: Bits of a row's granule in its sort key ``block << _KEY_SHIFT | granule``.
+_KEY_SHIFT = 40
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
-    Within a pass every key is unique, so a vectorized state transition over
-    the pass cannot collapse two updates to the same granule; processing the
-    passes in sequence replays each key's events in their original order
-    (``np.unique(..., return_index=True)`` selects *first* occurrences).
 
-    Returns ``(passes, remainder)``: ``passes`` is a list of ascending index
-    arrays, and ``remainder`` holds any positions left after ``max_passes``
-    rounds — high-multiplicity keys the caller must replay one event at a
-    time to stay linear instead of quadratic.
+def granule_passes(
+    blocks: np.ndarray, granules: np.ndarray, tags: np.ndarray
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """Split rows ``0..n-1`` into passes with at most one row per granule.
+
+    Row ``i`` steps granule ``granules[i]`` of block ``blocks[i]`` with
+    what ``tags[i]`` names (an op, a thread and kind).  One stable sort
+    puts each granule's rows in program order; a row whose previous row
+    on its granule has the same tag repeats an idempotent step and is
+    dropped.  The kept rows are ranked per granule, and pass ``k`` holds
+    every granule's ``k``-th row, so processing the passes in sequence
+    keeps each granule's order.  Passes shrink as ``k`` grows; from the
+    first one smaller than :data:`PASS_ROWS` on, the rows replay one at a
+    time.  Fewer rows than that replay as they stand: sorting them would
+    cost more than stepping their repeats.
+
+    Returns ``(order, cuts, repeats, leaders)``.  ``order`` holds the kept
+    rows: each ``order[cuts[k]:cuts[k + 1]]`` is one block's part of one
+    pass, sorted by granule, and ``order[cuts[-1]:]`` the rows to replay,
+    in program order.  ``repeats`` are the dropped rows and ``leaders``
+    the kept row each one repeats.
     """
-    k = np.asarray(keys)
-    remaining = np.arange(len(k), dtype=np.intp)
-    passes: list[np.ndarray] = []
-    while remaining.size:
-        if len(passes) >= max_passes:
-            break
-        _uniq, first = np.unique(k[remaining], return_index=True)
-        first.sort()
-        passes.append(remaining[first])
-        if first.size == remaining.size:
-            remaining = remaining[:0]
-            break
-        mask = np.ones(remaining.size, dtype=bool)
-        mask[first] = False
-        remaining = remaining[mask]
-    return passes, remaining
+    if len(granules) < PASS_ROWS:  # too short to pay for the sort
+        return np.arange(len(granules)), [0], _NO_ROWS, _NO_ROWS
+    key = blocks << _KEY_SHIFT | granules
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = key[1:] == key[:-1]
+    repeats = leaders = _NO_ROWS
+    if same.any():
+        tag = tags[order]
+        repeat = same & (tag[1:] == tag[:-1])
+        if repeat.any():
+            kept = np.flatnonzero(np.concatenate(([True], ~repeat)))
+            repeats = order[1:][repeat]
+            order, key = order[kept], key[kept]
+            # A kept row's repeats follow it in key order.
+            leaders = np.repeat(order, np.diff(kept, append=len(tag)) - 1)
+            same = key[1:] == key[:-1]
+    one_block = key[0] >> _KEY_SHIFT == key[-1] >> _KEY_SHIFT
+    if same.any():
+        # rank = the row's index among its granule's rows.
+        at = np.arange(len(key))
+        rank = at - np.maximum.accumulate(np.where(np.concatenate(([True], ~same)), at, 0))
+        sizes = np.bincount(rank)  # non-increasing
+        ends = np.cumsum(sizes[sizes >= PASS_ROWS])
+        # Rank-major order; the replayed ranks share one key (a radix sort).
+        by_rank = np.argsort(np.minimum(rank, len(ends)).astype(np.uint16), kind="stable")
+        order, key = order[by_rank], key[by_rank]
+        cuts = [0, *ends.tolist()]
+    else:
+        cuts = [0, len(key)] if len(key) >= PASS_ROWS else [0]
+    order[cuts[-1]:].sort()
+    if not one_block and len(cuts) > 1:  # cut each pass per block
+        block = key[: cuts[-1]] >> _KEY_SHIFT
+        cuts = sorted({*cuts, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()})
+    return order, cuts, repeats, leaders

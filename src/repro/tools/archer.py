@@ -33,10 +33,11 @@ granules runs the span kernel at its place (O(1) when it installs one
 epoch pair over a whole uniform block); the one-granule rows between
 those drop an access that repeats its granule's previous thread and kind
 (a same-epoch no-op) and are checked with one numpy gather-and-compare
-per first-occurrence pass and block, whatever threads and kinds the pass
-mixes.  A short run of contiguous rows — a batch of one, a transfer's
-two rows (a read of the source, then a write of the destination), a
-small batch — is checked a row at a time in plain ints.  Every path
+per pass of distinct granules and block, whatever threads and kinds the
+pass mixes (a pass too small to pay for it, a row at a time).  A short
+run of contiguous rows — a batch of one, a transfer's two rows (a read
+of the source, then a write of the destination), a small batch — is
+checked a row at a time in plain ints.  Every path
 applies the one-granule rules of :meth:`RaceEngine._check_one`, which
 stays on plain Python ints.
 """
@@ -52,7 +53,7 @@ import numpy as np
 
 from ..clocks.epoch import CLOCK_BITS, MAX_CLOCK
 from ..clocks.vector_clock import VectorClock
-from ..events.columnar import BatchColumns
+from ..events.columnar import BatchColumns, granule_passes
 from ..events.records import Access
 from ..memory.layout import GRANULE
 from .base import Tool
@@ -65,17 +66,10 @@ _CLOCK_MASK = np.uint64(MAX_CLOCK)
 _CLOCK_SHIFT = np.uint64(CLOCK_BITS)
 #: A block's read-share matrix before its first escalation.
 _NO_SHARE = np.zeros((0, 0), dtype=np.uint64)
-#: Occurrences of one granule a batch checks in vectorized passes; later
-#: ones replay one at a time, so a granule hit by alternating threads (a
-#: reduction variable) costs linear time, not one pass per access.
-_MAX_PASSES = 8
 #: A run of at most this many contiguous rows (a batch of one, a transfer,
 #: a small batch) is checked a row at a time in plain ints: about 1.5 µs a
 #: scalar row against about 80 µs of vectorized set-up.
 _PLAIN_ROWS = 32
-#: Bits of a batch key's granule part: ``block << _KEY_SHIFT | granule``.
-_KEY_SHIFT = 40
-_GRANULE_MASK = (1 << _KEY_SHIFT) - 1
 
 
 class _RaceBlock:
@@ -436,56 +430,39 @@ class RaceEngine:
         """Vectorized FastTrack over the contiguous granules ``[lo, hi)``."""
         sel = slice(lo, hi)
         my_epoch_int = self._current_epoch(tid)
+        # Uniform fast path: kernels install one epoch pair per array, so
+        # the span usually stores one (write, read) pair (the uniform
+        # summary, or the same pair on every granule): two plain-int checks.
+        # A whole-block ordered install stays O(1); a racy or escalating
+        # outcome falls through on materialized arrays, as per access.
         u = block.uniform
         if u is not None:
-            # Uniform-summary fast path: both stored epochs are scalars, so
-            # the whole span is two plain-int ordering checks.  A full-block
-            # ordered install stays O(1); a racy or escalating outcome falls
-            # through on materialized arrays so the recorded races and
-            # shared vectors are identical to per-access delivery's.
-            uw, ur = u
-            if (uw if is_write else ur) == my_epoch_int:
-                return []
+            w0, r0 = u
+        elif not block.n_shared:
+            wsel, rsel = block.write[sel], block.read[sel]
+            w0, r0 = int(wsel[0]), int(rsel[0])
+            if not ((wsel == w0).all() and (rsel == r0).all()):
+                w0 = None
+        else:
+            w0 = None
+        if w0 is not None:
+            if (w0 if is_write else r0) == my_epoch_int:
+                return []  # the same-epoch rule, on every granule
             clock = self.clock_of(tid)
-            w_ord = uw == 0 or (uw & MAX_CLOCK) <= clock.get(uw >> CLOCK_BITS)
-            r_ord = ur == 0 or (ur & MAX_CLOCK) <= clock.get(ur >> CLOCK_BITS)
+            w_ord = w0 == 0 or (w0 & MAX_CLOCK) <= clock.get(w0 >> CLOCK_BITS)
+            r_ord = r0 == 0 or (r0 & MAX_CLOCK) <= clock.get(r0 >> CLOCK_BITS)
             if w_ord and r_ord:
-                if lo == 0 and hi >= len(block.write):
-                    block.uniform = (
-                        (my_epoch_int, 0) if is_write else (uw, my_epoch_int)
-                    )
+                if u is not None and lo == 0 and hi >= len(block.write):
+                    block.uniform = (my_epoch_int, 0) if is_write else (w0, my_epoch_int)
+                    return []
+                block.materialize()
+                if is_write:
+                    block.write[sel] = np.uint64(my_epoch_int)
+                    block.read[sel] = 0
                 else:
-                    block.materialize()
-                    if is_write:
-                        block.write[sel] = np.uint64(my_epoch_int)
-                        block.read[sel] = 0
-                    else:
-                        block.read[sel] = np.uint64(my_epoch_int)
+                    block.read[sel] = np.uint64(my_epoch_int)
                 return []
             block.materialize()
-        # Uniform-epoch fast path: a kernel installs one epoch across the
-        # whole array, so the span usually stores a single (write, read)
-        # epoch pair — two scalar checks replace the vectorized gathers.
-        # Races and read-share escalation fall through to the general path.
-        if not block.n_shared:
-            wsel = block.write[sel]
-            rsel = block.read[sel]
-            w0 = int(wsel[0])
-            r0 = int(rsel[0])
-            if bool((wsel == wsel[0]).all()) and bool((rsel == rsel[0]).all()):
-                if (w0 if is_write else r0) == my_epoch_int:
-                    return []  # the same-epoch rule, on every granule
-                clock = self.clock_of(tid)
-                w_ord = w0 == 0 or (w0 & MAX_CLOCK) <= clock.get(w0 >> CLOCK_BITS)
-                r_ord = r0 == 0 or (r0 & MAX_CLOCK) <= clock.get(r0 >> CLOCK_BITS)
-                if w_ord and r_ord:
-                    my_epoch = np.uint64(my_epoch_int)
-                    if is_write:
-                        block.write[sel] = my_epoch
-                        block.read[sel] = 0
-                    else:
-                        block.read[sel] = my_epoch
-                    return []
         local = np.arange(lo, hi)
         n = hi - lo
         racy_g = local[
@@ -662,81 +639,44 @@ class RaceEngine:
         granule ``g[i]`` of block number ``blk[i]``.
 
         Because the clocks are frozen, a row whose previous row on the same
-        granule has the same thread and kind is a same-epoch no-op, and is
-        dropped.  The rest split into passes, pass ``k`` holding each
-        granule's ``k``-th row: one :meth:`_check_rows` call per pass and
-        block keeps every granule's program order, and rows past
-        :data:`_MAX_PASSES` replay one at a time, in order.  Returns the
-        indices of the racy rows.
+        granule has the same thread and kind is a same-epoch no-op:
+        :func:`~repro.events.columnar.granule_passes` drops it and splits
+        the rest into passes of distinct granules.  One :meth:`_check_rows`
+        call per pass and block keeps every granule's program order, and
+        the rows past the last pass replay one at a time, in order.
+        Returns the indices of the racy rows.
         """
-        if len(g) == 1:
-            racy = self._check_one(
-                self._sorted_blocks[int(blk[0])], int(device_ids[0]),
-                int(tids[0]), int(g[0]), bool(is_writes[0]),
-            )
-            return np.zeros(1 if racy else 0, dtype=np.intp)
-        # Each granule's rows in program order: a stable sort on the key.
-        key = blk << _KEY_SHIFT | g
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        tid_s = tids[order]
-        write_s = is_writes[order]
-        same = key[1:] == key[:-1]
-        redundant = same & (tid_s[1:] == tid_s[:-1]) & (write_s[1:] == write_s[:-1])
-        if redundant.any():
-            keep = np.concatenate(([True], ~redundant))
-            order, key = order[keep], key[keep]
-            tid_s, write_s = tid_s[keep], write_s[keep]
-            same = key[1:] == key[:-1]
-        # The acting threads' clocks as matrix rows; ti = each row's.
-        present = np.bincount(tid_s)
-        acting = np.flatnonzero(present)
-        slot = np.zeros(len(present), dtype=np.intp)
-        slot[acting] = np.arange(len(acting))
-        ti = slot[tid_s]
-        acting = acting.tolist()
-        clocks = self._clock_matrix(acting)
-        my = np.array([self._current_epoch(t) for t in acting], dtype=np.uint64)[ti]
-        passes: list = [slice(None)]
-        late: list[int] = []
-        if same.any():
-            # rank = the row's index among its granule's rows.
-            head = np.concatenate(([True], ~same))
-            idx = np.arange(len(key))
-            rank = idx - np.maximum.accumulate(np.where(head, idx, 0))
-            passes = [rank == k for k in range(min(int(rank.max()) + 1, _MAX_PASSES))]
-            late = np.sort(order[rank >= _MAX_PASSES]).tolist()
+        order, cuts, _, _ = granule_passes(blk, g, tids << 1 | is_writes)
         racy_rows: list[np.ndarray] = []
-        for sel in passes:
-            p_key, p_rows = key[sel], order[sel]
-            p_write, p_my, p_ti = write_s[sel], my[sel], ti[sel]
-            p_blk = p_key >> _KEY_SHIFT
-            cuts = (np.flatnonzero(p_blk[1:] != p_blk[:-1]) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, len(p_key)]):
-                block = self._sorted_blocks[int(p_blk[lo])]
-                p_g = p_key[lo:hi] & _GRANULE_MASK
-                hit = self._check_rows(
-                    block, p_g, p_write[lo:hi], p_my[lo:hi], clocks, p_ti[lo:hi]
+        if len(cuts) > 1:
+            # The acting threads' clocks as matrix rows; slot = each thread's.
+            present = np.bincount(tids[order[: cuts[-1]]]) > 0
+            slot = np.cumsum(present) - 1
+            acting = np.flatnonzero(present).tolist()
+            clocks = self._clock_matrix(acting)
+            my_of = np.array([self._current_epoch(t) for t in acting], dtype=np.uint64)
+        for lo, hi in zip(cuts, cuts[1:]):  # one block's part of a pass
+            rows = order[lo:hi]
+            block = self._sorted_blocks[int(blk[rows[0]])]
+            p_g, p_ti = g[rows], slot[tids[rows]]
+            hit = self._check_rows(block, p_g, is_writes[rows], my_of[p_ti], clocks, p_ti)
+            if len(hit):
+                hit_rows = rows[hit]
+                racy_rows.append(hit_rows)
+                self._record(
+                    block, p_g[hit].tolist(), device_ids[hit_rows].tolist(),
+                    tids[hit_rows].tolist(), is_writes[hit_rows].tolist(),
                 )
-                if len(hit):
-                    rows = p_rows[lo:hi][hit]
-                    racy_rows.append(rows)
-                    self._record(
-                        block,
-                        p_g[hit].tolist(),
-                        device_ids[rows].tolist(),
-                        tids[rows].tolist(),
-                        is_writes[rows].tolist(),
-                    )
-        for row in late:
-            if self._check_one(
-                self._sorted_blocks[int(blk[row])],
-                int(device_ids[row]),
-                int(tids[row]),
-                int(g[row]),
-                bool(is_writes[row]),
-            ):
-                racy_rows.append(np.array([row]))
+        late = order[cuts[-1]:]
+        blocks = self._sorted_blocks
+        racy_rows += [
+            np.array([row])
+            for row, b, device_id, tid, gi, is_write in zip(
+                late.tolist(),
+                *(column[late].tolist() for column in (blk, device_ids, tids, g, is_writes)),
+            )
+            if self._check_one(blocks[b], device_id, tid, gi, is_write)
+        ]
         if not racy_rows:
             return np.zeros(0, dtype=np.intp)
         return np.concatenate(racy_rows)

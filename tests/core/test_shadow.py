@@ -1,13 +1,16 @@
 """Packed shadow words: Table II encoding, vectorized transitions, and
 hypothesis equivalence with the scalar reference machine."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ShadowBlock, VariableStateMachine, VsmOp, VsmState
-from repro.core.shadow import pack_word, unpack_word
+from repro.core.multidevice import _KEEP, _lift, _nibble
+from repro.core.shadow import STEP, pack_word, unpack_word
 from repro.memory import ShadowEncodingError
 
 BASE = 1 << 32
@@ -321,3 +324,49 @@ def test_granules_evolve_independently(ops, n):
     for op in ops:
         block.apply(np.array([0]), op)
     assert (block.states(slice(1, n)) == int(VsmState.INVALID)).all()
+
+
+# -- idempotence: what lets the batch path drop a repeated step --------------
+
+
+def test_every_op_is_idempotent_in_state_and_verdict():
+    """Stepping an op from the state it just reached changes nothing and
+    repeats its verdict, for all eight ops from all sixteen nibbles, so a
+    repeated access only needs its leader's verdict."""
+    for op in VsmOp:
+        for nibble in range(16):
+            nxt, illegal, uninit = STEP[op][nibble]
+            assert STEP[op][nxt] == (nxt, illegal, uninit), (op, nibble)
+
+
+def test_unified_write_is_idempotent():
+    """A host write to a unified mapping steps WRITE_HOST then
+    UPDATE_TARGET; repeating the pair keeps the state and the write's
+    verdict."""
+    for nibble in range(16):
+        mid, illegal, uninit = STEP[VsmOp.WRITE_HOST][nibble]
+        after = STEP[VsmOp.UPDATE_TARGET][mid][0]
+        mid2, illegal2, uninit2 = STEP[VsmOp.WRITE_HOST][after]
+        assert STEP[VsmOp.UPDATE_TARGET][mid2][0] == after, nibble
+        assert (illegal2, uninit2) == (illegal, uninit), nibble
+
+
+@pytest.mark.parametrize("device", [1, 2, 3])
+def test_multi_device_lift_is_idempotent(device):
+    """The multi-device step (project the (OV, CV_d) pair, step, lift it
+    back) is idempotent too, alone and as the unified write pair, over
+    every validity and init mask of the host and three devices."""
+
+    def step(masks, op):
+        nxt, illegal, uninit = STEP[op][_nibble(*masks, device)]
+        return _lift(*masks, device, _KEEP[op], nxt), illegal, uninit
+
+    def unified_write(masks):
+        masks, illegal, uninit = step(masks, VsmOp.WRITE_HOST)
+        return step(masks, VsmOp.UPDATE_TARGET)[0], illegal, uninit
+
+    for apply in [*(partial(step, op=op) for op in VsmOp), unified_write]:
+        for valid in range(16):
+            for init in range(16):
+                once, illegal, uninit = apply((valid, init))
+                assert apply(once) == (once, illegal, uninit), (apply, valid, init)

@@ -1,6 +1,7 @@
 """Batched access delivery: batching, columns, lane codes, flush ordering,
 pass splitting."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,12 @@ from repro.events.columnar import (
     _SLOT_MASK,
     BATCH_CAP,
     LANE_SHIFT,
+    PASS_ROWS,
     WRITE_LANE,
     BatchColumns,
     EventBatch,
     decode_lane,
-    first_occurrence_passes,
+    granule_passes,
     lane_of,
 )
 from repro.memory import BASE_ADDRESS
@@ -279,44 +281,176 @@ class TestBatchColumns:
         assert batch.columns is first
 
 
+def _passes(blocks, granules, tags):
+    return granule_passes(
+        np.array(blocks, dtype=np.int64),
+        np.array(granules, dtype=np.int64),
+        np.array(tags, dtype=np.int64),
+    )
+
+
+def _expected_leaders(keys, tags):
+    """Each row's leader by a plain scan: itself when kept, else the kept
+    row it repeats (the last kept row on its key)."""
+    last_tag: dict = {}
+    last_kept: dict = {}
+    leaders = []
+    for pos, (key, tag) in enumerate(zip(keys, tags)):
+        if last_tag.get(key) != tag:
+            last_kept[key] = pos
+        last_tag[key] = tag
+        leaders.append(last_kept[key])
+    return leaders
+
+
+_ROWS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 6), st.integers(0, 2)),
+    max_size=120,
+)
+
+
+class TestGranulePasses:
+    def test_empty(self):
+        order, cuts, repeats, leaders = _passes([], [], [])
+        assert order.size == 0 and cuts == [0]
+        assert repeats.size == 0 and leaders.size == 0
+
+    def test_all_distinct_is_one_key_sorted_pass(self):
+        n = PASS_ROWS + 3
+        granules = list(range(n))[::-1]
+        order, cuts, repeats, _ = _passes([0] * n, granules, [0] * n)
+        assert cuts == [0, n]
+        assert order.tolist() == list(range(n))[::-1]  # sorted on the granule
+        assert repeats.size == 0
+
+    def test_short_segments_replay_as_they_stand(self):
+        # Fewer rows than the cut-off: no sort, no drop, program order.
+        n = PASS_ROWS - 1
+        order, cuts, repeats, leaders = _passes([0] * n, [3] * n, [0] * n)
+        assert cuts == [0] and order.tolist() == list(range(n))
+        assert repeats.size == 0 and leaders.size == 0
+
+    def test_same_tag_repeats_drop_to_their_leader(self):
+        # Granule 4: tag 7 at rows 0, 1, 2 (1 and 2 repeat 0), tag 8 at row
+        # 3, tag 7 again at rows 4, 5 (5 repeats 4).  Granule 5 at row 6,
+        # then PASS_ROWS more granules once each.
+        n = 7 + PASS_ROWS
+        order, cuts, repeats, leaders = _passes(
+            [0] * n,
+            [4, 4, 4, 4, 4, 4, 5, *range(100, 100 + PASS_ROWS)],
+            [7, 7, 7, 8, 7, 7, 7, *[7] * PASS_ROWS],
+        )
+        assert dict(zip(repeats.tolist(), leaders.tolist())) == {1: 0, 2: 0, 5: 4}
+        # One pass of every granule's first row; granule 4's rows 3 and 4
+        # fall short of the cut-off and replay.
+        assert cuts == [0, n - 5]
+        assert order.tolist() == [0, 6, *range(7, n), 3, 4]
+
+    def test_cut_off(self):
+        # PASS_ROWS granules hit twice and one granule hit five times with
+        # alternating tags: pass 0 holds every granule, pass 1 the twice-hit
+        # ones and the hot one; the hot granule's other rows fall short of
+        # the cut-off and replay one at a time, in order.
+        n = PASS_ROWS
+        granules = [*range(n), *range(n), *[n] * 5]
+        tags = [0] * n + [1] * n + [0, 1, 0, 1, 0]
+        order, cuts, repeats, _ = _passes([0] * len(granules), granules, tags)
+        assert cuts == [0, n + 1, 2 * n + 2]
+        assert order[cuts[-1]:].tolist() == [2 * n + 2, 2 * n + 3, 2 * n + 4]
+        assert repeats.size == 0
+
+    def test_passes_cut_per_block(self):
+        # Granule 0 of PASS_ROWS blocks, block b at row b and again (other
+        # tag) at row PASS_ROWS + b: two passes, each cut into one run per
+        # block, in block order.
+        n = PASS_ROWS
+        blocks = [*range(n)][::-1] * 2
+        order, cuts, _, _ = _passes(blocks, [0] * 2 * n, [0] * n + [1] * n)
+        assert cuts == list(range(2 * n + 1))
+        assert order.tolist() == [*range(n)][::-1] + [*range(n, 2 * n)][::-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS)
+    def test_passes_keep_every_granules_program_order(self, rows):
+        blocks, granules, tags = map(list, zip(*rows)) if rows else ([], [], [])
+        order, cuts, repeats, leaders = _passes(blocks, granules, tags)
+        keys = list(zip(blocks, granules))
+        expected = (
+            _expected_leaders(keys, tags)
+            if len(rows) >= PASS_ROWS
+            else list(range(len(rows)))  # too short to sort: nothing drops
+        )
+        # Every row is kept or repeats its leader, exactly once.
+        kept = order.tolist()
+        assert sorted(kept + repeats.tolist()) == list(range(len(rows)))
+        assert [pos for pos in range(len(rows)) if expected[pos] == pos] == sorted(kept)
+        assert leaders.tolist() == [expected[pos] for pos in repeats.tolist()]
+        # Walking the passes, then the replay, meets each granule's kept
+        # rows in program order.
+        seen: dict = {}
+        for pos in kept:
+            seen.setdefault(keys[pos], []).append(pos)
+        assert all(positions == sorted(positions) for positions in seen.values())
+        # Each run: one block's granules, distinct and in key order.  A run
+        # whose first key does not follow the last one starts a pass; each
+        # pass holds distinct granules, is no smaller than the cut-off and
+        # no larger than the pass before it.
+        passes: list[list] = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            run_keys = [keys[pos] for pos in kept[lo:hi]]
+            assert run_keys == sorted(set(run_keys))
+            assert len({block for block, _ in run_keys}) == 1
+            if not passes or run_keys[0] <= passes[-1][-1]:
+                passes.append([])
+            passes[-1] += run_keys
+        sizes = [len(keys_in_pass) for keys_in_pass in passes]
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(size >= PASS_ROWS for size in sizes)
+        # Pass k holds every granule's k-th kept row.
+        in_passes = Counter(key for keys_in_pass in passes for key in keys_in_pass)
+        for key, positions in seen.items():
+            assert in_passes[key] == min(len(positions), len(passes)), key
+        # The replay is in program order and would not fill a pass.
+        tail = kept[cuts[-1]:]
+        assert tail == sorted(tail)
+        assert len({keys[pos] for pos in tail}) < PASS_ROWS
+
+
 class TestFirstOccurrencePasses:
-    def test_unique_keys_one_pass(self):
-        passes, rest = first_occurrence_passes(np.array([3, 1, 2]))
-        assert len(passes) == 1
-        assert passes[0].tolist() == [0, 1, 2]
-        assert rest.size == 0
+    """Pass ``k`` of :func:`granule_passes` holds each granule's ``k``-th row."""
 
     def test_repeats_split_in_order(self):
-        # key 5 occurs at positions 0, 2, 4: one occurrence per pass,
-        # in original order.
-        passes, rest = first_occurrence_passes(np.array([5, 7, 5, 8, 5]))
-        assert [p.tolist() for p in passes] == [[0, 1, 3], [2], [4]]
-        assert rest.size == 0
+        # PASS_ROWS granules hit three times, the tag changing each time:
+        # one occurrence per pass, in program order.
+        n = PASS_ROWS
+        order, cuts, repeats, _ = _passes(
+            [0] * 3 * n, [*range(n)] * 3, [0] * n + [1] * n + [0] * n
+        )
+        assert cuts == [0, n, 2 * n, 3 * n]
+        assert order.tolist() == list(range(3 * n))
+        assert repeats.size == 0
 
     def test_passes_are_ascending(self):
-        keys = np.array([2, 2, 1, 1, 0, 0])
-        passes, _rest = first_occurrence_passes(keys)
-        for p in passes:
-            assert (np.diff(p) > 0).all()
-
-    def test_max_passes_leaves_remainder(self):
-        keys = np.zeros(10, dtype=np.int64)
-        passes, rest = first_occurrence_passes(keys, max_passes=3)
-        assert len(passes) == 3
-        assert rest.tolist() == [3, 4, 5, 6, 7, 8, 9]
-
-    def test_empty(self):
-        passes, rest = first_occurrence_passes(np.array([], dtype=np.int64))
-        assert passes == [] and rest.size == 0
+        # Granules met in descending order, twice each: every pass is
+        # sorted on the granule.
+        n = PASS_ROWS
+        granules = [g for g in reversed(range(n)) for _ in range(2)]
+        order, cuts, _, _ = _passes([0] * 2 * n, granules, [0, 1] * n)
+        assert cuts == [0, n, 2 * n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert (np.diff(np.array(granules)[order[lo:hi]]) > 0).all()
 
     def test_replaying_passes_preserves_per_key_order(self):
         rng = np.random.default_rng(7)
-        keys = rng.integers(0, 5, size=40)
-        passes, rest = first_occurrence_passes(keys, max_passes=40)
-        order = np.concatenate([*(passes or [np.array([], dtype=np.intp)]), rest])
-        seen: dict[int, list[int]] = {}
+        blocks = rng.integers(0, 3, size=400)
+        granules = rng.integers(0, 40, size=400)
+        tags = rng.integers(0, 3, size=400)
+        order, cuts, repeats, _ = _passes(blocks, granules, tags)
+        assert len(cuts) > 1  # some rows run in passes
+        assert sorted([*order.tolist(), *repeats.tolist()]) == list(range(400))
+        seen: dict = {}
         for pos in order.tolist():
-            seen.setdefault(int(keys[pos]), []).append(pos)
+            seen.setdefault((int(blocks[pos]), int(granules[pos])), []).append(pos)
         for key, positions in seen.items():
             assert positions == sorted(positions), key
 

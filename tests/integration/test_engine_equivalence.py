@@ -31,12 +31,14 @@ import pytest
 from repro.core.detector import Arbalest
 from repro.core.multidevice import MultiDeviceArbalest
 from repro.dracc import all_benchmarks
+from repro.events.columnar import PASS_ROWS
 from repro.forensics import FlightRecorder
 from repro.harness.precision import TOOL_FACTORIES, TOOL_ORDER
-from repro.openmp import alloc, to
+from repro.openmp import alloc, to, tofrom
 from repro.openmp.runtime import TargetRuntime
 from repro.specaccel.postencil import output_checksum, run_postencil
 from repro.specaccel.workloads import WORKLOADS
+from repro.telemetry import Telemetry
 from tests.mapping_reference import MappingReference, mapping_fingerprints
 from tests.per_access import per_access
 
@@ -123,7 +125,7 @@ def test_spec_twins_engines_agree(workload, preset):
 @pytest.mark.parametrize(
     "workload, preset",
     [(w, "test") for w in WORKLOADS]
-    + [(w, "large") for w in WORKLOADS if w.name == "pomriq"],
+    + [(w, "large") for w in WORKLOADS if w.name in ("pomriq", "polbm")],
     ids=lambda p: getattr(p, "name", p),
 )
 def test_spec_twins_engines_agree_multi_device(workload, preset):
@@ -225,26 +227,109 @@ def test_spec_twins_timeline_agrees(workload):
     assert scalar == _timelines(run, "columnar")
 
 
-def test_hot_granule_timeline_agrees():
-    """Granules hit more than eight times in one batch leave the vectorized
-    passes for a scalar remainder; transitions and illegal reads recorded
-    there must land in per-access order too."""
+def _hot_granule(rt):
+    """Granules hit many times in one batch: runs of one step (repeats the
+    batch drops, by one thread and by several in turn), reads and writes
+    alternating on more granules than the pass cut-off (vectorized passes)
+    and on one granule past it (the one-at-a-time replay), with illegal
+    reads and races among them."""
+    n = PASS_ROWS + 1
+    a = rt.array("a", 16)
+    a.fill(1.0)
+    b = rt.array("b", 16)
+    c = rt.array("c", n)
+    total = rt.array("total", 1)
+    total.fill(0.0)
 
-    def run(rt):
-        a = rt.array("a", 16)
-        a.fill(1.0)
-        b = rt.array("b", 16)
+    def k(ctx):
+        A, B, C = ctx["a"], ctx["b"], ctx["c"]
+        for i in range(40):
+            _ = A[0]  # consistent, read 40 times ...
+            _ = B[i % 2]  # never initialized: illegal every time
+        A[0] = 2.0  # ... then written: a transition among the repeats
+        _ = B[0]
+        for r in range(2 * n):
+            for j in range(n):
+                _ = C[j]  # illegal until the granule's first write
+                C[j] = float(r)
+        for r in range(n):
+            _ = C[0]
+            C[0] = float(r)
 
-        def k(ctx):
-            A, B = ctx["a"], ctx["b"]
-            for i in range(40):
-                _ = A[0]  # consistent, read 40 times ...
-                _ = B[i % 2]  # never initialized: illegal every time
-            A[0] = 2.0  # ... then written: a transition in the remainder
-            _ = B[0]
+    def shared(ctx):
+        A, B, T = ctx["a"], ctx["b"], ctx["total"]
 
-        rt.target(k, maps=[to(a), alloc(b)])
+        def body(i):
+            _ = A[1], B[2]  # the same read by four threads in turn
+            T.write(0, T[0] + 1.0)  # unordered read-modify-writes: races
 
-    scalar = _timelines(run, "scalar")
+        ctx.parallel_for(4 * PASS_ROWS, body, num_threads=4)
+
+    rt.target(k, maps=[to(a), alloc(b), alloc(c)])
+    rt.target(shared, maps=[to(a), alloc(b), tofrom(total)])
+
+
+def test_hot_granule_timeline_agrees(detector_cls=Arbalest):
+    """Repeats dropped from the batch and rows replayed past the last pass
+    record their transitions and illegal reads in per-access order too."""
+    scalar = _timelines(_hot_granule, "scalar", detector_cls)
     assert scalar["provenance"], "the uninitialized reads went unreported"
-    assert scalar == _timelines(run, "columnar")
+    assert scalar == _timelines(_hot_granule, "columnar", detector_cls)
+
+
+def test_hot_granule_timeline_agrees_multi_device():
+    """The same under the multi-device detector."""
+    test_hot_granule_timeline_agrees(MultiDeviceArbalest)
+
+
+def _counters(run, delivery, unified=False):
+    """Run ``run(rt)`` with the detector alone under a telemetry registry;
+    return its VSM edge and access counts (a batch with no device access
+    counts 0 of them, so zero counts are left out)."""
+    telemetry = Telemetry()
+    rt = TargetRuntime(n_devices=2, unified=unified)
+    rt.machine.bus.telemetry = telemetry
+    _factory(Arbalest, delivery)().attach(rt.machine)
+    run(rt)
+    counts = {
+        name: count
+        for name, count in telemetry.counters.items()
+        if count and name.startswith(("vsm.", "detector.accesses."))
+    }
+    assert any(name.startswith("vsm.") for name in counts), "no VSM edge counted"
+    return counts
+
+
+def _large_polbm(rt):
+    next(w for w in WORKLOADS if w.name == "polbm").run(rt, "large")
+    rt.finalize()
+
+
+def _host_write_runs(rt):
+    """Runs of host writes to a mapped array: on a unified device each
+    write is the pair WRITE_HOST, UPDATE_TARGET, and its repeats too."""
+    a = rt.array("a", PASS_ROWS + 1)
+    a.fill(0.0)
+    with rt.target_data([to(a)]):
+        for r in range(3):
+            for j in range(PASS_ROWS + 1):
+                a[j] = float(r)
+                a[j] = float(r)
+            _ = a[0]
+
+
+@pytest.mark.parametrize(
+    "run, unified",
+    [pytest.param(b.run, False, id=f"DRACC_{b.number:03d}") for b in all_benchmarks()]
+    + [
+        pytest.param(_large_polbm, False, id="polbm_large"),
+        pytest.param(_hot_granule, False, id="hot_granule"),
+        pytest.param(_host_write_runs, False, id="host_writes"),
+        pytest.param(_host_write_runs, True, id="host_writes_unified"),
+    ],
+)
+def test_telemetry_agrees(run, unified):
+    """Every ``vsm.<op>.<from>-><to>`` edge a repeated access takes is
+    counted as per-access delivery counts it, though the batch applies
+    no repeat."""
+    assert _counters(run, "scalar", unified) == _counters(run, "columnar", unified)

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.events.columnar import BatchColumns
+from repro.events.columnar import PASS_ROWS, BatchColumns
 from repro.events.records import Access
 from repro.tools import RaceEngine
 from tests.race_rows import check_row, vectorized
@@ -219,7 +219,8 @@ scalar_strategy = st.builds(
     size=st.sampled_from((1, 4, 8, 12, 16)),
     is_write=st.booleans(),
 )
-#: Nine or more back-to-back accesses to one granule by mixed threads.
+#: Nine to twice the pass cut-off and more back-to-back accesses to one
+#: granule by mixed threads: past the passes, into the one-at-a-time replay.
 burst_strategy = st.lists(
     st.builds(
         Row,
@@ -230,7 +231,7 @@ burst_strategy = st.lists(
         is_write=st.booleans(),
     ),
     min_size=9,
-    max_size=20,
+    max_size=2 * PASS_ROWS + 4,
 )
 #: One thread's loop over consecutive granules, as a kernel issues it.
 sweep_strategy = st.builds(

@@ -8,8 +8,10 @@ can assert which granules raced as well as whether the access did.
 vectorized kernels instead of the row-at-a-time path short runs take.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
+from repro.events import columnar
 from repro.events.columnar import BatchColumns
 from repro.events.records import Access
 from repro.tools import archer
@@ -29,6 +31,12 @@ def check_row(
     return recorded
 
 
+@contextmanager
 def vectorized():
-    """Context manager: no run is short enough for the plain-int path."""
-    return mock.patch.object(archer, "_PLAIN_ROWS", 0)
+    """Context manager: no run is short enough for the plain-int path,
+    and every pass of two rows or more is checked vectorized (a pass of
+    one row still replays, so both halves of a run's walk are used)."""
+    with mock.patch.object(archer, "_PLAIN_ROWS", 0), mock.patch.object(
+        columnar, "PASS_ROWS", 2
+    ):
+        yield
