@@ -47,9 +47,9 @@ import numpy as np
 
 from ..events.source import UNKNOWN_LOCATION
 from ..memory.layout import GRANULE
-from ..events.columnar import BatchColumns, granule_passes
+from ..events.columnar import granule_passes
 from ..events.records import ACCESS_KINDS
-from ..tools.archer import RaceEngine, transfer_columns
+from ..tools.archer import RaceEngine, transfer_rows
 from ..tools.base import Tool
 from ..tools.findings import Finding, FindingKind
 from .registry import MappingRecord, MappingRegistry, ShadowRegistry
@@ -264,7 +264,7 @@ class Arbalest(Tool):
         rec = self.mappings.find(cv)
         if rec is not None and rec.certified:
             return
-        if self.race_engine.check_batch(transfer_columns(event)):
+        if self.race_engine.check_batch(transfer_rows(event)):
             self.report(
                 Finding(
                     tool=self.name,
@@ -507,8 +507,7 @@ class Arbalest(Tool):
                 engine is not None
                 # a device access through a certified mapping skips it
                 and not (access.device_id and rec is not None and rec.certified)
-                # the row's own columns: the batch's would decode it again
-                and engine.check_batch(BatchColumns([access]))
+                and engine.check_batch([access])
             )
             self._apply_in_place(access, rec, block)
             if racy:
@@ -520,9 +519,13 @@ class Arbalest(Tool):
         sizes = cols.sizes
         host = cols.device_ids == 0
         if telemetry is not None:
+            # Zero counts stay out: a snapshot's keys must not depend on
+            # how accesses were batched.
             n_host = int(np.count_nonzero(host))
-            telemetry.count("detector.accesses.host", n_host)
-            telemetry.count("detector.accesses.device", n - n_host)
+            if n_host:
+                telemetry.count("detector.accesses.host", n_host)
+            if n_host < n:
+                telemetry.count("detector.accesses.device", n - n_host)
         # The mapping holding each access's first byte (a host address can
         # only fall in a unified one), then the shadow block holding its OV.
         ri = look.cv_bases.searchsorted(addr, "right") - 1
@@ -612,7 +615,7 @@ class Arbalest(Tool):
             sync = (ops == VsmOp.WRITE_HOST) & look.unified[ri[vp]]
             blk, g = bi[vp], gran[vp]
             order, cuts, repeats, leaders = granule_passes(
-                blk, g, ops | sync << 2 | devs << 3
+                blk, g, ops | sync << 2 | devs << 3, with_leaders=True
             )
             illegal = np.zeros(len(vp), dtype=bool)
             uninit = np.zeros(len(vp), dtype=bool)

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .columnar import BATCH_CAP, EventBatch, LaneSlot, Pending, lane_of
+from .columnar import BATCH_CAP, EventBatch, LaneSlot, Pending, lane_code
 from .records import (
     Access,
     AllocationEvent,
@@ -117,7 +117,9 @@ class ToolBus:
         #: Instrumented array views consult this before even building an
         #: access, so native runs skip the event layer entirely.
         self.wants_accesses = False
-        self._immediate = False
+        #: Pending accesses that trigger a flush: 1 while an
+        #: immediate-delivery tool is attached, ``BATCH_CAP`` otherwise.
+        self._cap = BATCH_CAP
         self._tools: list["Tool"] = []
         self._access: tuple["Tool", ...] = ()
         self._batched: tuple["Tool", ...] = ()
@@ -220,7 +222,8 @@ class ToolBus:
             t for t in self._tools if t in self._batched or t in per_access
         )
         self.wants_accesses = bool(self._access)
-        self._immediate = any(t.immediate_delivery for t in self._access)
+        immediate = any(t.immediate_delivery for t in self._access)
+        self._cap = 1 if immediate else BATCH_CAP
         self._data_op = overriding("on_data_op")
         self._kernel = overriding("on_kernel")
         self._allocation = overriding("on_allocation")
@@ -287,11 +290,12 @@ class ToolBus:
                     self._tool_error(tool, handler, exc)
 
     def intern_lane(self, slot: LaneSlot) -> int:
-        """Add ``(device, thread, cv_base, itemsize, stack)`` to the slot
-        table; returns its read lane, valid until :attr:`lane_epoch` moves."""
+        """Add ``(device, thread, base, itemsize, stack)`` to the slot
+        table; returns its read code at offset 0, valid until
+        :attr:`lane_epoch` moves."""
         slots = self._lane_slots
         slots.append(slot)
-        return lane_of(len(slots) - 1)
+        return lane_code(len(slots) - 1)
 
     def invalidate_lanes(self) -> None:
         """Make every interned lane stale (a thread or source change)."""
@@ -300,10 +304,7 @@ class ToolBus:
     def publish_access(self, access: Pending) -> None:
         pending = self._batch_pending
         pending.append(access)
-        if self._immediate:
-            self.flush_batch()
-            return
-        if len(pending) >= BATCH_CAP:
+        if len(pending) >= self._cap:
             self.flush_batch()
 
     def _deliver_each(self, tool: "Tool", accesses: list[Access]) -> None:

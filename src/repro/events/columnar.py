@@ -10,12 +10,14 @@ address, size, is_write, count, stride)`` — through the tools'
 comparisons in the hot path run as whole-array gather/scatter.
 
 A pending access is either an ``Access`` row or a **lane code**: the one
-int a bound kernel view publishes per in-section scalar access,
-``offset << LANE_SHIFT | slot << 1 | is_write``.  The slot indexes the
-bus's per-batch slot table of ``(device, thread, cv_base, itemsize,
-stack)`` tuples, so the code names the access completely: its address is
-``cv_base + offset * itemsize``.  This module is the only one that knows
-the layout.  :class:`BatchColumns` decodes a batch's codes with one
+int a bound host or kernel view publishes per in-bounds scalar access,
+``(slot << 1 | is_write) << OFFSET_BITS | offset``.  The slot indexes the
+bus's per-batch slot table of ``(device, thread, base, itemsize, stack)``
+tuples, so the code names the access completely: its address is ``base +
+offset * itemsize``.  The lane (slot and write bit) sits above the
+offset, so a view holding its lane's code (:func:`lane_code`) builds an
+access's code with one add.  This module is the only one that knows the
+layout.  :class:`BatchColumns` decodes a batch's codes with one
 ``np.fromiter`` plus shifts and gathers, and a row is built only when a
 tool asks :attr:`EventBatch.accesses` for one (a finding, an access
 applied in place, a per-access tool).  A batch of rows only keeps the one
@@ -43,34 +45,47 @@ from .records import Access, AccessOrigin
 #: latency between an access occurring and a tool observing it.
 BATCH_CAP = 65536
 
-#: Lane-code layout: the element offset sits above ``LANE_SHIFT - 1`` slot
-#: bits and the write bit.  A slot table never outgrows the slot bits: it
-#: is reset at every flush, and a batch holds at most ``BATCH_CAP`` codes.
-LANE_SHIFT = 21
-_SLOT_MASK = (1 << (LANE_SHIFT - 1)) - 1
-#: OR-ed into a read lane to make the write lane of the same slot.
-WRITE_LANE = 1
+#: Lane-code layout: the element offset fills the low ``OFFSET_BITS``, the
+#: write bit and the slot number sit above it.  A view's offsets stay below
+#: ``1 << OFFSET_BITS`` (no simulated array holds 2**40 elements), and a
+#: slot table never holds more than ``BATCH_CAP`` slots (it is reset at
+#: every flush, and a view interns a slot only to publish a code), so a
+#: code fits an int64 column.
+OFFSET_BITS = 40
+_OFFSET_MASK = (1 << OFFSET_BITS) - 1
+_SLOT_SHIFT = OFFSET_BITS + 1
+#: Added to a slot's read code to make its write code.
+WRITE_CODE = 1 << OFFSET_BITS
 
-#: One slot: ``(device_id, thread_id, cv_base, itemsize, stack)``.
+#: One slot: ``(device_id, thread_id, base, itemsize, stack)``.
 LaneSlot = tuple[int, int, int, int, tuple]
 #: What a pending batch holds: rows and lane codes, in publish order.
 Pending = Union[Access, int]
 
 
-def lane_of(slot: int) -> int:
-    """The read lane of slot number ``slot`` (``| WRITE_LANE`` for writes)."""
-    return slot << 1
+def lane_code(slot: int, offset: int = 0, is_write: bool = False) -> int:
+    """The code of an access at element ``offset`` through slot ``slot``.
+
+    ``lane_code(slot)`` is the slot's read code at offset 0; a view adds
+    an offset (and :data:`WRITE_CODE` for a write) to it.
+    """
+    return (slot << 1 | is_write) << OFFSET_BITS | offset
+
+
+def slot_of(code: int) -> int:
+    """The slot number a lane code names."""
+    return code >> _SLOT_SHIFT
 
 
 def decode_lane(code: int, slots: Sequence[LaneSlot]) -> Access:
     """The ``Access`` row a lane code stands for."""
-    device, thread, base, size, stack = slots[code >> 1 & _SLOT_MASK]
+    device, thread, base, size, stack = slots[code >> _SLOT_SHIFT]
     return Access(
         device,
         thread,
-        base + (code >> LANE_SHIFT) * size,
+        base + (code & _OFFSET_MASK) * size,
         size,
-        bool(code & 1),
+        bool(code >> OFFSET_BITS & 1),
         1,
         size,
         AccessOrigin.PROGRAM,
@@ -112,16 +127,6 @@ class BatchColumns:
         if slots:
             self._decode(accesses, slots)
             return
-        if len(accesses) == 1:
-            # A batch of one (immediate delivery, a race check's row): one
-            # array and seven views cost half of seven arrays.
-            row = np.array(accesses[0][:7], dtype=np.int64)
-            self.device_ids, self.thread_ids, self.addresses, self.sizes = (
-                row[0:1], row[1:2], row[2:3], row[3:4]
-            )
-            self.is_write = row[4:5].astype(np.bool_)
-            self.counts, self.strides = row[5:6], row[6:7]
-            return
         # zip(*[]) yields no columns, so an empty batch gets empty ones.
         fields = tuple(islice(zip(*accesses), 7)) or ((),) * 7
         devices, threads, addresses, sizes, writes, counts, strides = fields
@@ -146,13 +151,13 @@ class BatchColumns:
                 count=n,
             )
         table = np.array([slot[:4] for slot in slots], dtype=np.int64)
-        slot = codes >> 1 & _SLOT_MASK
+        slot = codes >> _SLOT_SHIFT
         sizes = table[:, 3][slot]
         self.device_ids = table[:, 0][slot]
         self.thread_ids = table[:, 1][slot]
-        self.addresses = table[:, 2][slot] + (codes >> LANE_SHIFT) * sizes
+        self.addresses = table[:, 2][slot] + (codes & _OFFSET_MASK) * sizes
         self.sizes = sizes
-        self.is_write = (codes & 1).astype(np.bool_)
+        self.is_write = (codes >> OFFSET_BITS & 1).astype(np.bool_)
         self.counts = np.ones(n, dtype=np.int64)
         self.strides = sizes.copy()
         if row_pos:
@@ -242,7 +247,7 @@ class EventBatch:
         """The stack of access ``pos``, read without building its row."""
         item = self._items[pos]
         if type(item) is int:
-            return self._slots[item >> 1 & _SLOT_MASK][4]
+            return self._slots[item >> _SLOT_SHIFT][4]
         return item.stack
 
     @property
@@ -264,8 +269,12 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 def granule_passes(
-    blocks: np.ndarray, granules: np.ndarray, tags: np.ndarray
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    blocks: np.ndarray,
+    granules: np.ndarray,
+    tags: np.ndarray,
+    *,
+    with_leaders: bool = False,
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray | None]:
     """Split rows ``0..n-1`` into passes with at most one row per granule.
 
     Row ``i`` steps granule ``granules[i]`` of block ``blocks[i]`` with
@@ -283,15 +292,17 @@ def granule_passes(
     rows: each ``order[cuts[k]:cuts[k + 1]]`` is one block's part of one
     pass, sorted by granule, and ``order[cuts[-1]:]`` the rows to replay,
     in program order.  ``repeats`` are the dropped rows and ``leaders``
-    the kept row each one repeats.
+    the kept row each one repeats, built only ``with_leaders`` (``None``
+    otherwise: the race check needs no leader).
     """
+    no_leaders = _NO_ROWS if with_leaders else None
     if len(granules) < PASS_ROWS:  # too short to pay for the sort
-        return np.arange(len(granules)), [0], _NO_ROWS, _NO_ROWS
+        return np.arange(len(granules)), [0], _NO_ROWS, no_leaders
     key = blocks << _KEY_SHIFT | granules
     order = np.argsort(key, kind="stable")
     key = key[order]
     same = key[1:] == key[:-1]
-    repeats = leaders = _NO_ROWS
+    repeats, leaders = _NO_ROWS, no_leaders
     if same.any():
         tag = tags[order]
         repeat = same & (tag[1:] == tag[:-1])
@@ -299,8 +310,8 @@ def granule_passes(
             kept = np.flatnonzero(np.concatenate(([True], ~repeat)))
             repeats = order[1:][repeat]
             order, key = order[kept], key[kept]
-            # A kept row's repeats follow it in key order.
-            leaders = np.repeat(order, np.diff(kept, append=len(tag)) - 1)
+            if with_leaders:  # a kept row's repeats follow it in key order
+                leaders = np.repeat(order, np.diff(kept, append=len(tag)) - 1)
             same = key[1:] == key[:-1]
     one_block = key[0] >> _KEY_SHIFT == key[-1] >> _KEY_SHIFT
     if same.any():

@@ -42,18 +42,20 @@ Design points:
   ``int64`` wraparound and change the error a ``u1`` overflow raises.
   Out-of-bounds indices, other index types and slices take the generic
   path and return numpy values.
-* **A bound kernel scalar access publishes one int.**  Everything an
-  in-section scalar access carries but its element offset and write bit
-  is fixed between a flush, a thread switch and a source-position change:
-  device, thread, section base, itemsize and stack.  The view interns that
+* **A bound scalar access publishes one int.**  Everything a bound
+  ``int``-indexed access carries but its element offset and write bit is
+  fixed between a flush, a thread switch and a source-position change:
+  device, thread, base address (a kernel view's section base, a host
+  view's buffer base), itemsize and stack.  Either view interns that
   tuple as a slot of the bus's per-batch table once per such window (one
-  epoch compare per access tells it when) and publishes the lane code
-  ``offset << LANE_SHIFT | lane`` — the instrumentation pass's compact
-  record, with no row built (:mod:`repro.events.columnar` owns the
-  layout and builds rows on demand).  Slices, other index types,
-  out-of-section indices and views with no single covering buffer
-  publish an ``Access`` row through the generic path below;
-  :class:`HostArray` publishes an ``Access`` row for every access.
+  epoch compare per access tells it when, :meth:`_ArrayView._intern`)
+  and publishes the lane code ``self._read_code + offset`` (or
+  ``_write_code``): the instrumentation pass's compact record, one add
+  and no row or stack snapshot per access (:mod:`repro.events.columnar`
+  owns the layout and builds rows on demand).  Slices, other index
+  types, out-of-bounds indices, a host view whose buffer is no longer
+  live and kernel views with no single covering buffer publish an
+  ``Access`` row through the generic path below.
 * **Peek/poke bypass instrumentation** so tests can assert on final memory
   without perturbing the tools under test.
 """
@@ -64,11 +66,12 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ..events.columnar import LANE_SHIFT, WRITE_LANE
+from ..events.columnar import WRITE_CODE
 from ..events.records import Access, AccessOrigin
 from ..memory.buffer import RawBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..events.bus import ToolBus
     from .device import Device
     from .runtime import Machine
 
@@ -114,6 +117,14 @@ class _ArrayView:
     #: The bound storage (see :func:`_bind`).  ``None`` means unbound:
     #: every access takes the generic path.
     _data: Union[memoryview, np.ndarray, None] = None
+    #: The machine's bus, and the address a bound offset counts from.
+    _bus: "ToolBus"
+    _base: int
+    #: The bus epoch the interned lane belongs to (-1: none interned yet).
+    _epoch = -1
+    #: The interned slot's codes at offset 0 (see :meth:`_intern`).
+    _read_code: int
+    _write_code: int
 
     @property
     def nbytes(self) -> int:
@@ -124,6 +135,23 @@ class _ArrayView:
         raise NotImplementedError
 
     # -- event emission --------------------------------------------------
+
+    def _intern(self) -> None:
+        """Intern this view's current slot on the bus (a new epoch began)."""
+        bus = self._bus
+        machine = self.machine
+        code = bus.intern_lane(
+            (
+                self.device_id,
+                machine.current_thread,
+                self._base,
+                self.itemsize,
+                machine.source.snapshot(),
+            )
+        )
+        self._read_code = code
+        self._write_code = code + WRITE_CODE
+        self._epoch = bus.lane_epoch
 
     def _publish(self, address: int, count: int, step: int, is_write: bool) -> None:
         machine = self.machine
@@ -243,6 +271,7 @@ class HostArray(_ArrayView):
         self.length = length
         self.device_id = 0
         self.storage = machine.host
+        self._bus = machine.bus
         # Bound for the buffer's lifetime: an access uses the binding only
         # while the host's live buffer at ``_base`` is still this one.
         self._base = buffer.base
@@ -264,7 +293,11 @@ class HostArray(_ArrayView):
         if type(index) is int:
             k = index + self.length if index < 0 else index
             if 0 <= k < self.length and self._live.get(self._base) is self.buffer:
-                self._publish(self._base + k * self.itemsize, 1, 1, False)
+                bus = self._bus
+                if bus.wants_accesses:
+                    if self._epoch != bus.lane_epoch:
+                        self._intern()
+                    bus.publish_access(self._read_code + k)
                 return self._data[k]
         return _ArrayView.read(self, index)
 
@@ -273,7 +306,11 @@ class HostArray(_ArrayView):
         if type(index) is int:
             k = index + self.length if index < 0 else index
             if 0 <= k < self.length and self._live.get(self._base) is self.buffer:
-                self._publish(self._base + k * self.itemsize, 1, 1, True)
+                bus = self._bus
+                if bus.wants_accesses:
+                    if self._epoch != bus.lane_epoch:
+                        self._intern()
+                    bus.publish_access(self._write_code + k)
                 try:
                     self._data[k] = value
                 except (TypeError, ValueError, OverflowError):
@@ -307,9 +344,6 @@ class KernelArray(_ArrayView):
     ``cv_base + (i - section_start) * itemsize``.
     """
 
-    #: The bus epoch the interned lanes belong to (-1: none interned yet).
-    _epoch = -1
-
     def __init__(
         self,
         machine: "Machine",
@@ -325,7 +359,7 @@ class KernelArray(_ArrayView):
         self.name = name
         self.device = device
         self.device_id = device.device_id
-        self.cv_base = cv_base
+        self.cv_base = self._base = cv_base
         self.section_start = section_start
         self.section_length = section_length
         self.dtype = np.dtype(dtype)
@@ -347,23 +381,6 @@ class KernelArray(_ArrayView):
     def _address(self, element: int) -> int:
         return self.cv_base + (element - self.section_start) * self.itemsize
 
-    def _intern(self) -> None:
-        """Intern this view's current slot on the bus (a new epoch began)."""
-        bus = self._bus
-        machine = self.machine
-        lane = bus.intern_lane(
-            (
-                self.device_id,
-                machine.current_thread,
-                self.cv_base,
-                self.itemsize,
-                machine.source.snapshot(),
-            )
-        )
-        self._read_lane = lane
-        self._write_lane = lane | WRITE_LANE
-        self._epoch = bus.lane_epoch
-
     def read(self, index: Index) -> Union[float, int, np.ndarray]:
         """Instrumented read of one element or a slice."""
         data = self._data
@@ -374,7 +391,7 @@ class KernelArray(_ArrayView):
                 if bus.wants_accesses:
                     if self._epoch != bus.lane_epoch:
                         self._intern()
-                    bus.publish_access(k << LANE_SHIFT | self._read_lane)
+                    bus.publish_access(self._read_code + k)
                 return data[k]
         return _ArrayView.read(self, index)
 
@@ -388,7 +405,7 @@ class KernelArray(_ArrayView):
                 if bus.wants_accesses:
                     if self._epoch != bus.lane_epoch:
                         self._intern()
-                    bus.publish_access(k << LANE_SHIFT | self._write_lane)
+                    bus.publish_access(self._write_code + k)
                 try:
                     data[k] = value
                 except (TypeError, ValueError, OverflowError):

@@ -45,7 +45,7 @@ stays on plain Python ints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -505,12 +505,15 @@ class RaceEngine:
     # -- the entry point --------------------------------------------------------
 
     def check_batch(
-        self, columns: BatchColumns, positions: np.ndarray | None = None
+        self,
+        columns: BatchColumns | Sequence[Access],
+        positions: np.ndarray | None = None,
     ) -> list[int]:
         """Check an ordered run of accesses: the engine's one entry point.
 
         ``columns`` is a batch's :class:`~repro.events.columnar.BatchColumns`
-        and ``positions``, if given, the ascending positions of the rows to
+        or a sequence of ``Access`` rows (a batch of one, a transfer), and
+        ``positions``, if given, the ascending positions of the rows to
         check (every row otherwise).  The run must not span a sync event:
         thread clocks are frozen across it, as the bus's batch-flush
         ordering guarantees.  A row is clipped to the block holding its
@@ -526,9 +529,17 @@ class RaceEngine:
 
         A run of at most :data:`_PLAIN_ROWS` contiguous rows (a batch of one,
         a transfer, a small batch) is checked a row at a time by
-        :meth:`_check_plain`.
+        :meth:`_check_plain`; such a run handed as rows builds no columns.
         Returns the sorted positions whose access raced.
         """
+        if not isinstance(columns, BatchColumns):  # a run of rows
+            if positions is None and len(columns) <= _PLAIN_ROWS:
+                if not self._bases:
+                    return []
+                racy = self._check_short(columns)
+                if racy is not None:
+                    return racy
+            columns = BatchColumns(columns)
         fields = (
             columns.device_ids, columns.thread_ids, columns.addresses,
             columns.sizes, columns.is_write, columns.counts, columns.strides,
@@ -540,18 +551,8 @@ class RaceEngine:
         if n == 0 or not self._bases:
             return []
         if n <= _PLAIN_ROWS:
-            shape = list(zip(spans.tolist(), counts.tolist(), strides.tolist()))
-            if all(count == 1 or stride in (0, size) for size, count, stride in shape):
-                rows = zip(
-                    devices.tolist(), tids.tolist(), addresses.tolist(),
-                    writes.tolist(), shape,
-                )
-                racy = [
-                    i
-                    for i, (device, tid, address, is_write, (size, count, _))
-                    in enumerate(rows)
-                    if self._check_plain(device, tid, address, count * size, is_write)
-                ]
+            racy = self._check_short(list(zip(*(field.tolist() for field in fields))))
+            if racy is not None:
                 return racy if positions is None else positions[racy].tolist()
         row_pos = None  # each row's run index, once strided rows expand
         if not bool((counts == 1).all()):
@@ -609,6 +610,21 @@ class RaceEngine:
         if positions is not None:
             rows = positions[rows]
         return np.unique(rows).tolist()
+
+    def _check_short(self, rows: Sequence[tuple]) -> list[int] | None:
+        """A short run of rows in ``Access`` field order, a row at a time in
+        plain ints: the indices of the racy rows, or ``None`` if a row is
+        strided (the columns expand those)."""
+        if not all(
+            count == 1 or stride in (0, size)
+            for _, _, _, size, _, count, stride, *_ in rows
+        ):
+            return None
+        return [
+            i
+            for i, (device, tid, address, size, is_write, count, *_) in enumerate(rows)
+            if self._check_plain(device, tid, address, count * size, is_write)
+        ]
 
     def _check_plain(
         self, device_id: int, tid: int, address: int, span: int, is_write: bool
@@ -682,17 +698,15 @@ class RaceEngine:
         return np.concatenate(racy_rows)
 
 
-def transfer_columns(event: "MemcpyEvent") -> BatchColumns:
+def transfer_rows(event: "MemcpyEvent") -> list[Access]:
     """A transfer as the two-row run a race check takes: a read of the
     source, then a write of the destination, on the acting thread."""
-    return BatchColumns(
-        [
-            Access(event.src_device, event.thread_id, event.src_address,
-                   event.nbytes, False),
-            Access(event.dst_device, event.thread_id, event.dst_address,
-                   event.nbytes, True),
-        ]
-    )
+    return [
+        Access(event.src_device, event.thread_id, event.src_address,
+               event.nbytes, False),
+        Access(event.dst_device, event.thread_id, event.dst_address,
+               event.nbytes, True),
+    ]
 
 
 class ArcherTool(Tool):
@@ -740,7 +754,9 @@ class ArcherTool(Tool):
         if self.telemetry is not None:
             self.telemetry.count("tool.archer.access_checks", len(batch))
         accesses = batch.accesses
-        for pos in self.engine.check_batch(batch.columns):
+        # A batch of one is checked as its row, with no columns built.
+        run = accesses if len(batch) == 1 else batch.columns
+        for pos in self.engine.check_batch(run):
             self._report_race(accesses[pos])
 
     def on_memcpy(self, event: "MemcpyEvent") -> None:
@@ -749,7 +765,7 @@ class ArcherTool(Tool):
         # (the Fig-2 line-14-vs-line-11 conflict).
         if self.telemetry is not None:
             self.telemetry.count("tool.archer.memcpy_checks")
-        if self.engine.check_batch(transfer_columns(event)):
+        if self.engine.check_batch(transfer_rows(event)):
             self.report(
                 Finding(
                     tool=self.name,

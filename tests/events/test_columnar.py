@@ -11,20 +11,18 @@ from hypothesis import strategies as st
 
 from repro.events import Access, DataOp, DataOpKind, SyncEvent, ToolBus
 from repro.events.columnar import (
-    _SLOT_MASK,
     BATCH_CAP,
-    LANE_SHIFT,
     PASS_ROWS,
-    WRITE_LANE,
     BatchColumns,
     EventBatch,
     decode_lane,
     granule_passes,
-    lane_of,
+    lane_code,
+    slot_of,
 )
 from repro.memory import BASE_ADDRESS
 from repro.openmp import Schedule, TargetRuntime, delete, to, tofrom
-from repro.openmp.arrays import KernelArray, _ArrayView
+from repro.openmp.arrays import HostArray, KernelArray, _ArrayView
 from repro.tools import Tool
 from tests.per_access import per_access
 
@@ -286,6 +284,7 @@ def _passes(blocks, granules, tags):
         np.array(blocks, dtype=np.int64),
         np.array(granules, dtype=np.int64),
         np.array(tags, dtype=np.int64),
+        with_leaders=True,
     )
 
 
@@ -473,15 +472,27 @@ _KERNEL_OP = st.one_of(
     st.tuples(st.just("at"), st.integers(1, 99), _LEAVES),
     st.tuples(st.just("pfor"), st.integers(1, 6), st.integers(1, 3), _LEAVES),
 )
-_HOST_OP = st.one_of(
-    st.tuples(st.just("r"), _NAME, st.integers(0, 15)),
-    st.tuples(st.just("w"), _NAME, st.integers(0, 15)),
+# Host code: bound reads and writes, negative and out-of-range indices,
+# slices, rt.at changes, host parallel regions (a thread switch per
+# worker), a free and a new array at the same base, and reads and writes
+# through the freed array's stale view.
+_HOST_LEAF = st.one_of(
+    st.tuples(st.just("r"), _NAME, st.integers(-24, 40)),
+    st.tuples(st.just("w"), _NAME, st.integers(-24, 40)),
     st.tuples(st.just("sr"), _NAME, st.integers(0, 16), st.integers(0, 16)),
+)
+_HOST_LEAVES = st.lists(_HOST_LEAF, max_size=4)
+_HOST_OP = st.one_of(
+    _HOST_LEAF,
+    st.tuples(st.just("at"), st.integers(1, 99), _HOST_LEAVES),
+    st.tuples(st.just("pfor"), st.integers(1, 6), st.integers(1, 3), _HOST_LEAVES),
+    st.tuples(st.just("realloc"), _NAME),
+    st.tuples(st.just("stale"), _NAME, st.integers(0, 15), st.booleans()),
 )
 _KERNEL = st.tuples(
     st.booleans(),  # nowait (deferred: the schedule runs it at taskwait)
     st.lists(_KERNEL_OP, min_size=1, max_size=6),
-    st.lists(_HOST_OP, max_size=3),  # host code before the taskwait
+    st.lists(_HOST_OP, max_size=4),  # host code before the taskwait
 )
 PROGRAMS = st.tuples(
     st.lists(_KERNEL, min_size=1, max_size=3),
@@ -508,7 +519,7 @@ class Capture(Tool):
         assert not self.bus._lane_slots
         codes = [item for item in batch._items if type(item) is int]
         # The batch's slot table holds exactly the slots its codes name.
-        assert {code >> 1 & _SLOT_MASK for code in codes} == set(
+        assert {slot_of(code) for code in codes} == set(
             range(len(batch._slots))
         )
         decoded = batch.columns
@@ -521,11 +532,48 @@ class Capture(Tool):
 
 
 class TestLaneCodes:
-    """Bound kernel scalar accesses publish lane codes; every row a tool
-    builds from one equals the row the generic view path publishes."""
+    """Bound host and kernel scalar accesses publish lane codes; every row
+    a tool builds from one equals the row the generic view path
+    publishes."""
 
     N_A, N_B = 24, 16
     SECTION = (4, 12)  # a[4:16] is mapped
+    DTYPES = {"a": "f8", "b": "f4"}
+
+    def _host_ops(self, rt, arrays, freed, reads, ops, shift=0):
+        """Run host ``ops``; every scalar read appends its value's bits to
+        ``reads`` (garbage may be a NaN)."""
+        for op in ops:
+            kind = op[0]
+            if kind == "r":
+                reads.append(np.float64(arrays[op[1]][op[2] + shift]).tobytes())
+            elif kind == "w":
+                arrays[op[1]][op[2] + shift] = -1.0
+            elif kind == "sr":
+                arrays[op[1]][op[2] : op[3]]
+            elif kind == "at":
+                with rt.at("host.c", op[1]):
+                    self._host_ops(rt, arrays, freed, reads, op[2], shift)
+            elif kind == "pfor":
+                _, n, threads, body = op
+                rt.machine.run_parallel_region(
+                    n,
+                    lambda i: self._host_ops(rt, arrays, freed, reads, body, shift + i),
+                    threads,
+                )
+            elif kind == "realloc":  # the new array takes the freed base
+                rt.taskwait()  # no deferred kernel maps the freed array
+                name = op[1]
+                old = freed[name] = arrays[name]
+                rt.free(old)
+                arrays[name] = rt.array(name, old.length, self.DTYPES[name])
+                assert arrays[name].base == old.base
+            elif op[1] in freed:  # "stale": the freed array's view
+                _, name, index, is_write = op
+                if is_write:
+                    freed[name][index] = -2.0
+                else:
+                    reads.append(np.float64(freed[name][index]).tobytes())
 
     def _ops(self, rt, ctx, ops, shift=0):
         for op in ops:
@@ -561,34 +609,36 @@ class TestLaneCodes:
         kernels, immediate, stale = program
         rt = TargetRuntime(n_devices=1, schedule=Schedule.DEFER_KERNEL_FIRST)
         bus = rt.machine.bus
-        a = rt.array("a", self.N_A, "f8", init=[float(i) for i in range(self.N_A)])
-        b = rt.array("b", self.N_B, "f4", init=[float(i) for i in range(self.N_B)])
+        arrays = {
+            name: rt.array(name, n, self.DTYPES[name], init=[float(i) for i in range(n)])
+            for name, n in (("a", self.N_A), ("b", self.N_B))
+        }
+        freed, reads = {}, []
         capture = Capture(bus).attach(rt.machine)
         if immediate:
             per_access(Recorder)().attach(rt.machine)
-        arrays = {"a": a, "b": b}
         for nowait, body, host in kernels:
             with rt.at("main.c", 10):
                 rt.target(
                     lambda ctx, body=body: self._ops(rt, ctx, body),
-                    maps=[tofrom(a, *self.SECTION), tofrom(b)],
+                    maps=[tofrom(arrays["a"], *self.SECTION), tofrom(arrays["b"])],
                     nowait=nowait,
                 )
-            for op in host:
-                if op[0] == "r":
-                    arrays[op[1]][op[2]]
-                elif op[0] == "w":
-                    arrays[op[1]][op[2]] = -1.0
-                else:
-                    arrays[op[1]][op[2] : op[3]]
+            self._host_ops(rt, arrays, freed, reads, host)
             rt.taskwait()
         if stale:
+            b = arrays["b"]
             rt.target_enter_data([to(b)])
             rt.target(lambda ctx: self._ops(rt, ctx, [("burst", "b", 20)]), nowait=True)
             rt.target_exit_data([delete(b)])
         rt.finalize()
         assert not bus._lane_slots and not bus._batch_pending
-        return capture.rows, a.peek().tolist(), b.peek().tolist()
+        return (
+            capture.rows,
+            reads,
+            arrays["a"].peek().tobytes(),
+            arrays["b"].peek().tobytes(),
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(PROGRAMS)
@@ -598,14 +648,16 @@ class TestLaneCodes:
     def _check(self, program):
         with mock.patch("repro.events.bus.BATCH_CAP", 97):
             lanes = self._run(program)
-            # The reference: every kernel access takes the generic row path.
-            with mock.patch.multiple(
-                KernelArray,
+            # The reference: every access takes the generic row path.
+            generic_path = dict(
                 read=_ArrayView.read,
                 write=_ArrayView.write,
                 __getitem__=_ArrayView.read,
                 __setitem__=_ArrayView.write,
-            ):
+            )
+            with mock.patch.multiple(
+                KernelArray, **generic_path
+            ), mock.patch.multiple(HostArray, **generic_path):
                 generic = self._run(program)
         assert lanes == generic
 
@@ -635,11 +687,7 @@ class TestLaneCodes:
         """Rows a tool builds from lane codes stay off the pending list:
         a later ``columns`` still decodes codes alone."""
         slots = [(1, 0, BASE_ADDRESS, 8, ()), (1, 2, BASE_ADDRESS + 512, 4, ())]
-        codes = [
-            3 << LANE_SHIFT | lane_of(0),
-            5 << LANE_SHIFT | lane_of(1) | WRITE_LANE,
-            lane_of(0),
-        ]
+        codes = [lane_code(0, 3), lane_code(1, 5, is_write=True), lane_code(0)]
         batch = EventBatch(list(codes), slots)
         row = batch.accesses[0]
         assert row == decode_lane(codes[0], slots)
@@ -650,3 +698,93 @@ class TestLaneCodes:
         fresh = BatchColumns(codes, slots)
         for field in BatchColumns.__slots__:
             assert np.array_equal(getattr(cols, field), getattr(fresh, field)), field
+
+
+class TestScalarAccessesStayScalar:
+    """Regression guards, counted with wrappers: a bound host access builds
+    no row when published, and a batch of one or a transfer is race-checked
+    with no columns built."""
+
+    @staticmethod
+    def _counting_rows():
+        """Patch ``Access`` construction; returns (patch, calls)."""
+        calls = []
+        new = Access.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        return mock.patch.object(Access, "__new__", counted), calls
+
+    @staticmethod
+    def _counting_columns():
+        return mock.patch.object(
+            BatchColumns, "__init__", autospec=True, side_effect=BatchColumns.__init__
+        )
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4", "i8"])
+    def test_bound_host_access_builds_no_row(self, dtype):
+        from repro.core.detector import Arbalest
+
+        rt = TargetRuntime(n_devices=1)
+        a = rt.array("a", 8, dtype, init=list(range(8)))
+        Arbalest().attach(rt.machine)
+        bus = rt.machine.bus
+        rows, calls = self._counting_rows()
+        with rows, mock.patch.object(
+            bus, "publish_access", wraps=bus.publish_access
+        ) as publish:
+            with rt.at("host.c", 3):
+                a[2] = 5
+                a[-1] = a[2]
+            # A thread switch per worker; the forks and joins flush.
+            rt.machine.run_parallel_region(2, lambda i: a[i], 2)
+        assert calls == []
+        published = [call.args[0] for call in publish.call_args_list]
+        assert len(published) == 5 and all(type(p) is int for p in published)
+        rt.finalize()
+
+    @pytest.mark.parametrize("tool", ["arbalest", "archer"])
+    def test_batch_of_one_builds_no_columns(self, tool):
+        from repro.core.detector import Arbalest
+        from repro.tools import ArcherTool
+
+        rt = TargetRuntime(n_devices=1)
+        a = rt.array("a", 16, init=[0.0] * 16)
+        cls = {"arbalest": Arbalest, "archer": ArcherTool}[tool]
+        per_access(cls)().attach(rt.machine)
+        with self._counting_columns() as init:
+            a[3] = 1.0
+            rt.target(
+                lambda ctx: ctx.parallel_for(
+                    16, lambda i: ctx["a"].write(i, ctx["a"][i] + 1.0), num_threads=2
+                ),
+                maps=[tofrom(a)],
+            )
+            _ = a[3]
+        assert init.call_count == 0
+        rt.finalize()
+
+    @pytest.mark.parametrize("tool", ["arbalest", "archer"])
+    def test_transfer_builds_no_columns(self, tool):
+        from repro.core.detector import Arbalest
+        from repro.tools import ArcherTool
+
+        rt = TargetRuntime(n_devices=1)
+        a = rt.array("a", 16, init=[0.0] * 16)
+        cls = {"arbalest": Arbalest, "archer": ArcherTool}[tool]
+        checked = []
+
+        class Spy(cls):
+            def on_memcpy(self, event):
+                checked.append(event)
+                super().on_memcpy(event)
+
+        Spy().attach(rt.machine)
+        rt.machine.bus.flush_batch()  # the init writes' batch builds its columns
+        with self._counting_columns() as init:
+            rt.target_enter_data([to(a)])
+            rt.target_exit_data([delete(a)])
+        assert checked and init.call_count == 0
+        rt.finalize()

@@ -282,22 +282,23 @@ def test_hot_granule_timeline_agrees_multi_device():
     test_hot_granule_timeline_agrees(MultiDeviceArbalest)
 
 
-def _counters(run, delivery, unified=False):
+def _snapshot(run, delivery, unified=False):
     """Run ``run(rt)`` with the detector alone under a telemetry registry;
-    return its VSM edge and access counts (a batch with no device access
-    counts 0 of them, so zero counts are left out)."""
+    return the registry's snapshot but what the batch size sets: the
+    ``bus.batches`` counter and the gauges (the lookup-cache hits and
+    misses; a batch of one resolves through the interval trees)."""
     telemetry = Telemetry()
     rt = TargetRuntime(n_devices=2, unified=unified)
     rt.machine.bus.telemetry = telemetry
     _factory(Arbalest, delivery)().attach(rt.machine)
     run(rt)
-    counts = {
-        name: count
-        for name, count in telemetry.counters.items()
-        if count and name.startswith(("vsm.", "detector.accesses."))
-    }
-    assert any(name.startswith("vsm.") for name in counts), "no VSM edge counted"
-    return counts
+    snapshot = telemetry.snapshot()
+    del snapshot["gauges"]
+    assert snapshot["counters"].pop("bus.batches")
+    counters = snapshot["counters"]
+    assert any(name.startswith("vsm.") for name in counters), "no VSM edge counted"
+    assert any(name.startswith("detector.accesses.") for name in counters)
+    return snapshot
 
 
 def _large_polbm(rt):
@@ -331,5 +332,6 @@ def _host_write_runs(rt):
 def test_telemetry_agrees(run, unified):
     """Every ``vsm.<op>.<from>-><to>`` edge a repeated access takes is
     counted as per-access delivery counts it, though the batch applies
-    no repeat."""
-    assert _counters(run, "scalar", unified) == _counters(run, "columnar", unified)
+    no repeat, and every other metric agrees too, key sets included (no
+    batch counts a zero)."""
+    assert _snapshot(run, "scalar", unified) == _snapshot(run, "columnar", unified)

@@ -6,13 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.core.detector import Arbalest
-from repro.events.columnar import (
-    LANE_SHIFT,
-    WRITE_LANE,
-    EventBatch,
-    decode_rows,
-    lane_of,
-)
+from repro.events.columnar import EventBatch, decode_rows, lane_code
 from repro.events.records import Access
 from repro.events.source import SourceLocation
 from repro.observe.flame import parse_folded, render_flamegraph
@@ -289,10 +283,9 @@ class TestLaneBatches:
                 if rng.random() < 0.1:
                     items.append(_access(count=rng.choice((3, 40)), line=99))
                 else:
-                    lane = lane_of(rng.randrange(len(slots)))
-                    if rng.random() < 0.5:
-                        lane |= WRITE_LANE
-                    items.append(rng.randrange(100) << LANE_SHIFT | lane)
+                    slot = rng.randrange(len(slots))
+                    is_write = rng.random() < 0.5
+                    items.append(lane_code(slot, rng.randrange(100), is_write))
             batches.append((items, slots, decode_rows(list(items), slots)))
         return batches
 

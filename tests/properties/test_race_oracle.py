@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.events.columnar import PASS_ROWS, BatchColumns
 from repro.events.records import Access
 from repro.tools import RaceEngine
+from repro.tools.archer import _PLAIN_ROWS
 from tests.race_rows import check_row, vectorized
 
 N_THREADS = 4
@@ -311,44 +312,31 @@ def shadow_state(engine: RaceEngine) -> dict:
     return state
 
 
-@settings(max_examples=300, deadline=None)
-@given(batch_trace_strategy)
-def test_batch_kernel_matches_per_access_delivery(trace):
-    batched, single = RaceEngine(), RaceEngine()
-    for engine in (batched, single):
+def replay(trace, check) -> tuple[RaceEngine, RaceEngine]:
+    """Feed ``trace`` to two engines over the same blocks: every sync to
+    both, every sync-free run of rows to ``check(first, second, rows)``
+    (a transfer as a run of its own); return both engines once their
+    races, shadow bytes and shadow state are asserted equal."""
+    engines = RaceEngine(), RaceEngine()
+    for engine in engines:
         for base in BLOCK_BASES:
             engine.track(0, base, 8 * BLOCK_GRANULES)
     run: list[Row] = []
 
     def deliver() -> None:
-        if not run:
-            return
-        with vectorized():
-            got = batched.check_batch(
-                BatchColumns(
-                    [
-                        Access(a.device, a.tid, a.address, a.size, a.is_write,
-                               a.count, a.stride)
-                        for a in run
-                    ]
-                )
-            )
-        want = [
-            i
-            for i, a in enumerate(run)
-            if check_row(
-                single, a.device, a.tid, a.address, a.size, a.is_write,
-                a.count, a.stride,
-            )
-        ]
-        assert got == want, f"run={run}"
-        run.clear()
+        if run:
+            rows = [
+                Access(a.device, a.tid, a.address, a.size, a.is_write, a.count, a.stride)
+                for a in run
+            ]
+            check(*engines, rows)
+            run.clear()
 
     for ev in trace:
         if isinstance(ev, Sync):
             deliver()
             if ev.source != ev.target:
-                for engine in (batched, single):
+                for engine in engines:
                     engine.handle_sync("edge", ev.source, ev.target)
         elif isinstance(ev, Transfer):
             deliver()
@@ -361,6 +349,38 @@ def test_batch_kernel_matches_per_access_delivery(trace):
     def races(engine: RaceEngine) -> list:
         return sorted(tuple(sorted(race.items())) for race in engine.races)
 
-    assert races(batched) == races(single)
-    assert batched.shadow_bytes == single.shadow_bytes
-    assert shadow_state(batched) == shadow_state(single)
+    first, second = engines
+    assert races(first) == races(second)
+    assert first.shadow_bytes == second.shadow_bytes
+    assert shadow_state(first) == shadow_state(second)
+    return engines
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_trace_strategy)
+def test_batch_kernel_matches_per_access_delivery(trace):
+    def check(batched, single, rows):
+        with vectorized():
+            got = batched.check_batch(BatchColumns(rows))
+        want = [i for i, a in enumerate(rows) if check_row(single, *a[:7])]
+        assert got == want, f"run={rows}"
+
+    replay(trace, check)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_trace_strategy)
+def test_short_rows_match_their_columns(trace):
+    """A short run handed as rows (contiguous ones checked in plain ints,
+    a strided one sending the run through columns) leaves what the same
+    run leaves as columns checked by the vectorized kernels."""
+
+    def check(by_rows, by_columns, rows):
+        for lo in range(0, len(rows), _PLAIN_ROWS):
+            short = rows[lo : lo + _PLAIN_ROWS]
+            got = by_rows.check_batch(short)
+            with vectorized():
+                want = by_columns.check_batch(BatchColumns(short))
+            assert got == want, f"run={short}"
+
+    replay(trace, check)

@@ -1,9 +1,10 @@
 """One access as a one-row race check, for the race-engine tests.
 
 :meth:`~repro.tools.archer.RaceEngine.check_batch` is the engine's one
-entry point.  :func:`check_row` hands it a single access and returns the
-``races`` entries that check recorded, one per racy granule, so a test
-can assert which granules raced as well as whether the access did.
+entry point.  :func:`check_row` hands it a single access as the one-row
+sequence a batch of one passes and returns the ``races`` entries that
+check recorded, one per racy granule, so a test can assert which
+granules raced as well as whether the access did.
 :func:`vectorized` sends every run, however short, through the
 vectorized kernels instead of the row-at-a-time path short runs take.
 """
@@ -12,7 +13,6 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.events import columnar
-from repro.events.columnar import BatchColumns
 from repro.events.records import Access
 from repro.tools import archer
 
@@ -23,9 +23,7 @@ def check_row(
 ) -> list[dict]:
     """Check one access (``Access`` field order); return its new races."""
     before = len(engine.races)
-    racy = engine.check_batch(
-        BatchColumns([Access(device, tid, address, size, is_write, count, stride)])
-    )
+    racy = engine.check_batch([Access(device, tid, address, size, is_write, count, stride)])
     recorded = engine.races[before:]
     assert racy == ([0] if recorded else []), (racy, recorded)
     return recorded
