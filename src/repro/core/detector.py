@@ -78,6 +78,11 @@ _DATA_OP_EVENT_KINDS = {
 _ACCESS_KINDS = np.array(ACCESS_KINDS, dtype=object)
 
 
+def _issue_variable(block, rec: MappingRecord | None) -> str:
+    """The variable a VSM issue names: its block's, else its mapping's."""
+    return block.label or (rec.name if rec is not None else "")
+
+
 class _Lookup:
     """Both registries as sorted numpy tables, for :meth:`Arbalest.on_batch`.
 
@@ -126,7 +131,9 @@ class _Lookup:
             [(-1, -1), *shadows.skipped_ranges()], dtype=np.int64
         ).T.copy()
         #: Whether any mapping or allocation is certified.
-        self.certifies = bool(self.cert_mapping.any()) or len(self.skip_bases) > 1
+        self.certifies = (
+            np.count_nonzero(self.cert_mapping) > 0 or len(self.skip_bases) > 1
+        )
 
 
 class Arbalest(Tool):
@@ -264,7 +271,9 @@ class Arbalest(Tool):
         rec = self.mappings.find(cv)
         if rec is not None and rec.certified:
             return
-        if self.race_engine.check_batch(transfer_rows(event)):
+        if self.race_engine.check_batch(transfer_rows(event)) and not self.repeated(
+            FindingKind.RACE, event.stack, "", event.dst_device, event.dst_address
+        ):
             self.report(
                 Finding(
                     tool=self.name,
@@ -453,23 +462,35 @@ class Arbalest(Tool):
     def on_batch(self, batch) -> None:
         """Drive the VSM and the race engine for one ordered run of accesses.
 
-        One vectorized pass classifies every access against the lookup
-        snapshot (:class:`_Lookup`).  The race check runs first, as one
+        One vectorized pass sorts every access against the lookup snapshot
+        (:class:`_Lookup`) into one of five categories:
+
+        0. *in place* — bulk or strided, unified-device, or a device access
+           that leaves its mapping part way: :meth:`_apply_in_place`;
+        1. *certified skip* — a scalar access the certificate covers: its
+           skip is counted, nothing else;
+        2. *race check only* — a scalar access no shadow block holds;
+        3. *VSM + race check* — a scalar host or device access in one
+           granule of a shadow block, single- or multi-device;
+        4. *overflow* — a device access whose first byte no mapping holds:
+           one §IV.D overflow report, no VSM step.
+
+        The race check runs first, as one
         :meth:`~repro.tools.archer.RaceEngine.check_batch` over every access
         the certificate does not skip: race state does not depend on VSM
-        state.  Then the VSM walk: a scalar host or device access that sits
-        in one granule of a shadow block, single- or multi-device, is
-        applied per segment: one that repeats its granule's previous op
-        and mapping device is dropped (every op is idempotent: it takes its
-        leader's verdict), and the block's ``apply`` takes one op and
-        mapping device per access over each pass of distinct granules
-        (:func:`~repro.events.columnar.granule_passes`); a certified access
-        only counts its skip, and one with no shadow block drives no VSM.
-        Every other access — bulk or strided, unified-device or
-        overflowing — is applied *in place* by :meth:`_apply_in_place`.
-        Each racy access's finding follows its VSM findings, so findings
-        and flight-recorder events land in per-access order whatever the
-        batch size.
+        state.  Then the walk: each in-place access is applied on its own,
+        and each run of accesses between two of them is one segment
+        (:meth:`_batch_segment`).  There a category-3 access that repeats
+        its granule's previous op and mapping device is dropped (every op
+        is idempotent: it takes its leader's verdict), and the block's
+        ``apply`` takes one op and mapping device per access over each pass
+        of distinct granules (:func:`~repro.events.columnar.granule_passes`);
+        a category-4 overflow is filed at its position among the segment's
+        findings.  Each racy access's finding follows its VSM or overflow
+        finding, so findings and flight-recorder events land in per-access
+        order whatever the batch size.  Every report passes the site check
+        (:meth:`~repro.tools.base.Tool.repeated`) first, so a repeated site
+        costs one count and builds no row, message or finding.
 
         A batch of one (every access while an immediate-delivery tool is
         attached) skips the snapshot, which costs more than the access: the
@@ -535,7 +556,8 @@ class Arbalest(Tool):
         bi = look.b_bases.searchsorted(ov, "right") - 1
         bi[ov >= look.b_ends[bi]] = 0
         # 0 = in place, 1 = certified skip, 2 = race check only (no shadow
-        # block), 3 = VSM + race check.  Only scalar accesses leave 0.
+        # block), 3 = VSM + race check, 4 = overflow report + race check (a
+        # device access no mapping holds).  Only scalar accesses reach 1-3.
         scalar = cols.counts == 1
         if np.count_nonzero(scalar):
             offset = ov - look.b_bases[bi]
@@ -553,6 +575,7 @@ class Arbalest(Tool):
         else:
             gran = None
             cat = np.zeros(n, dtype=np.intp)
+        cat[(ri == 0) & ~host] = 4
         checked = None
         if look.certifies:
             si = look.skip_bases.searchsorted(addr, "right") - 1
@@ -581,11 +604,13 @@ class Arbalest(Tool):
     def _batch_segment(
         self, batch, cat, ri, bi, gran, look, start, stop, racy
     ) -> None:
-        """Vector-process one run of classified scalar accesses.
+        """Vector-process one run of classified accesses (categories 1-4).
 
         ``racy`` holds the batch's sorted racy positions.  Rows are built
-        only for findings: a recorded transition reads its device, write
-        bit and stack from the columns and the batch.  A dropped repeat is
+        only for new finding sites: a recorded transition reads its device,
+        write bit and stack from the columns and the batch, and each report
+        passes the site check (:meth:`~repro.tools.base.Tool.repeated`) on
+        the same fields before its row is decoded.  A dropped repeat is
         recorded, reported and counted as per-access delivery would.
         """
         cols = batch.columns
@@ -603,9 +628,13 @@ class Arbalest(Tool):
         is_write = cols.is_write
         recorder = self.recorder
         # (position, phase, arg) — phase 0 = recorded transition (arg: the
-        # state labels before/after), 1 = VSM issue (arg: uninitialized),
-        # 2 = race; sorted at the end to reproduce per-access order.
+        # state labels before/after), 1 = VSM issue (arg: uninitialized) or
+        # overflow (arg: None), 2 = race; sorted at the end to reproduce
+        # per-access order.
         found: list[tuple[int, int, object]] = []
+        over = (c == 4).nonzero()[0]
+        if len(over):
+            found += zip((over + start).tolist(), repeat(1), repeat(None))
         vp = (c == 3).nonzero()[0] + start
         if len(vp):
             # VsmOp codes: READ_HOST 0, READ_TARGET 1, WRITE_HOST 2, WRITE_TARGET 3.
@@ -633,27 +662,28 @@ class Arbalest(Tool):
                     before[q] = block.states(q_g)
                 illegal[q], uninit[q] = block.apply(q_g, ops[q], q_devs, telemetry)
                 synced = sync[q]
-                if synced.any():
+                if np.count_nonzero(synced):
                     block.apply(
                         q_g[synced], VsmOp.UPDATE_TARGET, q_devs[synced], telemetry
                     )
                 if after is not None:
                     after[q] = block.states(q_g)
             late = order[cuts[-1]:]
-            for r, b, gi, op, dev, synced in zip(
-                late.tolist(), blk[late].tolist(), g[late].tolist(),
-                ops[late].tolist(), devs[late].tolist(), sync[late].tolist(),
-            ):
-                block = blocks[b]
-                one = slice(gi, gi + 1)
-                if before is not None:
-                    before[r] = block.states(one)[0]
-                ill, uni = block.apply(one, op, dev, telemetry)
-                illegal[r], uninit[r] = ill[0], uni[0]
-                if synced:
-                    block.apply(one, VsmOp.UPDATE_TARGET, dev, telemetry)
-                if after is not None:
-                    after[r] = block.states(one)[0]
+            if len(late):  # rows replayed one at a time
+                for r, b, gi, op, dev, synced in zip(
+                    late.tolist(), blk[late].tolist(), g[late].tolist(),
+                    ops[late].tolist(), devs[late].tolist(), sync[late].tolist(),
+                ):
+                    block = blocks[b]
+                    one = slice(gi, gi + 1)
+                    if before is not None:
+                        before[r] = block.states(one)[0]
+                    ill, uni = block.apply(one, op, dev, telemetry)
+                    illegal[r], uninit[r] = ill[0], uni[0]
+                    if synced:
+                        block.apply(one, VsmOp.UPDATE_TARGET, dev, telemetry)
+                    if after is not None:
+                        after[r] = block.states(one)[0]
             if len(repeats):
                 # A repeat steps its leader's state to itself, with its verdict.
                 illegal[repeats] = illegal[leaders]
@@ -690,19 +720,28 @@ class Arbalest(Tool):
         kinds = _ACCESS_KINDS[(devices != 0) * 2 + is_write[at]].tolist()
         accesses = batch.accesses
         stack_at = batch.stack_at
-        for (p_abs, phase, arg), device, kind, blk, rec in zip(
-            found, devices.tolist(), kinds, bi[at].tolist(), ri[at].tolist()
+        repeated = self.repeated
+        for (p_abs, phase, arg), device, address, kind, blk, rec in zip(
+            found, devices.tolist(), cols.addresses[at].tolist(), kinds,
+            bi[at].tolist(), ri[at].tolist(),
         ):
             if phase == 0:
                 self._record(
                     recorder, look.blocks[blk], kind, device, stack_at(p_abs), *arg
                 )
-            elif phase == 1:
-                self._report_issue(
-                    accesses[p_abs], look.blocks[blk], look.recs[rec], arg
-                )
+            elif phase == 2:
+                if not repeated(FindingKind.RACE, stack_at(p_abs), "", device, address):
+                    self._report_race_finding(accesses[p_abs])
+            elif arg is None:
+                if not repeated(FindingKind.BO, stack_at(p_abs), "", device, address):
+                    self._report_overflow(accesses[p_abs], None)
             else:
-                self._report_race_finding(accesses[p_abs])
+                block, mapping = look.blocks[blk], look.recs[rec]
+                if not repeated(
+                    FindingKind.UUM if arg else FindingKind.USD, stack_at(p_abs),
+                    _issue_variable(block, mapping), device, address,
+                ):
+                    self._report_issue(accesses[p_abs], block, mapping, arg)
 
     def _apply_in_place(
         self, access: "Access", rec: MappingRecord | None, block
@@ -827,6 +866,10 @@ class Arbalest(Tool):
             self._report_issue(access, block, rec, bool(uninit[illegal].all()))
 
     def _report_race_finding(self, access: "Access") -> None:
+        if self.repeated(
+            FindingKind.RACE, access.stack, "", access.device_id, access.address
+        ):
+            return
         self.report(
             Finding(
                 tool=self.name,
@@ -855,7 +898,11 @@ class Arbalest(Tool):
         uninitialized: bool,
     ) -> None:
         kind = FindingKind.UUM if uninitialized else FindingKind.USD
-        variable = block.label or (rec.name if rec is not None else "")
+        variable = _issue_variable(block, rec)
+        if self.repeated(
+            kind, access.stack, variable, access.device_id, access.address
+        ):
+            return
         side = "accelerator" if access.device_id else "host"
         other = "host" if access.device_id else "accelerator"
         if uninitialized:
@@ -890,6 +937,11 @@ class Arbalest(Tool):
             )
 
     def _report_overflow(self, access: "Access", rec: MappingRecord | None) -> None:
+        if self.repeated(
+            FindingKind.BO, access.stack, rec.name if rec is not None else "",
+            access.device_id, access.address,
+        ):
+            return
         if rec is not None:
             message = (
                 f"access runs past the corresponding variable of '{rec.name or '?'}' "

@@ -74,7 +74,10 @@ class RepairingArbalest(Arbalest):
 
     #: Repairs rewrite device memory while the detector handles the access,
     #: before the program reads it, so accesses cannot wait in a batch:
-    #: each reaches :meth:`on_batch` in a batch of one.
+    #: each reaches :meth:`on_batch` in a batch of one, which takes the
+    #: in-place path.  That path calls :meth:`_report_issue` once per
+    #: access, and the site check sits inside the base method, so a stale
+    #: read is repaired every time, not only at its site's first report.
     immediate_delivery = True
 
     def __init__(self, **kwargs) -> None:

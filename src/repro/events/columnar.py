@@ -299,29 +299,29 @@ def granule_passes(
     if len(granules) < PASS_ROWS:  # too short to pay for the sort
         return np.arange(len(granules)), [0], _NO_ROWS, no_leaders
     key = blocks << _KEY_SHIFT | granules
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     key = key[order]
     same = key[1:] == key[:-1]
     repeats, leaders = _NO_ROWS, no_leaders
-    if same.any():
+    if np.count_nonzero(same):
         tag = tags[order]
         repeat = same & (tag[1:] == tag[:-1])
-        if repeat.any():
-            kept = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        if np.count_nonzero(repeat):
+            kept = np.concatenate(([True], ~repeat)).nonzero()[0]
             repeats = order[1:][repeat]
             order, key = order[kept], key[kept]
             if with_leaders:  # a kept row's repeats follow it in key order
                 leaders = np.repeat(order, np.diff(kept, append=len(tag)) - 1)
             same = key[1:] == key[:-1]
     one_block = key[0] >> _KEY_SHIFT == key[-1] >> _KEY_SHIFT
-    if same.any():
+    if np.count_nonzero(same):
         # rank = the row's index among its granule's rows.
         at = np.arange(len(key))
         rank = at - np.maximum.accumulate(np.where(np.concatenate(([True], ~same)), at, 0))
         sizes = np.bincount(rank)  # non-increasing
-        ends = np.cumsum(sizes[sizes >= PASS_ROWS])
+        ends = sizes[sizes >= PASS_ROWS].cumsum()
         # Rank-major order; the replayed ranks share one key (a radix sort).
-        by_rank = np.argsort(np.minimum(rank, len(ends)).astype(np.uint16), kind="stable")
+        by_rank = np.minimum(rank, len(ends)).astype(np.uint16).argsort(kind="stable")
         order, key = order[by_rank], key[by_rank]
         cuts = [0, *ends.tolist()]
     else:
@@ -329,5 +329,5 @@ def granule_passes(
     order[cuts[-1]:].sort()
     if not one_block and len(cuts) > 1:  # cut each pass per block
         block = key[: cuts[-1]] >> _KEY_SHIFT
-        cuts = sorted({*cuts, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()})
+        cuts = sorted({*cuts, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist()})
     return order, cuts, repeats, leaders

@@ -20,13 +20,7 @@ session all see the same names — with or without a flight recorder:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING
-
 from .records import AllocationEvent, DataOp, DataOpKind
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tools.findings import Finding
 
 #: How many retired (unmapped/freed) address ranges to remember, so that
 #: use-after-free findings can still name the variable that used to live
@@ -125,15 +119,6 @@ class VariableIndex:
             elif lo - address < above_gap:
                 above, above_gap = var, lo - address
         return below or above
-
-    def resolve_variable(self, finding: "Finding") -> "Finding":
-        """Fill in ``finding.variable`` from the index if empty."""
-        if finding.variable or not finding.address:
-            return finding
-        variable = self.resolve_near(finding.device_id, finding.address)
-        if not variable:
-            return finding
-        return replace(finding, variable=variable)
 
     def __len__(self) -> int:
         return len(self._live) + len(self._retired)

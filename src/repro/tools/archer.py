@@ -385,8 +385,8 @@ class RaceEngine:
         r = block.read[g]
         live = None
         noop = np.where(is_write, w, r) == my
-        if noop.any():
-            live = np.flatnonzero(~noop)
+        if np.count_nonzero(noop):
+            live = (~noop).nonzero()[0]
             g, is_write, my, ti, w, r = (
                 g[live], is_write[live], my[live], ti[live], w[live], r[live]
             )
@@ -395,7 +395,7 @@ class RaceEngine:
         if block.n_shared:
             # Writes to shared granules: one gather of their read vectors,
             # one compare against the acting clocks; the write resets sharing.
-            shared = np.flatnonzero(is_write & (block.share_row[g] >= 0))
+            shared = (is_write & (block.share_row[g] >= 0)).nonzero()[0]
             if len(shared):
                 vecs = block.share[block.share_row[g[shared]]]
                 acting = clocks[ti[shared], : vecs.shape[1]]
@@ -406,7 +406,7 @@ class RaceEngine:
         escalating = ~r_ordered
         if block.n_shared:
             escalating |= block.share_row[g] >= 0
-        escalating = np.flatnonzero(~is_write & escalating)
+        escalating = (~is_write & escalating).nonzero()[0]
         if len(escalating):
             mine = my[escalating]
             block.escalate(
@@ -420,7 +420,7 @@ class RaceEngine:
         block.read[writes] = 0
         reads = ~is_write
         block.read[g[reads]] = my[reads]
-        hit = np.flatnonzero(racy)
+        hit = racy.nonzero()[0]
         return hit if live is None else live[hit]
 
     def _check_span(
@@ -555,15 +555,15 @@ class RaceEngine:
             if racy is not None:
                 return racy if positions is None else positions[racy].tolist()
         row_pos = None  # each row's run index, once strided rows expand
-        if not bool((counts == 1).all()):
+        if np.count_nonzero(counts != 1):
             sizes = spans
             step = np.where(strides == 0, sizes, strides)
             spans = np.where(counts > 0, (counts - 1) * step + sizes, 0)
             strided = (counts > 1) & (step != sizes)
-            if strided.any():
+            if np.count_nonzero(strided):
                 reps = np.where(strided, counts, 1)
                 row_pos = np.repeat(np.arange(n), reps)
-                k = np.arange(len(row_pos)) - (np.cumsum(reps) - reps)[row_pos]
+                k = np.arange(len(row_pos)) - (reps.cumsum() - reps)[row_pos]
                 addresses = addresses[row_pos] + k * step[row_pos]
                 spans = np.where(strided, sizes, spans)[row_pos]
                 devices, tids, writes = (
@@ -577,7 +577,7 @@ class RaceEngine:
                 np.array([len(b.write) for b in blocks], dtype=np.int64),
             )
         bases, ends, granules = self._bounds
-        bi = np.searchsorted(bases, addresses, side="right") - 1
+        bi = bases.searchsorted(addresses, "right") - 1
         safe = np.maximum(bi, 0)
         base_of = bases[safe]
         first = (addresses - base_of) // GRANULE
@@ -588,7 +588,7 @@ class RaceEngine:
         # Runs of one-granule rows, cut at every span and every miss.
         racy_rows: list = []
         start = 0
-        for row in [*np.flatnonzero(width != 1).tolist(), len(width)]:
+        for row in [*(width != 1).nonzero()[0].tolist(), len(width)]:
             if row > start:
                 run = slice(start, row)
                 hit = self._check_run(
@@ -667,8 +667,8 @@ class RaceEngine:
         if len(cuts) > 1:
             # The acting threads' clocks as matrix rows; slot = each thread's.
             present = np.bincount(tids[order[: cuts[-1]]]) > 0
-            slot = np.cumsum(present) - 1
-            acting = np.flatnonzero(present).tolist()
+            slot = present.cumsum() - 1
+            acting = present.nonzero()[0].tolist()
             clocks = self._clock_matrix(acting)
             my_of = np.array([self._current_epoch(t) for t in acting], dtype=np.uint64)
         for lo, hi in zip(cuts, cuts[1:]):  # one block's part of a pass
@@ -684,15 +684,16 @@ class RaceEngine:
                     tids[hit_rows].tolist(), is_writes[hit_rows].tolist(),
                 )
         late = order[cuts[-1]:]
-        blocks = self._sorted_blocks
-        racy_rows += [
-            np.array([row])
-            for row, b, device_id, tid, gi, is_write in zip(
-                late.tolist(),
-                *(column[late].tolist() for column in (blk, device_ids, tids, g, is_writes)),
-            )
-            if self._check_one(blocks[b], device_id, tid, gi, is_write)
-        ]
+        if len(late):  # rows replayed one at a time
+            blocks = self._sorted_blocks
+            racy_rows += [
+                np.array([row])
+                for row, b, device_id, tid, gi, is_write in zip(
+                    late.tolist(),
+                    *(column[late].tolist() for column in (blk, device_ids, tids, g, is_writes)),
+                )
+                if self._check_one(blocks[b], device_id, tid, gi, is_write)
+            ]
         if not racy_rows:
             return np.zeros(0, dtype=np.intp)
         return np.concatenate(racy_rows)
@@ -734,6 +735,10 @@ class ArcherTool(Tool):
         self.engine.handle_sync(event.kind, event.source_task, event.target_task)
 
     def _report_race(self, access: "Access") -> None:
+        if self.repeated(
+            FindingKind.RACE, access.stack, "", access.device_id, access.address
+        ):
+            return
         self.report(
             Finding(
                 tool=self.name,
@@ -765,7 +770,9 @@ class ArcherTool(Tool):
         # (the Fig-2 line-14-vs-line-11 conflict).
         if self.telemetry is not None:
             self.telemetry.count("tool.archer.memcpy_checks")
-        if self.engine.check_batch(transfer_rows(event)):
+        if self.engine.check_batch(transfer_rows(event)) and not self.repeated(
+            FindingKind.RACE, event.stack, "", event.dst_device, event.dst_address
+        ):
             self.report(
                 Finding(
                     tool=self.name,

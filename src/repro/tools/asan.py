@@ -53,6 +53,11 @@ class AsanTool(Tool):
         if event.is_free:
             nbytes = self._live.pop(key, None)
             if nbytes is None:
+                if self.repeated(
+                    FindingKind.BAD_FREE, event.stack, "", event.device_id,
+                    event.address,
+                ):
+                    return
                 self.report(
                     Finding(
                         tool=self.name,
@@ -165,6 +170,8 @@ class AsanTool(Tool):
             kind, what = FindingKind.BO, "heap-buffer-overflow"
         else:
             kind, what = FindingKind.WILD, "SEGV on unknown address"
+        if self.repeated(kind, access.stack, "", access.device_id, bad):
+            return
         self.report(
             Finding(
                 tool=self.name,

@@ -22,9 +22,10 @@ reproduction; the Valgrind/ASan/MSan models deliberately do not.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from .findings import Finding, FindingKind, MAPPING_ISSUE_KINDS
+from .findings import Finding, FindingKind, MAPPING_ISSUE_KINDS, site_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..events.columnar import EventBatch
@@ -70,8 +71,7 @@ class Tool:
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
         self.findings: list[Finding] = []
-        self._seen: set[tuple] = set()
-        #: How many times each deduped site was reported (key -> count).
+        #: How many times each reported site was reported (key -> count).
         self._counts: dict[tuple, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -97,24 +97,61 @@ class Tool:
         (*before* the dedup key is computed, so naming cannot split one
         site into two).  While the bus carries a flight recorder, new
         findings also get a :class:`Provenance` timeline attached.
-        Duplicates only bump the per-site count.
+        Duplicates only bump the per-site count.  The tools check each
+        report with :meth:`repeated` before building its finding, so a
+        repeat is counted there and an override of ``report`` sees only
+        new sites.
         """
-        if self.variables is not None:
-            finding = self.variables.resolve_variable(finding)
+        variable = self._variable(finding.variable, finding.device_id, finding.address)
+        if variable != finding.variable:
+            finding = replace(finding, variable=variable)
         key = finding.dedup_key()
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.count(f"tool.{self.name}.findings.{finding.kind.value}")
-            if key in self._seen:
-                telemetry.count(f"tool.{self.name}.findings_deduped")
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if key in self._seen:
+        if self._count_repeat(key, finding.kind):
             return False
-        self._seen.add(key)
+        self._counts[key] = 1
+        if self.telemetry is not None:
+            self.telemetry.count(f"tool.{self.name}.findings.{finding.kind.value}")
         if self.recorder is not None:
             finding = self.recorder.attach_provenance(finding)
         self.findings.append(finding)
         return True
+
+    def repeated(
+        self,
+        kind: FindingKind,
+        stack: tuple,
+        variable: str = "",
+        device_id: int = 0,
+        address: int = 0,
+    ) -> bool:
+        """The site check: count a report of an already-reported site.
+
+        The fields are those of the finding the caller would file; its
+        site is :func:`~repro.tools.findings.site_key` of them after the
+        variable resolution :meth:`report` does, so it is the finding's
+        ``dedup_key``.  A repeat is counted as :meth:`report` counts a
+        duplicate and returns True: the caller builds no finding.  A new
+        site changes nothing and returns False: the caller files it.
+        """
+        key = site_key(kind, stack, self._variable(variable, device_id, address))
+        return self._count_repeat(key, kind)
+
+    def _count_repeat(self, key: tuple, kind: FindingKind) -> bool:
+        count = self._counts.get(key)
+        if count is None:
+            return False
+        self._counts[key] = count + 1
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.count(f"tool.{self.name}.findings.{kind.value}")
+            telemetry.count(f"tool.{self.name}.findings_deduped")
+        return True
+
+    def _variable(self, variable: str, device_id: int, address: int) -> str:
+        """A report's variable: its own, else the bus's index names its address."""
+        if variable or not address or self.variables is None:
+            return variable
+        return self.variables.resolve_near(device_id, address)
 
     def finding_count(self, finding: Finding) -> int:
         """How many times ``finding``'s site was reported (>= 1)."""
@@ -134,7 +171,6 @@ class Tool:
     def reset(self) -> None:
         """Drop all findings and dedup state (between benchmark runs)."""
         self.findings.clear()
-        self._seen.clear()
         self._counts.clear()
 
     # -- accounting (Fig 9) ---------------------------------------------------

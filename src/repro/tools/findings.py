@@ -68,6 +68,19 @@ MAPPING_ISSUE_KINDS = frozenset(
 NO_STACK: tuple[SourceLocation, ...] = ()
 
 
+def site_key(
+    kind: FindingKind, stack: tuple[SourceLocation, ...], variable: str
+) -> tuple:
+    """The bug-site identity of a report: kind, innermost frame, variable.
+
+    :meth:`Finding.dedup_key` is this function of a finding's fields;
+    :meth:`Tool.repeated <repro.tools.base.Tool.repeated>` derives it from
+    the same fields before any finding is built.
+    """
+    location = stack[0] if stack else UNKNOWN_LOCATION
+    return (kind, location.file, location.line, variable)
+
+
 @dataclass(frozen=True)
 class Finding:
     """One defect report from one tool."""
@@ -98,7 +111,7 @@ class Finding:
 
     def dedup_key(self) -> tuple:
         """Reports with equal keys are the same bug site."""
-        return (self.kind, self.location.file, self.location.line, self.variable)
+        return site_key(self.kind, self.stack, self.variable)
 
     def fingerprint(self) -> str:
         """Stable cross-run identity: kind + variable + normalized location.

@@ -113,7 +113,9 @@ class MsanTool(Tool):
             hi = min(lo + span, len(plane))
             if access.is_write:
                 plane[lo:hi] = False
-            elif plane[lo:hi].any():
+            elif plane[lo:hi].any() and not self.repeated(
+                FindingKind.UUM, access.stack, "", access.device_id, address
+            ):
                 self.report(
                     Finding(
                         tool=self.name,

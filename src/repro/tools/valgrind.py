@@ -82,6 +82,11 @@ class ValgrindTool(Tool):
                 self._bases[event.device_id].remove(event.address)
             else:
                 self.invalid_free_count += 1
+                if self.repeated(
+                    FindingKind.BAD_FREE, event.stack, "", event.device_id,
+                    event.address,
+                ):
+                    return
                 self.report(
                     Finding(
                         tool=self.name,
@@ -137,7 +142,9 @@ class ValgrindTool(Tool):
         covered = 0
         if plane is not None:
             covered = min(span, plane.base + plane.nbytes - address)
-        if covered >= span:
+        if covered >= span or self.repeated(
+            FindingKind.WILD, access.stack, "", access.device_id, address + covered
+        ):
             return
         self.report(
             Finding(

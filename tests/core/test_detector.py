@@ -288,6 +288,116 @@ class TestClassification:
         assert (race.device_id, race.size) == (1, 8)
 
 
+class TestSiteCheck:
+    """A repeated site costs one count: no row, message or finding."""
+
+    @staticmethod
+    def _run_counting(number):
+        """DRACC ``number`` under a counting ``Finding`` and ``_batch_segment``;
+        returns the detector, the findings built, the segments walked and the
+        batches that reached the vectorized walk."""
+        from unittest import mock
+
+        from repro.core import detector
+        from repro.dracc.registry import all_benchmarks
+
+        built, segments, batches = [], [], []
+        finding, segment, on_batch = (
+            detector.Finding, Arbalest._batch_segment, Arbalest.on_batch
+        )
+
+        def counting_finding(*args, **kwargs):
+            built.append(kwargs["kind"])
+            return finding(*args, **kwargs)
+
+        def counting_segment(self, *args):
+            segments.append(args[-3:-1])
+            return segment(self, *args)
+
+        def counting_on_batch(self, batch):
+            if len(batch) > 1:
+                batches.append(len(batch))
+            return on_batch(self, batch)
+
+        bench = next(b for b in all_benchmarks() if b.number == number)
+        with mock.patch.object(detector, "Finding", counting_finding), \
+                mock.patch.object(Arbalest, "_batch_segment", counting_segment), \
+                mock.patch.object(Arbalest, "on_batch", counting_on_batch):
+            rt = TargetRuntime(n_devices=2)
+            det = Arbalest().attach(rt.machine)
+            bench.run(rt)
+        return det, built, segments, batches
+
+    def test_repeated_uum_builds_one_finding(self):
+        det, built, _, _ = self._run_counting(22)
+        ((finding, count),) = det.findings_with_counts()
+        assert (finding.kind, count) == (FindingKind.UUM, 256)
+        assert built == [FindingKind.UUM]
+
+    def test_unmapped_overflows_build_one_finding_and_cut_no_segment(self):
+        det, built, segments, batches = self._run_counting(28)
+        ((finding, count),) = det.findings_with_counts()
+        assert (finding.kind, count) == (FindingKind.BO, 32)
+        assert built == [FindingKind.BO]
+        # Each write outside every mapping is filed inside the walk.
+        assert len(segments) == len(batches)
+
+    def test_mixed_batch_reports_in_per_access_order(self):
+        from repro.events.columnar import EventBatch
+        from repro.events.records import Access
+        from repro.events.source import SourceLocation
+
+        def run(batched):
+            rt = TargetRuntime(n_devices=1)
+            det = Arbalest().attach(rt.machine)
+            a = rt.array("a", 16)
+            a.fill(1.0)
+            rt.target_enter_data([to(a)])
+            a[0] = 5.0  # the host copies of a[0] and a[3] go newer than the CV
+            a[3] = 5.0
+            rt.machine.bus.flush_batch()
+            n_before = len(det.findings)
+            (mapping,) = det.mappings.records()
+            cv = mapping.cv_base
+
+            def row(tid, offset, is_write, line):
+                stack = (SourceLocation("mix.c", line),)
+                return Access(1, tid, cv + offset, 8, is_write, stack=stack)
+
+            # Thread 0 did the mapping's transfer; thread 2 is unordered with it.
+            rows = [
+                row(0, 8, False, 1),      # clean read
+                row(0, 4096, True, 2),    # write outside every mapping
+                row(0, 0, False, 3),      # stale read
+                row(2, 24, False, 4),     # stale and racy read
+                row(0, 16, True, 5),      # clean write
+                row(2, 16, True, 6),      # racy write
+                row(0, 8192, True, 7),    # another write outside every mapping
+                row(0, 0, False, 3),      # the stale read's site again
+                row(0, 4096, True, 2),    # the first overflow's site again
+            ]
+            if batched:
+                det.on_batch(EventBatch(rows))
+            else:
+                for one in rows:
+                    det.on_batch(EventBatch([one]))
+            return [
+                (f.kind, f.location.line, f.address - cv, f.thread_id, count)
+                for f, count in det.findings_with_counts()[n_before:]
+            ], det.bug_reports
+
+        batched, batched_reports = run(True)
+        assert batched == [
+            (FindingKind.BO, 2, 4096, 0, 2),
+            (FindingKind.USD, 3, 0, 0, 2),
+            (FindingKind.USD, 4, 24, 2, 1),
+            (FindingKind.RACE, 4, 24, 2, 1),
+            (FindingKind.RACE, 6, 16, 2, 1),
+            (FindingKind.BO, 7, 8192, 0, 1),
+        ]
+        assert (batched, batched_reports) == run(False)
+
+
 class TestUnifiedMemory:
     def test_clean_unified_program(self):
         rt, det = setup(unified=True)

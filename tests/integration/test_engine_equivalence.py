@@ -51,9 +51,15 @@ def _factory(tool_cls, delivery):
 
 
 def _fingerprints(tool):
-    return sorted(
-        (f.fingerprint(), count) for f, count in tool.findings_with_counts()
+    """Each finding's site, per-site count and first-occurrence fields
+    (address, thread, device, size, message), and a detector's bug reports
+    in filing order."""
+    findings = sorted(
+        (f.fingerprint(), count, f.address, f.thread_id, f.device_id, f.size,
+         f.message)
+        for f, count in tool.findings_with_counts()
     )
+    return findings, getattr(tool, "bug_reports", None)
 
 
 def _run_dracc(benchmark, delivery, detector_cls=Arbalest):
